@@ -725,8 +725,8 @@ fn print_timings(
 
 /// Engine-throughput digest derived from the merged telemetry journal:
 /// events processed and events/sec over campaign busy time, same-instant
-/// batching effectiveness (allocator passes saved vs one-pass-per-event),
-/// timer-queue traffic, and parallel component-solve engagement.
+/// batching effectiveness (allocator passes saved vs one-pass-per-event)
+/// and timer-queue traffic.
 fn print_engine_throughput(j: &simcore::Journal, busy_s: f64) {
     let c = |name: &str| j.counters.get(name).copied().unwrap_or(0);
     let events = c("engine.events");
@@ -757,12 +757,6 @@ fn print_engine_throughput(j: &simcore::Journal, busy_s: f64) {
         c("engine.queue.inserts"),
         c("engine.queue.cancels")
     );
-    let par = c("fluid.parallel_components");
-    if par > 0 {
-        println!("   parallel solver: {} component(s) solved in parallel", par);
-    } else {
-        println!("   parallel solver: not engaged (workload below threshold)");
-    }
 }
 
 /// Collective fast-path digest: message-matching bin hits vs probe scans,
@@ -868,14 +862,13 @@ fn timings_json(
         let instants = c("engine.queue.batch_instants");
         let busy: f64 = runs.iter().map(|r| r.busy.as_secs_f64()).sum();
         out.push_str(&format!(
-            ",\"engine\":{{\"events\":{},\"events_per_busy_s\":{:.0},\"batch_instants\":{},\"allocator_passes_saved\":{},\"queue_inserts\":{},\"queue_cancels\":{},\"parallel_components\":{}}}",
+            ",\"engine\":{{\"events\":{},\"events_per_busy_s\":{:.0},\"batch_instants\":{},\"allocator_passes_saved\":{},\"queue_inserts\":{},\"queue_cancels\":{}}}",
             events,
             if busy > 0.0 { events as f64 / busy } else { 0.0 },
             instants,
             events.saturating_sub(instants),
             c("engine.queue.inserts"),
             c("engine.queue.cancels"),
-            c("fluid.parallel_components"),
         ));
         out.push('}');
     } else {

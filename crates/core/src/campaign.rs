@@ -35,6 +35,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use simcore::cancel::{self, CancelToken};
+use simcore::reference_paths::{self, ReferencePaths};
 use simcore::telemetry::{self, Journal, Lane, Record, RecordKind};
 use simcore::{SimTime, SplitMix64};
 
@@ -601,8 +602,11 @@ fn execute_point(
         std::thread::sleep(delay);
     }
     let t0 = Instant::now();
-    let seed = point_seed(exp.name(), point.index);
-    let attempt = |seed: u64| {
+    let first = point_seed(exp.name(), point.index);
+    let retry = runner::retry_seed(first, point.index as u32);
+    // The journal of the last attempt: the one the outcome describes.
+    let mut journal = None;
+    let (seed, status, value) = runner::with_retry(first, retry, |seed| {
         if record {
             telemetry::install();
         }
@@ -617,41 +621,14 @@ fn execute_point(
             Some(t) => cancel::scoped(t.clone(), run),
             None => run(),
         };
+        journal = if record { telemetry::take() } else { None };
         // Only a *failed* attempt counts as timed out: a value computed
         // just as the deadline passed is still a valid measurement.
-        let timed_out = res.is_err() && token.as_ref().is_some_and(|t| t.is_cancelled());
-        let journal = if record { telemetry::take() } else { None };
-        (res, timed_out, journal)
-    };
-    let (seed, status, value, journal) = match attempt(seed) {
-        (Ok(v), _, journal) => (seed, RunStatus::Completed, Some(v), journal),
-        (Err(error), true, journal) => (seed, RunStatus::TimedOut { error }, None, journal),
-        (Err(first_error), false, _) => {
-            let fresh = runner::retry_seed(seed, point.index as u32);
-            match attempt(fresh) {
-                (Ok(v), _, journal) => (
-                    fresh,
-                    RunStatus::Recovered {
-                        failed_seed: seed,
-                        error: first_error,
-                    },
-                    Some(v),
-                    journal,
-                ),
-                (Err(error), true, journal) => {
-                    (fresh, RunStatus::TimedOut { error }, None, journal)
-                }
-                (Err(second_error), false, journal) => (
-                    fresh,
-                    RunStatus::Failed {
-                        error: second_error,
-                    },
-                    None,
-                    journal,
-                ),
-            }
-        }
-    };
+        res.map_err(|error| match token {
+            Some(t) if t.is_cancelled() => RunStatus::TimedOut { error },
+            _ => RunStatus::Failed { error },
+        })
+    });
     let outcome = PointOutcome {
         index: point.index,
         label: point.label.clone(),
@@ -684,6 +661,38 @@ pub struct CampaignReport {
     /// timeline, wrapped in per-point and per-experiment "campaign" spans.
     /// `None` when telemetry was off.
     pub journal: Option<Journal>,
+}
+
+/// Run `task(i)` for every `i < n` on up to `jobs` scoped worker threads
+/// drawing indices from one shared counter, and return the results in index
+/// order. Workers run on the caller's [`ReferencePaths`], so every engine a
+/// task builds takes the same reference paths at any worker count.
+fn pool<T: Send>(jobs: usize, n: usize, task: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let paths = ReferencePaths::current();
+    let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..jobs.clamp(1, n.max(1)) {
+            scope.spawn(|| {
+                reference_paths::scoped(paths, || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let out = task(i);
+                    *results[i].lock().expect("result slot poisoned") = Some(out);
+                })
+            });
+        }
+    });
+    results
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .expect("result slot poisoned")
+                .expect("every queued task runs")
+        })
+        .collect()
 }
 
 /// Run a set of experiments as one campaign: every sweep point of every
@@ -721,27 +730,12 @@ pub fn run_set_with_store(
         .enumerate()
         .flat_map(|(ei, plan)| (0..plan.len()).map(move |pi| (ei, pi)))
         .collect();
-    let results: Vec<Vec<Mutex<Option<PointOutcome>>>> = plans
-        .iter()
-        .map(|p| (0..p.len()).map(|_| Mutex::new(None)).collect())
-        .collect();
-
-    let next = AtomicUsize::new(0);
-    let workers = opts.jobs.clamp(1, tasks.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                if t >= tasks.len() {
-                    break;
-                }
-                let (ei, pi) = tasks[t];
-                let outcome =
-                    execute_point(exps[ei], &plans[ei][pi], opts, &cache, store.as_ref());
-                *results[ei][pi].lock().expect("result slot poisoned") = Some(outcome);
-            });
-        }
-    });
+    // Outcomes in task order: each experiment's points, in plan order.
+    let mut outcomes = pool(opts.jobs, tasks.len(), |t| {
+        let (ei, pi) = tasks[t];
+        execute_point(exps[ei], &plans[ei][pi], opts, &cache, store.as_ref())
+    })
+    .into_iter();
 
     // Merge point journals in plan order onto one campaign timeline. The
     // merge depends only on plan order and sim-time, so the merged journal
@@ -755,16 +749,9 @@ pub fn run_set_with_store(
 
     let runs = exps
         .iter()
-        .zip(results)
-        .map(|(exp, slots)| {
-            let mut outcomes: Vec<PointOutcome> = slots
-                .into_iter()
-                .map(|m| {
-                    m.into_inner()
-                        .expect("result slot poisoned")
-                        .expect("every queued point executes")
-                })
-                .collect();
+        .zip(&plans)
+        .map(|(exp, plan)| {
+            let mut outcomes: Vec<PointOutcome> = outcomes.by_ref().take(plan.len()).collect();
             let exp_start = offset;
             if let Some(merged) = merged.as_mut() {
                 for o in &mut outcomes {
@@ -872,30 +859,9 @@ pub fn run_outcomes_with_store(
 ) -> Vec<PointOutcome> {
     let cache = BaselineCache::new();
     let plan = exp.plan(opts.fidelity);
-    let results: Vec<Mutex<Option<PointOutcome>>> =
-        (0..plan.len()).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = opts.jobs.clamp(1, plan.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                if t >= plan.len() {
-                    break;
-                }
-                let outcome = execute_point(exp, &plan[t], opts, &cache, store.as_ref());
-                *results[t].lock().expect("result slot poisoned") = Some(outcome);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("every queued point executes")
-        })
-        .collect()
+    pool(opts.jobs, plan.len(), |t| {
+        execute_point(exp, &plan[t], opts, &cache, store.as_ref())
+    })
 }
 
 /// Run a single experiment (its own cache, no cross-experiment sharing).
@@ -969,6 +935,47 @@ mod tests {
             let run = run_experiment(&Doubler, &CampaignOptions::new(Fidelity::Quick, jobs));
             assert_eq!(run.points, 6);
             assert_eq!(run.failed_points, 1);
+        }
+    }
+
+    /// Reports the [`ReferencePaths`] of an engine built inside each point.
+    struct PathsProbe;
+
+    impl Experiment for PathsProbe {
+        fn name(&self) -> &'static str {
+            "paths_probe"
+        }
+        fn anchor(&self) -> &'static str {
+            "test"
+        }
+        fn plan(&self, _f: Fidelity) -> Vec<SweepPoint> {
+            (0..8).map(|i| SweepPoint::new(i, "probe")).collect()
+        }
+        fn run_point(&self, _p: &SweepPoint, _ctx: &PointCtx<'_>) -> Result<PointValue, String> {
+            Ok(Box::new(simcore::Engine::new().reference_paths()))
+        }
+        fn finalize(&self, _f: Fidelity, _points: &[PointOutcome]) -> Vec<FigureData> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn workers_build_engines_on_the_callers_reference_paths() {
+        let queue_only = ReferencePaths {
+            queue: true,
+            ..ReferencePaths::default()
+        };
+        for paths in [ReferencePaths::default(), queue_only, ReferencePaths::ALL] {
+            for jobs in [1, 4] {
+                let opts = CampaignOptions::new(Fidelity::Quick, jobs);
+                let run = || run_outcomes_with_store(&PathsProbe, &opts, None);
+                let outcomes = reference_paths::scoped(paths, run);
+                assert_eq!(outcomes.len(), 8);
+                for i in 0..8 {
+                    let got = expect_value::<ReferencePaths>(&outcomes, i);
+                    assert_eq!(*got, paths, "jobs={} point {}", jobs, i);
+                }
+            }
         }
     }
 

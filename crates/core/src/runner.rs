@@ -187,6 +187,38 @@ pub fn retry_seed(seed: u64, rep: u32) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The one retry policy, shared by [`run_campaign`] and the campaign
+/// engine: run `attempt` on `seed` and, if it fails, once more on `retry`.
+///
+/// `attempt` reports a failure as `Err(RunStatus::Failed { .. })`, or as
+/// `Err(RunStatus::TimedOut { .. })` when it was cancelled at its deadline —
+/// terminal, since a retry would spend the same budget wedging the same
+/// way. Returns the seed of the last attempt, the repetition's status and
+/// the value when an attempt succeeded. Callers pick the retry seed, so
+/// each keeps its own seeding convention.
+pub fn with_retry<R>(
+    seed: u64,
+    retry: u64,
+    mut attempt: impl FnMut(u64) -> Result<R, RunStatus>,
+) -> (u64, RunStatus, Option<R>) {
+    let first_error = match attempt(seed) {
+        Ok(v) => return (seed, RunStatus::Completed, Some(v)),
+        Err(RunStatus::Failed { error }) => error,
+        Err(lost) => return (seed, lost, None),
+    };
+    match attempt(retry) {
+        Ok(v) => (
+            retry,
+            RunStatus::Recovered {
+                failed_seed: seed,
+                error: first_error,
+            },
+            Some(v),
+        ),
+        Err(lost) => (retry, lost, None),
+    }
+}
+
 /// Run `reps` repetitions of `attempt` crash-proof.
 ///
 /// `attempt(rep, seed)` measures one repetition with the given seed and may
@@ -203,40 +235,13 @@ pub fn run_campaign<R, E: fmt::Display>(
     let mut records = Vec::with_capacity(reps as usize);
     let mut values = Vec::new();
     for rep in 0..reps {
-        let seed = base_seed.wrapping_add(rep as u64);
-        match guarded(|| attempt(rep, seed)) {
-            Ok(v) => {
-                records.push(RunRecord {
-                    rep,
-                    seed,
-                    status: RunStatus::Completed,
-                });
-                values.push((rep, v));
-            }
-            Err(first_error) => {
-                let fresh = retry_seed(base_seed, rep);
-                match guarded(|| attempt(rep, fresh)) {
-                    Ok(v) => {
-                        records.push(RunRecord {
-                            rep,
-                            seed: fresh,
-                            status: RunStatus::Recovered {
-                                failed_seed: seed,
-                                error: first_error,
-                            },
-                        });
-                        values.push((rep, v));
-                    }
-                    Err(second_error) => records.push(RunRecord {
-                        rep,
-                        seed: fresh,
-                        status: RunStatus::Failed {
-                            error: second_error,
-                        },
-                    }),
-                }
-            }
-        }
+        let (seed, status, value) = with_retry(
+            base_seed.wrapping_add(rep as u64),
+            retry_seed(base_seed, rep),
+            |seed| guarded(|| attempt(rep, seed)).map_err(|error| RunStatus::Failed { error }),
+        );
+        records.push(RunRecord { rep, seed, status });
+        values.extend(value.map(|v| (rep, v)));
     }
     Campaign { records, values }
 }

@@ -25,18 +25,13 @@
 //!   `i` with `(i+r) mod n`.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use simcore::{Pcg32, SimTime};
 use topology::fabric::Fabric;
 
 use crate::{Cluster, ClusterError, ClusterEvent, ReqId};
-
-/// When set, [`cached`] rebuilds and re-proves its schedule on every call
-/// instead of consulting the process-wide cache. Equivalence pin for
-/// `tests/collective_equiv.rs` (mirrors `FORCE_HEAP` / `FORCE_REFERENCE`).
-pub static FORCE_SCHEDULE_REBUILD: AtomicBool = AtomicBool::new(false);
 
 /// A collective algorithm, as a value — the cache key's first component.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -104,11 +99,6 @@ fn cache() -> &'static Mutex<HashMap<(Algorithm, usize, usize), Arc<Schedule>>> 
 /// `verify_semantics` and panics on a prover rejection — a builder bug, not
 /// a runtime condition.
 pub fn cached(algorithm: Algorithm, nodes: usize, payload: usize) -> Arc<Schedule> {
-    if FORCE_SCHEDULE_REBUILD.load(Ordering::Relaxed) {
-        let s = algorithm.build(nodes, payload);
-        s.verify_semantics().expect("builder schedules always prove");
-        return Arc::new(s);
-    }
     let key = (algorithm, nodes, payload);
     if let Some(s) = cache().lock().expect("cache lock").get(&key) {
         CACHE_HITS.fetch_add(1, Ordering::Relaxed);
@@ -156,7 +146,7 @@ pub struct ScheduleMsg {
 }
 
 /// A set of messages that proceed concurrently.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Round {
     /// The round's messages; order is irrelevant to semantics and (by the
     /// interleave-independence invariant) to timing.
@@ -164,7 +154,7 @@ pub struct Round {
 }
 
 /// A compiled collective: rounds of point-to-point messages.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Schedule {
     /// The operation the schedule claims to compute.
     pub op: CollectiveOp,

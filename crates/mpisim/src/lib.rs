@@ -28,7 +28,6 @@ pub mod pingpong;
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use freq::{Activity, FreqModel, Governor, UncorePolicy};
 use memsim::exec::{Executor, JobId, JobSpec, JobStats};
@@ -36,17 +35,9 @@ use memsim::MemSystem;
 use netsim::{NetEvent, NetSim, NodeRef, TransferId};
 use simcore::faults::{FaultPlan, FaultPlanError};
 use simcore::telemetry::{self, Lane};
-use simcore::{tags, Engine, EngineError, Event, JitterFamily, SimTime};
+use simcore::{tags, Engine, EngineError, Event, JitterFamily, ReferencePaths, SimTime};
 use topology::fabric::{Fabric, FabricSpec};
 use topology::{CoreId, MachineSpec, NumaId, Placement};
-
-/// When set, clusters built afterwards match messages with the original
-/// single-queue linear scans (PR 8's matcher) instead of the indexed
-/// per-`(dst, src, tag)` bins. Retained as the equivalence reference: the
-/// whole-campaign replay in `tests/collective_equiv.rs` runs the same
-/// campaigns both ways and asserts byte-identical exports, mirroring
-/// `simcore::queue::FORCE_HEAP` / `simcore::fluid::FORCE_REFERENCE`.
-pub static FORCE_SCAN_MATCH: AtomicBool = AtomicBool::new(false);
 
 /// A request handle for a non-blocking operation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -146,9 +137,9 @@ struct MatchBin {
 }
 
 /// Message-matching state. The default `Indexed` form makes post, match and
-/// cancel O(1) amortised at any rank count; `Scan` is PR 8's single-queue
-/// linear matcher, selected by [`FORCE_SCAN_MATCH`] at cluster build and
-/// kept as the byte-identity reference.
+/// cancel O(1) amortised at any rank count; `Scan` is the single-queue
+/// linear matcher, selected by [`ReferencePaths::matcher`] at cluster build
+/// and kept as the byte-identity reference.
 ///
 /// The dense side tables rely on [`TransferId`]s being allocated in
 /// lockstep with send requests: `Cluster` is the only `start_send` caller,
@@ -183,8 +174,8 @@ enum Matcher {
 }
 
 impl Matcher {
-    fn new() -> Matcher {
-        if FORCE_SCAN_MATCH.load(Ordering::Relaxed) {
+    fn new(scan: bool) -> Matcher {
+        if scan {
             Matcher::Scan {
                 posted: VecDeque::new(),
                 unexpected: VecDeque::new(),
@@ -351,6 +342,7 @@ impl Cluster {
         let mut net = NetSim::build_fabric(&mut engine, spec, fabric);
         let uncore: Vec<f64> = freqs.iter().map(|f| f.uncore_freq()).collect();
         net.apply_uncore(&mut engine, spec, &uncore);
+        let matcher = Matcher::new(engine.reference_paths().matcher);
         Cluster {
             engine,
             spec: spec.clone(),
@@ -362,12 +354,21 @@ impl Cluster {
             data_numa,
             sends: Vec::new(),
             recvs: Vec::new(),
-            matcher: Matcher::new(),
+            matcher,
             pending: VecDeque::new(),
             profile: Vec::new(),
             profiling: false,
             fault_plan: FaultPlan::default(),
             uncore_scratch: Vec::with_capacity(nodes),
+        }
+    }
+
+    /// The [`ReferencePaths`] this cluster was built on: its engine's, with
+    /// `matcher` read back from the matcher actually in use.
+    pub fn reference_paths(&self) -> ReferencePaths {
+        ReferencePaths {
+            matcher: matches!(self.matcher, Matcher::Scan { .. }),
+            ..self.engine.reference_paths()
         }
     }
 
@@ -1033,9 +1034,11 @@ mod tests {
             std::thread::scope(|s| {
                 s.spawn(move || {
                     telemetry::install();
-                    FORCE_SCAN_MATCH.store(force_scan, Ordering::Relaxed);
-                    let mut c = cluster();
-                    FORCE_SCAN_MATCH.store(false, Ordering::Relaxed);
+                    let paths = ReferencePaths {
+                        matcher: force_scan,
+                        ..ReferencePaths::default()
+                    };
+                    let mut c = simcore::reference_paths::scoped(paths, cluster);
                     for t in 0..1000u32 {
                         c.isend(0, 64, t, 1);
                     }

@@ -29,7 +29,6 @@
 #![warn(missing_docs)]
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use freq::FreqModel;
 use memsim::{MemSystem, Requester};
@@ -58,12 +57,6 @@ const DMA_UNCORE_SPAN: f64 = 0.04;
 /// Heavy-core count at which the package-idle latency penalty has fully
 /// vanished.
 const IDLE_PENALTY_FADE_CORES: f64 = 4.0;
-
-/// When set, simulators built afterwards skip the interned wire-slot arena
-/// and resolve each transfer's route per hop (the pre-interning path).
-/// Equivalence pin for `tests/collective_equiv.rs`, mirroring
-/// `simcore::queue::FORCE_HEAP`: snapshot at [`NetSim::build_fabric`] time.
-pub static FORCE_ROUTE_LOOKUP: AtomicBool = AtomicBool::new(false);
 
 /// Identifies an in-flight transfer.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -203,8 +196,7 @@ pub struct NetSim {
     /// Pre-resolved wire slots per `(from, to)` pair, pair-major:
     /// `[nic_tx[from], link resources.., nic_rx[to]]` — the exact middle
     /// segment both flow paths (PIO and DMA) splice in, so per-transfer
-    /// setup is one slice copy instead of per-hop table lookups. Empty
-    /// (both vecs) when [`FORCE_ROUTE_LOOKUP`] pinned the build.
+    /// setup is one slice copy instead of per-hop table lookups.
     wire_arena: Vec<ResourceId>,
     /// `wire_spans[from * nodes + to]` slices `wire_arena`.
     wire_spans: Vec<(u32, u32)>,
@@ -261,22 +253,17 @@ impl NetSim {
         // A generous default RTO: several wire round-trips, but far below
         // any experiment's total runtime.
         let rto_base = SimTime::from_secs_f64(cfg.wire_latency_s * 16.0).max(SimTime::US);
-        let (wire_arena, wire_spans) = if FORCE_ROUTE_LOOKUP.load(Ordering::Relaxed) {
-            (Vec::new(), Vec::new())
-        } else {
-            let mut arena = Vec::with_capacity(n * n * 3);
-            let mut spans = Vec::with_capacity(n * n);
-            for (from, &tx) in nic_tx.iter().enumerate() {
-                for (to, &rx) in nic_rx.iter().enumerate() {
-                    let start = arena.len() as u32;
-                    arena.push(tx);
-                    arena.extend(fabric.route(from, to).iter().map(|&l| links[l as usize]));
-                    arena.push(rx);
-                    spans.push((start, arena.len() as u32));
-                }
+        let mut wire_arena = Vec::with_capacity(n * n * 3);
+        let mut wire_spans = Vec::with_capacity(n * n);
+        for (from, &tx) in nic_tx.iter().enumerate() {
+            for (to, &rx) in nic_rx.iter().enumerate() {
+                let start = wire_arena.len() as u32;
+                wire_arena.push(tx);
+                wire_arena.extend(fabric.route(from, to).iter().map(|&l| links[l as usize]));
+                wire_arena.push(rx);
+                wire_spans.push((start, wire_arena.len() as u32));
             }
-            (arena, spans)
-        };
+        }
         NetSim {
             cfg,
             fabric,
@@ -308,16 +295,8 @@ impl NetSim {
     }
 
     /// Splice the `from → to` wire segment (`nic_tx`, route links,
-    /// `nic_rx`) onto `path`: one interned slice copy normally, per-hop
-    /// resolution when [`FORCE_ROUTE_LOOKUP`] pinned the build. Both paths
-    /// produce the identical resource sequence.
+    /// `nic_rx`) onto `path`: one interned slice copy.
     fn push_wire(&self, path: &mut Vec<ResourceId>, from: usize, to: usize) {
-        if self.wire_spans.is_empty() {
-            path.push(self.nic_tx[from]);
-            path.extend(self.fabric.route(from, to).iter().map(|&l| self.links[l as usize]));
-            path.push(self.nic_rx[to]);
-            return;
-        }
         telemetry::counter_add("net.route.intern_hit", 1);
         let (start, end) = self.wire_spans[from * self.nic_tx.len() + to];
         path.extend_from_slice(&self.wire_arena[start as usize..end as usize]);
@@ -1319,6 +1298,31 @@ mod tests {
                     want,
                     slack
                 );
+            }
+        }
+    }
+
+    /// The interned wire spans are a pure table of the routes: for every
+    /// fabric shape and all n² pairs, `push_wire` yields exactly the NIC
+    /// egress, the route's link resources in hop order, and the NIC ingress.
+    #[test]
+    fn interned_wire_spans_equal_per_hop_routes() {
+        use topology::fabric::FabricPreset;
+        let fabrics = std::iter::once(FabricSpec::direct().build())
+            .chain(FabricPreset::ALL.iter().map(|p| p.spec(8).build_for(8)));
+        for fabric in fabrics {
+            let net = fabric_world(fabric).net;
+            let kind = net.fabric.kind();
+            for from in 0..net.nodes() {
+                for to in 0..net.nodes() {
+                    let hops = net.fabric.route(from, to).iter();
+                    let mut want = vec![net.nic_tx[from]];
+                    want.extend(hops.map(|&l| net.links[l as usize]));
+                    want.push(net.nic_rx[to]);
+                    let mut got = Vec::new();
+                    net.push_wire(&mut got, from, to);
+                    assert_eq!(got, want, "{kind:?}: route {from} -> {to}");
+                }
             }
         }
     }

@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 
 use simcore::fluid::{self, FluidNet};
-use simcore::{Engine, Event, FlowId, FlowSpec, Pcg32, ResourceId, SimTime};
+use simcore::{Engine, Event, FlowId, FlowSpec, Pcg32, ReferencePaths, ResourceId, SimTime};
 
 /// One script operation. `Cancel`/`SetFlowCap` refer to the *script index*
 /// of the `Start` they target; if that flow already completed (or the index
@@ -520,10 +520,11 @@ const TAG_ECHO: u64 = 1 << 33;
 /// across a run, exercising lazy tombstone consumption, slot cascades and
 /// staged-region cancellation in the wheel against the heap's eager order.
 pub fn replay_engine(sc: &Scenario, kind: QueueKind) -> EngineReplay {
-    let mut eng = match kind {
-        QueueKind::Wheel => Engine::new(),
-        QueueKind::HeapReference => Engine::with_heap_queue(),
+    let paths = ReferencePaths {
+        queue: kind == QueueKind::HeapReference,
+        ..ReferencePaths::default()
     };
+    let mut eng = simcore::reference_paths::scoped(paths, Engine::new);
     let rids: Vec<ResourceId> = sc
         .capacities
         .iter()

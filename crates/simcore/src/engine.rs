@@ -12,9 +12,8 @@ use std::fmt;
 
 use crate::cancel::{self, CancelToken};
 use crate::fluid::{FlowId, FlowReport, FlowSpec, FluidNet, ResourceId};
-#[cfg(any(test, feature = "reference-queue"))]
-use crate::queue::{HeapQueue, FORCE_HEAP};
-use crate::queue::{EventQueue, QueueEntry, TimingWheel};
+use crate::queue::{EventQueue, HeapQueue, QueueEntry, TimingWheel};
+use crate::reference_paths::ReferencePaths;
 use crate::telemetry::{self, Lane};
 use crate::time::SimTime;
 
@@ -47,12 +46,11 @@ impl Event {
     }
 }
 
-/// The engine's timer queue: the production timing wheel, or (under tests /
-/// the `reference-queue` feature) the retained binary-heap reference so the
-/// two can be compared differentially on whole campaigns.
+/// The engine's timer queue: the production timing wheel, or (under
+/// [`ReferencePaths::queue`]) the retained binary-heap reference so the two
+/// can be compared differentially on whole campaigns.
 enum TimerQueue {
     Wheel(TimingWheel),
-    #[cfg(any(test, feature = "reference-queue"))]
     Heap(HeapQueue),
 }
 
@@ -61,7 +59,6 @@ impl TimerQueue {
     fn get(&self) -> &dyn EventQueue {
         match self {
             TimerQueue::Wheel(w) => w,
-            #[cfg(any(test, feature = "reference-queue"))]
             TimerQueue::Heap(h) => h,
         }
     }
@@ -70,7 +67,6 @@ impl TimerQueue {
     fn get_mut(&mut self) -> &mut dyn EventQueue {
         match self {
             TimerQueue::Wheel(w) => w,
-            #[cfg(any(test, feature = "reference-queue"))]
             TimerQueue::Heap(h) => h,
         }
     }
@@ -180,6 +176,8 @@ impl std::error::Error for EngineError {}
 /// The simulation engine. See module docs.
 pub struct Engine {
     now: SimTime,
+    /// The reference paths this engine (and its fluid net) took when built.
+    paths: ReferencePaths,
     net: FluidNet,
     /// Timer queue. Cancellation is O(1): the entry stays queued with a
     /// tombstone and is discarded when it surfaces, consuming the tombstone.
@@ -205,20 +203,19 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Create an empty engine at time zero.
+    /// Create an empty engine at time zero on this thread's
+    /// [`ReferencePaths`].
     pub fn new() -> Self {
-        #[cfg(any(test, feature = "reference-queue"))]
-        let timers = if FORCE_HEAP.load(std::sync::atomic::Ordering::Relaxed) {
-            TimerQueue::Heap(HeapQueue::new())
-        } else {
-            TimerQueue::Wheel(TimingWheel::new())
-        };
-        #[cfg(not(any(test, feature = "reference-queue")))]
-        let timers = TimerQueue::Wheel(TimingWheel::new());
+        let paths = ReferencePaths::current();
         Engine {
             now: SimTime::ZERO,
+            paths,
             net: FluidNet::new(),
-            timers,
+            timers: if paths.queue {
+                TimerQueue::Heap(HeapQueue::new())
+            } else {
+                TimerQueue::Wheel(TimingWheel::new())
+            },
             next_timer: 0,
             seq: 0,
             pending: VecDeque::new(),
@@ -228,21 +225,9 @@ impl Engine {
         }
     }
 
-    /// Create an empty engine running on the retained binary-heap reference
-    /// queue instead of the timing wheel, for differential comparison
-    /// (the queue analogue of `fluid::reference`).
-    #[cfg(any(test, feature = "reference-queue"))]
-    pub fn with_heap_queue() -> Self {
-        let mut e = Engine::new();
-        e.timers = TimerQueue::Heap(HeapQueue::new());
-        e
-    }
-
-    /// Which queue backs this engine — lets replay tests assert the
-    /// `FORCE_HEAP` switch actually engaged before trusting a comparison.
-    #[cfg(any(test, feature = "reference-queue"))]
-    pub fn uses_heap_queue(&self) -> bool {
-        matches!(self.timers, TimerQueue::Heap(_))
+    /// The [`ReferencePaths`] this engine was built on.
+    pub fn reference_paths(&self) -> ReferencePaths {
+        self.paths
     }
 
     /// Current simulated time.
@@ -358,9 +343,6 @@ impl Engine {
             if stats.components > 0 {
                 telemetry::counter_add("fluid.components", stats.components);
                 telemetry::counter_add("fluid.realloc_flows_visited", stats.flows_visited);
-            }
-            if stats.parallel_components > 0 {
-                telemetry::counter_add("fluid.parallel_components", stats.parallel_components);
             }
             if stats.waterfill > 0 {
                 telemetry::counter_add("fluid.waterfill", stats.waterfill);

@@ -21,6 +21,7 @@ pub mod engine;
 pub mod faults;
 pub mod fluid;
 pub mod queue;
+pub mod reference_paths;
 pub mod rng;
 pub mod stats;
 pub mod tags;
@@ -33,6 +34,7 @@ pub use engine::{Engine, EngineError, Event, StallDiagnostic, TimerId};
 pub use faults::{FaultPlan, FaultPlanError, LinkDegradation, NicStall, StragglerCore};
 pub use fluid::{FlowId, FlowReport, FlowSpec, FluidNet, ReallocStats, ResourceId};
 pub use queue::{EventQueue, QueueEntry, TimingWheel};
+pub use reference_paths::ReferencePaths;
 pub use rng::{JitterFamily, Pcg32, SplitMix64};
 pub use stats::{quantile, Series, SeriesPoint, Summary};
 pub use tags::{kind_index, namespace, payload, split_kind_index, tag};

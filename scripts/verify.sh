@@ -13,6 +13,12 @@ cargo test -q
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
+echo "==> benchmark package: tests + clippy"
+# The benchmark is a workspace of its own that builds the crates by path
+# (BENCHMARK.json); the root workspace commands above never compile it.
+cargo test --manifest-path benchmark/Cargo.toml
+cargo clippy --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+
 echo "==> repro smoke: one figure through the parallel campaign engine"
 cargo run --release -p bench --bin repro -- --quick --only fig1 --jobs 2
 

@@ -6,24 +6,26 @@
 //! campaign engine). These tests pin the stack's determinism guarantee at
 //! full-campaign scale: the rendered figure JSON must be byte-identical
 //!
-//! * under either engine timer queue (timing wheel vs `FORCE_HEAP`),
+//! * under either engine timer queue (timing wheel vs heap reference),
+//! * on mpisim's linear-scan matcher instead of the indexed bins,
 //! * at any worker count (`--jobs 1` vs `--jobs 4`), and
 //! * across a crash-and-resume through the result store.
+//!
+//! Reference paths are picked with `simcore::ReferencePaths`, installed on
+//! the calling thread for one campaign and carried into its workers.
 //!
 //! The 64-rank sweep points make this the widest determinism surface in
 //! the suite: one reordered event anywhere in 8 000+ messages shows up as
 //! a differing byte here.
 
-use std::sync::atomic::Ordering;
+mod support;
 
 use interference::campaign::{self, CampaignOptions, StoreCtx};
 use interference::experiments::{self, Fidelity};
 use interference::results::figures_to_json;
 use interference::store::ResultStore;
-use mpisim::collective::FORCE_SCHEDULE_REBUILD;
-use mpisim::FORCE_SCAN_MATCH;
-use netsim::FORCE_ROUTE_LOOKUP;
-use simcore::queue::FORCE_HEAP;
+use simcore::reference_paths::{self, ReferencePaths};
+use support::assert_identical;
 
 fn collective_experiments() -> Vec<&'static dyn campaign::Experiment> {
     ["collective_contention", "collective_dvfs"]
@@ -43,26 +45,15 @@ fn campaign_json(jobs: usize) -> String {
     figures_to_json(&figures)
 }
 
-fn assert_identical(a: &str, b: &str, what: &str) {
-    assert!(
-        a == b,
-        "{what}: first differing byte at {} ({} vs {} bytes)",
-        a.bytes()
-            .zip(b.bytes())
-            .position(|(x, y)| x != y)
-            .unwrap_or(a.len().min(b.len())),
-        a.len(),
-        b.len()
-    );
-}
-
 /// Timing-wheel vs binary-heap timer queue: same campaign bytes.
 #[test]
 fn collective_campaign_json_identical_with_either_queue() {
     let wheel = campaign_json(1);
-    FORCE_HEAP.store(true, Ordering::Relaxed);
-    let heap = campaign_json(1);
-    FORCE_HEAP.store(false, Ordering::Relaxed);
+    let queue = ReferencePaths {
+        queue: true,
+        ..ReferencePaths::default()
+    };
+    let heap = reference_paths::scoped(queue, || campaign_json(1));
     assert_identical(&wheel, &heap, "timer queue changed collective campaign output");
 }
 
@@ -121,25 +112,20 @@ fn collective_campaign_resumes_byte_identical() {
     let _ = std::fs::remove_dir_all(store.dir());
 }
 
-/// Runs `f` with the three collective fast paths pinned to their reference
-/// modes: linear-scan message matching, per-hop route lookup, and schedule
-/// rebuild on every call. The pins are snapshotted when a cluster/fabric is
-/// built (rebuild is checked per call), so bracketing the whole campaign is
-/// enough; they are restored before returning.
+/// Runs `f` with the collective layer's reference twin installed: linear-scan
+/// message matching. (Interned routes and memoized schedules have no runtime
+/// twin: one-shot proofs cover them — netsim's
+/// `interned_wire_spans_equal_per_hop_routes` and `tests/schedule_cache.rs`.)
 fn with_reference_paths<T>(f: impl FnOnce() -> T) -> T {
-    FORCE_SCAN_MATCH.store(true, Ordering::Relaxed);
-    FORCE_ROUTE_LOOKUP.store(true, Ordering::Relaxed);
-    FORCE_SCHEDULE_REBUILD.store(true, Ordering::Relaxed);
-    let out = f();
-    FORCE_SCAN_MATCH.store(false, Ordering::Relaxed);
-    FORCE_ROUTE_LOOKUP.store(false, Ordering::Relaxed);
-    FORCE_SCHEDULE_REBUILD.store(false, Ordering::Relaxed);
-    out
+    let matcher = ReferencePaths {
+        matcher: true,
+        ..ReferencePaths::default()
+    };
+    reference_paths::scoped(matcher, f)
 }
 
-/// Indexed matching + interned routes + memoized schedules vs the pinned
-/// reference paths: same campaign bytes. This is the ISSUE 9 equivalence
-/// guarantee — the collective fast paths are pure perf, zero semantics.
+/// Indexed matching vs the reference scan: same campaign bytes — the
+/// collective fast path is pure perf, zero semantics.
 #[test]
 fn collective_campaign_json_identical_with_reference_paths() {
     let fast = campaign_json(1);
@@ -151,9 +137,9 @@ fn collective_campaign_json_identical_with_reference_paths() {
     );
 }
 
-/// Same pin comparison under `--jobs 4`: the worker pool must not let the
-/// process-global schedule cache or the interned route arenas introduce a
-/// scheduling-order dependence.
+/// Same comparison under `--jobs 4`: the worker pool must carry the
+/// installed value into every worker, and the process-global schedule cache
+/// must not introduce a scheduling-order dependence.
 #[test]
 fn collective_campaign_json_identical_with_reference_paths_parallel() {
     let fast = campaign_json(4);
