@@ -5,7 +5,7 @@
 //!       [--trace FILE] [--fuzz-budget N]
 //!       [--store DIR [--resume]] [--timeout SECS] [--allow-partial]
 //!       [--list | --all | --fig N | --table 1 | --ext | --validate
-//!        | --only NAME[,NAME]]
+//!        | --predict-check | --only NAME[,NAME]]
 //! ```
 //!
 //! Selection goes through the experiment registry

@@ -101,7 +101,7 @@ impl<'a> Dec<'a> {
     }
 
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.buf.get(self.pos..self.pos + n)?;
+        let s = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
         self.pos += n;
         Some(s)
     }
@@ -249,6 +249,13 @@ mod tests {
         e.u64(u64::MAX); // absurd element count
         let bytes = e.into_bytes();
         assert_eq!(Dec::new(&bytes).f64s(), None);
+        // A string length that would overflow the read cursor.
+        let mut e = Enc::new();
+        e.u8(1).u64(u64::MAX);
+        let bytes = e.into_bytes();
+        let mut d = Dec::new(&bytes);
+        assert_eq!(d.u8(), Some(1));
+        assert_eq!(d.str(), None);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! simulated series, notes quoting the paper's reference values and
 //! automated qualitative checks. Drivers take a [`Fidelity`]: `Full`
 //! matches the paper's sweep density (used by the `repro` binary and the
-//! benches), `Quick` thins sweeps and repetitions for tests.
+//! `paper_campaign` benchmark workload), `Quick` thins sweeps and
+//! repetitions for tests.
 //!
 //! The per-module `run(fidelity)` helpers are thin wrappers over
 //! [`crate::campaign::run_experiment`]; whole-suite campaigns go through
@@ -40,7 +41,7 @@ use crate::report::FigureData;
 /// Sweep density / repetition selector.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Fidelity {
-    /// Paper-density sweeps (repro binary, benches).
+    /// Paper-density sweeps (repro binary, `paper_campaign` benchmark).
     Full,
     /// Thinned sweeps for fast tests.
     Quick,

@@ -255,7 +255,12 @@ impl ResultStore {
 /// `key`, `Ok(None)` on a verified entry for a different key (address
 /// collision), `Err` on anything malformed.
 fn parse_entry(bytes: &[u8], key: &str) -> Result<Option<Vec<u8>>, &'static str> {
-    let take = |off: usize, len: usize| bytes.get(off..off + len).ok_or("truncated");
+    // Lengths come from disk: an absurd one is malformed, not an overflow.
+    let take = |off: usize, len: usize| {
+        off.checked_add(len)
+            .and_then(|end| bytes.get(off..end))
+            .ok_or("truncated")
+    };
     if take(0, 4)? != MAGIC {
         return Err("bad magic");
     }
@@ -269,7 +274,7 @@ fn parse_entry(bytes: &[u8], key: &str) -> Result<Option<Vec<u8>>, &'static str>
     let payload_len =
         u64::from_le_bytes(take(pl_off, 8)?.try_into().expect("8 bytes")) as usize;
     let payload = take(pl_off + 8, payload_len)?;
-    let sum_off = pl_off + 8 + payload_len;
+    let sum_off = pl_off + 8 + payload.len();
     let sum = u64::from_le_bytes(take(sum_off, 8)?.try_into().expect("8 bytes"));
     if sum_off + 8 != bytes.len() {
         return Err("trailing bytes");
@@ -441,6 +446,19 @@ mod tests {
         bytes[4..8].copy_from_slice(&(ENTRY_VERSION + 1).to_le_bytes());
         let sum = fnv1a64(&bytes, 0);
         bytes.extend_from_slice(&sum.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        assert!(matches!(store.get("k"), Lookup::Quarantined(_)));
+    }
+
+    #[test]
+    fn overflowing_payload_length_is_quarantined() {
+        let store = ResultStore::open(tmpdir("pl-overflow")).unwrap();
+        store.put("k", b"v").unwrap();
+        // The payload length sits after magic, version, key length and key.
+        let path = store.entry_path("k");
+        let mut bytes = fs::read(&path).unwrap();
+        let pl_off = 12 + "k".len();
+        bytes[pl_off..pl_off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(store.get("k"), Lookup::Quarantined(_)));
     }

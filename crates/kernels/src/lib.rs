@@ -5,7 +5,7 @@
 //! 1. **Real Rust implementations** — run on the host, numerically verified
 //!    (STREAM COPY/TRIAD, the tunable-intensity TRIAD, naive prime counting,
 //!    an FMA burn loop, blocked GEMM, dense conjugate gradient). These are
-//!    used by the examples and benches, and they pin down the flop/byte
+//!    used by the examples, and they pin down the flop/byte
 //!    accounting below.
 //! 2. **Workload descriptors** — `(flops, bytes, NUMA node, license)` phase
 //!    streams consumed by the simulator's executor ([`memsim::exec`]). The

@@ -408,13 +408,6 @@ impl NetSim {
         engine.delivered(self.links[link])
     }
 
-    /// Drop all registration caches (ablation hook).
-    pub fn clear_reg_cache(&mut self) {
-        for c in &mut self.reg_cache {
-            c.clear();
-        }
-    }
-
     fn step_tag(&self, id: TransferId, step: Step) -> u64 {
         tag(tags::ns::NET, kind_index(step as u32, id.0))
     }

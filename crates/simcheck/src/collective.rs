@@ -88,16 +88,6 @@ impl CollectiveOracle {
     }
 }
 
-/// Run every collective oracle family on every fabric preset.
-pub fn run_all_fabrics() -> Vec<Outcome> {
-    let mut out = Vec::new();
-    for preset in FabricPreset::ALL {
-        for k in CollectiveOracle::ALL {
-            out.extend(k.run(preset));
-        }
-    }
-    out
-}
 
 // ---------------------------------------------------------------------------
 // Closed forms and measurement.
@@ -303,13 +293,6 @@ impl CollectiveInvariant {
     }
 }
 
-/// Run every collective invariant; `count` schedules each.
-pub fn check_all_invariants(base_seed: u64, count: usize) -> Vec<Outcome> {
-    CollectiveInvariant::ALL
-        .iter()
-        .map(|inv| inv.check(base_seed, count))
-        .collect()
-}
 
 /// Draw one of the four schedule builders.
 fn random_schedule(rng: &mut Pcg32, nodes: usize, payload: usize) -> (&'static str, Schedule) {

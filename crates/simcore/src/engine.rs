@@ -358,11 +358,6 @@ impl Engine {
         self.budget = budget;
     }
 
-    /// The currently armed simulated-time budget, if any.
-    pub fn time_budget(&self) -> Option<SimTime> {
-        self.budget
-    }
-
     /// Attach (or with `None` detach) a cooperative cancellation token.
     /// Engines adopt the ambient [`cancel::current`] token at construction;
     /// this overrides it for hand-built engines and tests.

@@ -254,11 +254,6 @@ impl FluidNet {
         id
     }
 
-    /// Name a resource was registered with.
-    pub fn resource_name(&self, r: ResourceId) -> &str {
-        &self.resources[r.index()].name
-    }
-
     /// Current capacity of a resource.
     pub fn capacity(&self, r: ResourceId) -> f64 {
         self.resources[r.index()].capacity

@@ -77,11 +77,6 @@ impl SimTime {
         self.0 as f64 * 1e-9
     }
 
-    /// Convert to floating-point nanoseconds.
-    pub fn as_nanos_f64(self) -> f64 {
-        self.0 as f64 * 1e-3
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))

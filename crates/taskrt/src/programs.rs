@@ -17,7 +17,7 @@
 //!   equivalent).
 
 use freq::License;
-use kernels::{cg, gemm};
+use kernels::gemm;
 use memsim::exec::Phase;
 use mpisim::{Cluster, SendRecord};
 use simcore::SimTime;
@@ -246,11 +246,6 @@ pub fn autotune_workers(
         .expect("non-empty")
         .0;
     (best, scores)
-}
-
-/// Sanity hook: CG's modelled intensity must match the kernels crate.
-pub fn cg_intensity(scale: usize) -> f64 {
-    cg::iteration_intensity(scale)
 }
 
 #[cfg(test)]

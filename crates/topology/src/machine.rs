@@ -236,11 +236,6 @@ impl MachineSpec {
         self.socket_of_numa(self.numa_of_core(core))
     }
 
-    /// Fallible [`MachineSpec::socket_of_core`].
-    pub fn try_socket_of_core(&self, core: CoreId) -> Result<SocketId, TopologyError> {
-        self.try_socket_of_numa(self.try_numa_of_core(core)?)
-    }
-
     /// Cores of a NUMA node, in logical order.
     ///
     /// Panics on out-of-range nodes; see [`MachineSpec::try_cores_of_numa`].
