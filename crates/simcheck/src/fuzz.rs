@@ -5,8 +5,9 @@
 //!
 //! 1. under the **incremental** solver (production path),
 //! 2. under the **from-scratch reference** solver — results must be
-//!    bit-identical, because both call the same `solve_region` kernel on
-//!    the same flow sets (the incremental solver's whole contract);
+//!    bit-identical: the reference runs the plain progressive-filling loop
+//!    on the same flow sets, and the production loop's shortcuts must not
+//!    change a bit (the incremental solver's whole contract);
 //! 3. through a real **engine** on both timer queues — the hierarchical
 //!    timing wheel and the retained binary-heap reference must deliver a
 //!    bit-identical event stream (times, kinds, tags, delivered floats),

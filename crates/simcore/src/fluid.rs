@@ -35,14 +35,21 @@
 //! keep their cached rates. A ping-pong on the NIC no longer re-solves the
 //! memory-controller component of an idle node, and vice versa.
 //!
-//! The per-component solve ([`solve_region`]) is the single canonical
-//! implementation of progressive filling: the from-scratch
+//! The per-component solve ([`solve_region`]) runs progressive filling in
+//! one pass per fill level: the resources that saturate at one level
+//! freeze in the same round, each touched resource's weight is re-summed
+//! once per round, and component-local resource positions come from an
+//! O(1) index ([`solve_general`] gives the reason each shortcut is
+//! exact). The from-scratch
 //! [`reference::reallocate`] rebuilds the adjacency and the component
-//! decomposition independently and calls the *same* routine, so fast and
-//! reference results are bit-identical by construction (verified over
-//! randomized mutation sequences by the `prop_fluid_equiv` suite). Exact
-//! f64 equality matters: completion times derive from rates, so even a
-//! 1-ulp drift would eventually flip picosecond event ordering and break
+//! decomposition independently and runs the plain loop, one freeze per
+//! round; both send one-flow components to the same waterfill shortcut.
+//! Fast and reference results are bit-identical — not by shared code but
+//! as proven by the differential suites: `prop_fluid_equiv` over
+//! randomized and tie-heavy mutation sequences, simcheck's differential
+//! fuzzer and the whole-campaign `tests/allocator_replay.rs`. Exact f64
+//! equality matters: completion times derive from rates, so even a 1-ulp
+//! drift would eventually flip picosecond event ordering and break
 //! golden-trace and `--json` byte-stability.
 
 use std::collections::HashMap;
@@ -181,6 +188,9 @@ pub struct FluidNet {
     dirty_list: Vec<u32>,
     /// Epoch-stamped visit marks for the component BFS (no per-call zeroing).
     res_mark: Vec<u64>,
+    /// `res_local[r]` = position of `r` in the component being solved
+    /// (valid only for that component's resources; rewritten per solve).
+    res_local: Vec<u32>,
     slot_mark: Vec<u64>,
     epoch: u64,
     next_flow: u64,
@@ -230,6 +240,7 @@ impl FluidNet {
             res_dirty: Vec::new(),
             dirty_list: Vec::new(),
             res_mark: Vec::new(),
+            res_local: Vec::new(),
             slot_mark: Vec::new(),
             epoch: 0,
             next_flow: 0,
@@ -251,6 +262,7 @@ impl FluidNet {
         self.members.push(Vec::new());
         self.res_dirty.push(false);
         self.res_mark.push(0);
+        self.res_local.push(0);
         id
     }
 
@@ -360,8 +372,12 @@ impl FluidNet {
         id
     }
 
-    /// Change a flow's rate cap (frequency changed mid-phase).
+    /// Change a flow's rate cap (frequency changed mid-phase). A cap must be
+    /// positive and finite, as in [`FluidNet::start_flow`].
     pub fn set_flow_cap(&mut self, id: FlowId, cap: Option<f64>) {
+        if let Some(c) = cap {
+            assert!(c > 0.0 && c.is_finite(), "bad cap");
+        }
         let Some(&slot) = self.index.get(&id.0) else {
             return;
         };
@@ -491,9 +507,13 @@ impl FluidNet {
             comp_res.sort_unstable();
             let ids = &self.arena.id;
             comp_slots.sort_unstable_by_key(|&s| ids[s as usize]);
+            for (lr, &r) in comp_res.iter().enumerate() {
+                self.res_local[r as usize] = lr as u32;
+            }
             stats.components += 1;
             stats.flows_visited += comp_slots.len() as u64;
-            let sol = solve_region(&self.resources, &self.arena, &comp_res, &comp_slots);
+            let sol =
+                solve_region(&self.resources, &self.arena, &self.res_local, &comp_res, &comp_slots);
             stats.waterfill += u64::from(sol.waterfill);
             apply_region(&mut self.resources, &mut self.arena, &comp_res, &comp_slots, &sol);
         }
@@ -570,7 +590,7 @@ impl FluidNet {
 /// `rate[i]` for the i-th component slot, `alloc[lr]` for the lr-th
 /// component resource. Produced by [`solve_region`] (pure) and written back
 /// by [`apply_region`] — the split lets the waterfill parity test compare
-/// two solvers' outputs without touching a net.
+/// the solvers' outputs without touching a net.
 struct RegionSolution {
     rate: Vec<f64>,
     alloc: Vec<f64>,
@@ -585,8 +605,10 @@ struct RegionSolution {
 /// Every expression below is copied verbatim from the corresponding
 /// general-loop round (same `max(0.0)` clamps, same `- level` with `level
 /// = 0.0`, same strict-`<` first-min scan in ascending resource order), so
-/// the returned rate is exact-bits identical to what [`solve_region`]'s
-/// loop would produce — the property tests compare the two bitwise.
+/// the returned rate is exact-bits identical to what either progressive
+/// filling loop ([`solve_general`], [`reference::solve_general`]) would
+/// produce — a unit test compares all three bitwise. Both the production
+/// and the reference solve dispatch one-flow components here.
 fn solve_singleton(
     resources: &[Resource],
     arena: &FlowArena,
@@ -633,27 +655,62 @@ fn solve_singleton(
 /// `comp_res` must be sorted ascending, `comp_slots` sorted by ascending
 /// [`FlowId`], and together they must form a closed component: every
 /// resource crossed by a listed flow is listed, and every flow crossing a
-/// listed resource is listed. This routine is the *only* implementation of
-/// the fill algorithm — the incremental and reference solvers both call it,
-/// which is what makes their results bit-identical by construction.
+/// listed resource is listed. `local[r]` must hold `r`'s position in
+/// `comp_res` for every listed resource.
 fn solve_region(
     resources: &[Resource],
     arena: &FlowArena,
+    local: &[u32],
     comp_res: &[u32],
     comp_slots: &[u32],
 ) -> RegionSolution {
     if comp_slots.len() == 1 {
         return solve_singleton(resources, arena, comp_res, comp_slots);
     }
-    solve_general(resources, arena, comp_res, comp_slots)
+    solve_general(resources, arena, local, comp_res, comp_slots)
 }
 
-/// The full progressive-filling loop. Callers go through [`solve_region`];
-/// only the waterfill parity test calls this directly on one-flow
-/// components to prove the fast path bit-identical.
+/// Flat adjacency lists: list `k` is `items[start[k]..start[k + 1]]`.
+struct Csr {
+    start: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Csr {
+    fn row(&self, k: usize) -> &[u32] {
+        &self.items[self.start[k] as usize..self.start[k + 1] as usize]
+    }
+}
+
+/// The progressive-filling loop for components of two or more flows,
+/// bit-identical to the plain loop kept in [`reference`] (the
+/// `prop_fluid_equiv` suite compares the two bitwise). It does the plain
+/// loop's arithmetic in the same order and skips only work whose result
+/// is already known:
+///
+/// * **Same-level tie cascade.** After a round whose minimum `dlevel` is
+///   0.0, the plain loop's next rounds freeze, one per round, the first
+///   resource that still scores 0.0: `level` is bit-unchanged,
+///   `headroom -= w·0.0` changes at most the sign of an exact zero (which
+///   never reaches a rate), and a cap round would need a `cap_dlevel`
+///   below 0.0. Freezing only shrinks `w`, so only resources that scored
+///   0.0 in this round's scan can score 0.0 again. This loop visits them
+///   in ascending order in the same round, re-sums each, and freezes it
+///   if it still has weight and still scores 0.0. The re-check is
+///   required: a subnormal headroom whose `headroom / w` underflowed to
+///   0.0 scores above 0.0 once one of its flows freezes elsewhere.
+/// * **One re-sum per touched resource per round.** A re-sum reads only
+///   `frozen` and `weight`, so re-summing each touched resource once after
+///   the round's freezes gives the bits the plain loop's re-sum per
+///   (frozen flow, path resource) pair gives.
+/// * **O(1) adjacency.** `local` replaces the plain loop's binary searches
+///   of `comp_res`, and both adjacency directions are built flat, in the
+///   plain loop's order (ascending flow per member list, first occurrence
+///   per path).
 fn solve_general(
     resources: &[Resource],
     arena: &FlowArena,
+    local: &[u32],
     comp_res: &[u32],
     comp_slots: &[u32],
 ) -> RegionSolution {
@@ -662,46 +719,77 @@ fn solve_general(
     debug_assert!(nf > 0 && nr > 0);
 
     // Component-local copies of the per-flow parameters, plus the local
-    // adjacency in both directions. `lmembers[lr]` lists local flow indices
-    // crossing local resource `lr` (ascending id, once per flow);
-    // `fpath[i]` lists local resources flow `i` crosses (once each).
-    let mut weight = vec![0.0f64; nf];
-    let mut cap: Vec<Option<f64>> = vec![None; nf];
-    let mut lmembers: Vec<Vec<u32>> = vec![Vec::new(); nr];
-    let mut fpath: Vec<Vec<u32>> = vec![Vec::new(); nf];
+    // adjacency in both directions: `lmembers.row(lr)` lists the local
+    // flows crossing local resource `lr` (ascending id, once per flow),
+    // `fpath.row(i)` the local resources flow `i` crosses (once each).
+    let mut weight = Vec::with_capacity(nf);
+    let mut cap: Vec<Option<f64>> = Vec::with_capacity(nf);
+    let mut fpath = Csr {
+        start: Vec::with_capacity(nf + 1),
+        items: Vec::new(),
+    };
+    fpath.start.push(0);
+    // `last[lr]`: the last flow indexed on `lr` (drops duplicate path
+    // entries); reused below as the member lists' fill cursors.
+    let mut last = vec![u32::MAX; nr];
+    let mut lmembers = Csr {
+        start: vec![0u32; nr + 1],
+        items: Vec::new(),
+    };
     for (i, &s) in comp_slots.iter().enumerate() {
         let si = s as usize;
-        weight[i] = arena.weight[si];
-        cap[i] = arena.cap[si];
+        weight.push(arena.weight[si]);
+        cap.push(arena.cap[si]);
         for &r in &arena.path[si] {
-            let lr = comp_res.binary_search(&r.0).expect("closed component") as u32;
-            let lm = &mut lmembers[lr as usize];
-            if lm.last() != Some(&(i as u32)) {
-                lm.push(i as u32);
-            } else {
-                continue; // duplicate path entry, already indexed
+            let lr = local[r.index()];
+            if last[lr as usize] != i as u32 {
+                last[lr as usize] = i as u32;
+                lmembers.start[lr as usize + 1] += 1;
+                fpath.items.push(lr);
             }
-            fpath[i].push(lr);
+        }
+        fpath.start.push(fpath.items.len() as u32);
+    }
+    for lr in 0..nr {
+        lmembers.start[lr + 1] += lmembers.start[lr];
+    }
+    let mut cursor = last;
+    cursor.copy_from_slice(&lmembers.start[..nr]);
+    lmembers.items = vec![0u32; fpath.items.len()];
+    for i in 0..nf {
+        for &lr in fpath.row(i) {
+            let c = &mut cursor[lr as usize];
+            lmembers.items[*c as usize] = i as u32;
+            *c += 1;
         }
     }
 
     // Unfrozen weight sum per resource. Kept current across rounds by
-    // *re-summing in id order* the resources touched by each freeze — not by
-    // subtracting the frozen weight — so every round sees exactly the bits a
-    // from-scratch summation would produce (f64 addition is not associative;
-    // `(a+b+c)-a != b+c`). See DESIGN.md §10.
-    let resum = |lm: &[u32], frozen: &[bool]| -> f64 {
-        lm.iter().filter(|&&i| !frozen[i as usize]).map(|&i| weight[i as usize]).sum()
+    // *re-summing in id order* the resources touched by a round's freezes —
+    // not by subtracting the frozen weight — so every round sees exactly
+    // the bits a from-scratch summation would produce (f64 addition is not
+    // associative; `(a+b+c)-a != b+c`). See DESIGN.md §10.
+    let resum = |lr: usize, frozen: &[bool]| -> f64 {
+        lmembers
+            .row(lr)
+            .iter()
+            .filter(|&&i| !frozen[i as usize])
+            .map(|&i| weight[i as usize])
+            .sum()
     };
 
     let mut frozen = vec![false; nf];
     let mut rate = vec![0.0f64; nf];
     let mut headroom: Vec<f64> =
         comp_res.iter().map(|&r| resources[r as usize].capacity).collect();
-    let mut w: Vec<f64> = lmembers.iter().map(|lm| resum(lm, &frozen)).collect();
+    let mut w: Vec<f64> = (0..nr).map(|lr| resum(lr, &frozen)).collect();
     let mut unfrozen = nf;
     let mut level = 0.0f64;
-    let mut newly_frozen: Vec<usize> = Vec::new();
+    // Resources scoring `dlevel` 0.0 in the round's scan, ascending.
+    let mut zeros: Vec<u32> = Vec::new();
+    // Resources crossed by a flow frozen this round, each listed once.
+    let mut touched: Vec<u32> = Vec::new();
+    let mut is_touched = vec![false; nr];
 
     // Active scan lists, compacted as the fill proceeds: a resource whose
     // unfrozen weight reached 0.0 can never become a candidate again
@@ -722,12 +810,16 @@ fn solve_general(
         // For each resource, the level increment at which it saturates.
         let mut best_dlevel = f64::INFINITY;
         let mut bottleneck: Option<usize> = None;
+        zeros.clear();
         for &lr in &active_res {
-            let lr = lr as usize;
-            let dlevel = (headroom[lr].max(0.0)) / w[lr];
+            let l = lr as usize;
+            let dlevel = (headroom[l].max(0.0)) / w[l];
             if dlevel < best_dlevel {
                 best_dlevel = dlevel;
-                bottleneck = Some(lr);
+                bottleneck = Some(l);
+            }
+            if dlevel == 0.0 {
+                zeros.push(lr);
             }
         }
         // Flow caps: flow i freezes when level reaches cap/weight.
@@ -756,48 +848,61 @@ fn solve_general(
             break;
         }
 
+        let dl = if cap_dlevel < best_dlevel {
+            cap_dlevel
+        } else {
+            best_dlevel
+        };
+        level += dl;
+        for &lr in &active_res {
+            let lr = lr as usize;
+            headroom[lr] -= w[lr] * dl;
+        }
         if cap_dlevel < best_dlevel {
             // A flow reaches its cap first.
-            let dl = cap_dlevel;
-            level += dl;
-            for &lr in &active_res {
-                let lr = lr as usize;
-                headroom[lr] -= w[lr] * dl;
-            }
             let i = cap_flow.expect("cap flow set");
             frozen[i] = true;
             rate[i] = cap[i].expect("capped");
             unfrozen -= 1;
-            for &lr in &fpath[i] {
-                w[lr as usize] = resum(&lmembers[lr as usize], &frozen);
-            }
+            touched.extend_from_slice(fpath.row(i));
         } else {
-            // A resource saturates.
-            let dl = best_dlevel;
-            level += dl;
-            for &lr in &active_res {
-                let lr = lr as usize;
-                headroom[lr] -= w[lr] * dl;
-            }
-            let rb = bottleneck.expect("bottleneck set");
-            newly_frozen.clear();
-            for &li in &lmembers[rb] {
-                let i = li as usize;
-                if !frozen[i] {
-                    frozen[i] = true;
-                    rate[i] = weight[i] * level;
-                    unfrozen -= 1;
-                    newly_frozen.push(i);
+            // A resource saturates: the bottleneck, which is `zeros[0]` when
+            // `dl` is 0.0, and then every later scan zero that still scores
+            // 0.0 after the freezes before it.
+            let mut freeze = |lr: usize, frozen: &mut [bool]| {
+                for &i in lmembers.row(lr) {
+                    let i = i as usize;
+                    if !frozen[i] {
+                        frozen[i] = true;
+                        rate[i] = weight[i] * level;
+                        unfrozen -= 1;
+                        for &pr in fpath.row(i) {
+                            if !is_touched[pr as usize] {
+                                is_touched[pr as usize] = true;
+                                touched.push(pr);
+                            }
+                        }
+                    }
                 }
-            }
-            // Refresh the weight sums of every resource a newly frozen flow
-            // crosses (re-sums are idempotent, duplicates are harmless).
-            for &i in &newly_frozen {
-                for &lr in &fpath[i] {
-                    w[lr as usize] = resum(&lmembers[lr as usize], &frozen);
+            };
+            freeze(bottleneck.expect("bottleneck set"), &mut frozen);
+            if dl == 0.0 {
+                for &z in &zeros[1..] {
+                    let z = z as usize;
+                    let wz = resum(z, &frozen);
+                    if wz > 0.0 && headroom[z].max(0.0) / wz == 0.0 {
+                        freeze(z, &mut frozen);
+                    }
                 }
             }
         }
+        // Refresh the weight sums of every resource a newly frozen flow
+        // crosses, once each.
+        for &lr in &touched {
+            is_touched[lr as usize] = false;
+            w[lr as usize] = resum(lr as usize, &frozen);
+        }
+        touched.clear();
     }
 
     // Per-occurrence allocation sums on the component's resources (a path
@@ -807,8 +912,7 @@ fn solve_general(
     let mut alloc = vec![0.0f64; nr];
     for (i, &s) in comp_slots.iter().enumerate() {
         for &r in &arena.path[s as usize] {
-            let lr = comp_res.binary_search(&r.0).expect("closed component");
-            alloc[lr] += rate[i];
+            alloc[local[r.index()] as usize] += rate[i];
         }
     }
     RegionSolution {
@@ -839,11 +943,13 @@ fn apply_region(
 /// incremental [`FluidNet::reallocate`].
 ///
 /// It ignores all of the net's cached bookkeeping — inverse index, dirty
-/// bits, component marks — and rebuilds the flow↔resource adjacency and the
-/// component decomposition from the flow paths alone, then runs the same
-/// [`solve_region`] per component. Any bug in the incremental maintenance
-/// (a stale member list, a missed dirty bit, a component split too early)
-/// shows up as a bitwise rate mismatch in the `prop_fluid_equiv` suite.
+/// bits, component marks, local resource index — and rebuilds the
+/// flow↔resource adjacency and the component decomposition from the flow
+/// paths alone, then solves each component with the plain
+/// progressive-filling loop, one freeze per round. Any bug in the
+/// incremental maintenance (a stale member list, a missed dirty bit, a
+/// component split too early) or in the production loop's shortcuts shows
+/// up as a bitwise rate mismatch in the `prop_fluid_equiv` suite.
 pub mod reference {
     use super::*;
 
@@ -914,6 +1020,191 @@ pub mod reference {
             apply_region(&mut net.resources, &mut net.arena, &comp_res, &comp_slots, &sol);
         }
         stats
+    }
+
+    /// Dispatch one component: the shared waterfill shortcut for a single
+    /// flow, the plain loop otherwise.
+    fn solve_region(
+        resources: &[Resource],
+        arena: &FlowArena,
+        comp_res: &[u32],
+        comp_slots: &[u32],
+    ) -> RegionSolution {
+        if comp_slots.len() == 1 {
+            return solve_singleton(resources, arena, comp_res, comp_slots);
+        }
+        solve_general(resources, arena, comp_res, comp_slots)
+    }
+
+    /// The plain progressive-filling loop: one resource or capped flow
+    /// frozen per round, its weight sums re-summed after every freeze, and
+    /// the adjacency looked up by binary search. The production
+    /// [`super::solve_general`] must match it bit for bit.
+    pub(super) fn solve_general(
+        resources: &[Resource],
+        arena: &FlowArena,
+        comp_res: &[u32],
+        comp_slots: &[u32],
+    ) -> RegionSolution {
+        let nf = comp_slots.len();
+        let nr = comp_res.len();
+        debug_assert!(nf > 0 && nr > 0);
+
+        // Component-local copies of the per-flow parameters, plus the local
+        // adjacency in both directions. `lmembers[lr]` lists local flow indices
+        // crossing local resource `lr` (ascending id, once per flow);
+        // `fpath[i]` lists local resources flow `i` crosses (once each).
+        let mut weight = vec![0.0f64; nf];
+        let mut cap: Vec<Option<f64>> = vec![None; nf];
+        let mut lmembers: Vec<Vec<u32>> = vec![Vec::new(); nr];
+        let mut fpath: Vec<Vec<u32>> = vec![Vec::new(); nf];
+        for (i, &s) in comp_slots.iter().enumerate() {
+            let si = s as usize;
+            weight[i] = arena.weight[si];
+            cap[i] = arena.cap[si];
+            for &r in &arena.path[si] {
+                let lr = comp_res.binary_search(&r.0).expect("closed component") as u32;
+                let lm = &mut lmembers[lr as usize];
+                if lm.last() != Some(&(i as u32)) {
+                    lm.push(i as u32);
+                } else {
+                    continue; // duplicate path entry, already indexed
+                }
+                fpath[i].push(lr);
+            }
+        }
+
+        // Unfrozen weight sum per resource. Kept current across rounds by
+        // *re-summing in id order* the resources touched by each freeze — not by
+        // subtracting the frozen weight — so every round sees exactly the bits a
+        // from-scratch summation would produce (f64 addition is not associative;
+        // `(a+b+c)-a != b+c`). See DESIGN.md §10.
+        let resum = |lm: &[u32], frozen: &[bool]| -> f64 {
+            lm.iter().filter(|&&i| !frozen[i as usize]).map(|&i| weight[i as usize]).sum()
+        };
+
+        let mut frozen = vec![false; nf];
+        let mut rate = vec![0.0f64; nf];
+        let mut headroom: Vec<f64> =
+            comp_res.iter().map(|&r| resources[r as usize].capacity).collect();
+        let mut w: Vec<f64> = lmembers.iter().map(|lm| resum(lm, &frozen)).collect();
+        let mut unfrozen = nf;
+        let mut level = 0.0f64;
+        let mut newly_frozen: Vec<usize> = Vec::new();
+
+        // Active scan lists, compacted as the fill proceeds: a resource whose
+        // unfrozen weight reached 0.0 can never become a candidate again
+        // (weights are strictly positive and only leave `w` by freezing), nor
+        // can a frozen flow. Retention is stable, so the surviving candidates
+        // are visited in the same ascending order as the full `0..nr` / `0..nf`
+        // scans — same first-strict-min tie-breaks, same arithmetic, skipping
+        // only iterations the full scans would `continue` past. Dropping a
+        // zero-weight resource from the headroom update is equally exact:
+        // `headroom -= 0.0 * dl` is a no-op for every finite `dl`.
+        let mut active_res: Vec<u32> = (0..nr as u32).collect();
+        let mut active_cap_flows: Vec<u32> =
+            (0..nf as u32).filter(|&i| cap[i as usize].is_some()).collect();
+
+        while unfrozen > 0 {
+            active_res.retain(|&lr| w[lr as usize] > 0.0);
+            active_cap_flows.retain(|&i| !frozen[i as usize]);
+            // For each resource, the level increment at which it saturates.
+            let mut best_dlevel = f64::INFINITY;
+            let mut bottleneck: Option<usize> = None;
+            for &lr in &active_res {
+                let lr = lr as usize;
+                let dlevel = (headroom[lr].max(0.0)) / w[lr];
+                if dlevel < best_dlevel {
+                    best_dlevel = dlevel;
+                    bottleneck = Some(lr);
+                }
+            }
+            // Flow caps: flow i freezes when level reaches cap/weight.
+            let mut cap_dlevel = f64::INFINITY;
+            let mut cap_flow: Option<usize> = None;
+            for &i in &active_cap_flows {
+                let i = i as usize;
+                if let Some(c) = cap[i] {
+                    let dl = (c / weight[i] - level).max(0.0);
+                    if dl < cap_dlevel {
+                        cap_dlevel = dl;
+                        cap_flow = Some(i);
+                    }
+                }
+            }
+
+            if best_dlevel == f64::INFINITY && cap_dlevel == f64::INFINITY {
+                // No constraint at all (can't happen: every flow crosses a
+                // finite-capacity resource) — freeze everything at current level.
+                for i in 0..nf {
+                    if !frozen[i] {
+                        frozen[i] = true;
+                        rate[i] = weight[i] * level;
+                    }
+                }
+                break;
+            }
+
+            if cap_dlevel < best_dlevel {
+                // A flow reaches its cap first.
+                let dl = cap_dlevel;
+                level += dl;
+                for &lr in &active_res {
+                    let lr = lr as usize;
+                    headroom[lr] -= w[lr] * dl;
+                }
+                let i = cap_flow.expect("cap flow set");
+                frozen[i] = true;
+                rate[i] = cap[i].expect("capped");
+                unfrozen -= 1;
+                for &lr in &fpath[i] {
+                    w[lr as usize] = resum(&lmembers[lr as usize], &frozen);
+                }
+            } else {
+                // A resource saturates.
+                let dl = best_dlevel;
+                level += dl;
+                for &lr in &active_res {
+                    let lr = lr as usize;
+                    headroom[lr] -= w[lr] * dl;
+                }
+                let rb = bottleneck.expect("bottleneck set");
+                newly_frozen.clear();
+                for &li in &lmembers[rb] {
+                    let i = li as usize;
+                    if !frozen[i] {
+                        frozen[i] = true;
+                        rate[i] = weight[i] * level;
+                        unfrozen -= 1;
+                        newly_frozen.push(i);
+                    }
+                }
+                // Refresh the weight sums of every resource a newly frozen flow
+                // crosses (re-sums are idempotent, duplicates are harmless).
+                for &i in &newly_frozen {
+                    for &lr in &fpath[i] {
+                        w[lr as usize] = resum(&lmembers[lr as usize], &frozen);
+                    }
+                }
+            }
+        }
+
+        // Per-occurrence allocation sums on the component's resources (a path
+        // crossing a resource twice counts twice), accumulated from 0.0 in the
+        // exact (flow, path-occurrence) order the serial write-back always used
+        // — f64 addition is order-sensitive, so this order is the contract.
+        let mut alloc = vec![0.0f64; nr];
+        for (i, &s) in comp_slots.iter().enumerate() {
+            for &r in &arena.path[s as usize] {
+                let lr = comp_res.binary_search(&r.0).expect("closed component");
+                alloc[lr] += rate[i];
+            }
+        }
+        RegionSolution {
+            rate,
+            alloc,
+            waterfill: false,
+        }
     }
 }
 
@@ -1217,10 +1508,19 @@ mod tests {
         assert_eq!(fast_alloc, ref_alloc);
     }
 
+    #[test]
+    #[should_panic(expected = "bad cap")]
+    fn set_flow_cap_rejects_caps_start_flow_rejects() {
+        let mut net = FluidNet::new();
+        let r = net.add_resource("bus", 10.0);
+        let f = net.start_flow(spec(vec![r], 10.0));
+        net.set_flow_cap(f, Some(0.0));
+    }
+
     /// The waterfill fast path is an exact-bits shortcut of the general
     /// progressive fill: sweep randomized one-flow components (duplicate
-    /// path entries, zero-capacity resources, caps on/off) and compare the
-    /// two solvers' rates and allocations bitwise.
+    /// path entries, zero-capacity resources, caps on/off) and compare its
+    /// rates and allocations bitwise with both general loops'.
     #[test]
     fn waterfill_matches_general_loop_bitwise() {
         let mut rng = crate::Pcg32::new(42, 0x0dec0de);
@@ -1254,20 +1554,35 @@ mod tests {
             comp_res.sort_unstable();
             comp_res.dedup();
             let comp_slots = [slot];
+            let mut local = vec![0u32; nres];
+            for (lr, &r) in comp_res.iter().enumerate() {
+                local[r as usize] = lr as u32;
+            }
             let fast = solve_singleton(&net.resources, &net.arena, &comp_res, &comp_slots);
-            let slow = solve_general(&net.resources, &net.arena, &comp_res, &comp_slots);
-            assert!(fast.waterfill && !slow.waterfill);
-            assert_eq!(
-                fast.rate[0].to_bits(),
-                slow.rate[0].to_bits(),
-                "case {}: rate diverged ({} vs {})",
-                case,
-                fast.rate[0],
-                slow.rate[0]
-            );
-            assert_eq!(fast.alloc.len(), slow.alloc.len());
-            for (lr, (a, b)) in fast.alloc.iter().zip(&slow.alloc).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "case {}: alloc[{}]", case, lr);
+            for (loop_name, slow) in [
+                (
+                    "production",
+                    solve_general(&net.resources, &net.arena, &local, &comp_res, &comp_slots),
+                ),
+                (
+                    "reference",
+                    reference::solve_general(&net.resources, &net.arena, &comp_res, &comp_slots),
+                ),
+            ] {
+                assert!(fast.waterfill && !slow.waterfill);
+                assert_eq!(
+                    fast.rate[0].to_bits(),
+                    slow.rate[0].to_bits(),
+                    "case {} ({} loop): rate diverged ({} vs {})",
+                    case,
+                    loop_name,
+                    fast.rate[0],
+                    slow.rate[0]
+                );
+                assert_eq!(fast.alloc.len(), slow.alloc.len());
+                for (lr, (a, b)) in fast.alloc.iter().zip(&slow.alloc).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "case {} ({} loop): alloc[{}]", case, loop_name, lr);
+                }
             }
         }
     }

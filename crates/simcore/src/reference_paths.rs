@@ -21,8 +21,9 @@ use std::cell::Cell;
 /// reference twin (`true`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct ReferencePaths {
-    /// Re-solve every fluid allocation from scratch
-    /// ([`crate::fluid::reference::reallocate`]) instead of incrementally.
+    /// Re-solve every fluid allocation from scratch with the plain
+    /// one-freeze-per-round loop ([`crate::fluid::reference::reallocate`])
+    /// instead of incrementally.
     pub solver: bool,
     /// Run engine timers on [`crate::queue::HeapQueue`] instead of the
     /// timing wheel.

@@ -15,9 +15,13 @@
 //! approximate equality). The reference solver rebuilds the adjacency and
 //! component decomposition from the flow paths alone, so stale inverse-index
 //! entries, missed dirty bits, or components split/merged incorrectly all
-//! surface as mismatches.
+//! surface as mismatches. It also runs the plain progressive-filling loop,
+//! one freeze per round, against the production loop's same-level tie
+//! cascade and once-per-round re-sums: tie-heavy scripts, a ring chain and
+//! an underflow corner aim at those.
 //!
-//! Case count honours `PROPTEST_CASES` (CI runs 512).
+//! Case count honours `PROPTEST_CASES` (CI runs 512); the tie-heavy
+//! property runs at least 1024.
 
 use proptest::prelude::*;
 use simcore::fluid::reference;
@@ -43,21 +47,60 @@ enum Op {
     Check,
 }
 
-fn op(nres: usize) -> impl Strategy<Value = Op> {
-    let start = (
+/// The value sets a script draws its numbers from.
+#[derive(Clone)]
+struct Values {
+    /// Initial resource capacities.
+    capacity: BoxedStrategy<f64>,
+    /// `SetCapacity` targets.
+    set_capacity: BoxedStrategy<f64>,
+    weight: BoxedStrategy<f64>,
+    /// Flow caps, at `Start` and `SetCap`.
+    cap: BoxedStrategy<Option<f64>>,
+}
+
+/// Continuous ranges: ties are rare, so rounds freeze one resource at a
+/// time and caps bind at arbitrary levels.
+fn spread() -> Values {
+    let capacity = prop_oneof![Just(0.0f64), 1.0f64..1000.0].boxed();
+    Values {
+        capacity: capacity.clone(),
+        set_capacity: capacity,
+        weight: (0.1f64..8.0).boxed(),
+        cap: prop::option::of(0.5f64..300.0).boxed(),
+    }
+}
+
+/// Few round values: resources saturating at exactly the same level, and
+/// caps exactly at a fair share, are common. Zero capacity comes in only
+/// through `SetCapacity`.
+fn ties() -> Values {
+    Values {
+        capacity: prop_oneof![Just(25.0), Just(50.0), Just(100.0)].boxed(),
+        set_capacity: prop_oneof![Just(0.0), Just(25.0), Just(50.0), Just(100.0)].boxed(),
+        weight: prop_oneof![Just(0.5), Just(1.0), Just(2.0)].boxed(),
+        cap: prop_oneof![Just(None), Just(Some(12.5)), Just(Some(25.0)), Just(Some(50.0))]
+            .boxed(),
+    }
+}
+
+fn start(nres: usize, v: &Values) -> impl Strategy<Value = Op> {
+    (
         prop::collection::btree_set(0..nres, 1..=nres.min(4)),
-        0.1f64..8.0,
-        prop::option::of(0.5f64..300.0),
+        v.weight.clone(),
+        v.cap.clone(),
     )
-        .prop_map(|(path, w, cap)| Op::Start(path.into_iter().collect(), w, cap));
-    let capacity = prop_oneof![Just(0.0f64), 1.0f64..1000.0];
+        .prop_map(|(path, w, cap)| Op::Start(path.into_iter().collect(), w, cap))
+}
+
+fn op(nres: usize, v: &Values) -> impl Strategy<Value = Op> {
     prop_oneof![
-        start.boxed(),
+        start(nres, v).boxed(),
         (0..64usize).prop_map(Op::Cancel).boxed(),
-        (0..64usize, prop::option::of(0.5f64..300.0))
+        (0..64usize, v.cap.clone())
             .prop_map(|(i, c)| Op::SetCap(i, c))
             .boxed(),
-        ((0..nres), capacity)
+        ((0..nres), v.set_capacity.clone())
             .prop_map(|(r, c)| Op::SetCapacity(r, c))
             .boxed(),
         (0.25f64..1.5).prop_map(Op::Elapse).boxed(),
@@ -65,12 +108,24 @@ fn op(nres: usize) -> impl Strategy<Value = Op> {
     ]
 }
 
-fn script() -> impl Strategy<Value = (Vec<f64>, Vec<Op>)> {
-    let caps = prop::collection::vec(prop_oneof![Just(0.0f64), 1.0f64..1000.0], 2..8);
-    caps.prop_flat_map(|capacities| {
+fn script(v: Values) -> impl Strategy<Value = (Vec<f64>, Vec<Op>)> {
+    let caps = prop::collection::vec(v.capacity.clone(), 2..8);
+    caps.prop_flat_map(move |capacities| {
         let nres = capacities.len();
-        prop::collection::vec(op(nres), 8..60)
+        prop::collection::vec(op(nres, &v), 8..60)
             .prop_map(move |ops| (capacities.clone(), ops))
+    })
+}
+
+/// A tie-heavy script that opens with eight flow starts, so that
+/// components of several flows, where three or more resources saturate at
+/// one level, are common.
+fn tie_script() -> impl Strategy<Value = (Vec<f64>, Vec<Op>)> {
+    script(ties()).prop_flat_map(|(capacities, ops)| {
+        prop::collection::vec(start(capacities.len(), &ties()), 8).prop_map(move |mut opening| {
+            opening.extend(ops.iter().cloned());
+            (capacities.clone(), opening)
+        })
     })
 }
 
@@ -157,10 +212,54 @@ proptest! {
     /// Randomized topologies, weights, caps and mutation sequences: the
     /// incremental solve equals the from-scratch solve, bit for bit.
     #[test]
-    fn incremental_matches_reference_bitwise(case in script()) {
+    fn incremental_matches_reference_bitwise(case in script(spread())) {
         let (capacities, ops) = case;
         run_script(&capacities, &ops)?;
     }
+}
+
+proptest! {
+    // At least 1024 cases: ties of three or more resources at a positive
+    // level, which take the production loop's cascade past its first
+    // resource, come up in only about one script in a hundred.
+    #![proptest_config(ProptestConfig::with_cases(ProptestConfig::default().cases.max(1024)))]
+
+    /// The same with tie-heavy values, where most rounds of the reference
+    /// loop freeze a resource at the level the previous round reached.
+    #[test]
+    fn incremental_matches_reference_bitwise_under_ties(case in tie_script()) {
+        let (capacities, ops) = case;
+        run_script(&capacities, &ops)?;
+    }
+}
+
+#[test]
+fn ring_chain_matches_reference() {
+    // The ring collective's NIC chain: n equal resources, flow i crossing
+    // resources i and i+1 (mod n). Every resource saturates at the level
+    // of the first; the Elapse completes one flow and leaves an open chain.
+    for n in [2usize, 3, 8, 64, 257] {
+        let caps = vec![100.0; n];
+        let mut ops: Vec<Op> =
+            (0..n).map(|i| Op::Start(vec![i, (i + 1) % n], 1.0, None)).collect();
+        ops.extend([Op::Check, Op::Elapse(1.0), Op::Check]);
+        let checks = run_script(&caps, &ops).unwrap_or_else(|e| panic!("ring of {n}: {e}"));
+        assert_eq!(checks, 3);
+    }
+}
+
+#[test]
+fn underflowed_zero_level_is_rechecked() {
+    // Resource 1's headroom 5e-324 over weight 4 rounds to a level
+    // increment of 0.0, as resource 0's zero capacity does. Once resource
+    // 0 freezes the weight-3 flow, resource 1's increment is 5e-324 / 1,
+    // above 0.0: the weight-1 flow runs at 5e-324, not 0.
+    let ops = vec![
+        Op::Start(vec![0, 1], 3.0, None),
+        Op::Start(vec![1], 1.0, None),
+        Op::Check,
+    ];
+    assert_eq!(run_script(&[0.0, 5e-324], &ops).expect("bitwise equivalence"), 2);
 }
 
 #[test]

@@ -10,6 +10,10 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> allocator oracle: production solve vs the plain reference loop, bit for bit"
+# The root `cargo test -q` above reaches only the root package's tests.
+cargo test -q -p simcore --test prop_fluid_equiv
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 

@@ -3,9 +3,11 @@
 //!
 //! `ReferencePaths::solver` makes every reallocation of the engines built
 //! in its scope go through the retained from-scratch solver
-//! (`fluid::reference`). Running Quick fig4+fig9 both ways and comparing the
-//! `--json` export byte-for-byte proves the incremental solver (inverse
-//! index + component dirty tracking) is observationally identical at
+//! (`fluid::reference`: adjacency rebuilt from the flow paths, plain
+//! progressive-filling loop with one freeze per round). Running Quick
+//! fig4+fig9 both ways and comparing the `--json` export byte-for-byte
+//! proves the incremental solver (inverse index, component dirty tracking,
+//! and the one-pass-per-fill-level loop) is observationally identical at
 //! full-system scale — on top of the per-solve bitwise equivalence the
 //! `prop_fluid_equiv` suite establishes.
 
