@@ -12,10 +12,12 @@
 //! ([`interference::experiments::all_experiments`]): `--list` prints every
 //! registered experiment with its paper anchor and sweep size, `--only`
 //! picks experiments by registry name, `--fig N` accepts 1–10 (all
-//! sub-figures of N are produced). `--jobs N` runs the campaign's sweep
-//! points on N worker threads — results are byte-identical to `--jobs 1`
-//! because every point's seed derives from (experiment, point index), not
-//! from execution order.
+//! sub-figures of N are produced). The selection flags (`--all`, `--fig`,
+//! `--table`, `--ext`, `--validate`, `--predict-check`, `--only`) exclude
+//! each other: a second one is a usage error. `--jobs N` runs the
+//! campaign's sweep points on N worker threads — results are
+//! byte-identical to `--jobs 1` because every point's seed derives from
+//! (experiment, point index), not from execution order.
 //!
 //! Output is a textual report: simulated medians with first/last-decile
 //! bands, the paper's reference values as notes, PASS/FAIL qualitative
@@ -129,6 +131,7 @@ fn main() {
     let mut list = false;
     let mut select: Option<String> = None;
     let mut only: Vec<String> = Vec::new();
+    let mut selected_by: Option<&str> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -173,10 +176,6 @@ fn main() {
                 timeout = Some(Duration::from_secs_f64(secs));
             }
             "--allow-partial" => allow_partial = true,
-            "--all" => select = None,
-            "--ext" => select = Some("ext".into()),
-            "--validate" => select = Some("validate".into()),
-            "--predict-check" => select = Some("predict-check".into()),
             "--fuzz-budget" => {
                 i += 1;
                 let n: usize = args
@@ -188,20 +187,27 @@ fn main() {
                 // so plan() and run_point() agree on the chunking.
                 std::env::set_var("SIMCHECK_FUZZ_BUDGET", n.to_string());
             }
-            "--fig" => {
-                i += 1;
-                let n = args.get(i).cloned().unwrap_or_else(|| usage());
-                select = Some(format!("fig{}", n));
-            }
-            "--table" => {
-                i += 1;
-                let n = args.get(i).cloned().unwrap_or_else(|| usage());
-                select = Some(format!("table{}", n));
-            }
-            "--only" => {
-                i += 1;
-                let names = args.get(i).cloned().unwrap_or_else(|| usage());
-                only.extend(names.split(',').map(|s| s.trim().to_string()));
+            flag @ ("--all" | "--ext" | "--validate" | "--predict-check" | "--fig" | "--table"
+            | "--only") => {
+                if let Some(first) = selected_by {
+                    eprintln!("{} and {} both select experiments; pass one", first, flag);
+                    usage();
+                }
+                selected_by = Some(flag);
+                let mut value = || {
+                    i += 1;
+                    args.get(i).cloned().unwrap_or_else(|| usage())
+                };
+                match flag {
+                    "--all" => {}
+                    "--ext" => select = Some("ext".into()),
+                    "--validate" => select = Some("validate".into()),
+                    "--predict-check" => select = Some("predict-check".into()),
+                    "--fig" => select = Some(format!("fig{}", value())),
+                    "--table" => select = Some(format!("table{}", value())),
+                    "--only" => only = value().split(',').map(|s| s.trim().to_string()).collect(),
+                    _ => unreachable!("every selection flag is matched above"),
+                }
             }
             "--help" | "-h" => usage(),
             other => {

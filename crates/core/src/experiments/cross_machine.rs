@@ -210,8 +210,8 @@ impl Experiment for CrossMachine {
                 bora_band > henri_band * 3.0,
                 format!(
                     "bora band {:.1} % vs henri {:.1} %",
-                    bora_band * 1.0,
-                    henri_band * 1.0
+                    bora_band * 100.0,
+                    henri_band * 100.0
                 ),
             ),
             Check::new(
@@ -252,5 +252,20 @@ mod tests {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }
         assert_eq!(f.series[0].points.len(), 4);
+        // The band check quotes the band series' bora and henri points,
+        // both in percent.
+        let band = &f.series[1].points;
+        let check = f
+            .checks
+            .iter()
+            .find(|c| c.name == "bora (Omni-Path) shows the wide bandwidth deviation")
+            .expect("band check");
+        assert_eq!(
+            check.detail,
+            format!(
+                "bora band {:.1} % vs henri {:.1} %",
+                band[1].y.median, band[0].y.median
+            )
+        );
     }
 }

@@ -16,6 +16,31 @@
 //!    predicts ≥ the left branch, making the learned response monotone in
 //!    those coordinates by construction.
 //!
+//! The split candidates are built once per [`train`], before the boosting
+//! loop: a column-major copy of each feature, its quantile thresholds from
+//! one sort with equal thresholds collapsed to the first, and each
+//! threshold's right-branch row count, dropping any candidate that leaves
+//! a branch empty. A round then only accumulates right-branch residual
+//! sums, taking rows in index order and updating a block of thresholds at
+//! once in fixed-width accumulators with the branch-free
+//! `acc += if x >= t { r } else { 0.0 }`. Every shortcut is exact: each
+//! round picks the split a full per-round scan picks, bit for bit, so the
+//! model bytes do not change:
+//!
+//! * thresholds and row counts depend only on the features, which never
+//!   change during training;
+//! * a later threshold equal (`==`) to an earlier one of the same feature
+//!   splits the rows the same way, so it has the same gain and can never
+//!   pass the strict `gain > best + 1e-12` test the earlier one met or
+//!   failed; a dropped candidate has an empty branch, which the scan skips;
+//! * a sum that starts at `+0.0` never becomes `-0.0`, and adding `+0.0`
+//!   to any other value leaves its bits unchanged, so the branch-free
+//!   accumulator adds the same terms in the same order as summing only the
+//!   rows at or above the threshold.
+//!
+//! The unit tests keep the full per-round scan as the reference and
+//! compare the two bit for bit on inputs aimed at each shortcut.
+//!
 //! Targets are `ln(penalty)` — slowdowns are ratios, so errors compose
 //! multiplicatively — and predictions return through `exp`. The integer
 //! seed only drives the k-fold shuffle (SplitMix64 Fisher–Yates); training
@@ -153,69 +178,125 @@ fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Vec<f64> {
     w
 }
 
-fn fit_stump(
-    xs: &[Vec<f64>],
-    residual: &[f64],
-    params: &Params,
-) -> Option<(Stump, f64)> {
-    let n = xs.len();
-    let dim = xs.first()?.len();
-    let total: f64 = residual.iter().sum();
-    let mut best: Option<(Stump, f64)> = None;
-    for feature in 0..dim {
-        let mut vals: Vec<f64> = xs.iter().map(|x| x[feature]).collect();
-        vals.sort_by(f64::total_cmp);
-        let monotone = params.monotone_up.contains(&feature);
-        for c in 1..=params.cuts {
-            // Candidate thresholds at fixed interior quantiles of the
-            // feature's empirical distribution.
-            let pos = c * (n - 1) / (params.cuts + 1);
-            let threshold = vals[pos.min(n - 1)];
-            let mut right_sum = 0.0;
-            let mut right_n = 0usize;
-            for (x, r) in xs.iter().zip(residual) {
-                if x[feature] >= threshold {
-                    right_sum += r;
-                    right_n += 1;
+/// Thresholds one accumulator block updates per row. Eight `f64`
+/// accumulators stay in registers (four SSE2 vectors); 4 measured the
+/// same and 16 slower on `predict_check`.
+const LANES: usize = 8;
+
+/// One feature's live split candidates.
+struct FeatureCuts {
+    feature: u32,
+    monotone: bool,
+    /// The feature's values in row order.
+    column: Vec<f64>,
+    /// Distinct quantile thresholds leaving both branches non-empty,
+    /// ascending.
+    thresholds: Vec<f64>,
+    /// Rows with `x >= threshold`, per threshold.
+    right_n: Vec<usize>,
+}
+
+/// The split candidates of one training set (see the module doc).
+struct Candidates {
+    rows: usize,
+    features: Vec<FeatureCuts>,
+}
+
+impl Candidates {
+    fn new(xs: &[Vec<f64>], params: &Params) -> Candidates {
+        let rows = xs.len();
+        let dim = xs.first().map_or(0, Vec::len);
+        let mut features = Vec::new();
+        for feature in 0..dim {
+            let column: Vec<f64> = xs.iter().map(|x| x[feature]).collect();
+            let mut vals = column.clone();
+            vals.sort_by(f64::total_cmp);
+            let mut thresholds = Vec::new();
+            let mut right_n = Vec::new();
+            let mut last = None;
+            for c in 1..=params.cuts {
+                // Candidate thresholds at fixed interior quantiles of the
+                // feature's empirical distribution.
+                let threshold = vals[(c * (rows - 1) / (params.cuts + 1)).min(rows - 1)];
+                if last == Some(threshold) {
+                    continue;
+                }
+                last = Some(threshold);
+                let right = column.iter().filter(|&&x| x >= threshold).count();
+                if right > 0 && right < rows {
+                    thresholds.push(threshold);
+                    right_n.push(right);
                 }
             }
-            let left_n = n - right_n;
-            if right_n == 0 || left_n == 0 {
-                continue;
-            }
-            let left_sum = total - right_sum;
-            let left = left_sum / left_n as f64;
-            let right = right_sum / right_n as f64;
-            if monotone && right < left {
-                // Pool the branches: the isotonic projection of a
-                // two-piece violation is the common mean, i.e. no split —
-                // worthless, so skip.
-                continue;
-            }
-            // Squared-error reduction of the split.
-            let gain = left * left_sum + right * right_sum;
-            // Deterministic tie-breaks: strictly greater gain wins;
-            // equal-gain candidates resolve to the earliest feature and
-            // lowest threshold by iteration order.
-            let better = match &best {
-                None => gain > 1e-12,
-                Some((_, g)) => gain > *g + 1e-12,
-            };
-            if better {
-                // Shrinkage applies at prediction; store raw branch means.
-                best = Some((
-                    Stump {
-                        feature: feature as u32,
-                        threshold,
-                        left,
-                        right,
-                    },
-                    gain,
-                ));
+            if !thresholds.is_empty() {
+                features.push(FeatureCuts {
+                    feature: feature as u32,
+                    monotone: params.monotone_up.contains(&feature),
+                    column,
+                    thresholds,
+                    right_n,
+                });
             }
         }
+        Candidates { rows, features }
     }
-    best
+
+    /// The best stump for one boosting round and its gain, or `None` when
+    /// no candidate gains more than `1e-12`.
+    fn fit_stump(&self, residual: &[f64]) -> Option<(Stump, f64)> {
+        let total: f64 = residual.iter().sum();
+        let mut best: Option<(Stump, f64)> = None;
+        for f in &self.features {
+            let blocks = f.thresholds.chunks(LANES).zip(f.right_n.chunks(LANES));
+            for (block, counts) in blocks {
+                // Padding lanes compare against NaN, never match, and are
+                // never read.
+                let mut t = [f64::NAN; LANES];
+                t[..block.len()].copy_from_slice(block);
+                let mut acc = [0.0f64; LANES];
+                for (&x, &r) in f.column.iter().zip(residual) {
+                    for k in 0..LANES {
+                        acc[k] += if x >= t[k] { r } else { 0.0 };
+                    }
+                }
+                for ((&threshold, &right_n), &right_sum) in block.iter().zip(counts).zip(&acc) {
+                    let left_n = self.rows - right_n;
+                    let left_sum = total - right_sum;
+                    let left = left_sum / left_n as f64;
+                    let right = right_sum / right_n as f64;
+                    if f.monotone && right < left {
+                        // Pool the branches: the isotonic projection of a
+                        // two-piece violation is the common mean, i.e. no
+                        // split — worthless, so skip.
+                        continue;
+                    }
+                    // Squared-error reduction of the split.
+                    let gain = left * left_sum + right * right_sum;
+                    // Deterministic tie-breaks: strictly greater gain wins;
+                    // equal-gain candidates resolve to the earliest feature
+                    // and lowest threshold by iteration order.
+                    let better = match &best {
+                        None => gain > 1e-12,
+                        Some((_, g)) => gain > *g + 1e-12,
+                    };
+                    if better {
+                        // Shrinkage applies at prediction; store raw
+                        // branch means.
+                        best = Some((
+                            Stump {
+                                feature: f.feature,
+                                threshold,
+                                left,
+                                right,
+                            },
+                            gain,
+                        ));
+                    }
+                }
+            }
+        }
+        best
+    }
 }
 
 /// Train a model on (features, log-target) pairs. `targets` are the raw
@@ -269,9 +350,10 @@ pub fn train(features: &[Vec<f64>], targets: &[f64], params: &Params) -> Model {
             y - lin
         })
         .collect();
+    let candidates = Candidates::new(&xs, params);
     let mut stumps = Vec::new();
     for _ in 0..params.rounds {
-        let Some((stump, _)) = fit_stump(&xs, &residual, params) else {
+        let Some((stump, _)) = candidates.fit_stump(&residual) else {
             break;
         };
         for (x, r) in xs.iter().zip(&mut residual) {
@@ -399,68 +481,85 @@ pub fn kfold(n: usize, k: usize, seed: u64) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Held-out error report of one cross-validation run.
-#[derive(Clone, Debug)]
-pub struct CvReport {
-    /// Absolute relative errors of every held-out prediction, fold order.
-    pub errors: Vec<f64>,
-    /// Mean absolute relative error.
-    pub mean: f64,
-    /// Median absolute relative error.
-    pub median: f64,
-}
+/// The full per-round scan [`Candidates::fit_stump`] replaces: sort every
+/// feature, then sum each quantile threshold's right branch row by row.
+/// Kept as the oracle the unit tests compare the production kernel with,
+/// bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::{Params, Stump};
 
-/// K-fold cross-validation: shuffle with the seed, hold each fold out,
-/// train on the rest, score `|pred - truth| / truth` on the held-out
-/// pairs. Deterministic per (pairs, seed, k).
-pub fn cross_validate(
-    features: &[Vec<f64>],
-    targets: &[f64],
-    params: &Params,
-    k: usize,
-    seed: u64,
-) -> CvReport {
-    let n = features.len();
-    let mut errors = Vec::with_capacity(n);
-    for held in kfold(n, k, seed) {
-        if held.is_empty() {
-            continue;
-        }
-        let held_set: Vec<bool> = {
-            let mut v = vec![false; n];
-            for &i in &held {
-                v[i] = true;
+    pub(super) fn fit_stump(
+        xs: &[Vec<f64>],
+        residual: &[f64],
+        params: &Params,
+    ) -> Option<(Stump, f64)> {
+        let n = xs.len();
+        let dim = xs.first()?.len();
+        let total: f64 = residual.iter().sum();
+        let mut best: Option<(Stump, f64)> = None;
+        for feature in 0..dim {
+            let mut vals: Vec<f64> = xs.iter().map(|x| x[feature]).collect();
+            vals.sort_by(f64::total_cmp);
+            let monotone = params.monotone_up.contains(&feature);
+            for c in 1..=params.cuts {
+                // Candidate thresholds at fixed interior quantiles of the
+                // feature's empirical distribution.
+                let pos = c * (n - 1) / (params.cuts + 1);
+                let threshold = vals[pos.min(n - 1)];
+                let mut right_sum = 0.0;
+                let mut right_n = 0usize;
+                for (x, r) in xs.iter().zip(residual) {
+                    if x[feature] >= threshold {
+                        right_sum += r;
+                        right_n += 1;
+                    }
+                }
+                let left_n = n - right_n;
+                if right_n == 0 || left_n == 0 {
+                    continue;
+                }
+                let left_sum = total - right_sum;
+                let left = left_sum / left_n as f64;
+                let right = right_sum / right_n as f64;
+                if monotone && right < left {
+                    // Pool the branches: the isotonic projection of a
+                    // two-piece violation is the common mean, i.e. no split —
+                    // worthless, so skip.
+                    continue;
+                }
+                // Squared-error reduction of the split.
+                let gain = left * left_sum + right * right_sum;
+                // Deterministic tie-breaks: strictly greater gain wins;
+                // equal-gain candidates resolve to the earliest feature and
+                // lowest threshold by iteration order.
+                let better = match &best {
+                    None => gain > 1e-12,
+                    Some((_, g)) => gain > *g + 1e-12,
+                };
+                if better {
+                    // Shrinkage applies at prediction; store raw branch means.
+                    best = Some((
+                        Stump {
+                            feature: feature as u32,
+                            threshold,
+                            left,
+                            right,
+                        },
+                        gain,
+                    ));
+                }
             }
-            v
-        };
-        let tf: Vec<Vec<f64>> = (0..n)
-            .filter(|i| !held_set[*i])
-            .map(|i| features[i].clone())
-            .collect();
-        let tt: Vec<f64> = (0..n).filter(|i| !held_set[*i]).map(|i| targets[i]).collect();
-        if tf.is_empty() {
-            continue;
         }
-        let model = train(&tf, &tt, params);
-        for &i in &held {
-            let truth = targets[i];
-            if truth != 0.0 {
-                errors.push((model.predict(&features[i]) - truth).abs() / truth.abs());
-            }
-        }
-    }
-    let mean = simcheck::stats::mean(&errors);
-    let median = simcheck::stats::median(&errors);
-    CvReport {
-        errors,
-        mean,
-        median,
+        best
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
 
     fn synthetic(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
         let mut state = 7u64;
@@ -480,8 +579,21 @@ mod tests {
     fn learns_a_planted_log_linear_model() {
         let (xs, ys) = synthetic(200);
         let model = train(&xs, &ys, &Params::default());
-        let rep = cross_validate(&xs, &ys, &Params::default(), 5, 3);
-        assert!(rep.median < 0.05, "median err {}", rep.median);
+        // Held-out predictions: 5-fold, each fold scored by a model
+        // trained on the other four.
+        let mut held_out = Vec::new();
+        for held in kfold(xs.len(), 5, 3) {
+            let kept: Vec<usize> = (0..xs.len()).filter(|i| !held.contains(i)).collect();
+            let tf: Vec<Vec<f64>> = kept.iter().map(|&i| xs[i].clone()).collect();
+            let tt: Vec<f64> = kept.iter().map(|&i| ys[i]).collect();
+            let fold_model = train(&tf, &tt, &Params::default());
+            held_out.extend(
+                held.iter()
+                    .map(|&i| (fold_model.predict(&xs[i]) - ys[i]).abs() / ys[i]),
+            );
+        }
+        let median = simcheck::stats::median(&held_out);
+        assert!(median < 0.05, "held-out median err {}", median);
         // In-sample predictions track the target closely too.
         let e: Vec<f64> = xs
             .iter()
@@ -555,5 +667,121 @@ mod tests {
         let mut s = a.clone();
         s.sort_unstable();
         assert_eq!(s, (0..50).collect::<Vec<_>>());
+    }
+
+    /// Cut counts the oracle covers: none, one, a few, the default, and
+    /// more than most generated sets have rows.
+    const ORACLE_CUTS: [usize; 5] = [0, 1, 3, 16, 40];
+
+    /// One oracle input: row-major features, residuals and params, aimed
+    /// at each shortcut of [`Candidates`].
+    fn oracle_case(seed: u64) -> (Vec<Vec<f64>>, Vec<f64>, Params) {
+        let mut rng = TestRng::new(seed);
+        let cuts = ORACLE_CUTS[rng.below(ORACLE_CUTS.len() as u64) as usize];
+        // From one row to well past `cuts + 1`, so quantile positions
+        // collide or spread out and accumulator blocks end part-full.
+        let rows = 1 + rng.below((cuts + 2 + 3 * LANES) as u64) as usize;
+        let dim = 1 + rng.below(6) as usize;
+        let mut cols: Vec<Vec<f64>> = Vec::with_capacity(dim);
+        for j in 0..dim {
+            let col: Vec<f64> = match rng.below(5) {
+                // Few levels: duplicate thresholds and empty branches.
+                0 => {
+                    let levels = 1 + rng.below(3);
+                    (0..rows).map(|_| rng.below(levels) as f64).collect()
+                }
+                // Constant.
+                1 => vec![rng.next_f64(); rows],
+                // `metric_is_lat × f`: a zero flag times a negative value
+                // gives -0.0, times a positive one +0.0.
+                2 => (0..rows)
+                    .map(|_| rng.below(2) as f64 * [-1.5, 2.0][rng.below(2) as usize])
+                    .collect(),
+                // An earlier column scaled by a power of two: the same
+                // splits, so equal gains across features.
+                3 if j > 0 => {
+                    let scale = [0.5, 1.0, 2.0][rng.below(3) as usize];
+                    cols[rng.below(j as u64) as usize]
+                        .iter()
+                        .map(|v| v * scale)
+                        .collect()
+                }
+                _ => (0..rows).map(|_| rng.next_f64() * 4.0 - 2.0).collect(),
+            };
+            cols.push(col);
+        }
+        let step = rng.below(dim as u64) as usize;
+        let sign = [-1.0, 1.0][rng.below(2) as usize];
+        // At the larger scale gains pass 1e10, far above the ~1e4 where
+        // `g + 1e-12 == g`, so only the strictness of `>` keeps an equal
+        // gain from winning.
+        let scale = [1.0, 1e6][rng.below(2) as usize];
+        let residual = (0..rows)
+            .map(|i| {
+                scale
+                    * match rng.below(4) {
+                        // Small integers: exact sums and equal-gain ties.
+                        0 => rng.below(5) as f64 - 2.0,
+                        // Signed zeros in the sums.
+                        1 => [-0.0, 0.0][rng.below(2) as usize],
+                        // A step on one column, rising or falling: the
+                        // falling one makes `right < left` on monotone
+                        // features.
+                        2 => sign * if cols[step][i] >= 0.0 { 1.0 } else { -1.0 },
+                        _ => rng.next_f64() * 2.0 - 1.0,
+                    }
+            })
+            .collect();
+        let xs = (0..rows)
+            .map(|i| cols.iter().map(|c| c[i]).collect())
+            .collect();
+        let params = Params {
+            cuts,
+            monotone_up: (0..dim).filter(|_| rng.below(2) == 0).collect(),
+            ..Params::default()
+        };
+        (xs, residual, params)
+    }
+
+    /// A split as bits: feature, threshold, left, right and gain.
+    fn split_bits(s: Option<(Stump, f64)>) -> Option<(u32, u64, u64, u64, u64)> {
+        s.map(|(s, gain)| {
+            (
+                s.feature,
+                s.threshold.to_bits(),
+                s.left.to_bits(),
+                s.right.to_bits(),
+                gain.to_bits(),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(ProptestConfig::default().cases.max(1024)))]
+
+        /// The candidate kernel picks the reference scan's split, bit for
+        /// bit, in each of several boosting rounds.
+        #[test]
+        fn candidate_kernel_matches_reference_scan(seed in any::<u64>()) {
+            let (xs, mut residual, params) = oracle_case(seed);
+            let candidates = Candidates::new(&xs, &params);
+            for round in 0..4 {
+                let got = candidates.fit_stump(&residual);
+                let (g, w) = (
+                    split_bits(got.clone()),
+                    split_bits(reference::fit_stump(&xs, &residual, &params)),
+                );
+                prop_assert_eq!(g, w, "round {} of seed {}: {:?} vs {:?}", round, seed, g, w);
+                let Some((stump, _)) = got else { break };
+                for (x, r) in xs.iter().zip(&mut residual) {
+                    let p = if x[stump.feature as usize] >= stump.threshold {
+                        stump.right
+                    } else {
+                        stump.left
+                    };
+                    *r -= params.shrink * p;
+                }
+            }
+        }
     }
 }

@@ -6,8 +6,8 @@
 //! PMU-style telemetry counters of its **alone** runs, so a scheduler can
 //! rank placements without ever co-running the candidates.
 //!
-//! * [`learn`] — the deterministic ridge + boosted-stump learner, k-fold
-//!   cross-validation, and the exact-bits model codec.
+//! * [`learn`] — the deterministic ridge + boosted-stump learner, seeded
+//!   k-fold assignment, and the exact-bits model codec.
 //! * [`advisor`] — training over harvested pairs (`interference`'s
 //!   `experiments::harvest`), unseen-pair prediction from alone-step
 //!   features, and the `rank-placements` query.
@@ -30,4 +30,4 @@ pub mod advisor;
 pub mod learn;
 
 pub use advisor::{Advisor, RankedPlacement};
-pub use learn::{cross_validate, train, CvReport, Model, Params};
+pub use learn::{train, Model, Params};

@@ -14,6 +14,9 @@ echo "==> allocator oracle: production solve vs the plain reference loop, bit fo
 # The root `cargo test -q` above reaches only the root package's tests.
 cargo test -q -p simcore --test prop_fluid_equiv
 
+echo "==> learner oracle: candidate-set stump kernel vs the full per-round scan, bit for bit"
+cargo test -q -p predict
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 

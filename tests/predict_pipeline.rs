@@ -39,6 +39,13 @@ fn harvest_pairs(exp: &Harvest, jobs: usize) -> Vec<harvest::TrainingPair> {
     harvest::collect_pairs(&outcomes)
 }
 
+/// FNV-1a, 64-bit: a short, stable digest of model bytes.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
 fn encode_pairs(pairs: &[harvest::TrainingPair]) -> Vec<u8> {
     let mut bytes = Vec::new();
     for p in pairs {
@@ -125,7 +132,8 @@ fn harvest_resumes_byte_identical_from_store() {
 /// of every held-out (preset, cores, metric) group. The predicted-best
 /// placement must be within 5% regret of the ground-truth best in at
 /// least 80% of groups, and predicted orderings must correlate with the
-/// truth on average.
+/// truth on average. The same harvest pins the bytes of the advisor
+/// trained on the whole grid.
 #[test]
 fn leave_one_workload_out_ranking_generalises() {
     let mut opts = CampaignOptions::serial(Fidelity::Quick);
@@ -133,6 +141,17 @@ fn leave_one_workload_out_ranking_generalises() {
     let outcomes = run_outcomes_with_store(experiments::HARVEST_EXPERIMENT, &opts, None);
     let pairs = harvest::collect_pairs(&outcomes);
     assert!(pairs.len() >= 4 * Family::all().len(), "grid too small");
+
+    // Model-bytes pin: the advisor trained on the whole grid. A change to
+    // the harvest, the features or the learner's arithmetic moves these
+    // bytes; a change that only makes training faster must not.
+    let model = Advisor::train(&pairs, &default_params()).encode();
+    let digest = format!("{:016x}", fnv1a64(&model));
+    assert_eq!(
+        (pairs.len(), model.len(), digest.as_str()),
+        (320, 15_292, "ab74fbc0e6eb19e1"),
+        "(pairs, model bytes, FNV-1a-64) of the full-grid advisor moved"
+    );
 
     let eval = accuracy::rank_eval(&pairs, &default_params());
     assert!(eval.groups >= 40, "too few held-out groups: {}", eval.groups);
