@@ -961,11 +961,11 @@ mod tests {
 
     #[test]
     fn workers_build_engines_on_the_callers_reference_paths() {
-        let queue_only = ReferencePaths {
-            queue: true,
+        let solver_only = ReferencePaths {
+            solver: true,
             ..ReferencePaths::default()
         };
-        for paths in [ReferencePaths::default(), queue_only, ReferencePaths::ALL] {
+        for paths in [ReferencePaths::default(), solver_only, ReferencePaths::ALL] {
             for jobs in [1, 4] {
                 let opts = CampaignOptions::new(Fidelity::Quick, jobs);
                 let run = || run_outcomes_with_store(&PathsProbe, &opts, None);

@@ -4,9 +4,9 @@
 //!
 //! 1. **Real Rust implementations** — run on the host, numerically verified
 //!    (STREAM COPY/TRIAD, the tunable-intensity TRIAD, naive prime counting,
-//!    an FMA burn loop, blocked GEMM, dense conjugate gradient). These are
-//!    used by the examples, and they pin down the flop/byte
-//!    accounting below.
+//!    an FMA burn loop, blocked GEMM, dense conjugate gradient). The
+//!    examples call some of them, and their loop structure pins down the
+//!    flop/byte accounting below.
 //! 2. **Workload descriptors** — `(flops, bytes, NUMA node, license)` phase
 //!    streams consumed by the simulator's executor ([`memsim::exec`]). The
 //!    descriptor of each kernel is derived from the same loop structure as
@@ -17,7 +17,6 @@
 
 pub mod cg;
 pub mod gemm;
-pub mod host;
 pub mod primes;
 pub mod roofline;
 pub mod stream;

@@ -1,18 +1,14 @@
 //! Differential scenario fuzzer.
 //!
 //! Each budgeted seed generates a random scenario (random small resource
-//! topology + traffic script) and replays it four ways:
+//! topology + traffic script) and replays it three ways:
 //!
 //! 1. under the **incremental** solver (production path),
 //! 2. under the **from-scratch reference** solver — results must be
 //!    bit-identical: the reference runs the plain progressive-filling loop
 //!    on the same flow sets, and the production loop's shortcuts must not
 //!    change a bit (the incremental solver's whole contract);
-//! 3. through a real **engine** on both timer queues — the hierarchical
-//!    timing wheel and the retained binary-heap reference must deliver a
-//!    bit-identical event stream (times, kinds, tags, delivered floats),
-//!    with echo-timer churn generating cancellations at every depth;
-//! 4. under a **permuted insertion order** of same-instant flow starts —
+//! 3. under a **permuted insertion order** of same-instant flow starts —
 //!    results must agree within [`crate::metamorphic::TOL_META`] (flow
 //!    slab order changes float summation order, nothing else).
 //!
@@ -22,9 +18,7 @@
 use simcore::Pcg32;
 
 use crate::metamorphic::TOL_META;
-use crate::scenario::{
-    replay, replay_engine, EngineReplay, Ev, GenConfig, Op, QueueKind, Replay, Scenario, Solver,
-};
+use crate::scenario::{replay, Ev, GenConfig, Op, Replay, Scenario, Solver};
 
 /// A failing scenario reduced to a minimal script.
 #[derive(Clone, Debug)]
@@ -126,37 +120,6 @@ fn differ_exact(a: &Replay, b: &Replay) -> Option<String> {
     None
 }
 
-/// Exact differential comparison of engine-level replays (timing wheel vs
-/// heap reference queue): the delivered event stream *is* the simulation,
-/// so every `(time, kind, tag)` triple and every delivered float must
-/// match bitwise.
-fn differ_engine(a: &EngineReplay, b: &EngineReplay) -> Option<String> {
-    if a.events.len() != b.events.len() {
-        return Some(format!(
-            "queue divergence: {} vs {} engine events",
-            a.events.len(),
-            b.events.len()
-        ));
-    }
-    for (i, (x, y)) in a.events.iter().zip(&b.events).enumerate() {
-        if x != y {
-            return Some(format!(
-                "queue divergence at engine event {}: {:?} (wheel) vs {:?} (heap)",
-                i, x, y
-            ));
-        }
-    }
-    for (i, (da, db)) in a.delivered.iter().zip(&b.delivered).enumerate() {
-        if da.to_bits() != db.to_bits() {
-            return Some(format!(
-                "queue divergence: delivered on r{}: {:e} vs {:e}",
-                i, da, db
-            ));
-        }
-    }
-    None
-}
-
 /// Tolerant comparison (baseline vs permuted insertion order): completion
 /// *sets* must match with times within tolerance.
 fn differ_tolerant(a: &Replay, b: &Replay) -> Option<String> {
@@ -205,17 +168,6 @@ fn check(sc: &Scenario, seed: u64) -> Option<String> {
         return Some("reference replay stalled".into());
     }
     if let Some(why) = differ_exact(&inc, &reference) {
-        return Some(why);
-    }
-    let wheel = replay_engine(sc, QueueKind::Wheel);
-    if wheel.stalled {
-        return Some("engine replay (wheel) stalled".into());
-    }
-    let heap = replay_engine(sc, QueueKind::HeapReference);
-    if heap.stalled {
-        return Some("engine replay (heap) stalled".into());
-    }
-    if let Some(why) = differ_engine(&wheel, &heap) {
         return Some(why);
     }
     let permuted = permute_insertion_order(sc, seed);

@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 
 use simcore::fluid::{self, FluidNet};
-use simcore::{Engine, Event, FlowId, FlowSpec, Pcg32, ReferencePaths, ResourceId, SimTime};
+use simcore::{FlowId, FlowSpec, Pcg32, ResourceId};
 
 /// One script operation. `Cancel`/`SetFlowCap` refer to the *script index*
 /// of the `Start` they target; if that flow already completed (or the index
@@ -474,130 +474,6 @@ pub fn replay(sc: &Scenario, solver: Solver) -> Replay {
             }
         }
     }
-    rep
-}
-
-/// Which timer queue backs an engine-level replay.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum QueueKind {
-    /// The production hierarchical timing wheel.
-    Wheel,
-    /// The retained `BinaryHeap` + tombstone reference ([`simcore::queue::HeapQueue`]).
-    HeapReference,
-}
-
-/// Everything an engine-level replay produces, in delivery order.
-///
-/// Unlike [`Replay`] (which drives `FluidNet` directly), this goes through
-/// a real [`Engine`]: every script op is scheduled as a timer, flow
-/// completions arrive as engine events, and extra short-lived "echo" timers
-/// are inserted and cancelled along the way to generate tombstone traffic.
-/// Two replays differing only in [`QueueKind`] must match **exactly** —
-/// the event stream is the simulation.
-#[derive(Clone, Debug)]
-pub struct EngineReplay {
-    /// `(time_ps, kind, tag)` for every delivered event, in delivery order;
-    /// kind 0 = timer, 1 = flow completion.
-    pub events: Vec<(u64, u8, u64)>,
-    /// Per-resource delivered units at quiescence (bit-compared).
-    pub delivered: Vec<f64>,
-    /// True if the engine wedged (reported as a failure by the fuzzer).
-    pub stalled: bool,
-}
-
-/// Tag namespaces for engine-replay timers: script ops and echo churn.
-/// Flow tags are bare script indices, far below either base.
-const TAG_SCRIPT: u64 = 1 << 32;
-const TAG_ECHO: u64 = 1 << 33;
-
-/// Replay a scenario through a real [`Engine`] on the chosen timer queue.
-///
-/// Each script event becomes a timer at its timestamp (same-instant ops
-/// fire in insertion order — script order). On every script timer the op is
-/// applied and an echo timer is scheduled a pseudo-random (but
-/// script-derived, hence deterministic) delay ahead; the previous echo, if
-/// still pending, is cancelled first. Echoes both fire and get cancelled
-/// across a run, exercising lazy tombstone consumption, slot cascades and
-/// staged-region cancellation in the wheel against the heap's eager order.
-pub fn replay_engine(sc: &Scenario, kind: QueueKind) -> EngineReplay {
-    let paths = ReferencePaths {
-        queue: kind == QueueKind::HeapReference,
-        ..ReferencePaths::default()
-    };
-    let mut eng = simcore::reference_paths::scoped(paths, Engine::new);
-    let rids: Vec<ResourceId> = sc
-        .capacities
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| eng.add_resource(format!("r{}", i), c))
-        .collect();
-    for (i, ev) in sc.events.iter().enumerate() {
-        eng.at(SimTime(ev.t_ps), TAG_SCRIPT + i as u64);
-    }
-    let mut rep = EngineReplay {
-        events: Vec::new(),
-        delivered: Vec::new(),
-        stalled: false,
-    };
-    let mut live: HashMap<usize, FlowId> = HashMap::new();
-    let mut last_echo: Option<simcore::TimerId> = None;
-    let events = sc.events.clone();
-    let result = eng.try_run(|eng, event| {
-        match &event {
-            Event::Timer { tag } if *tag >= TAG_SCRIPT && *tag < TAG_ECHO => {
-                let i = (*tag - TAG_SCRIPT) as usize;
-                match &events[i].op {
-                    Op::Start {
-                        path,
-                        volume,
-                        weight,
-                        cap,
-                    } => {
-                        let id = eng.start_flow(FlowSpec {
-                            path: path.iter().map(|&r| rids[r]).collect(),
-                            volume: *volume,
-                            weight: *weight,
-                            cap: *cap,
-                            tag: i as u64,
-                        });
-                        live.insert(i, id);
-                    }
-                    Op::Cancel { start_ev } => {
-                        if let Some(id) = live.remove(start_ev) {
-                            eng.cancel_flow(id);
-                        }
-                    }
-                    Op::SetCapacity { res, capacity } => {
-                        eng.set_capacity(rids[*res], *capacity);
-                    }
-                    Op::SetFlowCap { start_ev, cap } => {
-                        if let Some(id) = live.get(start_ev) {
-                            eng.set_flow_cap(*id, *cap);
-                        }
-                    }
-                }
-                // Echo churn: cancel the previous echo (a tombstone if it
-                // has not fired — cancel_timer is a no-op on consumed ids),
-                // then schedule a fresh one at a script-derived offset.
-                if let Some(id) = last_echo.take() {
-                    eng.cancel_timer(id);
-                }
-                let delay = 1 + (i as u64).wrapping_mul(0x9e37_79b9) % 200_000;
-                last_echo = Some(eng.after(SimTime(delay), TAG_ECHO + i as u64));
-            }
-            Event::Timer { .. } => {} // an echo survived to fire
-            Event::Flow { tag, .. } => {
-                live.remove(&(*tag as usize));
-            }
-        }
-        rep.events.push((
-            eng.now().0,
-            matches!(event, Event::Flow { .. }) as u8,
-            event.tag(),
-        ));
-    });
-    rep.stalled = result.is_err();
-    rep.delivered = rids.iter().map(|&r| eng.delivered(r)).collect();
     rep
 }
 

@@ -12,7 +12,7 @@ use std::fmt;
 
 use crate::cancel::{self, CancelToken};
 use crate::fluid::{FlowId, FlowReport, FlowSpec, FluidNet, ResourceId};
-use crate::queue::{EventQueue, HeapQueue, QueueEntry, TimingWheel};
+use crate::queue::{QueueEntry, TimerQueue};
 use crate::reference_paths::ReferencePaths;
 use crate::telemetry::{self, Lane};
 use crate::time::SimTime;
@@ -42,32 +42,6 @@ impl Event {
         match self {
             Event::Timer { tag } => *tag,
             Event::Flow { tag, .. } => *tag,
-        }
-    }
-}
-
-/// The engine's timer queue: the production timing wheel, or (under
-/// [`ReferencePaths::queue`]) the retained binary-heap reference so the two
-/// can be compared differentially on whole campaigns.
-enum TimerQueue {
-    Wheel(TimingWheel),
-    Heap(HeapQueue),
-}
-
-impl TimerQueue {
-    #[inline]
-    fn get(&self) -> &dyn EventQueue {
-        match self {
-            TimerQueue::Wheel(w) => w,
-            TimerQueue::Heap(h) => h,
-        }
-    }
-
-    #[inline]
-    fn get_mut(&mut self) -> &mut dyn EventQueue {
-        match self {
-            TimerQueue::Wheel(w) => w,
-            TimerQueue::Heap(h) => h,
         }
     }
 }
@@ -179,11 +153,11 @@ pub struct Engine {
     /// The reference paths this engine (and its fluid net) took when built.
     paths: ReferencePaths,
     net: FluidNet,
-    /// Timer queue. Cancellation is O(1): the entry stays queued with a
-    /// tombstone and is discarded when it surfaces, consuming the tombstone.
-    /// Every cancel site targets a still-pending timer, so tombstones cannot
-    /// leak — asserted (debug builds) at quiescence and on drop via
-    /// [`EventQueue::outstanding_tombstones`].
+    /// Timer queue. Cancelling a pending timer is O(1): the entry stays
+    /// queued with a tombstone and is discarded when it surfaces, consuming
+    /// the tombstone. Cancelling a timer that already fired is a no-op, so a
+    /// drained queue holds no tombstones — asserted (debug builds) at
+    /// quiescence and on drop.
     timers: TimerQueue,
     next_timer: u64,
     seq: u64,
@@ -195,7 +169,7 @@ pub struct Engine {
     /// Optional watchdog: `try_next` refuses to advance past this instant.
     budget: Option<SimTime>,
     /// Cooperative cancellation token, adopted from the ambient
-    /// [`cancel`] installation at construction (or set explicitly).
+    /// [`cancel`] installation at construction.
     cancel: Option<CancelToken>,
     /// Events delivered since the last wall-clock deadline check; the
     /// token flag itself is checked on every event.
@@ -211,11 +185,7 @@ impl Engine {
             now: SimTime::ZERO,
             paths,
             net: FluidNet::new(),
-            timers: if paths.queue {
-                TimerQueue::Heap(HeapQueue::new())
-            } else {
-                TimerQueue::Wheel(TimingWheel::new())
-            },
+            timers: TimerQueue::new(),
             next_timer: 0,
             seq: 0,
             pending: VecDeque::new(),
@@ -315,7 +285,7 @@ impl Engine {
         let id = TimerId(self.next_timer);
         self.next_timer += 1;
         self.seq += 1;
-        self.timers.get_mut().insert(QueueEntry {
+        self.timers.insert(QueueEntry {
             deadline,
             seq: self.seq,
             id,
@@ -325,11 +295,11 @@ impl Engine {
         id
     }
 
-    /// Cancel a timer. Every caller must target a still-pending timer
-    /// (cancelling an already-fired id would leave a tombstone that can
-    /// never be consumed — debug builds assert against it at quiescence).
+    /// Cancel a timer. Cancelling a timer that already fired, or was already
+    /// cancelled, is a no-op; every call still counts in
+    /// `engine.queue.cancels`.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        self.timers.get_mut().cancel(id);
+        self.timers.cancel(id);
         telemetry::counter_add("engine.queue.cancels", 1);
     }
 
@@ -358,15 +328,8 @@ impl Engine {
         self.budget = budget;
     }
 
-    /// Attach (or with `None` detach) a cooperative cancellation token.
-    /// Engines adopt the ambient [`cancel::current`] token at construction;
-    /// this overrides it for hand-built engines and tests.
-    pub fn set_cancel_token(&mut self, token: Option<CancelToken>) {
-        self.cancel = token;
-        self.cancel_stride = 0;
-    }
-
-    /// The attached cancellation token, if any.
+    /// The cancellation token this engine adopted from the ambient
+    /// [`cancel::scoped`] installation when it was built, if any.
     pub fn cancel_token(&self) -> Option<&CancelToken> {
         self.cancel.as_ref()
     }
@@ -390,13 +353,11 @@ impl Engine {
     }
 
     /// Snapshot of everything still outstanding (for error reporting).
-    /// Timer tags are listed in `(deadline, seq)` order — deterministic and
-    /// identical across queue implementations (determinism policy,
-    /// DESIGN.md §13).
+    /// Timer tags are listed in `(deadline, seq)` order, never in hash
+    /// order (determinism policy, DESIGN.md §13.4).
     pub fn stall_diagnostic(&self) -> StallDiagnostic {
         let pending_timer_tags = self
             .timers
-            .get()
             .live_entries()
             .iter()
             .map(|e| e.tag)
@@ -451,7 +412,7 @@ impl Engine {
 
             // Earliest live timer; the queue lazily consumes tombstones of
             // cancelled entries as they surface.
-            let timer_deadline = self.timers.get_mut().peek_deadline();
+            let timer_deadline = self.timers.peek_deadline();
 
             let flow_dt = self.net.time_to_next_completion();
             let flow_deadline = flow_dt.map(|dt| {
@@ -507,11 +468,11 @@ impl Engine {
                     report: rep,
                 });
             }
-            while let Some(d) = self.timers.get_mut().peek_deadline() {
+            while let Some(d) = self.timers.peek_deadline() {
                 if d > self.now {
                     break;
                 }
-                let e = self.timers.get_mut().pop().expect("peeked a live entry");
+                let e = self.timers.pop().expect("peeked a live entry");
                 self.pending.push_back(Event::Timer { tag: e.tag });
             }
             if self.pending.is_empty() {
@@ -523,14 +484,13 @@ impl Engine {
         }
     }
 
-    /// Quiescence invariant (debug builds): a fully-drained queue must hold
-    /// no tombstones — otherwise some cancel site targeted an already-fired
-    /// timer and the "tombstones cannot leak" claim is broken.
+    /// Quiescence invariant (debug builds): a fully-drained queue holds no
+    /// tombstones, because the queue only tombstones entries it still stores.
     fn assert_no_tombstones(&self) {
-        let q = self.timers.get();
+        let q = &self.timers;
         debug_assert!(
             q.stored_len() > 0 || q.outstanding_tombstones() == 0,
-            "timer tombstone leaked: {} cancel(s) targeted already-fired timers",
+            "timer tombstone leaked: {} left in a drained queue",
             q.outstanding_tombstones()
         );
     }
@@ -556,6 +516,8 @@ impl Engine {
     }
 
     /// Run until the given deadline (events at exactly `deadline` included).
+    /// A deadline already in the past delivers nothing and leaves `now`
+    /// unchanged.
     pub fn run_until<F: FnMut(&mut Engine, Event)>(&mut self, deadline: SimTime, mut handler: F) {
         while let Some(ev) = self.peek_deadline(deadline) {
             handler(self, ev);
@@ -567,6 +529,9 @@ impl Engine {
 
     /// Internal: like `next` but never advances past `deadline`.
     fn peek_deadline(&mut self, deadline: SimTime) -> Option<Event> {
+        if deadline < self.now {
+            return None;
+        }
         // Cheap approach: schedule a sentinel timer at the deadline.
         const SENTINEL: u64 = u64::MAX;
         let id = self.at(deadline, SENTINEL);
@@ -736,6 +701,20 @@ mod tests {
     }
 
     #[test]
+    fn run_until_a_past_deadline_delivers_nothing() {
+        let mut e = Engine::new();
+        e.after(SimTime::SEC * 3, 3);
+        e.run_until(SimTime::SEC * 2, |_, _| {});
+        let mut seen = Vec::new();
+        e.run_until(SimTime::SEC, |_, ev| seen.push(ev.tag()));
+        assert!(seen.is_empty());
+        assert_eq!(e.now(), SimTime::SEC * 2);
+        // The pending timer is untouched.
+        assert_eq!(e.next().map(|ev| ev.tag()), Some(3));
+        assert_eq!(e.now(), SimTime::SEC * 3);
+    }
+
+    #[test]
     fn dry_run_returns_none() {
         let mut e = Engine::new();
         assert!(e.next().is_none());
@@ -849,8 +828,7 @@ mod tests {
     #[test]
     fn cancelled_token_stops_a_timer_storm() {
         let tok = CancelToken::new();
-        let mut e = Engine::new();
-        e.set_cancel_token(Some(tok.clone()));
+        let mut e = cancel::scoped(tok.clone(), Engine::new);
         tok.cancel();
         let err = wedge_forever(&mut e).expect_err("must stop");
         match err {
@@ -867,10 +845,8 @@ mod tests {
 
     #[test]
     fn deadline_token_times_out_a_timer_storm() {
-        let mut e = Engine::new();
-        e.set_cancel_token(Some(CancelToken::with_deadline(
-            std::time::Duration::from_millis(20),
-        )));
+        let tok = CancelToken::with_deadline(std::time::Duration::from_millis(20));
+        let mut e = cancel::scoped(tok, Engine::new);
         let err = wedge_forever(&mut e).expect_err("deadline must trip");
         match err {
             EngineError::Cancelled { deadline, .. } => assert!(deadline),
@@ -896,8 +872,7 @@ mod tests {
     #[test]
     fn healthy_run_ignores_an_armed_token() {
         let tok = CancelToken::with_deadline(std::time::Duration::from_secs(3600));
-        let mut e = Engine::new();
-        e.set_cancel_token(Some(tok));
+        let mut e = cancel::scoped(tok, Engine::new);
         e.after(SimTime::SEC, 1);
         e.after(SimTime::SEC * 2, 2);
         let mut seen = Vec::new();

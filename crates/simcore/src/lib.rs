@@ -33,7 +33,7 @@ pub use cancel::CancelToken;
 pub use engine::{Engine, EngineError, Event, StallDiagnostic, TimerId};
 pub use faults::{FaultPlan, FaultPlanError, LinkDegradation, NicStall, StragglerCore};
 pub use fluid::{FlowId, FlowReport, FlowSpec, FluidNet, ReallocStats, ResourceId};
-pub use queue::{EventQueue, QueueEntry, TimingWheel};
+pub use queue::{QueueEntry, TimerQueue};
 pub use reference_paths::ReferencePaths;
 pub use rng::{JitterFamily, Pcg32, SplitMix64};
 pub use stats::{quantile, Series, SeriesPoint, Summary};

@@ -1,9 +1,8 @@
 //! Which retained reference implementations a simulation runs on.
 //!
-//! Three layers keep a slower reference twin as the differential oracle
-//! for their fast path: the from-scratch fluid solver
-//! ([`crate::fluid::reference`]), the binary-heap timer queue
-//! ([`crate::queue::HeapQueue`]) and mpisim's linear-scan message matcher.
+//! Two layers keep a slower reference twin as the differential oracle for
+//! their fast path: the from-scratch fluid solver
+//! ([`crate::fluid::reference`]) and mpisim's linear-scan message matcher.
 //! A [`ReferencePaths`] value picks them, one flag per layer; the default
 //! runs every fast path.
 //!
@@ -25,9 +24,6 @@ pub struct ReferencePaths {
     /// one-freeze-per-round loop ([`crate::fluid::reference::reallocate`])
     /// instead of incrementally.
     pub solver: bool,
-    /// Run engine timers on [`crate::queue::HeapQueue`] instead of the
-    /// timing wheel.
-    pub queue: bool,
     /// Match MPI messages with mpisim's linear scans instead of the indexed
     /// per-`(dst, src, tag)` bins.
     pub matcher: bool,
@@ -37,7 +33,6 @@ impl ReferencePaths {
     /// Every layer on its reference twin.
     pub const ALL: ReferencePaths = ReferencePaths {
         solver: true,
-        queue: true,
         matcher: true,
     };
 
@@ -49,7 +44,7 @@ impl ReferencePaths {
 
 thread_local! {
     static CURRENT: Cell<ReferencePaths> = const {
-        Cell::new(ReferencePaths { solver: false, queue: false, matcher: false })
+        Cell::new(ReferencePaths { solver: false, matcher: false })
     };
 }
 
@@ -77,16 +72,16 @@ mod tests {
     #[test]
     fn scoped_nests_and_restores() {
         assert_eq!(ReferencePaths::current(), ReferencePaths::default());
-        let queue = ReferencePaths {
-            queue: true,
+        let solver = ReferencePaths {
+            solver: true,
             ..ReferencePaths::default()
         };
-        scoped(queue, || {
-            assert_eq!(ReferencePaths::current(), queue);
+        scoped(solver, || {
+            assert_eq!(ReferencePaths::current(), solver);
             scoped(ReferencePaths::ALL, || {
                 assert_eq!(ReferencePaths::current(), ReferencePaths::ALL);
             });
-            assert_eq!(ReferencePaths::current(), queue);
+            assert_eq!(ReferencePaths::current(), solver);
         });
         assert_eq!(ReferencePaths::current(), ReferencePaths::default());
     }

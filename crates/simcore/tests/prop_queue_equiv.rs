@@ -1,21 +1,25 @@
-//! Timing-wheel vs binary-heap queue equivalence suite.
+//! Timer queue vs ordered-map model.
 //!
-//! The engine's timer queue was rewritten from a `BinaryHeap` + tombstone
-//! set to a hierarchical timing wheel; the heap implementation is retained
-//! (`queue::HeapQueue`, the `fluid::reference` pattern) as the differential
-//! oracle. Both must produce **identical** `(time, seq)` pop sequences —
+//! The engine's only timer queue is `queue::TimerQueue`, a `BinaryHeap`
+//! whose cancellations leave tombstones that are consumed lazily. These
+//! tests run it in lockstep with the obvious model of the live timers, a
+//! `BTreeMap<(deadline, seq), QueueEntry>`, and demand **identical** pops —
 //! entry for entry, including ids and tags — across any interleaving of
-//! inserts, O(1) cancellations and pops, because event order is what makes
-//! simulation output byte-stable.
+//! inserts, O(1) cancellations, stale cancellations and pops, because event
+//! order is what makes simulation output byte-stable. They also pin the
+//! accounting: `live_len` is the model's size, every stored entry is live
+//! or tombstoned, `live_entries` lists the model in `(deadline, seq)` order,
+//! and a drained queue stores nothing and holds no tombstone.
 //!
-//! Scripts drive both queues in lockstep: deadlines are scattered from the
-//! current watermark across all wheel levels (same tick, next tick, slot
-//! boundaries, far future), cancels target live entries by index, and pops
-//! advance the watermark. Case count honours `PROPTEST_CASES` (CI runs 512;
-//! the nightly long-fuzz raises it further).
+//! Deadlines are scattered from the current watermark (same tick, next
+//! tick, near ties, the far future), cancels target live entries by index,
+//! and pops advance the watermark. Case count honours `PROPTEST_CASES` (CI
+//! runs 512; the nightly long-fuzz raises it further).
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use simcore::queue::{EventQueue, HeapQueue, QueueEntry, TimingWheel};
+use simcore::queue::{QueueEntry, TimerQueue};
 use simcore::{SimTime, TimerId};
 
 /// One step of a queue script.
@@ -23,25 +27,25 @@ use simcore::{SimTime, TimerId};
 enum Op {
     /// Insert at `watermark + delta` picoseconds.
     Insert(u64),
-    /// Cancel the n-th not-yet-cancelled, not-yet-popped entry (modulo the
+    /// Cancel the n-th live entry in `(deadline, seq)` order (modulo the
     /// live count at application time).
     Cancel(usize),
-    /// Pop once from both queues and compare; advances the watermark.
+    /// Pop once from queue and model and compare; advances the watermark.
     Pop,
 }
 
-/// Deadline deltas biased to exercise every wheel level: same tick (0), the
-/// staged/level-0 region, slot and level boundaries, and the far future.
+/// Deadline deltas from equal keys (0) and near ties through
+/// power-of-two boundaries to the far future.
 fn delta() -> impl Strategy<Value = u64> {
     prop_oneof![
         Just(0u64),
         0u64..4,
         0u64..64,
-        60u64..70,     // level-0/level-1 boundary
-        0u64..4096,    // level-1 span
-        4090u64..4200, // level-1/level-2 boundary
+        60u64..70,
+        0u64..4096,
+        4090u64..4200,
         0u64..(1 << 24),
-        (1u64 << 30)..(1 << 34), // deep levels
+        (1u64 << 30)..(1 << 34),
     ]
 }
 
@@ -59,37 +63,55 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Drive both queues through one script in lockstep, comparing every pop
-/// (and the live/stored accounting) along the way, then drain both to the
-/// end and require full agreement plus zero leftover tombstones.
+/// The live timers, keyed in the order the queue must pop them.
+type Model = BTreeMap<(SimTime, u64), QueueEntry>;
+
+/// The queue's accounting and diagnostic view must match the model.
+fn assert_agrees(q: &TimerQueue, model: &Model) {
+    assert_eq!(q.live_len(), model.len(), "live accounting diverged");
+    assert_eq!(
+        q.stored_len(),
+        q.live_len() + q.outstanding_tombstones(),
+        "a stored entry is neither live nor tombstoned"
+    );
+    let want: Vec<QueueEntry> = model.values().copied().collect();
+    assert_eq!(q.live_entries(), want, "live_entries diverged");
+}
+
+/// Pop once from both and compare. Every third popped entry is then
+/// cancelled again, which must be a no-op.
+fn pop_both(q: &mut TimerQueue, model: &mut Model, watermark: &mut u64) -> Option<QueueEntry> {
+    let want = model.pop_first().map(|(_, e)| e);
+    assert_eq!(q.peek_deadline(), want.map(|e| e.deadline));
+    let got = q.pop();
+    assert_eq!(
+        got, want,
+        "queue and model popped different entries (watermark {watermark})"
+    );
+    if let Some(e) = got {
+        *watermark = e.deadline.0;
+        if e.seq % 3 == 0 {
+            let tombstones = q.outstanding_tombstones();
+            q.cancel(e.id);
+            assert_eq!(
+                q.outstanding_tombstones(),
+                tombstones,
+                "stale cancel left a tombstone"
+            );
+        }
+    }
+    assert_agrees(q, model);
+    got
+}
+
+/// Drive queue and model through one script in lockstep, comparing after
+/// every step, then drain both and require an empty queue with no
+/// tombstone left.
 fn run_script(ops: &[Op]) {
-    let mut wheel = TimingWheel::new();
-    let mut heap = HeapQueue::new();
-    let mut live: Vec<TimerId> = Vec::new();
+    let mut q = TimerQueue::new();
+    let mut model = Model::new();
     let mut watermark = 0u64;
     let mut seq = 0u64;
-
-    let pop_both = |wheel: &mut TimingWheel,
-                    heap: &mut HeapQueue,
-                    live: &mut Vec<TimerId>,
-                    watermark: &mut u64| {
-        let (a, b) = (wheel.pop(), heap.pop());
-        assert_eq!(
-            a, b,
-            "wheel and heap popped different entries (watermark {watermark})"
-        );
-        if let Some(e) = a {
-            assert!(e.deadline.0 >= *watermark, "pop went backwards");
-            *watermark = e.deadline.0;
-            live.retain(|&id| id != e.id);
-            if e.seq % 3 == 0 {
-                // Stale cancel (already fired): must be a no-op on both.
-                wheel.cancel(e.id);
-                heap.cancel(e.id);
-            }
-        }
-        assert_eq!(wheel.live_len(), heap.live_len());
-    };
 
     for o in ops {
         match o {
@@ -101,49 +123,39 @@ fn run_script(ops: &[Op]) {
                     id: TimerId::from_raw(seq),
                     tag: seq ^ 0xA5A5,
                 };
-                wheel.insert(e);
-                heap.insert(e);
-                live.push(e.id);
+                q.insert(e);
+                model.insert((e.deadline, e.seq), e);
             }
             Op::Cancel(i) => {
-                if !live.is_empty() {
-                    let id = live.remove(i % live.len());
-                    wheel.cancel(id);
-                    heap.cancel(id);
+                if !model.is_empty() {
+                    let key = *model.keys().nth(i % model.len()).expect("in range");
+                    q.cancel(model.remove(&key).expect("listed").id);
                 }
             }
-            Op::Pop => pop_both(&mut wheel, &mut heap, &mut live, &mut watermark),
+            Op::Pop => {
+                pop_both(&mut q, &mut model, &mut watermark);
+            }
         }
-        assert_eq!(wheel.live_len(), heap.live_len(), "live accounting diverged");
+        assert_agrees(&q, &model);
     }
-    // Drain: identical tails, fully consumed tombstones on both sides.
-    loop {
-        let before = wheel.live_len();
-        pop_both(&mut wheel, &mut heap, &mut live, &mut watermark);
-        if before == 0 {
-            break;
-        }
-    }
-    assert_eq!(wheel.stored_len(), 0);
-    assert_eq!(heap.stored_len(), 0);
-    assert_eq!(wheel.outstanding_tombstones(), 0, "wheel leaked tombstones");
-    assert_eq!(heap.outstanding_tombstones(), 0, "heap leaked tombstones");
+    while pop_both(&mut q, &mut model, &mut watermark).is_some() {}
+    assert_eq!(q.stored_len(), 0);
+    assert_eq!(q.outstanding_tombstones(), 0, "queue leaked tombstones");
 }
 
 proptest! {
-    /// Randomized insert/cancel/advance scripts: the timing wheel and the
-    /// retained heap reference pop the same (time, seq) sequence, entry for
-    /// entry.
+    /// Randomized insert/cancel/advance scripts: the queue pops the model's
+    /// (time, seq) sequence, entry for entry.
     #[test]
-    fn wheel_matches_heap_pop_sequence(ops in prop::collection::vec(op(), 1..120)) {
+    fn queue_matches_model_pop_sequence(ops in prop::collection::vec(op(), 1..120)) {
         run_script(&ops);
     }
 }
 
 #[test]
 fn deterministic_boundary_script() {
-    // Hand-picked corner mix: same-instant bursts, cancels at every depth,
-    // pops interleaved with re-inserts below the staged watermark.
+    // Hand-picked corner mix: same-instant bursts, cancels of the earliest
+    // and of later entries, pops interleaved with inserts at the watermark.
     let ops = vec![
         Op::Insert(0),
         Op::Insert(0),
@@ -163,27 +175,4 @@ fn deterministic_boundary_script() {
         Op::Pop,
     ];
     run_script(&ops);
-}
-
-/// The diagnostic view must agree between implementations too: stall
-/// reports name pending timers in (deadline, seq) order on both queues.
-#[test]
-fn live_entries_agree_between_queues() {
-    let mut wheel = TimingWheel::new();
-    let mut heap = HeapQueue::new();
-    for (i, t) in [500u64, 3, 70, 3, 1 << 20, 4096].iter().enumerate() {
-        let e = QueueEntry {
-            deadline: SimTime(*t),
-            seq: i as u64 + 1,
-            id: TimerId::from_raw(i as u64 + 1),
-            tag: i as u64,
-        };
-        wheel.insert(e);
-        heap.insert(e);
-    }
-    wheel.cancel(TimerId::from_raw(4));
-    heap.cancel(TimerId::from_raw(4));
-    // Stage part of the wheel so live entries span staging + slots.
-    assert_eq!(wheel.peek_deadline(), heap.peek_deadline());
-    assert_eq!(wheel.live_entries(), heap.live_entries());
 }

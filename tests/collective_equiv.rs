@@ -6,7 +6,6 @@
 //! campaign engine). These tests pin the stack's determinism guarantee at
 //! full-campaign scale: the rendered figure JSON must be byte-identical
 //!
-//! * under either engine timer queue (timing wheel vs heap reference),
 //! * on mpisim's linear-scan matcher instead of the indexed bins,
 //! * at any worker count (`--jobs 1` vs `--jobs 4`), and
 //! * across a crash-and-resume through the result store.
@@ -43,18 +42,6 @@ fn campaign_json(jobs: usize) -> String {
     .flat_map(|r| r.figures)
     .collect();
     figures_to_json(&figures)
-}
-
-/// Timing-wheel vs binary-heap timer queue: same campaign bytes.
-#[test]
-fn collective_campaign_json_identical_with_either_queue() {
-    let wheel = campaign_json(1);
-    let queue = ReferencePaths {
-        queue: true,
-        ..ReferencePaths::default()
-    };
-    let heap = reference_paths::scoped(queue, || campaign_json(1));
-    assert_identical(&wheel, &heap, "timer queue changed collective campaign output");
 }
 
 /// `--jobs 1` vs `--jobs 4`: same campaign bytes, even though the workers

@@ -2,15 +2,14 @@
 //! reference path together, and the scoping rules that make such a
 //! comparison trustworthy.
 //!
-//! Three layers keep a reference twin as their only differential oracle,
+//! Two layers keep a reference twin as their only differential oracle,
 //! picked by `simcore::ReferencePaths`: the from-scratch fluid solver
-//! (`fluid::reference`), the binary-heap timer queue (`queue::HeapQueue`)
-//! and mpisim's linear-scan matcher. Quick fig4+fig9 must export the same
-//! `--json` bytes on the fast paths as under each reference path alone and
-//! under all three together — on top of the per-layer oracles
-//! (`prop_fluid_equiv`, `prop_queue_equiv`, the matcher unit tests). The
-//! solver and queue rows live in `allocator_replay.rs` and
-//! `engine_replay.rs`; the shared replay is `support::assert_replays_identical`.
+//! (`fluid::reference`) and mpisim's linear-scan matcher. Quick fig4+fig9
+//! must export the same `--json` bytes on the fast paths as under each
+//! reference path alone and under both together — on top of the per-layer
+//! oracles (`prop_fluid_equiv`, the matcher unit tests). The solver row
+//! lives in `allocator_replay.rs`; the shared replay is
+//! `support::assert_replays_identical`.
 //!
 //! The replays run side by side, one thread each. That is sound only because
 //! a scoped value never reaches engines built on another thread, which the
@@ -69,17 +68,17 @@ fn scoped_reference_paths_stay_on_their_thread_and_survive_panics() {
     });
 
     // A panic inside a scope restores the value it replaced.
-    let queue = ReferencePaths {
-        queue: true,
+    let solver = ReferencePaths {
+        solver: true,
         ..ReferencePaths::default()
     };
-    reference_paths::scoped(queue, || {
+    reference_paths::scoped(solver, || {
         let caught = panic::catch_unwind(|| {
             reference_paths::scoped(ReferencePaths::ALL, || panic!("injected panic"))
         });
         assert!(caught.is_err());
-        assert_eq!(ReferencePaths::current(), queue);
-        assert_eq!(Engine::new().reference_paths(), queue);
+        assert_eq!(ReferencePaths::current(), solver);
+        assert_eq!(Engine::new().reference_paths(), solver);
     });
     assert_eq!(ReferencePaths::current(), ReferencePaths::default());
 }

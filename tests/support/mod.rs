@@ -247,8 +247,8 @@ pub fn assert_identical(a: &str, b: &str, what: &str) {
 /// fig4 runs the three-step protocol through mpisim clusters (message
 /// matching, timer-heavy rendezvous/eager paths, the baseline cache); fig9
 /// is the churn-heaviest experiment (polling flows and timers cancelled and
-/// restarted constantly — the dirty-component tracking and the wheel's lazy
-/// tombstones).
+/// restarted constantly — the dirty-component tracking and the timer
+/// queue's lazy tombstones).
 pub fn quick_fig4_fig9_json() -> String {
     let exps: Vec<_> = ["fig4", "fig9"]
         .iter()
