@@ -6,6 +6,19 @@
 //! kinds of events in global time order and hands back completion events
 //! tagged with opaque `u64` tags. Tags are namespaced per subsystem (high
 //! bits identify the owner) so a single driver loop can dispatch them.
+//!
+//! # Per-instant work
+//!
+//! Most instants of a polling-heavy run change no rate: a timer fires, its
+//! handler re-arms it, and every flow keeps its rate. Such an instant must
+//! still advance every flow, but it need not scan the flows for the next
+//! completion. The engine keeps a lower bound on every live flow's
+//! `remaining / rate` quotient — the value the scan minimises. Each exact
+//! scan sets it; each advance by `dt` lowers it by `dt` plus a margin that
+//! covers the advance's rounding; each reallocation drops it. While the
+//! earliest live timer is due no later than the instant the bound maps to,
+//! no flow can complete first, so the timer is the target and the scan is
+//! skipped. Debug builds re-run every skipped scan and assert that.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -174,6 +187,25 @@ pub struct Engine {
     /// Events delivered since the last wall-clock deadline check; the
     /// token flag itself is checked on every event.
     cancel_stride: u64,
+    /// Lower bound on every live flow's `remaining / rate`, the quotient
+    /// [`FluidNet::time_to_next_completion`] minimises; `+∞` when no flow
+    /// has a positive rate, `None` when unknown (after a reallocation).
+    /// See the module docs and DESIGN.md §13.6.
+    flow_bound: Option<f64>,
+    /// Exact next-completion scans run so far.
+    scans: u64,
+}
+
+/// Where the next step of the event loop lands.
+enum Next {
+    /// The earliest event is due at this instant.
+    At(SimTime),
+    /// Nothing is left that can happen: no live timer, and no flow that
+    /// can finish (or only "endless" flows whose completion horizon
+    /// saturates `SimTime`).
+    Dry,
+    /// No live timer, and active flows none of which can ever progress.
+    Stalled,
 }
 
 impl Engine {
@@ -192,6 +224,8 @@ impl Engine {
             budget: None,
             cancel: cancel::current(),
             cancel_stride: 0,
+            flow_bound: None,
+            scans: 0,
         }
     }
 
@@ -308,6 +342,8 @@ impl Engine {
     /// the incremental solver only revisits the dirty components.
     fn refresh(&mut self) {
         if self.net.is_dirty() {
+            // New rates void the completion bound.
+            self.flow_bound = None;
             let stats = self.net.reallocate();
             telemetry::counter_add("fluid.reallocs", 1);
             if stats.components > 0 {
@@ -390,6 +426,15 @@ impl Engine {
     /// naming the outstanding timers and flows. The engine state is left
     /// untouched on error, so callers can raise the budget and retry.
     pub fn try_next(&mut self) -> Result<Option<Event>, EngineError> {
+        self.step(None)
+    }
+
+    /// The event loop behind [`Engine::try_next`] and [`Engine::run_until`].
+    /// With a `limit` (never before `now`) it does not advance past it:
+    /// once nothing is left due at or before `limit`, it advances the flows
+    /// to `limit` and returns `Ok(None)` there, without a quiescence or
+    /// deadlock verdict.
+    fn step(&mut self, limit: Option<SimTime>) -> Result<Option<Event>, EngineError> {
         loop {
             // Cooperative cancellation: checked once per loop iteration so
             // both event delivery and the no-completion `continue` path
@@ -410,41 +455,27 @@ impl Engine {
             }
             self.refresh();
 
-            // Earliest live timer; the queue lazily consumes tombstones of
-            // cancelled entries as they surface.
-            let timer_deadline = self.timers.peek_deadline();
-
-            let flow_dt = self.net.time_to_next_completion();
-            let flow_deadline = flow_dt.map(|dt| {
-                // Guarantee progress: float residue can make `dt` round to
-                // zero picoseconds, which would spin the loop forever.
-                let step = SimTime::from_secs_f64(dt).max(SimTime::PS);
-                self.now.checked_add(step).unwrap_or(SimTime::MAX)
-            });
-
-            let target = match (timer_deadline, flow_deadline) {
-                // Only "endless" flows remain (background polling traffic
-                // whose completion horizon saturates SimTime): the
-                // simulation is effectively dry.
-                (None, Some(f)) if f == SimTime::MAX => {
+            // `due`: an event is due at `target` (rather than `target`
+            // being the limit).
+            let (target, due) = match (self.next_target(), limit) {
+                (Next::At(t), Some(l)) if t > l => (l, false),
+                (Next::At(t), _) => (t, true),
+                (_, Some(l)) => (l, false),
+                (Next::Dry, None) => {
                     self.assert_no_tombstones();
                     telemetry::instant(self.now, "engine", "quiesce", Lane::Engine);
                     return Ok(None);
                 }
-                (None, None) => {
-                    // Dry: if flows exist but are all stalled (rate 0), this
-                    // is a deadlock in the model — surface it loudly.
-                    if self.net.active_flows() > 0 {
-                        return Err(EngineError::Stalled(self.stall_diagnostic()));
-                    }
-                    self.assert_no_tombstones();
-                    telemetry::instant(self.now, "engine", "quiesce", Lane::Engine);
-                    return Ok(None);
+                // Flows exist but are all stalled (rate 0) and no timer
+                // will change that: a deadlock in the model — surface it
+                // loudly.
+                (Next::Stalled, None) => {
+                    return Err(EngineError::Stalled(self.stall_diagnostic()));
                 }
-                (Some(t), None) => t,
-                (None, Some(f)) => f,
-                (Some(t), Some(f)) => t.min(f),
             };
+            if !due && target == self.now {
+                return Ok(None);
+            }
 
             if let Some(budget) = self.budget {
                 if target > budget {
@@ -455,32 +486,100 @@ impl Engine {
                 }
             }
 
-            let dt = (target - self.now).as_secs_f64();
-            let done = self.net.elapse(dt);
-            self.now = target;
-            // Batch every event due at this instant into the reusable
-            // buffer: flow completions first (in flow-id order, as `elapse`
-            // reports them), then all timers sharing the instant in
-            // `(deadline, seq)` schedule order.
-            for rep in done {
-                self.pending.push_back(Event::Flow {
-                    tag: rep.tag,
-                    report: rep,
-                });
-            }
-            while let Some(d) = self.timers.peek_deadline() {
-                if d > self.now {
-                    break;
-                }
-                let e = self.timers.pop().expect("peeked a live entry");
-                self.pending.push_back(Event::Timer { tag: e.tag });
-            }
+            self.advance_to(target);
             if self.pending.is_empty() {
+                if !due {
+                    return Ok(None);
+                }
                 // Nothing completed (capacity change rescheduling, or all
                 // events cancelled) — loop again.
                 continue;
             }
             telemetry::counter_add("engine.queue.batch_instants", 1);
+        }
+    }
+
+    /// The instant of the next event: the earliest live timer or flow
+    /// completion. The exact completion scan is skipped when the flow
+    /// bound proves no flow completes before the earliest timer.
+    fn next_target(&mut self) -> Next {
+        // Earliest live timer; the queue lazily consumes tombstones of
+        // cancelled entries as they surface.
+        let timer = self.timers.peek_deadline();
+        if let (Some(t), Some(b)) = (timer, self.flow_bound) {
+            // Every quotient q >= b maps to an instant at or after
+            // `completion_instant(b)` (the map is monotone), so a timer due
+            // by then is the target whatever the scan would find.
+            if b == f64::INFINITY || t <= self.completion_instant(b) {
+                debug_assert!(
+                    self.net
+                        .time_to_next_completion()
+                        .is_none_or(|dt| self.completion_instant(dt) >= t),
+                    "flow bound {b} let a completion slip before the timer at {t:?}"
+                );
+                return Next::At(t);
+            }
+        }
+        match (timer, self.scan_completions()) {
+            // Only "endless" flows remain (background polling traffic
+            // whose completion horizon saturates SimTime): the simulation
+            // is effectively dry.
+            (None, Some(f)) if f == SimTime::MAX => Next::Dry,
+            (None, None) if self.net.active_flows() > 0 => Next::Stalled,
+            (None, None) => Next::Dry,
+            (Some(t), None) => Next::At(t),
+            (None, Some(f)) => Next::At(f),
+            (Some(t), Some(f)) => Next::At(t.min(f)),
+        }
+    }
+
+    /// The exact next-completion scan: the instant of the earliest flow
+    /// completion, if any flow has a positive rate. Resets the flow bound
+    /// to the least quotient it saw (`+∞` for none; an overflowed quotient
+    /// is held at `f64::MAX` so the bound stays finite and keeps lowering).
+    fn scan_completions(&mut self) -> Option<SimTime> {
+        self.scans += 1;
+        let dt = self.net.time_to_next_completion();
+        self.flow_bound = Some(dt.map_or(f64::INFINITY, |q| q.min(f64::MAX)));
+        dt.map(|dt| self.completion_instant(dt))
+    }
+
+    /// The instant a completion `dt` seconds away lands on.
+    fn completion_instant(&self, dt: f64) -> SimTime {
+        // Guarantee progress: float residue can make `dt` round to zero
+        // picoseconds, which would spin the loop forever.
+        let step = SimTime::from_secs_f64(dt).max(SimTime::PS);
+        self.now.checked_add(step).unwrap_or(SimTime::MAX)
+    }
+
+    /// Advance every flow to `target` and batch every event due there:
+    /// flow completions first (in flow-id order, as `elapse` reports them),
+    /// then all timers sharing the instant in `(deadline, seq)` schedule
+    /// order, into the reusable buffer.
+    fn advance_to(&mut self, target: SimTime) {
+        let dt = (target - self.now).as_secs_f64();
+        let done = self.net.elapse(dt);
+        // Each quotient q becomes at least (q - dt) less the rounding of the
+        // decrement and the divide, at most 3·2⁻⁵³·(q + dt); the margin is
+        // some 3000 times that. Flows that finished only raise the minimum.
+        if let Some(b) = self.flow_bound.as_mut() {
+            if b.is_finite() {
+                *b = (*b - dt) - 1e-12 * (b.abs() + dt);
+            }
+        }
+        self.now = target;
+        for rep in done {
+            self.pending.push_back(Event::Flow {
+                tag: rep.tag,
+                report: rep,
+            });
+        }
+        while let Some(d) = self.timers.peek_deadline() {
+            if d > self.now {
+                break;
+            }
+            let e = self.timers.pop().expect("peeked a live entry");
+            self.pending.push_back(Event::Timer { tag: e.tag });
         }
     }
 
@@ -515,38 +614,24 @@ impl Engine {
         Ok(())
     }
 
-    /// Run until the given deadline (events at exactly `deadline` included).
-    /// A deadline already in the past delivers nothing and leaves `now`
-    /// unchanged.
+    /// Run until the given deadline (events at exactly `deadline` included,
+    /// also those handlers schedule there), then advance every flow to the
+    /// deadline. A deadline already in the past delivers nothing and leaves
+    /// `now` unchanged.
+    ///
+    /// Panics where [`Engine::next`] would.
     pub fn run_until<F: FnMut(&mut Engine, Event)>(&mut self, deadline: SimTime, mut handler: F) {
-        while let Some(ev) = self.peek_deadline(deadline) {
-            handler(self, ev);
-        }
-        if self.now < deadline {
-            self.now = deadline;
-        }
-    }
-
-    /// Internal: like `next` but never advances past `deadline`.
-    fn peek_deadline(&mut self, deadline: SimTime) -> Option<Event> {
         if deadline < self.now {
-            return None;
+            return;
         }
-        // Cheap approach: schedule a sentinel timer at the deadline.
-        const SENTINEL: u64 = u64::MAX;
-        let id = self.at(deadline, SENTINEL);
-        let ev = self.next();
-        match ev {
-            Some(Event::Timer { tag: SENTINEL }) => None,
-            Some(other) => {
-                self.cancel_timer(id);
-                Some(other)
-            }
-            None => {
-                self.cancel_timer(id);
-                None
+        loop {
+            match self.step(Some(deadline)) {
+                Ok(Some(ev)) => handler(self, ev),
+                Ok(None) => break,
+                Err(e) => panic!("{}", e),
             }
         }
+        debug_assert_eq!(self.now, deadline);
     }
 }
 
@@ -712,6 +797,133 @@ mod tests {
         // The pending timer is untouched.
         assert_eq!(e.next().map(|ev| ev.tag()), Some(3));
         assert_eq!(e.now(), SimTime::SEC * 3);
+    }
+
+    #[test]
+    fn run_until_delivers_an_event_due_at_the_deadline_and_leaves_nothing_queued() {
+        let mut e = Engine::new();
+        e.after(SimTime::SEC * 2, 2);
+        e.after(SimTime::SEC * 5, 5);
+        let mut seen = Vec::new();
+        e.run_until(SimTime::SEC * 2, |eng, ev| seen.push((eng.now(), ev.tag())));
+        assert_eq!(seen, vec![(SimTime::SEC * 2, 2)]);
+        assert_eq!(e.now(), SimTime::SEC * 2);
+        // The next event is the later timer, not a leftover stop marker.
+        assert_eq!(e.next().map(|ev| ev.tag()), Some(5));
+        assert_eq!(e.now(), SimTime::SEC * 5);
+        assert!(e.next().is_none());
+    }
+
+    #[test]
+    fn run_until_delivers_timers_handlers_schedule_at_the_deadline() {
+        let mut e = Engine::new();
+        e.after(SimTime::SEC, 1);
+        e.after(SimTime::SEC * 2, 2);
+        let mut seen = Vec::new();
+        e.run_until(SimTime::SEC * 2, |eng, ev| {
+            seen.push((eng.now(), ev.tag()));
+            match ev.tag() {
+                // Before the deadline, for the deadline.
+                1 => {
+                    eng.at(SimTime::SEC * 2, 10);
+                }
+                // At the deadline, for the same instant.
+                2 => {
+                    eng.after(SimTime::ZERO, 20);
+                }
+                _ => {}
+            }
+        });
+        let at = SimTime::SEC * 2;
+        assert_eq!(seen, vec![(SimTime::SEC, 1), (at, 2), (at, 10), (at, 20)]);
+        assert!(e.next().is_none());
+        assert_eq!(e.now(), at);
+    }
+
+    #[test]
+    fn run_until_advances_flows_to_the_deadline() {
+        let mut e = Engine::new();
+        let r = e.add_resource("bus", 10.0);
+        let spec = |volume, tag| FlowSpec {
+            path: vec![r],
+            volume,
+            weight: 1.0,
+            cap: None,
+            tag,
+        };
+        let long = e.start_flow(spec(100.0, 1));
+        e.start_flow(spec(10.0, 2));
+        let mut seen = Vec::new();
+        // The short flow finishes at 2 s (5 units/s each); the long one
+        // then runs alone at 10 units/s.
+        e.run_until(SimTime::SEC * 3, |eng, ev| seen.push((eng.now(), ev.tag())));
+        assert_eq!(seen, vec![(SimTime::SEC * 2, 2)]);
+        assert_eq!(e.now(), SimTime::SEC * 3);
+        assert!((e.delivered(r) - 30.0).abs() < 1e-9);
+        let rep = e.cancel_flow(long).expect("still running");
+        assert!((rep.remaining - 80.0).abs() < 1e-9, "{}", rep.remaining);
+        assert!((rep.elapsed - 3.0).abs() < 1e-12);
+    }
+
+    /// Polling-heavy runs change no rate on most instants: 64 flows share
+    /// one resource, each polled every 10 µs until it completes. Only the
+    /// instants near a completion may pay for the exact scan.
+    #[test]
+    fn poll_instants_skip_the_completion_scan() {
+        const POLL_TAG: u64 = 1 << 32;
+        let mut e = Engine::new();
+        let r = e.add_resource("fabric", 64e9);
+        for i in 0..64u64 {
+            e.start_flow(FlowSpec {
+                path: vec![r],
+                volume: 1e6 * (1.0 + i as f64 / 8.0),
+                weight: 1.0,
+                cap: None,
+                tag: i,
+            });
+            // Distinct phases, so most instants hold a single timer.
+            e.after(SimTime::from_micros(10) + SimTime(i * 97_003), POLL_TAG + i);
+        }
+        let mut live = [true; 64];
+        let mut instants = 0u64;
+        let mut completion_instants = 0u64;
+        let (mut last, mut last_completion) = (None, None);
+        e.run(|eng, ev| {
+            let now = eng.now();
+            if last != Some(now) {
+                last = Some(now);
+                instants += 1;
+            }
+            match ev {
+                Event::Flow { tag, .. } => {
+                    live[tag as usize] = false;
+                    if last_completion != Some(now) {
+                        last_completion = Some(now);
+                        completion_instants += 1;
+                    }
+                }
+                Event::Timer { tag } => {
+                    if live[(tag - POLL_TAG) as usize] {
+                        eng.after(SimTime::from_micros(10), tag);
+                    }
+                }
+            }
+        });
+        assert!(live.iter().all(|&l| !l));
+        // One reallocation up front, then one per completion instant.
+        let reallocs = 1 + completion_instants;
+        assert!(
+            e.scans <= 3 * reallocs,
+            "{} exact scans for {} reallocations",
+            e.scans,
+            reallocs
+        );
+        assert!(
+            e.scans * 20 < instants,
+            "{} exact scans over {} instants",
+            e.scans,
+            instants
+        );
     }
 
     #[test]

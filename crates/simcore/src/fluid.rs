@@ -51,6 +51,19 @@
 //! equality matters: completion times derive from rates, so even a 1-ulp
 //! drift would eventually flip picosecond event ordering and break
 //! golden-trace and `--json` byte-stability.
+//!
+//! # Advancing time
+//!
+//! [`FluidNet::elapse`] walks whole columns rather than a list of live
+//! flows: a free slot holds rate 0 and remaining +∞, so it never moves or
+//! finishes, and no live-slot order has to be kept up to date. The finish
+//! test rides the decrement, and stall accounting runs only while a capped
+//! flow is live. Per resource, `allocated` and its utilization are cached
+//! in columns written where an allocation or a capacity changes, so the
+//! `delivered` and `busy_integral` integrals advance without a divide.
+//! [`FluidNet::time_to_next_completion`] scans the same columns; the engine
+//! runs it only when a timer does not provably come first (DESIGN.md
+//! §13.6).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -77,13 +90,53 @@ pub(crate) struct Resource {
     pub name: String,
     /// Capacity in units/s (typically bytes/s or cycles/s).
     pub capacity: f64,
-    /// Cumulative units delivered through this resource.
-    pub delivered: f64,
+}
+
+/// Per-resource accounting in structure-of-arrays layout, indexed by
+/// [`ResourceId`]. `util` caches the utilization of `allocated` under the
+/// current capacity; [`ResourceCols::set_allocated`] and
+/// [`FluidNet::set_capacity`] rewrite it in place, so
+/// [`FluidNet::elapse`] integrates every resource without a divide.
+#[derive(Default)]
+struct ResourceCols {
+    /// Current total allocated rate (written by every re-solve).
+    allocated: Vec<f64>,
+    /// [`utilization`] of `allocated` under the resource's capacity.
+    util: Vec<f64>,
+    /// Cumulative units delivered through each resource.
+    delivered: Vec<f64>,
     /// Integral of utilization over time (seconds of 100 % use); divide by
     /// elapsed time for mean utilization.
-    pub busy_integral: f64,
-    /// Current total allocated rate (refreshed on every reallocation).
-    pub allocated: f64,
+    busy_integral: Vec<f64>,
+}
+
+impl ResourceCols {
+    fn push(&mut self) {
+        self.allocated.push(0.0);
+        self.util.push(0.0);
+        self.delivered.push(0.0);
+        self.busy_integral.push(0.0);
+    }
+
+    fn set_allocated(&mut self, r: usize, allocated: f64, capacity: f64) {
+        self.allocated[r] = allocated;
+        self.util[r] = utilization(allocated, capacity);
+    }
+}
+
+/// Utilization in [0,1] of a resource carrying `allocated` units/s: a
+/// zero-capacity resource counts as fully busy while anything is allocated
+/// to it.
+fn utilization(allocated: f64, capacity: f64) -> f64 {
+    if capacity <= 0.0 {
+        if allocated > 0.0 {
+            1.0
+        } else {
+            0.0
+        }
+    } else {
+        (allocated / capacity).min(1.0)
+    }
 }
 
 /// Parameters for starting a flow.
@@ -104,19 +157,24 @@ pub struct FlowSpec {
 
 /// Structure-of-arrays flow slab: every per-flow field lives in its own
 /// contiguous vector, all indexed by slot number. The solver's inner loops
-/// (weight re-sums, cap scans, rate write-back) and `elapse`'s per-flow
-/// update walk flat `f64` arrays instead of chasing per-flow allocations.
+/// (weight re-sums, cap scans, rate write-back) walk flat `f64` arrays
+/// instead of chasing per-flow allocations, and `elapse` and the
+/// next-completion scan walk whole columns, free slots included.
 /// Freed slots are reused via `FluidNet::free`; `id[slot] == FREE_SLOT`
-/// marks a free slot (ids themselves are never reused).
+/// marks a free slot (ids themselves are never reused), and a free slot
+/// holds rate 0, remaining +∞ and no cap, so a column walk never advances,
+/// finishes or stall-accounts it.
 #[derive(Default)]
 pub(crate) struct FlowArena {
     /// FlowId.0 of the slot's occupant, or [`FREE_SLOT`].
     pub id: Vec<u64>,
     /// Resources crossed, in path order (may contain duplicates).
     pub path: Vec<Vec<ResourceId>>,
+    /// Units left; +∞ in a free slot.
     pub remaining: Vec<f64>,
     pub weight: Vec<f64>,
     pub cap: Vec<Option<f64>>,
+    /// Allocated rate; 0 in a free slot.
     pub rate: Vec<f64>,
     pub tag: Vec<u64>,
     /// Seconds spent rate-limited below the cap (memory-stall accounting).
@@ -129,8 +187,7 @@ pub(crate) struct FlowArena {
 pub(crate) const FREE_SLOT: u64 = u64::MAX;
 
 impl FlowArena {
-    /// Number of slots (live + free). Only the scratch-rebuild reference
-    /// solver needs this; the incremental path tracks live slots via `order`.
+    /// Number of slots (live + free).
     fn len(&self) -> usize {
         self.id.len()
     }
@@ -139,7 +196,7 @@ impl FlowArena {
     fn push_free(&mut self) -> u32 {
         self.id.push(FREE_SLOT);
         self.path.push(Vec::new());
-        self.remaining.push(0.0);
+        self.remaining.push(f64::INFINITY);
         self.weight.push(0.0);
         self.cap.push(None);
         self.rate.push(0.0);
@@ -171,15 +228,17 @@ pub struct FluidNet {
     /// [`FluidNet::reallocate`] then delegates to [`reference::reallocate`].
     reference: bool,
     resources: Vec<Resource>,
+    /// Allocation and accounting columns, indexed like `resources`.
+    res: ResourceCols,
     /// Flow slab in structure-of-arrays layout; freed slots are reused via
     /// `free`. Slot numbers are meaningless outside this struct — flows are
     /// addressed by [`FlowId`].
     arena: FlowArena,
     free: Vec<u32>,
-    /// FlowId.0 → slot.
+    /// FlowId.0 → slot; its length is the number of live flows.
     index: HashMap<u64, u32>,
-    /// Live slots in ascending [`FlowId`] order (deterministic iteration).
-    order: Vec<u32>,
+    /// Live flows with a cap (stall accounting runs only while nonzero).
+    capped: usize,
     /// Inverse index: `members[r]` = slots of flows whose path crosses `r`,
     /// each listed once, in ascending [`FlowId`] order.
     members: Vec<Vec<u32>>,
@@ -232,10 +291,11 @@ impl FluidNet {
         FluidNet {
             reference: ReferencePaths::current().solver,
             resources: Vec::new(),
+            res: ResourceCols::default(),
             arena: FlowArena::default(),
             free: Vec::new(),
             index: HashMap::new(),
-            order: Vec::new(),
+            capped: 0,
             members: Vec::new(),
             res_dirty: Vec::new(),
             dirty_list: Vec::new(),
@@ -255,10 +315,8 @@ impl FluidNet {
         self.resources.push(Resource {
             name: name.into(),
             capacity,
-            delivered: 0.0,
-            busy_integral: 0.0,
-            allocated: 0.0,
         });
+        self.res.push();
         self.members.push(Vec::new());
         self.res_dirty.push(false);
         self.res_mark.push(0);
@@ -274,9 +332,12 @@ impl FluidNet {
     /// Change a resource's capacity (frequency scaling). Marks allocation dirty.
     pub fn set_capacity(&mut self, r: ResourceId, capacity: f64) {
         assert!(capacity >= 0.0 && capacity.is_finite(), "bad capacity");
-        let res = &mut self.resources[r.index()];
-        if res.capacity != capacity {
-            res.capacity = capacity;
+        let ri = r.index();
+        if self.resources[ri].capacity != capacity {
+            self.resources[ri].capacity = capacity;
+            // The allocation stays until the next re-solve; its utilization
+            // follows the new capacity at once.
+            self.res.util[ri] = utilization(self.res.allocated[ri], capacity);
             mark_res(&mut self.res_dirty, &mut self.dirty_list, r);
             self.dirty = true;
         }
@@ -284,21 +345,12 @@ impl FluidNet {
 
     /// Current total allocated rate on a resource (after the last realloc).
     pub fn allocated(&self, r: ResourceId) -> f64 {
-        self.resources[r.index()].allocated
+        self.res.allocated[r.index()]
     }
 
     /// Utilization in [0,1] given current allocation.
     pub fn utilization(&self, r: ResourceId) -> f64 {
-        let res = &self.resources[r.index()];
-        if res.capacity <= 0.0 {
-            if res.allocated > 0.0 {
-                1.0
-            } else {
-                0.0
-            }
-        } else {
-            (res.allocated / res.capacity).min(1.0)
-        }
+        self.res.util[r.index()]
     }
 
     /// *Demand-side* pressure on a resource: sum of what flows crossing it
@@ -316,12 +368,12 @@ impl FluidNet {
 
     /// Cumulative units delivered through a resource.
     pub fn delivered(&self, r: ResourceId) -> f64 {
-        self.resources[r.index()].delivered
+        self.res.delivered[r.index()]
     }
 
     /// Integral of utilization (seconds at 100 %).
     pub fn busy_integral(&self, r: ResourceId) -> f64 {
-        self.resources[r.index()].busy_integral
+        self.res.busy_integral[r.index()]
     }
 
     /// Start a flow; the allocation is recomputed lazily.
@@ -366,7 +418,7 @@ impl FluidNet {
         self.arena.tag[si] = spec.tag;
         self.arena.stalled[si] = 0.0;
         self.arena.elapsed[si] = 0.0;
-        self.order.push(slot);
+        self.capped += usize::from(spec.cap.is_some());
         self.index.insert(id.0, slot);
         self.dirty = true;
         id
@@ -383,6 +435,8 @@ impl FluidNet {
         };
         let si = slot as usize;
         if self.arena.cap[si] != cap {
+            self.capped = self.capped + usize::from(cap.is_some())
+                - usize::from(self.arena.cap[si].is_some());
             self.arena.cap[si] = cap;
             for &r in &self.arena.path[si] {
                 mark_res(&mut self.res_dirty, &mut self.dirty_list, r);
@@ -391,10 +445,11 @@ impl FluidNet {
         }
     }
 
-    /// Unlink `slot` from the index, inverse index and iteration order,
-    /// marking its path dirty. The slot must be live. Returns the flow's
-    /// report with its actual remaining volume (completions overwrite it
-    /// with 0). The slot's path buffer is kept for reuse.
+    /// Unlink `slot` from the index and inverse index, marking its path
+    /// dirty, and park it as a free slot (rate 0, remaining +∞, no cap).
+    /// The slot must be live. Returns the flow's report with its actual
+    /// remaining volume (completions overwrite it with 0). The slot's path
+    /// buffer is kept for reuse.
     fn detach_slot(&mut self, slot: u32) -> FlowReport {
         let si = slot as usize;
         let path = std::mem::take(&mut self.arena.path[si]);
@@ -408,23 +463,22 @@ impl FluidNet {
                 m.remove(p);
             }
         }
-        let ids = &self.arena.id;
-        let p = self
-            .order
-            .binary_search_by_key(&id, |&s| ids[s as usize])
-            .expect("live flow in order");
-        self.order.remove(p);
-        self.arena.path[si] = path;
-        self.arena.id[si] = FREE_SLOT;
+        let a = &mut self.arena;
+        let report = FlowReport {
+            tag: a.tag[si],
+            elapsed: a.elapsed[si],
+            stalled: a.stalled[si],
+            remaining: a.remaining[si],
+        };
+        a.path[si] = path;
+        a.id[si] = FREE_SLOT;
+        a.rate[si] = 0.0;
+        a.remaining[si] = f64::INFINITY;
+        self.capped -= usize::from(a.cap[si].take().is_some());
         self.index.remove(&id);
         self.free.push(slot);
         self.dirty = true;
-        FlowReport {
-            tag: self.arena.tag[si],
-            elapsed: self.arena.elapsed[si],
-            stalled: self.arena.stalled[si],
-            remaining: self.arena.remaining[si],
-        }
+        report
     }
 
     /// Remove a flow before completion; returns its report if it existed.
@@ -441,7 +495,15 @@ impl FluidNet {
 
     /// Number of active flows.
     pub fn active_flows(&self) -> usize {
-        self.order.len()
+        self.index.len()
+    }
+
+    /// Live slots in ascending [`FlowId`] order, sorted on demand: only
+    /// diagnostics and the reference solver iterate flows by id.
+    fn live_slots(&self) -> Vec<u32> {
+        let mut live: Vec<u32> = self.index.values().copied().collect();
+        live.sort_unstable_by_key(|&s| self.arena.id[s as usize]);
+        live
     }
 
     /// True if the allocation must be recomputed before use.
@@ -500,7 +562,8 @@ impl FluidNet {
             }
             if comp_slots.is_empty() {
                 // Dirty resource with no flows left: just clear its allocation.
-                self.resources[seed as usize].allocated = 0.0;
+                let s = seed as usize;
+                self.res.set_allocated(s, 0.0, self.resources[s].capacity);
                 continue;
             }
             // Canonical order (BFS discovery order is traversal-dependent).
@@ -515,7 +578,14 @@ impl FluidNet {
             let sol =
                 solve_region(&self.resources, &self.arena, &self.res_local, &comp_res, &comp_slots);
             stats.waterfill += u64::from(sol.waterfill);
-            apply_region(&mut self.resources, &mut self.arena, &comp_res, &comp_slots, &sol);
+            apply_region(
+                &self.resources,
+                &mut self.res,
+                &mut self.arena,
+                &comp_res,
+                &comp_slots,
+                &sol,
+            );
         }
         stats
     }
@@ -528,32 +598,48 @@ impl FluidNet {
     pub fn elapse(&mut self, dt: f64) -> Vec<FlowReport> {
         debug_assert!(dt >= 0.0);
         if dt > 0.0 {
-            for res in &mut self.resources {
-                res.delivered += res.allocated * dt;
-                if res.capacity > 0.0 {
-                    res.busy_integral += (res.allocated / res.capacity).min(1.0) * dt;
-                } else if res.allocated > 0.0 {
-                    res.busy_integral += dt;
-                }
+            let c = &mut self.res;
+            for (d, &a) in c.delivered.iter_mut().zip(&c.allocated) {
+                *d += a * dt;
+            }
+            for (b, &u) in c.busy_integral.iter_mut().zip(&c.util) {
+                *b += u * dt;
             }
         }
-        let mut finished: Vec<u32> = Vec::new();
+        // Whole columns, free slots included: they hold rate 0, remaining
+        // +∞ and no cap, so nothing below moves or finishes them.
         let a = &mut self.arena;
-        for &s in &self.order {
-            let si = s as usize;
-            a.elapsed[si] += dt;
-            let rate = a.rate[si];
-            if let Some(c) = a.cap[si] {
-                if rate < c * (1.0 - 1e-9) {
-                    a.stalled[si] += dt * (1.0 - rate / c).clamp(0.0, 1.0);
+        if self.capped > 0 {
+            for ((stalled, &rate), cap) in a.stalled.iter_mut().zip(&a.rate).zip(&a.cap) {
+                if let Some(c) = *cap {
+                    if rate < c * (1.0 - 1e-9) {
+                        *stalled += dt * (1.0 - rate / c).clamp(0.0, 1.0);
+                    }
                 }
             }
-            a.remaining[si] -= rate * dt;
-            // Tolerate float fuzz: treat within 1e-6 units as done.
-            if a.remaining[si] <= 1e-6 {
-                finished.push(s);
-            }
         }
+        // The finish test rides the decrement as a count, which keeps the
+        // loop branch-free; only an instant that finishes a flow walks the
+        // column again to list them.
+        let mut finishing = 0usize;
+        let cols = a
+            .elapsed
+            .iter_mut()
+            .zip(a.remaining.iter_mut())
+            .zip(&a.rate);
+        for ((elapsed, remaining), &rate) in cols {
+            *elapsed += dt;
+            *remaining -= rate * dt;
+            // Tolerate float fuzz: treat within 1e-6 units as done.
+            finishing += usize::from(*remaining <= 1e-6);
+        }
+        if finishing == 0 {
+            return Vec::new();
+        }
+        let mut finished: Vec<u32> = (0..a.len() as u32)
+            .filter(|&s| a.remaining[s as usize] <= 1e-6)
+            .collect();
+        finished.sort_unstable_by_key(|&s| a.id[s as usize]);
         let mut done = Vec::with_capacity(finished.len());
         for &s in &finished {
             let mut rep = self.detach_slot(s);
@@ -566,22 +652,25 @@ impl FluidNet {
     /// Snapshot of every active flow as `(tag, remaining, rate)`, in id
     /// order. Used by the engine's stall diagnostics.
     pub fn flow_snapshots(&self) -> Vec<(u64, f64, f64)> {
-        self.order
-            .iter()
-            .map(|&s| {
+        self.live_slots()
+            .into_iter()
+            .map(|s| {
                 let si = s as usize;
                 (self.arena.tag[si], self.arena.remaining[si], self.arena.rate[si])
             })
             .collect()
     }
 
-    /// Seconds until the earliest flow completion at current rates.
+    /// Seconds until the earliest flow completion at current rates: the
+    /// least `remaining / rate` over flows with a positive rate (free slots
+    /// have rate 0).
     pub fn time_to_next_completion(&self) -> Option<f64> {
-        self.order
+        let a = &self.arena;
+        a.rate
             .iter()
-            .map(|&s| s as usize)
-            .filter(|&si| self.arena.rate[si] > 0.0)
-            .map(|si| self.arena.remaining[si] / self.arena.rate[si])
+            .zip(&a.remaining)
+            .filter(|&(&rate, _)| rate > 0.0)
+            .map(|(&rate, &remaining)| remaining / rate)
             .min_by(|a, b| a.partial_cmp(b).expect("finite"))
     }
 }
@@ -922,17 +1011,19 @@ fn solve_general(
     }
 }
 
-/// Write a solved component back: rates on the flows, allocation totals on
-/// the component's resources.
+/// Write a solved component back: rates on the flows, allocation totals
+/// (and their utilization) on the component's resources.
 fn apply_region(
-    resources: &mut [Resource],
+    resources: &[Resource],
+    cols: &mut ResourceCols,
     arena: &mut FlowArena,
     comp_res: &[u32],
     comp_slots: &[u32],
     sol: &RegionSolution,
 ) {
     for (lr, &r) in comp_res.iter().enumerate() {
-        resources[r as usize].allocated = sol.alloc[lr];
+        let r = r as usize;
+        cols.set_allocated(r, sol.alloc[lr], resources[r].capacity);
     }
     for (i, &s) in comp_slots.iter().enumerate() {
         arena.rate[s as usize] = sol.rate[i];
@@ -960,15 +1051,14 @@ pub mod reference {
             *d = false;
         }
         net.dirty_list.clear();
-        for r in &mut net.resources {
-            r.allocated = 0.0;
+        for (r, res) in net.resources.iter().enumerate() {
+            net.res.set_allocated(r, 0.0, res.capacity);
         }
         let n = net.resources.len();
-        // Live slots in ascending id order, independent of `net.order`.
-        // (Hash-iteration order is immediately canonicalized by the sort —
-        // determinism policy, DESIGN.md §13.)
-        let mut live: Vec<u32> = net.index.values().copied().collect();
-        live.sort_unstable_by_key(|&s| net.arena.id[s as usize]);
+        // Live slots in ascending id order. (Hash-iteration order is
+        // immediately canonicalized by the sort — determinism policy,
+        // DESIGN.md §13.)
+        let live = net.live_slots();
         // Adjacency rebuilt from paths alone.
         let mut members: Vec<Vec<u32>> = vec![Vec::new(); n];
         for &s in &live {
@@ -1017,7 +1107,14 @@ pub mod reference {
             stats.flows_visited += comp_slots.len() as u64;
             let sol = solve_region(&net.resources, &net.arena, &comp_res, &comp_slots);
             stats.waterfill += u64::from(sol.waterfill);
-            apply_region(&mut net.resources, &mut net.arena, &comp_res, &comp_slots, &sol);
+            apply_region(
+                &net.resources,
+                &mut net.res,
+                &mut net.arena,
+                &comp_res,
+                &comp_slots,
+                &sol,
+            );
         }
         stats
     }
@@ -1210,15 +1307,15 @@ pub mod reference {
 
 impl fmt::Debug for FluidNet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "FluidNet ({} resources, {} flows)", self.resources.len(), self.order.len())?;
+        writeln!(f, "FluidNet ({} resources, {} flows)", self.resources.len(), self.index.len())?;
         for (i, r) in self.resources.iter().enumerate() {
             writeln!(
                 f,
                 "  R{} {}: cap {:.3e} alloc {:.3e}",
-                i, r.name, r.capacity, r.allocated
+                i, r.name, r.capacity, self.res.allocated[i]
             )?;
         }
-        for &s in &self.order {
+        for s in self.live_slots() {
             let si = s as usize;
             writeln!(
                 f,
