@@ -26,10 +26,11 @@
 //! `--validate` runs the simcheck validation campaign instead of the paper
 //! figures: closed-form oracles on every cluster preset, metamorphic
 //! invariants over random fluid scenarios, and the differential scenario
-//! fuzzer (`--fuzz-budget N` overrides the scenario count; failing scripts
-//! are shrunk and printed, and also written to `$SIMCHECK_FAILURE_DIR` when
-//! that variable is set). Like every other run, a failing check exits 1 —
-//! `scripts/verify.sh` and CI gate on it.
+//! fuzzer (`--fuzz-budget N` overrides the scenario count and is a usage
+//! error without `--validate`; failing scripts are shrunk and printed, and
+//! also written to `$SIMCHECK_FAILURE_DIR` when that variable is set).
+//! Like every other run, a failing check exits 1 — `scripts/verify.sh` and
+//! CI gate on it.
 //!
 //! `--trace FILE` enables the deterministic telemetry layer and writes the
 //! merged campaign journal as Chrome trace-event JSON — open it in
@@ -128,6 +129,7 @@ fn main() {
     let mut resume = false;
     let mut timeout: Option<Duration> = None;
     let mut allow_partial = false;
+    let mut fuzz_budget: Option<usize> = None;
     let mut list = false;
     let mut select: Option<String> = None;
     let mut only: Vec<String> = Vec::new();
@@ -178,14 +180,12 @@ fn main() {
             "--allow-partial" => allow_partial = true,
             "--fuzz-budget" => {
                 i += 1;
-                let n: usize = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
-                // The validation plan reads the budget from the environment
-                // so plan() and run_point() agree on the chunking.
-                std::env::set_var("SIMCHECK_FUZZ_BUDGET", n.to_string());
+                fuzz_budget = Some(
+                    args.get(i)
+                        .and_then(|s| s.parse().ok())
+                        .filter(|&n| n >= 1)
+                        .unwrap_or_else(|| usage()),
+                );
             }
             flag @ ("--all" | "--ext" | "--validate" | "--predict-check" | "--fig" | "--table"
             | "--only") => {
@@ -226,6 +226,10 @@ fn main() {
         eprintln!("--resume requires --store DIR");
         usage();
     }
+    if fuzz_budget.is_some() && select.as_deref() != Some("validate") {
+        eprintln!("--fuzz-budget requires --validate");
+        usage();
+    }
 
     let store = store_dir.as_ref().map(|dir| {
         ResultStore::open(dir).unwrap_or_else(|e| {
@@ -234,7 +238,8 @@ fn main() {
         })
     });
 
-    let exps = selected_experiments(select.as_deref(), &only);
+    let validate = experiments::validation::Validate { fuzz_budget };
+    let exps = selected_experiments(select.as_deref(), &only, &validate);
     let opts = CampaignOptions::new(fidelity, jobs)
         .with_telemetry(trace_path.is_some())
         .with_timeout(timeout);
@@ -329,8 +334,13 @@ fn main() {
     }
 }
 
-/// Resolve the CLI selection to registry entries.
-fn selected_experiments(select: Option<&str>, only: &[String]) -> Vec<&'static dyn Experiment> {
+/// Resolve the CLI selection to registry entries; `--validate` runs
+/// `validate`, which carries the `--fuzz-budget` value.
+fn selected_experiments<'a>(
+    select: Option<&str>,
+    only: &[String],
+    validate: &'a dyn Experiment,
+) -> Vec<&'a dyn Experiment> {
     if !only.is_empty() {
         return only
             .iter()
@@ -345,10 +355,7 @@ fn selected_experiments(select: Option<&str>, only: &[String]) -> Vec<&'static d
     match select {
         None => experiments::PAPER_EXPERIMENTS.to_vec(),
         Some("ext") => experiments::EXTENSION_EXPERIMENTS.to_vec(),
-        Some("validate") => vec![
-            experiments::VALIDATION_EXPERIMENT,
-            predict::accuracy::ACCURACY_EXPERIMENT,
-        ],
+        Some("validate") => vec![validate, predict::accuracy::ACCURACY_EXPERIMENT],
         Some("predict-check") => vec![predict::accuracy::ACCURACY_EXPERIMENT],
         Some(name) => match experiments::find(name) {
             Some(e) => vec![e],

@@ -14,11 +14,17 @@
 //! serial one. Memoized baselines use a seed derived from their cache key
 //! ([`baseline_seed`]) for the same reason.
 //!
-//! **Crash-proofness.** Every point runs under PR 1's
-//! [`crate::runner::guarded`] (catch_unwind + quiet panic hook); a failed
-//! point is retried once on a fresh [`crate::runner::retry_seed`] and
-//! otherwise recorded as [`RunStatus::Failed`] so the remaining points
+//! **Crash-proofness.** Every point runs under the [`crate::runner`]
+//! policy: [`crate::runner::guarded`] (catch_unwind + quiet panic hook); a
+//! failed point is retried once on a fresh [`crate::runner::retry_seed`]
+//! and otherwise recorded as [`RunStatus::Failed`] so the remaining points
 //! still reach `finalize`.
+//!
+//! **Entry points.** This module is the only way to run an experiment:
+//! [`run_experiment`] for one, [`run_set`] for a campaign of several,
+//! [`run_set_with_report`] and [`run_set_with_store`] for the campaign
+//! report and the result store, and [`run_outcomes_with_store`] for the raw
+//! point outcomes without figure assembly.
 //!
 //! **Baseline memoization.** The protocol's "alone" steps do not depend on
 //! most sweep variables (communication alone is the same measurement at
@@ -278,41 +284,18 @@ impl BaselineCache {
     /// on first use. Nested calls (a cached value that itself needs another
     /// baseline) are fine as long as keys do not form a cycle.
     ///
+    /// An `Err` from `f` is returned to the caller but **never memoized** —
+    /// the slot stays empty and the next requester computes afresh. This
+    /// matters under per-point deadlines: a baseline compute cancelled by
+    /// one point's timeout must not poison the shared cache and fail every
+    /// later point that shares the baseline.
+    ///
     /// Computation runs under [`telemetry::isolate`]: *which* sweep point
     /// happens to populate a shared slot is a scheduling race under
     /// `--jobs N`, so a baseline's internal events must never land in any
     /// point's journal — they are recorded into a per-key journal instead
     /// (see [`BaselineCache::take_journals`]), whose content depends only on
     /// the key.
-    pub fn get_or_compute<T, F>(&self, key: &str, f: F) -> Arc<T>
-    where
-        T: Any + Send + Sync,
-        F: FnOnce(u64) -> T,
-    {
-        let v = self
-            .fetch_or_run(key, || {
-                let (v, journal) = telemetry::isolate(|| {
-                    Arc::new(f(baseline_seed(key))) as Arc<dyn Any + Send + Sync>
-                });
-                if let Some(j) = journal {
-                    self.journals
-                        .lock()
-                        .expect("baseline journals poisoned")
-                        .insert(key.to_string(), j);
-                }
-                Ok(v)
-            })
-            .expect("infallible baseline compute");
-        v.downcast::<T>()
-            .unwrap_or_else(|_| panic!("baseline cache type mismatch for key {:?}", key))
-    }
-
-    /// Fallible variant of [`BaselineCache::get_or_compute`]: an `Err` from
-    /// `f` is returned to the caller but **never memoized** — the slot
-    /// stays empty and the next requester computes afresh. This matters
-    /// under per-point deadlines: a baseline compute cancelled by one
-    /// point's timeout must not poison the shared cache and fail every
-    /// later point that shares the baseline.
     pub fn get_or_compute_result<T, F>(&self, key: &str, f: F) -> Result<Arc<T>, String>
     where
         T: Any + Send + Sync,
@@ -350,16 +333,6 @@ impl BaselineCache {
     /// Lookups that actually ran the compute closure.
     pub fn computed(&self) -> u64 {
         self.computed.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct baselines computed so far.
-    pub fn len(&self) -> usize {
-        self.slots.lock().expect("baseline cache poisoned").len()
-    }
-
-    /// True when nothing has been memoized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -871,23 +844,6 @@ pub fn run_experiment(exp: &dyn Experiment, opts: &CampaignOptions) -> Experimen
         .expect("one experiment in, one run out")
 }
 
-/// Execute only the sweep points of one experiment, serially, returning the
-/// raw outcomes — for callers that post-process points without the figure
-/// assembly (e.g. `table1::rows`). Honours [`CampaignOptions::telemetry`];
-/// `jobs` is ignored (points execute on the calling thread).
-pub fn run_points_with(exp: &dyn Experiment, opts: &CampaignOptions) -> Vec<PointOutcome> {
-    let cache = BaselineCache::new();
-    exp.plan(opts.fidelity)
-        .iter()
-        .map(|p| execute_point(exp, p, opts, &cache, None))
-        .collect()
-}
-
-/// [`run_points_with`] at the given fidelity with telemetry off.
-pub fn run_points(exp: &dyn Experiment, fidelity: Fidelity) -> Vec<PointOutcome> {
-    run_points_with(exp, &CampaignOptions::serial(fidelity))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1093,7 +1049,8 @@ mod tests {
     fn first_attempt_timeout_is_terminal() {
         let opts = CampaignOptions::serial(Fidelity::Quick)
             .with_timeout(Some(Duration::from_millis(30)));
-        let outcomes = run_points_with(&Wedger { wedge_on_retry: false }, &opts);
+        let wedger = Wedger { wedge_on_retry: false };
+        let outcomes = run_outcomes_with_store(&wedger, &opts, None);
         assert_eq!(outcomes.len(), 1);
         match &outcomes[0].status {
             RunStatus::TimedOut { error } => {
@@ -1114,7 +1071,8 @@ mod tests {
         let opts = CampaignOptions::serial(Fidelity::Quick)
             .with_timeout(Some(Duration::from_millis(30)));
         let run_once = || {
-            let outcomes = run_points_with(&Wedger { wedge_on_retry: true }, &opts);
+            let wedger = Wedger { wedge_on_retry: true };
+            let outcomes = run_outcomes_with_store(&wedger, &opts, None);
             let o = &outcomes[0];
             (o.seed, o.status.label(), o.status.error().map(str::to_owned))
         };
@@ -1243,17 +1201,17 @@ mod tests {
     #[test]
     fn baseline_cache_computes_once_per_key() {
         let cache = BaselineCache::new();
-        let mut calls = 0;
-        let a = cache.get_or_compute("k", |seed| {
-            calls += 1;
-            seed
-        });
-        let b = cache.get_or_compute("k", |_| unreachable!("memoized"));
+        let a: Arc<u64> = cache.get_or_compute_result("k", Ok).expect("computes");
+        let b: Arc<u64> = cache
+            .get_or_compute_result("k", |_| unreachable!("memoized"))
+            .expect("memoized");
         assert_eq!(*a, *b);
         assert_eq!(*a, baseline_seed("k"));
-        assert_eq!(calls, 1);
-        assert_eq!(cache.len(), 1);
-        assert!(!cache.is_empty());
+        assert_eq!((cache.calls(), cache.computed()), (2, 1));
+        // A second key is a second compute.
+        let c: Arc<u64> = cache.get_or_compute_result("k2", Ok).expect("computes");
+        assert_eq!(*c, baseline_seed("k2"));
+        assert_eq!((cache.calls(), cache.computed()), (3, 2));
     }
 
     #[test]
@@ -1272,19 +1230,24 @@ mod tests {
             .get_or_compute_result("k", |_| Err("must not recompute".into()))
             .expect("memoized");
         assert_eq!(*again, *v);
-        assert_eq!(cache.computed(), 2, "one failed + one successful compute");
+        assert_eq!(
+            (cache.calls(), cache.computed()),
+            (3, 2),
+            "one failed + one successful compute, then a hit"
+        );
     }
 
     #[test]
     fn baseline_cache_recovers_from_a_panicked_compute() {
         let cache = BaselineCache::new();
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.get_or_compute::<u64, _>("k", |_| panic!("compute exploded"))
+            cache.get_or_compute_result::<u64, _>("k", |_| panic!("compute exploded"))
         }));
         assert!(panicked.is_err());
         // The slot reverted to empty: a later requester computes cleanly.
-        let v = cache.get_or_compute("k", |seed| seed);
+        let v: Arc<u64> = cache.get_or_compute_result("k", Ok).expect("computes");
         assert_eq!(*v, baseline_seed("k"));
+        assert_eq!((cache.calls(), cache.computed()), (2, 2));
     }
 
     /// Sweep points that all share one memoized baseline whose compute

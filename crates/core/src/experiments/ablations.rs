@@ -274,20 +274,14 @@ impl Experiment for Ablations {
     }
 }
 
-/// Run all ablations.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&Ablations, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick;
 
     #[test]
     fn ablations_quick_pass_checks() {
-        let f = run(Fidelity::Quick);
+        let f = quick(&Ablations).remove(0);
         for c in &f.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }

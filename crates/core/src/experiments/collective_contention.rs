@@ -420,16 +420,10 @@ impl Experiment for CollectiveContention {
     }
 }
 
-/// Run the collective-contention study.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&CollectiveContention, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick;
 
     #[test]
     fn configs_pair_alone_with_contended() {
@@ -453,7 +447,7 @@ mod tests {
 
     #[test]
     fn collective_contention_quick_passes_checks() {
-        let f = run(Fidelity::Quick);
+        let f = quick(&CollectiveContention).remove(0);
         for c in &f.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }

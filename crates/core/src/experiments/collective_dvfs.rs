@@ -186,20 +186,14 @@ impl Experiment for CollectiveDvfs {
     }
 }
 
-/// Run the collective-DVFS study.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&CollectiveDvfs, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick;
 
     #[test]
     fn collective_dvfs_quick_passes_checks() {
-        let f = run(Fidelity::Quick);
+        let f = quick(&CollectiveDvfs).remove(0);
         for c in &f.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }

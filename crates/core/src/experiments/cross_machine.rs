@@ -234,20 +234,14 @@ impl Experiment for CrossMachine {
     }
 }
 
-/// Run the cross-machine validation.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&CrossMachine, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick;
 
     #[test]
     fn cross_machine_quick_passes_checks() {
-        let f = run(Fidelity::Quick);
+        let f = quick(&CrossMachine).remove(0);
         for c in &f.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }

@@ -6,13 +6,13 @@
 //! probability; each lost CTS costs the sender one retransmission timeout,
 //! so latency inflates and the per-send profiler records the retry work.
 //!
-//! Each sweep point itself runs through the crash-proof runner
-//! ([`crate::runner`]) — the campaign engine's own per-point guard nests
-//! around it. In the demo point, one repetition's first attempt
-//! deliberately panics (it must recover on a retry seed) and one
-//! repetition runs under a total CTS black-out (it must fail cleanly after
-//! exhausting retransmissions, without hanging, while the surviving
-//! repetitions still produce the median/decile bands).
+//! Each repetition inside a sweep point runs under the same retry policy
+//! the campaign engine applies to whole points ([`crate::runner`]), and
+//! the engine's per-point guard nests around it. In the demo point, one
+//! repetition's first attempt deliberately panics (it must recover on a
+//! retry seed) and one repetition runs under a total CTS black-out (it must
+//! fail cleanly after exhausting retransmissions, without hanging, while
+//! the surviving repetitions still produce the median/decile bands).
 
 use mpisim::pingpong::{self, PingPongConfig};
 use mpisim::Cluster;
@@ -88,14 +88,61 @@ fn run_rep(
     Ok(out)
 }
 
-/// Inner-campaign result of one drop-probability sweep point.
+/// One repetition's export record, plus its latency when an attempt
+/// produced data.
+struct Rep {
+    run: RunOutcome,
+    lat_us: Option<f64>,
+}
+
+/// Run `reps` repetitions crash-proof. Rep `r` runs `attempt(r, base + r)`
+/// under [`runner::guarded`]; a failed attempt is retried once on
+/// [`runner::retry_seed`]`(base, r)` ([`runner::with_retry`]). A rep whose
+/// retry also fails is recorded as failed and carries no latency, so the
+/// bands come from the survivors.
+fn run_reps(
+    reps: u32,
+    base: u64,
+    mut attempt: impl FnMut(u32, u64) -> Result<RepOutcome, mpisim::ClusterError>,
+) -> Vec<Rep> {
+    (0..reps)
+        .map(|rep| {
+            let (seed, status, value) = runner::with_retry(
+                base.wrapping_add(rep as u64),
+                runner::retry_seed(base, rep),
+                |seed| {
+                    runner::guarded(|| attempt(rep, seed))
+                        .map_err(|error| RunStatus::Failed { error })
+                },
+            );
+            let mut run = RunOutcome {
+                rep,
+                seed,
+                status: status.label(),
+                error: status.error().map(str::to_owned),
+                ..Default::default()
+            };
+            if let Some(v) = &value {
+                run.retries = v.retries;
+                run.retrans_bytes = v.retrans_bytes;
+                run.retry_wait_s = v.retry_wait_s;
+            }
+            Rep {
+                run,
+                lat_us: value.map(|v| v.lat_us),
+            }
+        })
+        .collect()
+}
+
+/// Result of one drop-probability sweep point.
 struct SweepOut {
     lats: Vec<f64>,
     rets: Vec<f64>,
     failures: usize,
 }
 
-/// Inner-campaign result of the crash/black-out demo point.
+/// Result of the crash/black-out demo point.
 struct DemoOut {
     lats: Vec<f64>,
     recovered: bool,
@@ -144,20 +191,24 @@ impl Experiment for FaultedPingpong {
         if point.index < PROBS.len() {
             let p = PROBS[point.index];
             let base = FaultPlan::new(ctx.seed).with_cts_drop(p);
-            let inner = runner::run_campaign(reps, ctx.seed, |rep, seed| {
+            let sweep = run_reps(reps, ctx.seed, |rep, seed| {
                 let plan = FaultPlan { seed, ..base.clone() };
                 run_rep(pp, &plan, seed, rep as u64)
             });
             Ok(Box::new(SweepOut {
-                lats: inner.values.iter().map(|(_, v)| v.lat_us).collect(),
-                rets: inner.values.iter().map(|(_, v)| v.retries as f64).collect(),
-                failures: inner.failed(),
+                lats: sweep.iter().filter_map(|r| r.lat_us).collect(),
+                rets: sweep
+                    .iter()
+                    .filter(|r| r.lat_us.is_some())
+                    .map(|r| r.run.retries as f64)
+                    .collect(),
+                failures: sweep.iter().filter(|r| r.lat_us.is_none()).count(),
             }))
         } else {
             let demo_plan = FaultPlan::new(ctx.seed).with_cts_drop(0.25);
             let blackout_plan = FaultPlan::new(ctx.seed).with_cts_drop(1.0);
             let mut crash_attempts = 0u32;
-            let demo = runner::run_campaign(reps, ctx.seed, |rep, seed| {
+            let demo = run_reps(reps, ctx.seed, |rep, seed| {
                 if rep == CRASH_REP {
                     crash_attempts += 1;
                     if crash_attempts == 1 {
@@ -168,30 +219,15 @@ impl Experiment for FaultedPingpong {
                 let plan = FaultPlan { seed, ..base.clone() };
                 run_rep(pp, &plan, seed, rep as u64)
             });
-
-            // Enrich the per-rep outcomes with the retry work of the reps
-            // that produced data.
-            let mut runs = demo.outcomes();
-            for (rep, v) in &demo.values {
-                let r = &mut runs[*rep as usize];
-                r.retries = v.retries;
-                r.retrans_bytes = v.retrans_bytes;
-                r.retry_wait_s = v.retry_wait_s;
-            }
+            let crash_status = demo[CRASH_REP as usize].run.status;
             Ok(Box::new(DemoOut {
-                lats: demo.values.iter().map(|(_, v)| v.lat_us).collect(),
-                recovered: matches!(
-                    demo.records[CRASH_REP as usize].status,
-                    RunStatus::Recovered { .. }
-                ),
-                crash_status: demo.records[CRASH_REP as usize].status.label(),
+                lats: demo.iter().filter_map(|r| r.lat_us).collect(),
+                recovered: crash_status == "recovered",
+                crash_status,
                 crash_attempts,
-                blackout_failed: matches!(
-                    demo.records[BLACKOUT_REP as usize].status,
-                    RunStatus::Failed { .. }
-                ),
-                partial: demo.is_partial(),
-                runs,
+                blackout_failed: demo[BLACKOUT_REP as usize].run.status == "failed",
+                partial: demo.iter().any(|r| r.lat_us.is_none()),
+                runs: demo.into_iter().map(|r| r.run).collect(),
             }))
         }
     }
@@ -350,20 +386,14 @@ impl Experiment for FaultedPingpong {
     }
 }
 
-/// Run the faulted ping-pong figure.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&FaultedPingpong, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick;
 
     #[test]
     fn faulted_pingpong_quick_passes_checks() {
-        let f = run(Fidelity::Quick);
+        let f = quick(&FaultedPingpong).remove(0);
         for c in &f.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }
@@ -381,6 +411,17 @@ mod tests {
             "{:?}",
             failed.error
         );
+        // Rep r's first attempt runs on the demo point's seed + r; a
+        // recovered or failed rep reports the seed of its retry.
+        let s = campaign::point_seed("faulted_pingpong", PROBS.len());
+        for r in &f.runs {
+            let want = match r.status {
+                "ok" => s.wrapping_add(r.rep as u64),
+                "recovered" | "failed" => runner::retry_seed(s, r.rep),
+                other => panic!("unexpected status {:?}", other),
+            };
+            assert_eq!(r.seed, want, "rep {} ({})", r.rep, r.status);
+        }
         // JSON export surfaces the retries.
         let json = crate::results::figure_to_json(&f);
         assert!(json.contains("\"runs\":[{\"rep\":0"));

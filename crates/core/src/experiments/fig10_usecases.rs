@@ -209,18 +209,14 @@ impl Experiment for Fig10 {
     }
 }
 
-/// Run Figure 10 (returns `[fig10-bw, fig10-stalls]`).
-pub fn run(fidelity: Fidelity) -> Vec<FigureData> {
-    campaign::run_experiment(&Fig10, &campaign::CampaignOptions::serial(fidelity)).figures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick;
 
     #[test]
     fn fig10_quick_passes_checks() {
-        let figs = run(Fidelity::Quick);
+        let figs = quick(&Fig10);
         assert_eq!(figs.len(), 2);
         for f in &figs {
             for c in &f.checks {

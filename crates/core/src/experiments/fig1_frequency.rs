@@ -221,18 +221,14 @@ impl Experiment for Fig1 {
     }
 }
 
-/// Run Figure 1 (returns `[fig1a, fig1b]`).
-pub fn run(fidelity: Fidelity) -> Vec<FigureData> {
-    campaign::run_experiment(&Fig1, &campaign::CampaignOptions::serial(fidelity)).figures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick;
 
     #[test]
     fn fig1_quick_passes_checks() {
-        let figs = run(Fidelity::Quick);
+        let figs = quick(&Fig1);
         assert_eq!(figs.len(), 2);
         for f in &figs {
             for c in &f.checks {

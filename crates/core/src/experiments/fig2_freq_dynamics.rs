@@ -211,13 +211,6 @@ impl Experiment for Fig2 {
     }
 }
 
-/// Run Figure 2.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&Fig2, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
-}
-
 /// Measured frequency snapshot used by examples: (comm, compute, idle) GHz
 /// during phase (C).
 pub fn phase_c_frequencies() -> (f64, f64, f64) {
@@ -247,10 +240,11 @@ pub fn phase_c_frequencies() -> (f64, f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick;
 
     #[test]
     fn fig2_quick_passes_checks() {
-        let f = run(Fidelity::Quick);
+        let f = quick(&Fig2).remove(0);
         for c in &f.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }

@@ -263,18 +263,14 @@ impl Experiment for Fig3 {
     }
 }
 
-/// Run Figure 3 (returns `[fig3a, fig3bc]`).
-pub fn run(fidelity: Fidelity) -> Vec<FigureData> {
-    campaign::run_experiment(&Fig3, &campaign::CampaignOptions::serial(fidelity)).figures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick;
 
     #[test]
     fn fig3_quick_passes_checks() {
-        let figs = run(Fidelity::Quick);
+        let figs = quick(&Fig3);
         assert_eq!(figs.len(), 2);
         for f in &figs {
             for c in &f.checks {

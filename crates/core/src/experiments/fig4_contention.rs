@@ -215,18 +215,14 @@ impl Experiment for Fig4 {
     }
 }
 
-/// Run Figure 4 (returns `[fig4a latency, fig4b bandwidth]`).
-pub fn run(fidelity: Fidelity) -> Vec<FigureData> {
-    campaign::run_experiment(&Fig4, &campaign::CampaignOptions::serial(fidelity)).figures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick;
 
     #[test]
     fn fig4_quick_passes_checks() {
-        let figs = run(Fidelity::Quick);
+        let figs = quick(&Fig4);
         assert_eq!(figs.len(), 2);
         for f in &figs {
             for c in &f.checks {

@@ -210,18 +210,14 @@ impl Experiment for Fig5 {
     }
 }
 
-/// Run Figure 5 (returns one `FigureData` for latency, one for bandwidth).
-pub fn run(fidelity: Fidelity) -> Vec<FigureData> {
-    campaign::run_experiment(&Fig5, &campaign::CampaignOptions::serial(fidelity)).figures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick;
 
     #[test]
     fn fig5_quick_passes_checks() {
-        let figs = run(Fidelity::Quick);
+        let figs = quick(&Fig5);
         assert_eq!(figs.len(), 2);
         for f in &figs {
             for c in &f.checks {

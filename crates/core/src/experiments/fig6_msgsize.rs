@@ -234,20 +234,16 @@ fn onset(series: &Series, rel: f64) -> Option<f64> {
         .map(|p| p.x)
 }
 
-/// Run Figure 6 (returns `[fig6a 5 cores, fig6b 35 cores]`).
-pub fn run(fidelity: Fidelity) -> Vec<FigureData> {
-    campaign::run_experiment(&Fig6, &campaign::CampaignOptions::serial(fidelity)).figures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick;
 
     #[test]
     fn fig6_quick_runs() {
         // Quick fidelity thins the size sweep to the endpoints, so onsets
         // are coarse; only assert that the sweep produces sane ratios.
-        let figs = run(Fidelity::Quick);
+        let figs = quick(&Fig6);
         assert_eq!(figs.len(), 2);
         for f in &figs {
             for s in &f.series {

@@ -306,18 +306,14 @@ impl Experiment for Fig7 {
     }
 }
 
-/// Run Figure 7 (returns `[fig7a latency, fig7b bandwidth]`).
-pub fn run(fidelity: Fidelity) -> Vec<FigureData> {
-    campaign::run_experiment(&Fig7, &campaign::CampaignOptions::serial(fidelity)).figures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick;
 
     #[test]
     fn fig7_quick_passes_checks() {
-        let figs = run(Fidelity::Quick);
+        let figs = quick(&Fig7);
         assert_eq!(figs.len(), 2);
         for f in &figs {
             for c in &f.checks {

@@ -199,20 +199,14 @@ impl Experiment for Fig8 {
     }
 }
 
-/// Run Figure 8.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&Fig8, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick;
 
     #[test]
     fn fig8_quick_passes_checks() {
-        let f = run(Fidelity::Quick);
+        let f = quick(&Fig8).remove(0);
         for c in &f.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }

@@ -174,20 +174,14 @@ impl Experiment for Fig9 {
     }
 }
 
-/// Run Figure 9.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&Fig9, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick;
 
     #[test]
     fn fig9_quick_passes_checks() {
-        let f = run(Fidelity::Quick);
+        let f = quick(&Fig9).remove(0);
         for c in &f.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }

@@ -8,11 +8,11 @@
 //! `paper_campaign` benchmark workload), `Quick` thins sweeps and
 //! repetitions for tests.
 //!
-//! The per-module `run(fidelity)` helpers are thin wrappers over
-//! [`crate::campaign::run_experiment`]; whole-suite campaigns go through
-//! [`run_all`] / [`run_extensions`] or, with explicit options (parallel
-//! workers, shared baseline cache), [`crate::campaign::run_set`] over
-//! [`PAPER_EXPERIMENTS`] / [`EXTENSION_EXPERIMENTS`].
+//! Drivers are run only through the campaign engine: one experiment with
+//! [`crate::campaign::run_experiment`], a suite with
+//! [`crate::campaign::run_set`] (and its report/store variants) over
+//! [`PAPER_EXPERIMENTS`] / [`EXTENSION_EXPERIMENTS`], or raw point outcomes
+//! with [`crate::campaign::run_outcomes_with_store`].
 
 pub mod ablations;
 pub mod collective_contention;
@@ -35,8 +35,7 @@ pub mod harvest;
 pub mod table1;
 pub mod validation;
 
-use crate::campaign::{self, CampaignOptions, Experiment};
-use crate::report::FigureData;
+use crate::campaign::Experiment;
 
 /// Sweep density / repetition selector.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -109,7 +108,7 @@ impl Fidelity {
     }
 }
 
-/// The paper's figures and table, in `run_all` (= figure) order.
+/// The paper's figures and table, in figure order (`repro --all`).
 pub static PAPER_EXPERIMENTS: &[&dyn Experiment] = &[
     &fig1_frequency::Fig1,
     &fig2_freq_dynamics::Fig2,
@@ -124,7 +123,7 @@ pub static PAPER_EXPERIMENTS: &[&dyn Experiment] = &[
     &fig10_usecases::Fig10,
 ];
 
-/// The extension studies (not paper figures), in `run_extensions` order.
+/// The extension studies (not paper figures), in `repro --ext` order.
 pub static EXTENSION_EXPERIMENTS: &[&dyn Experiment] = &[
     &cross_machine::CrossMachine,
     &ablations::Ablations,
@@ -151,35 +150,24 @@ pub fn find(name: &str) -> Option<&'static dyn Experiment> {
 /// The validation campaign (`repro --validate`). Deliberately *outside*
 /// the registries: `--all` reproduces the paper, validation interrogates
 /// the simulator itself (see [`validation`]).
-pub static VALIDATION_EXPERIMENT: &dyn Experiment = &validation::Validate;
+pub static VALIDATION_EXPERIMENT: &dyn Experiment = &validation::Validate { fuzz_budget: None };
 
 /// The predictor's training-pair harvest (`repro predict` pipelines).
 /// Outside the registries for the same reason as validation: it feeds the
 /// placement advisor rather than reproducing a paper figure.
 pub static HARVEST_EXPERIMENT: &dyn Experiment = &harvest::Harvest { filter: None };
 
-/// Run every figure driver on henri at the given fidelity. Used by the
-/// repro binary's `--all` mode and by the end-to-end integration test.
-pub fn run_all(fidelity: Fidelity) -> Vec<FigureData> {
-    campaign::run_set(PAPER_EXPERIMENTS, &CampaignOptions::serial(fidelity))
-        .into_iter()
-        .flat_map(|r| r.figures)
-        .collect()
-}
-
-/// Run the extension experiments (cross-machine validation, model
-/// ablations, overlap study and the fault-injection demo) — not paper
-/// figures, but the studies DESIGN.md promises.
-pub fn run_extensions(fidelity: Fidelity) -> Vec<FigureData> {
-    campaign::run_set(EXTENSION_EXPERIMENTS, &CampaignOptions::serial(fidelity))
-        .into_iter()
-        .flat_map(|r| r.figures)
-        .collect()
-}
-
 /// Standard message-size sweep (powers of four, 4 B – 64 MiB).
 pub fn size_sweep() -> Vec<usize> {
     (0..=12).map(|i| 4usize << (2 * i)).collect()
+}
+
+/// Run one experiment serially at Quick fidelity and return its figures:
+/// the drivers' unit tests go through the campaign engine this way.
+#[cfg(test)]
+pub(crate) fn quick(exp: &dyn Experiment) -> Vec<crate::report::FigureData> {
+    let opts = crate::campaign::CampaignOptions::serial(Fidelity::Quick);
+    crate::campaign::run_experiment(exp, &opts).figures
 }
 
 #[cfg(test)]

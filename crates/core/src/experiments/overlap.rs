@@ -237,16 +237,10 @@ impl Experiment for Overlap {
     }
 }
 
-/// Run the overlap study across message sizes and intensities.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&Overlap, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick;
 
     #[test]
     fn ratio_bounds() {
@@ -258,7 +252,7 @@ mod tests {
 
     #[test]
     fn overlap_quick_passes_checks() {
-        let f = run(Fidelity::Quick);
+        let f = quick(&Overlap).remove(0);
         for c in &f.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }

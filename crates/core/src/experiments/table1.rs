@@ -8,7 +8,7 @@ use simcore::Series;
 use topology::{henri, Placement};
 
 use super::contention::{core_sweep, measure, series_for, ContentionPoint, Metric};
-use crate::campaign::{self, expect_value, Experiment, PointCtx, PointOutcome, PointValue, SweepPoint};
+use crate::campaign::{expect_value, Experiment, PointCtx, PointOutcome, PointValue, SweepPoint};
 use crate::experiments::Fidelity;
 use crate::report::{Check, FigureData};
 
@@ -19,18 +19,17 @@ fn cores(fidelity: Fidelity) -> Vec<usize> {
 }
 
 /// One derived row of Table 1.
-#[derive(Clone, Debug)]
-pub struct TableRow {
+struct TableRow {
     /// Placement label.
-    pub label: &'static str,
+    label: &'static str,
     /// Latency inflation factor at full occupancy.
-    pub lat_factor: f64,
+    lat_factor: f64,
     /// 10 %-degradation onset of the latency curve (computing cores).
-    pub lat_onset: Option<f64>,
+    lat_onset: Option<f64>,
     /// Bandwidth loss at full occupancy, fraction.
-    pub bw_loss: f64,
+    bw_loss: f64,
     /// 10 %-degradation onset of the bandwidth curve.
-    pub bw_onset: Option<f64>,
+    bw_onset: Option<f64>,
 }
 
 fn rows_from(fidelity: Fidelity, points: &[PointOutcome]) -> Vec<TableRow> {
@@ -64,11 +63,6 @@ fn rows_from(fidelity: Fidelity, points: &[PointOutcome]) -> Vec<TableRow> {
             }
         })
         .collect()
-}
-
-/// Compute the rows (standalone serial campaign).
-pub fn rows(fidelity: Fidelity) -> Vec<TableRow> {
-    rows_from(fidelity, &campaign::run_points(&Table1, fidelity))
 }
 
 /// Registry driver for Table 1 (same plan as Figure 5; every point shared
@@ -179,20 +173,14 @@ impl Experiment for Table1 {
     }
 }
 
-/// Run Table 1.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&Table1, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick;
 
     #[test]
     fn table1_quick_passes_checks() {
-        let t = run(Fidelity::Quick);
+        let t = quick(&Table1).remove(0);
         for c in &t.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }

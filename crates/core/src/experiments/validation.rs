@@ -17,10 +17,10 @@
 //!   spread scenario replay across workers, plus one point differentially
 //!   fuzzing random collective schedules against a sequential reference.
 //!
-//! The fuzz budget defaults to `Full`: 200 / `Quick`: 60 scenarios and can
-//! be overridden with `--fuzz-budget N` (plumbed through the
-//! `SIMCHECK_FUZZ_BUDGET` environment variable so the plan and the points
-//! agree on the chunking). When `SIMCHECK_FAILURE_DIR` is set, every
+//! The fuzz budget defaults to `Full`: 200 / `Quick`: 60 scenarios;
+//! [`Validate::fuzz_budget`] overrides it (`repro --validate --fuzz-budget
+//! N` sets the field), and `plan` and `run_point` both read it, so they
+//! agree on the chunking. When `SIMCHECK_FAILURE_DIR` is set, every
 //! shrunk failing script is also written there as a file — the nightly
 //! long-fuzz workflow uploads that directory as an artifact.
 
@@ -52,24 +52,23 @@ fn coll_fuzz_count(fidelity: Fidelity) -> usize {
     fidelity.choose(24, 6)
 }
 
-/// Total fuzz budget: `SIMCHECK_FUZZ_BUDGET` override or the fidelity
-/// default. Read identically from `plan` and `run_point` so the chunking
-/// is consistent within a campaign.
-fn fuzz_budget(fidelity: Fidelity) -> usize {
-    std::env::var("SIMCHECK_FUZZ_BUDGET")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| fidelity.choose(200, 60))
-}
-
-fn fuzz_chunks(fidelity: Fidelity) -> usize {
-    fuzz_budget(fidelity).div_ceil(FUZZ_CHUNK)
-}
-
 /// The validation campaign driver (`repro --validate`).
-pub struct Validate;
+pub struct Validate {
+    /// Differential fuzz scenario count; `None` takes the fidelity default
+    /// (`Full`: 200, `Quick`: 60).
+    pub fuzz_budget: Option<usize>,
+}
 
 impl Validate {
+    /// Total fuzz budget: the override or the fidelity default.
+    fn fuzz_budget(&self, fidelity: Fidelity) -> usize {
+        self.fuzz_budget.unwrap_or_else(|| fidelity.choose(200, 60))
+    }
+
+    fn fuzz_chunks(&self, fidelity: Fidelity) -> usize {
+        self.fuzz_budget(fidelity).div_ceil(FUZZ_CHUNK)
+    }
+
     fn oracle_points() -> usize {
         Preset::clusters().len() * oracles::OracleKind::ALL.len()
     }
@@ -92,8 +91,8 @@ impl Validate {
     }
 
     /// Index of the single collective-fuzz point (the campaign's last).
-    fn coll_fuzz_index(fidelity: Fidelity) -> usize {
-        Self::fuzz_base(fidelity) + fuzz_chunks(fidelity)
+    fn coll_fuzz_index(&self, fidelity: Fidelity) -> usize {
+        Self::fuzz_base(fidelity) + self.fuzz_chunks(fidelity)
     }
 }
 
@@ -140,8 +139,8 @@ impl Experiment for Validate {
                 ),
             ));
         }
-        let budget = fuzz_budget(fidelity);
-        for c in 0..fuzz_chunks(fidelity) {
+        let budget = self.fuzz_budget(fidelity);
+        for c in 0..self.fuzz_chunks(fidelity) {
             let n = FUZZ_CHUNK.min(budget - c * FUZZ_CHUNK);
             plan.push(SweepPoint::new(
                 plan.len(),
@@ -177,14 +176,14 @@ impl Experiment for Validate {
             let inv = collective::CollectiveInvariant::ALL
                 [point.index - Self::coll_meta_base(ctx.fidelity)];
             vec![inv.check(ctx.seed, coll_meta_count(ctx.fidelity))]
-        } else if point.index == Self::coll_fuzz_index(ctx.fidelity) {
+        } else if point.index == self.coll_fuzz_index(ctx.fidelity) {
             vec![collective::fuzz_collectives(
                 ctx.seed,
                 coll_fuzz_count(ctx.fidelity),
             )]
         } else {
             let chunk = point.index - Self::fuzz_base(ctx.fidelity);
-            let budget = fuzz_budget(ctx.fidelity);
+            let budget = self.fuzz_budget(ctx.fidelity);
             let n = FUZZ_CHUNK.min(budget - chunk * FUZZ_CHUNK);
             let report = fuzz::run(ctx.seed, n, &GenConfig::default());
             if let Ok(dir) = std::env::var("SIMCHECK_FAILURE_DIR") {
@@ -283,20 +282,14 @@ impl Experiment for Validate {
     }
 }
 
-/// Run the validation campaign serially at the given fidelity.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&Validate, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::quick;
 
     #[test]
     fn quick_validation_passes_every_check() {
-        let f = run(Fidelity::Quick);
+        let f = quick(&Validate { fuzz_budget: None }).remove(0);
         for c in &f.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }
@@ -306,17 +299,20 @@ mod tests {
     }
 
     #[test]
-    fn plan_respects_fuzz_budget_env() {
-        // Serialized via the campaign engine elsewhere; here just exercise
-        // the chunk arithmetic.
-        let plan = Validate.plan(Fidelity::Quick);
-        // The last point is the collective fuzz; the fluid chunks sit
-        // between fuzz_base and it.
-        let fuzz_points = plan.len() - 1 - Validate::fuzz_base(Fidelity::Quick);
-        assert_eq!(fuzz_points, fuzz_budget(Fidelity::Quick).div_ceil(FUZZ_CHUNK));
-        assert_eq!(
-            Validate::coll_fuzz_index(Fidelity::Quick),
-            plan.len() - 1
-        );
+    fn plan_chunks_the_fuzz_budget() {
+        // The fluid chunks sit between fuzz_base and the last point (the
+        // collective fuzz); the last chunk's label carries the chunk count
+        // and the remainder.
+        for (fuzz_budget, last_chunk) in [
+            (None, "differential fuzz chunk 1 (10 scenarios)"),
+            (Some(100), "differential fuzz chunk 1 (50 scenarios)"),
+            (Some(120), "differential fuzz chunk 2 (20 scenarios)"),
+        ] {
+            let v = Validate { fuzz_budget };
+            let plan = v.plan(Fidelity::Quick);
+            let coll = v.coll_fuzz_index(Fidelity::Quick);
+            assert_eq!(coll, plan.len() - 1);
+            assert_eq!(plan[coll - 1].label, last_chunk);
+        }
     }
 }

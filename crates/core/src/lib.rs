@@ -12,9 +12,12 @@
 //!   the [`campaign::Experiment`] trait and returning
 //!   [`report::FigureData`] with the simulated series, the paper's
 //!   reference findings and automated qualitative checks;
-//! * [`campaign`] — the declarative campaign engine: sweep plans,
-//!   deterministic per-point seeding, a worker pool, per-point
-//!   crash-proofing, timeouts and baseline memoization;
+//! * [`campaign`] — the declarative campaign engine and the one way to run
+//!   an experiment: sweep plans, deterministic per-point seeding, a worker
+//!   pool, per-point crash-proofing, timeouts and baseline memoization;
+//! * [`runner`] — the retry policy the engine applies to every point (and
+//!   the faulted ping-pong to every repetition): guarded attempts, one
+//!   retry on a derived seed, a structured [`RunStatus`];
 //! * [`store`] — the content-addressed on-disk result store behind
 //!   `repro --store/--resume`: atomic writes, checksummed entries,
 //!   corruption quarantine;
@@ -41,5 +44,5 @@ pub mod store;
 
 pub use protocol::{ProtocolConfig, ProtocolError, RepMetrics, StepResults};
 pub use report::{Check, FigureData, RunOutcome};
-pub use runner::{run_campaign, Campaign, RunRecord, RunStatus};
+pub use runner::RunStatus;
 pub use store::{atomic_write, Lookup, ResultStore, StoreStats};

@@ -390,8 +390,10 @@ pub fn run(cfg: &ProtocolConfig) -> StepResults {
 
 /// Fallible [`run`]: an invalid configuration or a repetition that wedges,
 /// dries up or loses a transfer permanently comes back as
-/// [`ProtocolError`] instead of a panic. Use [`crate::runner`] to keep a
-/// campaign going across such failures.
+/// [`ProtocolError`] instead of a panic. To keep a campaign going across
+/// such failures, run it as a [`crate::campaign::Experiment`]: the engine
+/// retries a failed point once and reports it, as [`crate::runner`]
+/// describes.
 pub fn try_run(cfg: &ProtocolConfig) -> Result<StepResults, ProtocolError> {
     try_run_faulted(cfg, &simcore::FaultPlan::new(cfg.seed))
 }

@@ -27,19 +27,20 @@ impl Check {
     }
 }
 
-/// Per-repetition outcome attached to a figure when the experiment ran
-/// through the crash-proof runner (see [`crate::runner`]). Healthy
-/// experiments leave `runs` empty; fault-injection campaigns record one
-/// entry per repetition so the export shows which reps completed, which
-/// recovered on a retry seed and which failed — plus the rendezvous retry
-/// work each one performed.
+/// Per-repetition outcome attached to a figure by an experiment that runs
+/// each repetition under the [`crate::runner`] retry policy (the faulted
+/// ping-pong). Healthy experiments leave `runs` empty; fault-injection
+/// campaigns record one entry per repetition so the export shows which
+/// reps completed, which recovered on a retry seed and which failed — plus
+/// the rendezvous retry work each one performed.
 #[derive(Clone, Debug, Default)]
 pub struct RunOutcome {
     /// Repetition index.
     pub rep: u32,
     /// Seed the (final) attempt ran with.
     pub seed: u64,
-    /// `"ok"`, `"recovered"` or `"failed"`.
+    /// [`crate::runner::RunStatus::label`]: `"ok"`, `"recovered"`,
+    /// `"failed"` or `"timeout"`.
     pub status: &'static str,
     /// Error text for failed/recovered runs.
     pub error: Option<String>,
@@ -68,8 +69,8 @@ pub struct FigureData {
     pub notes: Vec<String>,
     /// Automated qualitative checks.
     pub checks: Vec<Check>,
-    /// Per-repetition outcomes (empty unless the experiment ran under the
-    /// crash-proof runner).
+    /// Per-repetition outcomes (empty unless the experiment records its
+    /// repetitions; see [`RunOutcome`]).
     pub runs: Vec<RunOutcome>,
 }
 

@@ -1,25 +1,27 @@
-//! Crash-proof experiment campaigns.
+//! The crash-proof retry policy every experiment repetition goes through.
 //!
-//! A campaign is a sequence of seeded repetitions of one measurement. The
-//! healthy drivers run their reps inline — a panic aborts the whole figure.
-//! Fault-injection experiments cannot afford that: a single unlucky rep
-//! (exhausted rendezvous retries, a wedged engine, a genuine bug tripped by
-//! a rare schedule) would throw away every other rep's data. This runner
-//! executes each repetition under [`std::panic::catch_unwind`], retries a
-//! failed rep **once** with a freshly derived seed, and otherwise records a
-//! structured failure so the campaign still produces its median/decile
-//! bands from the surviving repetitions.
+//! A campaign is a sequence of seeded repetitions of one measurement, and a
+//! single unlucky one (exhausted rendezvous retries, a wedged engine, a
+//! genuine bug tripped by a rare schedule) must not throw away every other
+//! repetition's data. This module holds the one policy for that: run an
+//! attempt under [`std::panic::catch_unwind`] ([`guarded`]), retry a failed
+//! attempt **once** on a freshly derived seed ([`retry_seed`],
+//! [`with_retry`]), and otherwise report a structured [`RunStatus`] so the
+//! campaign still produces its median/decile bands from the survivors.
 //!
-//! Panics raised inside a repetition are silenced (no backtrace spam on
+//! The campaign engine ([`crate::campaign`]) applies it to every sweep
+//! point; the faulted ping-pong
+//! ([`crate::experiments::faulted_pingpong`]) applies it again to each
+//! repetition inside its points.
+//!
+//! Panics raised inside a guarded attempt are silenced (no backtrace spam on
 //! stderr) via a process-global hook that defers to the previous hook
-//! unless the current thread is inside a guarded repetition.
+//! unless the current thread is inside a guarded attempt.
 
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
-
-use crate::report::RunOutcome;
 
 /// How one repetition of a campaign ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -77,59 +79,6 @@ impl RunStatus {
     }
 }
 
-/// Record of one repetition: which seed finally ran and how it went.
-#[derive(Clone, Debug)]
-pub struct RunRecord {
-    /// Repetition index.
-    pub rep: u32,
-    /// Seed of the attempt the record describes (the retry seed for
-    /// recovered reps).
-    pub seed: u64,
-    /// Outcome.
-    pub status: RunStatus,
-}
-
-impl RunRecord {
-    /// Convert to the export form attached to [`crate::report::FigureData`].
-    pub fn outcome(&self) -> RunOutcome {
-        RunOutcome {
-            rep: self.rep,
-            seed: self.seed,
-            status: self.status.label(),
-            error: self.status.error().map(str::to_owned),
-            ..Default::default()
-        }
-    }
-}
-
-/// Result of a whole campaign: per-rep records plus the values of the
-/// successful repetitions (in rep order).
-#[derive(Clone, Debug)]
-pub struct Campaign<R> {
-    /// One record per repetition, including failed ones.
-    pub records: Vec<RunRecord>,
-    /// `(rep, value)` for every successful repetition.
-    pub values: Vec<(u32, R)>,
-}
-
-impl<R> Campaign<R> {
-    /// Number of repetitions that produced no data.
-    pub fn failed(&self) -> usize {
-        self.records.iter().filter(|r| r.status.is_lost()).count()
-    }
-
-    /// True when at least one rep failed permanently (the campaign's
-    /// statistics cover only the surviving reps).
-    pub fn is_partial(&self) -> bool {
-        self.failed() > 0
-    }
-
-    /// Export records as [`RunOutcome`]s for a figure.
-    pub fn outcomes(&self) -> Vec<RunOutcome> {
-        self.records.iter().map(RunRecord::outcome).collect()
-    }
-}
-
 thread_local! {
     static GUARDED: Cell<bool> = const { Cell::new(false) };
 }
@@ -163,8 +112,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Run `f` with panics caught and silenced; an `Err` return and a panic
 /// both come back as the error string. Nests: the campaign engine guards
-/// whole sweep points while `run_campaign` guards individual repetitions
-/// inside them, so the guard flag is saved and restored rather than reset.
+/// whole sweep points while the faulted ping-pong guards individual
+/// repetitions inside them, so the guard flag is saved and restored rather
+/// than reset.
 pub fn guarded<R, E: fmt::Display>(f: impl FnOnce() -> Result<R, E>) -> Result<R, String> {
     install_quiet_hook();
     let prev = GUARDED.with(|g| g.replace(true));
@@ -187,8 +137,9 @@ pub fn retry_seed(seed: u64, rep: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The one retry policy, shared by [`run_campaign`] and the campaign
-/// engine: run `attempt` on `seed` and, if it fails, once more on `retry`.
+/// The one retry policy, shared by the campaign engine's sweep points and
+/// the faulted ping-pong's repetitions: run `attempt` on `seed` and, if it
+/// fails, once more on `retry`.
 ///
 /// `attempt` reports a failure as `Err(RunStatus::Failed { .. })`, or as
 /// `Err(RunStatus::TimedOut { .. })` when it was cancelled at its deadline —
@@ -219,92 +170,77 @@ pub fn with_retry<R>(
     }
 }
 
-/// Run `reps` repetitions of `attempt` crash-proof.
-///
-/// `attempt(rep, seed)` measures one repetition with the given seed and may
-/// return an error **or panic**; both count as a failed attempt. The first
-/// attempt of rep `i` uses `base_seed + i` (matching the seeded-repetition
-/// convention of the healthy drivers); a failed attempt is retried once
-/// with [`retry_seed`]`(base_seed, i)`. A rep whose retry also fails is
-/// recorded as [`RunStatus::Failed`] and contributes no value.
-pub fn run_campaign<R, E: fmt::Display>(
-    reps: u32,
-    base_seed: u64,
-    mut attempt: impl FnMut(u32, u64) -> Result<R, E>,
-) -> Campaign<R> {
-    let mut records = Vec::with_capacity(reps as usize);
-    let mut values = Vec::new();
-    for rep in 0..reps {
-        let (seed, status, value) = with_retry(
-            base_seed.wrapping_add(rep as u64),
-            retry_seed(base_seed, rep),
-            |seed| guarded(|| attempt(rep, seed)).map_err(|error| RunStatus::Failed { error }),
-        );
-        records.push(RunRecord { rep, seed, status });
-        values.extend(value.map(|v| (rep, v)));
-    }
-    Campaign { records, values }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn healthy_campaign_completes_every_rep() {
-        let c = run_campaign(4, 100, |rep, seed| -> Result<u64, String> {
-            assert_eq!(seed, 100 + rep as u64);
-            Ok(seed * 2)
-        });
-        assert_eq!(c.records.len(), 4);
-        assert!(c.records.iter().all(|r| r.status == RunStatus::Completed));
-        assert_eq!(c.values.len(), 4);
-        assert!(!c.is_partial());
-        assert_eq!(c.failed(), 0);
+    /// What one scripted attempt does.
+    #[derive(Clone, Copy)]
+    enum Attempt {
+        Succeed,
+        Panic(&'static str),
+        Error(&'static str),
+        /// Fails, and the caller classifies the failure as a deadline hit.
+        TimeOut(&'static str),
     }
 
     #[test]
-    fn panicking_rep_is_retried_with_fresh_seed() {
-        let mut attempts = Vec::new();
-        let c = run_campaign(3, 7, |rep, seed| -> Result<u64, String> {
-            attempts.push((rep, seed));
-            if rep == 1 && seed == 8 {
-                panic!("injected crash in rep 1");
-            }
-            Ok(seed)
-        });
-        // Rep 1 ran twice: original seed 8, then the derived retry seed.
-        assert_eq!(attempts.len(), 4);
-        assert_eq!(attempts[2], (1, retry_seed(7, 1)));
-        assert_eq!(c.values.len(), 3, "recovered rep still contributes");
-        match &c.records[1].status {
-            RunStatus::Recovered { failed_seed, error } => {
-                assert_eq!(*failed_seed, 8);
-                assert!(error.contains("injected crash"), "{}", error);
-            }
-            s => panic!("expected recovery, got {:?}", s),
+    fn with_retry_over_guarded_attempts() {
+        use Attempt::*;
+        const SEED: u64 = 7;
+        let retry = retry_seed(SEED, 1);
+        // (first attempt, retry, final seed, status, attempts that ran)
+        let cases = [
+            (Succeed, Panic("never runs"), SEED, RunStatus::Completed, 1),
+            (
+                Panic("injected crash"),
+                Succeed,
+                retry,
+                RunStatus::Recovered {
+                    failed_seed: SEED,
+                    error: "panic: injected crash".into(),
+                },
+                2,
+            ),
+            (
+                Error("transfer failed after 9 retries"),
+                Error("fabric black-out"),
+                retry,
+                RunStatus::Failed {
+                    error: "fabric black-out".into(),
+                },
+                2,
+            ),
+            (
+                TimeOut("cancelled at its deadline"),
+                Succeed,
+                SEED,
+                RunStatus::TimedOut {
+                    error: "cancelled at its deadline".into(),
+                },
+                1,
+            ),
+        ];
+        for (first, second, want_seed, want_status, want_attempts) in cases {
+            let mut seeds = Vec::new();
+            let (seed, status, value) = with_retry(SEED, retry, |seed| {
+                seeds.push(seed);
+                let step = if seed == SEED { first } else { second };
+                guarded(|| match step {
+                    Succeed => Ok(seed),
+                    Panic(msg) => panic!("{}", msg),
+                    Error(e) | TimeOut(e) => Err(e),
+                })
+                .map_err(|error| match step {
+                    TimeOut(_) => RunStatus::TimedOut { error },
+                    _ => RunStatus::Failed { error },
+                })
+            });
+            assert_eq!((seed, &status), (want_seed, &want_status));
+            assert_eq!(seeds, [SEED, retry][..want_attempts], "{:?}", status);
+            // The value is the seed of the attempt that produced it.
+            assert_eq!(value, (!status.is_lost()).then_some(seed), "{:?}", status);
         }
-        assert!(!c.is_partial());
-    }
-
-    #[test]
-    fn twice_failed_rep_yields_partial_campaign() {
-        let c = run_campaign(3, 0, |rep, _seed| -> Result<u64, String> {
-            if rep == 2 {
-                Err("transfer failed after 9 retries".into())
-            } else {
-                Ok(1)
-            }
-        });
-        assert_eq!(c.values.len(), 2);
-        assert!(c.is_partial());
-        assert_eq!(c.failed(), 1);
-        let out = c.outcomes();
-        assert_eq!(out[2].status, "failed");
-        assert!(out[2].error.as_deref().unwrap().contains("9 retries"));
-        // Median/decile bands still computable from survivors.
-        let vals: Vec<f64> = c.values.iter().map(|&(_, v)| v as f64).collect();
-        assert_eq!(simcore::Summary::of(&vals).n, 2);
     }
 
     #[test]
@@ -315,22 +251,6 @@ mod tests {
             for r2 in 0..32u64 {
                 assert_ne!(fresh, base + r2);
             }
-        }
-    }
-
-    #[test]
-    fn mixed_panic_and_error_attempts() {
-        // First attempt panics, retry errors: permanent failure with the
-        // *second* error recorded.
-        let c = run_campaign(1, 5, |_, seed| -> Result<(), String> {
-            if seed == 5 {
-                panic!("boom");
-            }
-            Err("fabric black-out".into())
-        });
-        match &c.records[0].status {
-            RunStatus::Failed { error } => assert!(error.contains("black-out"), "{}", error),
-            s => panic!("expected failure, got {:?}", s),
         }
     }
 }

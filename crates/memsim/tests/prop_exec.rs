@@ -17,7 +17,8 @@ fn setup(ghz: f64) -> (Engine, MemSystem, FreqModel, Executor) {
     (e, m, f, Executor::new(0))
 }
 
-fn run_all(
+/// Run the engine dry and return the stats of every job that finished.
+fn drain_jobs(
     e: &mut Engine,
     m: &MemSystem,
     f: &mut FreqModel,
@@ -52,7 +53,7 @@ proptest! {
             phases: vec![Phase { flops: bytes * ai, bytes, data: NumaId(0), license: License::Normal }],
             iterations: 1,
         });
-        let done = run_all(&mut e, &m, &mut f, &mut x);
+        let done = drain_jobs(&mut e, &m, &mut f, &mut x);
         prop_assert_eq!(done.len(), 1);
         let spec = henri();
         let flop_rate = spec.flop_rate(ghz, 0);
@@ -79,7 +80,7 @@ proptest! {
                 iterations: 1,
             });
         }
-        let done = run_all(&mut e, &m, &mut f, &mut x);
+        let done = drain_jobs(&mut e, &m, &mut f, &mut x);
         prop_assert_eq!(done.len(), n);
         let bw0 = done[0].mem_bandwidth();
         for st in &done {
@@ -108,7 +109,7 @@ proptest! {
                 iterations: 1,
             });
         }
-        let done = run_all(&mut e, &m, &mut f, &mut x);
+        let done = drain_jobs(&mut e, &m, &mut f, &mut x);
         for st in &done {
             let s = st.stall_fraction();
             prop_assert!(s > 0.0 && s <= 1.0, "stall {}", s);
@@ -129,7 +130,7 @@ proptest! {
                 phases: vec![Phase { flops: 0.0, bytes: mb * 1e6, data, license: License::Normal }],
                 iterations: 1,
             });
-            run_all(&mut e, &m, &mut f, &mut x)[0].elapsed_s()
+            drain_jobs(&mut e, &m, &mut f, &mut x)[0].elapsed_s()
         };
         let local = run_on(NumaId(0));
         let remote = run_on(NumaId(3));

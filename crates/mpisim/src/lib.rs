@@ -922,18 +922,6 @@ impl Cluster {
         }
     }
 
-    /// Run the simulation until `deadline`, discarding events (used to let
-    /// background computation run alone).
-    pub fn run_until(&mut self, deadline: SimTime) {
-        while self.engine.now() < deadline {
-            // Peek: if no events remain, jump straight to the deadline.
-            match self.step_until(deadline) {
-                Some(_) => continue,
-                None => break,
-            }
-        }
-    }
-
     /// Like [`Cluster::step`] but never advances past `deadline`; returns
     /// `None` at the deadline.
     pub fn step_until(&mut self, deadline: SimTime) -> Option<ClusterEvent> {

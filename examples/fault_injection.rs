@@ -5,18 +5,22 @@
 //! cargo run --release --example fault_injection
 //! ```
 //!
-//! The healthy figures assume a perfect fabric. This example injects the
-//! three fault classes the robustness extension models — a link-bandwidth
-//! degradation window, dropped clear-to-send control messages, and a
-//! straggler core — and shows how the three-step protocol and the
-//! crash-proof runner report them.
+//! The healthy figures assume a perfect fabric. This example injects two
+//! of the fault classes the robustness extension models — a link-bandwidth
+//! degradation window and dropped clear-to-send control messages — through
+//! the three-step protocol, then runs the `faulted_pingpong` experiment
+//! through the campaign engine to show a crash-proof campaign: every
+//! repetition goes through the engine's retry policy, so a crashed rep
+//! recovers on a retry seed and a blacked-out rep is reported, not lost.
 
 use mpisim::pingpong::PingPongConfig;
 use simcore::{FaultPlan, SimTime, Summary};
 use topology::henri;
 
+use interference::campaign::{self, CampaignOptions};
+use interference::experiments::faulted_pingpong::FaultedPingpong;
+use interference::experiments::Fidelity;
 use interference::protocol::{self, ProtocolConfig};
-use interference::runner;
 
 fn main() {
     let machine = henri();
@@ -63,37 +67,28 @@ fn main() {
         retries, retrans
     );
 
-    // A crash-proof campaign: one repetition runs under a total black-out
-    // and fails after exhausting its retries; the rest still produce bands.
-    let blackout = FaultPlan::new(cfg.seed).with_cts_drop(1.0);
-    let campaign = runner::run_campaign(4, cfg.seed, |rep, seed| {
-        let mut c = lossy_cfg.clone();
-        c.seed = seed;
-        let plan = if rep == 2 { &blackout } else { &lossy_plan };
-        let plan = FaultPlan { seed, ..plan.clone() };
-        protocol::try_run_faulted(&c, &plan).map(|r| med(&r.lat_alone()))
-    });
-    println!("\ncrash-proof campaign (rep 2 under total CTS black-out):");
-    for rec in &campaign.records {
+    // A crash-proof campaign: in the experiment's demo point, rep 1's first
+    // attempt panics and rep 2 runs under a total CTS black-out; the
+    // survivors still produce the bands.
+    let run = campaign::run_experiment(&FaultedPingpong, &CampaignOptions::serial(Fidelity::Quick));
+    let fig = &run.figures[0];
+    println!("\ncrash-proof campaign ({}):", fig.title);
+    for r in &fig.runs {
         println!(
-            "  rep {} [{}]{}",
-            rec.rep,
-            rec.status.label(),
-            rec.status
-                .error()
+            "  rep {} [{}] seed {:#018x}, {} retries{}",
+            r.rep,
+            r.status,
+            r.seed,
+            r.retries,
+            r.error
+                .as_deref()
                 .map(|e| format!(" — {}", e))
                 .unwrap_or_default()
         );
     }
-    let survivors: Vec<f64> = campaign.values.iter().map(|&(_, v)| v).collect();
-    let bands = Summary::of(&survivors);
-    println!(
-        "  bands from {} of {} reps: median {:.1} µs [{:.1}, {:.1}]",
-        bands.n,
-        campaign.records.len(),
-        bands.median,
-        bands.d1,
-        bands.d9
-    );
-    assert!(campaign.is_partial() && bands.n == 3);
+    for c in &fig.checks {
+        let verdict = if c.pass { "PASS" } else { "FAIL" };
+        println!("  [{}] {} — {}", verdict, c.name, c.detail);
+    }
+    assert!(fig.is_partial() && fig.all_pass());
 }

@@ -8,14 +8,10 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test -q"
+# The root manifest's default-members cover every crate, so this runs the
+# whole workspace's tests, the allocator (prop_fluid_equiv) and learner
+# (predict) oracles included.
 cargo test -q
-
-echo "==> allocator oracle: production solve vs the plain reference loop, bit for bit"
-# The root `cargo test -q` above reaches only the root package's tests.
-cargo test -q -p simcore --test prop_fluid_equiv
-
-echo "==> learner oracle: candidate-set stump kernel vs the full per-round scan, bit for bit"
-cargo test -q -p predict
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings

@@ -15,7 +15,7 @@
 mod support;
 
 use freq::{Governor, UncorePolicy};
-use interference::campaign::{run_points_with, run_set_with_report, CampaignOptions};
+use interference::campaign::{run_outcomes_with_store, run_set_with_report, CampaignOptions};
 use interference::experiments::{self, Fidelity};
 use mpisim::collective::{self, Schedule};
 use mpisim::pingpong::{self, PingPongConfig};
@@ -314,14 +314,14 @@ fn fig4_journal_byte_identical_across_jobs() {
     );
 }
 
-/// Per-point journals surface through `run_points_with`, and the Chrome
+/// Per-point journals surface through `run_outcomes_with_store`, and the Chrome
 /// export of a real campaign journal parses as valid JSON with the
 /// trace-event envelope.
 #[test]
 fn chrome_export_of_campaign_journal_is_valid() {
     let fig4 = experiments::find("fig4").expect("registered");
     let opts = CampaignOptions::serial(Fidelity::Quick).with_telemetry(true);
-    let outcomes = run_points_with(fig4, &opts);
+    let outcomes = run_outcomes_with_store(fig4, &opts, None);
     assert!(outcomes.iter().all(|o| o.journal.is_some()));
 
     let (_, report) = run_set_with_report(&[fig4], &opts);

@@ -5,9 +5,10 @@ use interference::campaign::{run_set, CampaignOptions};
 use interference::experiments::{self, Fidelity};
 use interference::results::figures_to_json;
 
-/// The registry's names, in `run_all` / `run_extensions` order. This list
-/// is load-bearing: `repro --only` and the CSV/JSON exports key off these
-/// names, and the order fixes the figure order of `repro --all`.
+/// The registry's names: `PAPER_EXPERIMENTS`, then `EXTENSION_EXPERIMENTS`.
+/// This list is load-bearing: `repro --only` and the CSV/JSON exports key
+/// off these names, and the order fixes the figure order of `repro --all`
+/// and `repro --ext`.
 const EXPECTED: [&str; 17] = [
     "fig1",
     "fig2",

@@ -18,11 +18,12 @@ fn temp_store(tag: &str) -> ResultStore {
 /// Every registered experiment must be durable: each computed point value
 /// encodes, decodes, and re-encodes to identical bytes. A lossy codec
 /// would silently break resume byte-identity, so this is an exact check
-/// over the real Quick sweep values of all 15 experiments.
+/// over the real Quick sweep values of all 17 registry experiments.
 #[test]
 fn every_registry_experiment_value_roundtrips_exactly() {
     for exp in experiments::all_experiments() {
-        let outcomes = campaign::run_points(exp, Fidelity::Quick);
+        let opts = CampaignOptions::serial(Fidelity::Quick);
+        let outcomes = campaign::run_outcomes_with_store(exp, &opts, None);
         let mut encoded = 0usize;
         for o in &outcomes {
             let Some(value) = &o.value else { continue };
