@@ -11,7 +11,7 @@
 use freq::{Governor, UncorePolicy};
 use kernels::primes;
 use mpisim::pingpong::PingPongConfig;
-use simcore::{Series, SimTime, Summary};
+use simcore::{Series, Summary};
 use topology::{henri, BindingPolicy, CoreId, Placement};
 
 use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
@@ -211,32 +211,6 @@ impl Experiment for Fig2 {
     }
 }
 
-/// Measured frequency snapshot used by examples: (comm, compute, idle) GHz
-/// during phase (C).
-pub fn phase_c_frequencies() -> (f64, f64, f64) {
-    let machine = henri();
-    let cfg = ProtocolConfig::new(machine, Some(primes::workload(0, 10_000, 1)));
-    let family = simcore::JitterFamily::new(1);
-    let mut cluster = protocol::build_cluster(&cfg, &family, 0);
-    let comm_core = cluster.comm_core[0];
-    let w = primes::workload(0, 10_000, 1);
-    let cores = cluster.compute_cores();
-    for &c in &cores[..20] {
-        let mut spec = w.on_core(c);
-        spec.iterations = 10;
-        cluster.start_job(0, spec);
-    }
-    let out = (
-        cluster.freqs[0].core_freq(comm_core),
-        cluster.freqs[0].core_freq(CoreId(0)),
-        cluster.freqs[0].core_freq(CoreId(17)),
-    );
-    // Let the engine drain so the jobs don't leak into other tests.
-    let deadline = cluster.engine.now() + SimTime::from_micros(1);
-    while cluster.step_until(deadline).is_some() {}
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,7 +227,11 @@ mod tests {
 
     #[test]
     fn phase_c_snapshot() {
-        let (comm, compute, idle) = phase_c_frequencies();
+        // Phase C (x = 2): the comm core holds its light cap while the
+        // computing core and an idle core on its socket clock up.
+        let f = quick(&Fig2).remove(0);
+        let at_c = |i: usize| f.series[i].median_at(2.0).expect("phase C point");
+        let (comm, compute, idle) = (at_c(0), at_c(1), at_c(2));
         assert!((comm - 2.5).abs() < 0.2, "comm {}", comm);
         assert!(compute >= 2.3, "compute {}", compute);
         assert!(idle >= 2.3, "idle follows socket {}", idle);

@@ -29,7 +29,7 @@ use simcore::{Series, Summary};
 use topology::presets::Preset;
 use topology::{MachineSpec, Placement};
 
-use crate::campaign::{Experiment, PointCtx, PointValue, SweepPoint};
+use crate::campaign::{self, Experiment, PointCtx, PointValue, SweepPoint};
 use crate::codec::{Dec, Enc};
 use crate::experiments::contention::{data_numa, Metric};
 use crate::experiments::Fidelity;
@@ -156,17 +156,7 @@ impl PairSpec {
     /// Deterministic content seed (independent of grid position), used by
     /// the advisor when measuring a pair outside a campaign.
     pub fn content_seed(&self) -> u64 {
-        // FNV-1a over the label, whitened through SplitMix64 — the same
-        // construction as the campaign's point seeds.
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in self.label().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        let mut z = h.wrapping_add(0x9e3779b97f4a7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
+        campaign::point_seed(&self.label(), 0)
     }
 }
 

@@ -24,7 +24,6 @@
 //! shrunk failing script is also written there as a file — the nightly
 //! long-fuzz workflow uploads that directory as an artifact.
 
-use simcheck::scenario::GenConfig;
 use simcheck::{collective, fuzz, metamorphic, oracles};
 use topology::fabric::FabricPreset;
 use topology::Preset;
@@ -185,7 +184,7 @@ impl Experiment for Validate {
             let chunk = point.index - Self::fuzz_base(ctx.fidelity);
             let budget = self.fuzz_budget(ctx.fidelity);
             let n = FUZZ_CHUNK.min(budget - chunk * FUZZ_CHUNK);
-            let report = fuzz::run(ctx.seed, n, &GenConfig::default());
+            let report = fuzz::run(ctx.seed, n);
             if let Ok(dir) = std::env::var("SIMCHECK_FAILURE_DIR") {
                 for f in &report.failures {
                     let _ = std::fs::create_dir_all(&dir);

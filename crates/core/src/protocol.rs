@@ -102,9 +102,6 @@ pub struct ProtocolConfig {
     pub seed: u64,
     /// Duration of the computation-alone window.
     pub compute_window: SimTime,
-    /// Whether computation also runs on node 1 (the paper computes on both
-    /// ranks).
-    pub compute_both_nodes: bool,
 }
 
 impl ProtocolConfig {
@@ -121,7 +118,6 @@ impl ProtocolConfig {
             reps: 5,
             seed: 0xC0FFEE,
             compute_window: SimTime::from_millis(2),
-            compute_both_nodes: true,
         }
     }
 
@@ -330,8 +326,8 @@ fn try_start_compute(
             available: cores.len(),
         });
     }
-    let nodes: &[usize] = if cfg.compute_both_nodes { &[0, 1] } else { &[0] };
-    for &node in nodes {
+    // The paper computes on both ranks.
+    for node in 0..2 {
         for &core in &cores[..cfg.compute_cores] {
             let mut spec = w.on_core(core);
             // Run "forever": the protocol stops jobs at the end of the

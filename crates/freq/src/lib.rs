@@ -14,11 +14,13 @@
 //!
 //! The model is pure state + queries; the simulation driver calls
 //! [`FreqModel::set_activity`] on workload transitions and re-applies the
-//! resulting frequencies to the engine's cycle resources.
+//! resulting frequencies to the engine's cycle resources. Frequencies are
+//! piecewise constant between activity changes, so the paper's per-core
+//! frequency traces (Figures 2 and 3) are read as [`FreqModel::core_freq`]
+//! snapshots taken in each phase; nothing records a time series.
 
 #![warn(missing_docs)]
 
-use simcore::{SimTime, Trace};
 use topology::{CoreId, MachineSpec, SocketId};
 
 /// Instruction license of a compute workload, ordered by how aggressively it
@@ -82,7 +84,6 @@ pub enum UncorePolicy {
 pub struct FreqModel {
     name: String,
     sockets: u32,
-    cores: u32,
     cores_per_socket: u32,
     idle_freq: f64,
     light_cap: f64,
@@ -92,9 +93,6 @@ pub struct FreqModel {
     governor: Governor,
     uncore: UncorePolicy,
     activity: Vec<Activity>,
-    /// Per-core frequency traces (Figures 2 and 3 of the paper).
-    traces: Vec<Trace>,
-    tracing: bool,
 }
 
 impl FreqModel {
@@ -121,7 +119,6 @@ impl FreqModel {
         FreqModel {
             name: spec.name.clone(),
             sockets: spec.sockets,
-            cores,
             cores_per_socket: cores / spec.sockets,
             idle_freq: spec.idle_freq,
             light_cap: spec.light_freq_cap,
@@ -131,21 +128,12 @@ impl FreqModel {
             governor,
             uncore,
             activity: vec![Activity::Idle; cores as usize],
-            traces: (0..cores)
-                .map(|c| Trace::new(format!("core{}", c)))
-                .collect(),
-            tracing: false,
         }
     }
 
     /// Machine name this model was built for.
     pub fn machine(&self) -> &str {
         &self.name
-    }
-
-    /// Enable recording per-core frequency traces.
-    pub fn enable_tracing(&mut self) {
-        self.tracing = true;
     }
 
     fn socket_of(&self, core: CoreId) -> SocketId {
@@ -274,27 +262,6 @@ impl FreqModel {
         (0..self.sockets)
             .map(|s| self.heavy_on_socket(SocketId(s)))
             .sum()
-    }
-
-    /// All core frequencies, indexed by core id.
-    pub fn snapshot(&self) -> Vec<f64> {
-        (0..self.cores).map(|c| self.core_freq(CoreId(c))).collect()
-    }
-
-    /// Record the current snapshot into the per-core traces at time `t`.
-    pub fn record(&mut self, t: SimTime) {
-        if !self.tracing {
-            return;
-        }
-        let snap = self.snapshot();
-        for (trace, f) in self.traces.iter_mut().zip(snap) {
-            trace.record(t, f);
-        }
-    }
-
-    /// Access a core's recorded frequency trace.
-    pub fn trace(&self, core: CoreId) -> &Trace {
-        &self.traces[core.0 as usize]
     }
 }
 
@@ -456,18 +423,6 @@ mod tests {
             m.set_activity(CoreId(c), Activity::Heavy(License::Normal));
         }
         assert_eq!(m.core_freq(CoreId(0)), 2.5);
-    }
-
-    #[test]
-    fn tracing_records_changes() {
-        let mut m = model(Governor::Performance { turbo: true });
-        m.enable_tracing();
-        m.record(SimTime::ZERO);
-        m.set_activity(CoreId(0), Activity::Heavy(License::Normal));
-        m.record(SimTime::from_millis(1));
-        let tr = m.trace(CoreId(0));
-        assert_eq!(tr.value_at(SimTime::ZERO), Some(1.0));
-        assert_eq!(tr.value_at(SimTime::from_millis(1)), Some(3.7));
     }
 
     #[test]

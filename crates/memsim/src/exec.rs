@@ -194,7 +194,6 @@ impl Executor {
             telemetry::counter_add("freq.transitions", 1);
             mem.apply_freqs(engine, freqs);
             self.refresh_caps(engine, mem, freqs);
-            freqs.record(engine.now());
         }
         self.launch_phase(engine, mem, freqs, id);
         id
@@ -318,7 +317,6 @@ impl Executor {
                         telemetry::counter_add("freq.transitions", 1);
                         mem.apply_freqs(engine, freqs);
                         self.refresh_caps(engine, mem, freqs);
-                        freqs.record(engine.now());
                     }
                     return Some((id, st));
                 }
@@ -364,7 +362,6 @@ impl Executor {
             telemetry::counter_add("freq.transitions", 1);
             mem.apply_freqs(engine, freqs);
             self.refresh_caps(engine, mem, freqs);
-            freqs.record(engine.now());
         }
         Some(job.stats)
     }

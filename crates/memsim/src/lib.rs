@@ -16,10 +16,15 @@
 //! streaming bandwidth) is congestion-inflated: queueing at a hop grows with
 //! the offered load on it (see [`MemSystem::access_latency`]) — this is the
 //! mechanism behind the paper's latency curves (Figures 4a and 5a–c).
+//!
+//! The paper reads PMU counters to attribute stalls to memory (Figure 10).
+//! Here the same books come from three places: per-job stall seconds in
+//! [`exec::JobStats`], the executor's telemetry counters
+//! (`mem.channel.bytes`, `mem.stall_ps`, `freq.license.*`), and each
+//! resource's delivered bytes and busy integral on the engine.
 
 #![warn(missing_docs)]
 
-pub mod counters;
 pub mod exec;
 
 use freq::FreqModel;

@@ -107,8 +107,6 @@ impl std::error::Error for ClusterError {}
 #[derive(Clone, Debug)]
 struct SendReq {
     state: ReqState,
-    /// Sender-side elapsed time, set at SendComplete.
-    elapsed: Option<SimTime>,
     size: usize,
 }
 
@@ -518,7 +516,6 @@ impl Cluster {
         }
         self.sends.push(SendReq {
             state: ReqState::Pending,
-            elapsed: None,
             size,
         });
         // Match against an already-posted receive.
@@ -711,11 +708,6 @@ impl Cluster {
         self.recvs[req.0 as usize].state == ReqState::Failed
     }
 
-    /// Sender-side elapsed time of a completed send.
-    pub fn send_elapsed(&self, req: ReqId) -> Option<SimTime> {
-        self.sends[req.0 as usize].elapsed
-    }
-
     /// Retransmission accounting for a send request (zeroes when healthy).
     pub fn send_retry_stats(&self, req: ReqId) -> netsim::RetryStats {
         let transfer = match &self.matcher {
@@ -824,7 +816,6 @@ impl Cluster {
                     let (sreq, from) = self.matcher.send_of(id);
                     let s = &mut self.sends[sreq as usize];
                     s.state = ReqState::Complete;
-                    s.elapsed = Some(sender_elapsed);
                     telemetry::async_end(
                         self.engine.now(),
                         "mpi.send",

@@ -47,7 +47,8 @@ const PIO_BYTES_PER_CYCLE: f64 = 4.0;
 /// retransmission occurs.
 pub const CTRL_MSG_BYTES: u64 = 64;
 
-/// Default retransmission cap before a transfer is declared failed.
+/// Retransmissions allowed before a transfer is declared failed (the RTO
+/// starts at sixteen wire latencies, at least 1 µs, and doubles per retry).
 pub const DEFAULT_MAX_RETRIES: u32 = 8;
 
 /// How strongly the uncore frequency scales the NIC DMA path: the paper
@@ -164,7 +165,6 @@ struct Transfer {
     dest_numa: NumaId,
     buffer: u64,
     started: SimTime,
-    send_done: Option<SimTime>,
     recv_ready: bool,
     awaiting_recv: bool,
     /// The sender has issued at least one RTS.
@@ -222,8 +222,6 @@ pub struct NetSim {
     drop_cts_rng: Option<Pcg32>,
     /// Base retransmission timeout (first retry; doubles per attempt).
     rto_base: SimTime,
-    /// Retransmissions allowed before a transfer is declared failed.
-    max_retries: u32,
 }
 
 impl NetSim {
@@ -285,7 +283,6 @@ impl NetSim {
             drop_rts_rng: None,
             drop_cts_rng: None,
             rto_base,
-            max_retries: DEFAULT_MAX_RETRIES,
         }
     }
 
@@ -381,13 +378,6 @@ impl NetSim {
         Ok(())
     }
 
-    /// Override the rendezvous retransmission policy.
-    pub fn set_retry_policy(&mut self, rto_base: SimTime, max_retries: u32) {
-        assert!(!rto_base.is_zero(), "zero retransmission timeout");
-        self.rto_base = rto_base;
-        self.max_retries = max_retries;
-    }
-
     /// Retransmission accounting for a transfer (live or retired).
     pub fn retry_stats(&self, id: TransferId) -> RetryStats {
         self.retry_stats[id.0 as usize]
@@ -465,7 +455,6 @@ impl NetSim {
             dest_numa,
             buffer,
             started: engine.now(),
-            send_done: None,
             recv_ready: false,
             awaiting_recv: false,
             rts_sent: false,
@@ -644,8 +633,7 @@ impl NetSim {
                 });
             }
             Step::EagerPayload => {
-                let t = self.transfers[tid as usize].as_mut().expect("live transfer");
-                t.send_done = Some(engine.now());
+                let t = self.transfers[tid as usize].as_ref().expect("live transfer");
                 telemetry::sample(
                     "net.sender_elapsed_us",
                     (engine.now() - t.started).as_micros_f64(),
@@ -705,8 +693,7 @@ impl NetSim {
                 });
             }
             Step::DmaDone => {
-                let t = self.transfers[tid as usize].as_mut().expect("live transfer");
-                t.send_done = Some(engine.now());
+                let t = self.transfers[tid as usize].as_ref().expect("live transfer");
                 telemetry::async_end(engine.now(), "net.dma", id.0 as u64, Lane::Node(from as u8));
                 telemetry::sample(
                     "net.sender_elapsed_us",
@@ -782,7 +769,7 @@ impl NetSim {
         stats.retry_wait += waited;
         telemetry::counter_add("net.retrans", 1);
         telemetry::instant(engine.now(), "net", "rto", Lane::Node(from as u8));
-        if retries > self.max_retries {
+        if retries > DEFAULT_MAX_RETRIES {
             self.transfers[tid] = None;
             telemetry::instant(engine.now(), "net", "xfer.failed", Lane::Node(from as u8));
             telemetry::async_end(engine.now(), "net.xfer", id.0 as u64, Lane::Node(from as u8));
@@ -866,7 +853,7 @@ mod tests {
         }
     }
 
-    /// Drive one message through; returns (delivery_latency, send_elapsed).
+    /// Drive one message through; returns (delivery latency, sender elapsed).
     fn one_way(w: &mut World, size: usize, buffer: u64) -> (SimTime, SimTime) {
         let start = w.engine.now();
         let id = {
@@ -1092,11 +1079,14 @@ mod tests {
         let mut w = world();
         let plan = FaultPlan::new(7).with_rts_drop(1.0);
         w.net.apply_faults(&mut w.engine, &plan).unwrap();
-        w.net.set_retry_policy(SimTime::from_micros(50), 3);
         let (delivered, rs) = one_way_faulted(&mut w, 4 << 20, 1);
         assert!(!delivered, "nothing can get through at p=1");
-        assert_eq!(rs.retries, 4, "3 retries plus the final give-up timeout");
-        assert!(rs.retrans_bytes >= 3 * CTRL_MSG_BYTES);
+        assert_eq!(
+            rs.retries,
+            DEFAULT_MAX_RETRIES + 1,
+            "every retry plus the final give-up timeout"
+        );
+        assert!(rs.retrans_bytes >= DEFAULT_MAX_RETRIES as u64 * CTRL_MSG_BYTES);
     }
 
     #[test]

@@ -48,6 +48,7 @@
 //! identical order.
 
 use interference::codec::{Dec, Enc};
+use simcore::SplitMix64;
 
 /// One decision stump: `x[feature] >= threshold ? right : left`.
 #[derive(Clone, Debug, PartialEq)]
@@ -452,20 +453,12 @@ impl Model {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 /// Deterministic Fisher–Yates shuffle of `0..n` from an integer seed.
 pub fn shuffled_indices(n: usize, seed: u64) -> Vec<usize> {
-    let mut state = seed ^ 0x5eed_0f12_ab34_cd56;
+    let mut rng = SplitMix64::new(seed ^ 0x5eed_0f12_ab34_cd56);
     let mut idx: Vec<usize> = (0..n).collect();
     for i in (1..n).rev() {
-        let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
+        let j = (rng.next_u64() % (i as u64 + 1)) as usize;
         idx.swap(i, j);
     }
     idx
@@ -562,13 +555,13 @@ mod tests {
     use proptest::TestRng;
 
     fn synthetic(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
-        let mut state = 7u64;
+        let mut rng = SplitMix64::new(7);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for _ in 0..n {
-            let a = (splitmix64(&mut state) % 1000) as f64 / 1000.0;
-            let b = (splitmix64(&mut state) % 1000) as f64 / 1000.0;
-            let c = (splitmix64(&mut state) % 1000) as f64 / 1000.0;
+            let a = (rng.next_u64() % 1000) as f64 / 1000.0;
+            let b = (rng.next_u64() % 1000) as f64 / 1000.0;
+            let c = (rng.next_u64() % 1000) as f64 / 1000.0;
             xs.push(vec![a, b, c]);
             ys.push((0.8 * a - 0.3 * b + 0.1 * (c > 0.5) as u8 as f64).exp());
         }
@@ -629,12 +622,12 @@ mod tests {
     fn monotone_constraint_holds_structurally() {
         // Single-bottleneck synthetic pairs: penalty grows with feature 0,
         // the other features are noise.
-        let mut state = 11u64;
+        let mut rng = SplitMix64::new(11);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for i in 0..150 {
             let pressure = i as f64 / 150.0;
-            let noise = (splitmix64(&mut state) % 1000) as f64 / 1000.0;
+            let noise = (rng.next_u64() % 1000) as f64 / 1000.0;
             xs.push(vec![pressure, noise]);
             ys.push((1.0 + 2.0 * pressure * pressure).max(1.0));
         }

@@ -18,7 +18,7 @@
 use simcore::Pcg32;
 
 use crate::metamorphic::TOL_META;
-use crate::scenario::{replay, Ev, GenConfig, Op, Replay, Scenario, Solver};
+use crate::scenario::{replay, Ev, Op, Replay, Scenario, Solver};
 
 /// A failing scenario reduced to a minimal script.
 #[derive(Clone, Debug)]
@@ -205,12 +205,12 @@ fn shrink(sc: &Scenario, seed: u64) -> Scenario {
 /// Fuzz `budget` scenarios starting from `base_seed`. Failures are shrunk
 /// and returned; callers decide how to surface them (check details, files
 /// under `SIMCHECK_FAILURE_DIR`, …).
-pub fn run(base_seed: u64, budget: usize, cfg: &GenConfig) -> FuzzReport {
+pub fn run(base_seed: u64, budget: usize) -> FuzzReport {
     let mut report = FuzzReport::default();
     let mut seeds = simcore::SplitMix64::new(base_seed ^ 0xf022);
     for _ in 0..budget {
         let seed = seeds.next_u64();
-        let sc = Scenario::generate(seed, cfg);
+        let sc = Scenario::generate(seed);
         report.scenarios += 1;
         if let Some(reason) = check(&sc, seed) {
             let minimal = shrink(&sc, seed);
@@ -232,7 +232,7 @@ mod tests {
 
     #[test]
     fn healthy_solver_survives_a_fuzz_batch() {
-        let report = run(0xd1ff, 60, &GenConfig::default());
+        let report = run(0xd1ff, 60);
         assert_eq!(report.scenarios, 60);
         assert!(
             report.failures.is_empty(),
@@ -247,7 +247,7 @@ mod tests {
         // Break the comparison itself (a predicate that "fails" whenever two
         // or more Starts exist) to prove shrinking converges to a minimal
         // script. We emulate by shrinking against a synthetic predicate.
-        let sc = Scenario::generate(42, &GenConfig::default());
+        let sc = Scenario::generate(42);
         let fails = |s: &Scenario| {
             s.events
                 .iter()
@@ -287,7 +287,7 @@ mod tests {
     #[test]
     fn insertion_order_permutation_preserves_semantics() {
         for seed in 0..30u64 {
-            let sc = Scenario::generate(seed, &GenConfig::default());
+            let sc = Scenario::generate(seed);
             let p = permute_insertion_order(&sc, seed);
             assert_eq!(p.events.len(), sc.events.len());
             let a = replay(&sc, Solver::Incremental);

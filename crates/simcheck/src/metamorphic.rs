@@ -14,7 +14,7 @@
 
 use simcore::{FlowSpec, Pcg32, SplitMix64};
 
-use crate::scenario::{replay, GenConfig, Replay, Scenario, Solver};
+use crate::scenario::{replay, Replay, Scenario, Solver};
 use crate::Outcome;
 
 /// Relative tolerance for metamorphic comparisons (see module docs).
@@ -106,10 +106,6 @@ pub fn check_all(base_seed: u64, count: usize) -> Vec<Outcome> {
         .collect()
 }
 
-fn cfg() -> GenConfig {
-    GenConfig::default()
-}
-
 fn rel(a: f64, b: f64) -> f64 {
     (a - b).abs() / a.abs().max(b.abs()).max(1e-30)
 }
@@ -191,9 +187,9 @@ fn completions_match(a: &Replay, b: &Replay, shift_s: f64) -> Result<(), String>
 type Verdict = Result<bool, String>;
 
 fn seed_determinism(seed: u64) -> Verdict {
-    let sc = Scenario::generate(seed, &cfg());
+    let sc = Scenario::generate(seed);
     let a = replay(&sc, Solver::Incremental);
-    let b = replay(&Scenario::generate(seed, &cfg()), Solver::Incremental);
+    let b = replay(&Scenario::generate(seed), Solver::Incremental);
     if a.stalled || b.stalled {
         return Err("replay stalled".into());
     }
@@ -202,7 +198,7 @@ fn seed_determinism(seed: u64) -> Verdict {
 }
 
 fn time_translation(seed: u64) -> Verdict {
-    let sc = Scenario::generate(seed, &cfg());
+    let sc = Scenario::generate(seed);
     let delta_ps: u64 = 1_500_000_000; // 1.5 ms, far beyond the horizon
     let shifted = sc.time_shifted(delta_ps);
     let a = replay(&sc, Solver::Incremental);
@@ -215,7 +211,7 @@ fn time_translation(seed: u64) -> Verdict {
 }
 
 fn permutation_symmetry(seed: u64) -> Verdict {
-    let sc = Scenario::generate(seed, &cfg());
+    let sc = Scenario::generate(seed);
     let n = sc.capacities.len();
     // A seed-dependent permutation (Fisher–Yates).
     let mut rng = Pcg32::new(seed, 0x9e37);
@@ -298,7 +294,7 @@ fn contention_monotonicity(seed: u64) -> Verdict {
 }
 
 fn size_monotonicity(seed: u64) -> Verdict {
-    let sc = Scenario::generate(seed, &cfg());
+    let sc = Scenario::generate(seed);
     let Some(target) = sc.events.iter().position(|e| matches!(
         e.op,
         crate::scenario::Op::Start { .. }
@@ -333,7 +329,7 @@ fn size_monotonicity(seed: u64) -> Verdict {
 }
 
 fn conservation(seed: u64) -> Verdict {
-    let sc = Scenario::generate(seed, &cfg());
+    let sc = Scenario::generate(seed);
     let r = replay(&sc, Solver::Incremental);
     if r.stalled {
         return Err("replay stalled".into());

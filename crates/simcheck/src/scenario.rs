@@ -71,43 +71,27 @@ pub struct Scenario {
     pub events: Vec<Ev>,
 }
 
-/// Generation knobs.
-#[derive(Clone, Debug)]
-pub struct GenConfig {
-    /// Max number of resources (≥ 2 are always generated).
-    pub max_resources: usize,
-    /// Max script length.
-    pub max_events: usize,
-    /// Script horizon in picoseconds.
-    pub horizon_ps: u64,
-    /// Whether to inject capacity-zero fault windows.
-    pub fault_windows: bool,
-}
-
-impl Default for GenConfig {
-    fn default() -> GenConfig {
-        GenConfig {
-            max_resources: 5,
-            max_events: 14,
-            horizon_ps: 2_000_000, // 2 µs
-            fault_windows: true,
-        }
-    }
-}
+/// Max number of resources a generated scenario has (≥ 2 always).
+const MAX_RESOURCES: u32 = 5;
+/// Max script length.
+const MAX_EVENTS: u32 = 14;
+/// Script horizon in picoseconds (2 µs).
+const HORIZON_PS: u64 = 2_000_000;
 
 impl Scenario {
     /// Generate a random scenario. Times are drawn from a coarse grid so
     /// same-instant batches occur often (they exercise the insertion-order
     /// sensitivity the differential fuzzer targets). `Cancel`/`SetFlowCap`
     /// always target a `Start` with a strictly earlier timestamp, so
-    /// permuting same-instant `Start`s never changes semantics.
-    pub fn generate(seed: u64, cfg: &GenConfig) -> Scenario {
+    /// permuting same-instant `Start`s never changes semantics. Resource
+    /// writes include capacity-zero fault windows.
+    pub fn generate(seed: u64) -> Scenario {
         let mut rng = Pcg32::new(seed, 0x5caf_f01d);
-        let n_res = 2 + rng.below(cfg.max_resources.max(2) as u32 - 1) as usize;
+        let n_res = 2 + rng.below(MAX_RESOURCES - 1) as usize;
         let capacities: Vec<f64> = (0..n_res).map(|_| 1.0 + 99.0 * rng.next_f64()).collect();
         let grid = 16u64;
-        let step = cfg.horizon_ps / grid;
-        let n_ev = 3 + rng.below(cfg.max_events.max(4) as u32 - 3) as usize;
+        let step = HORIZON_PS / grid;
+        let n_ev = 3 + rng.below(MAX_EVENTS - 3) as usize;
         // (time, op) in generation order; sorted stably afterwards so ties
         // keep generation order (Starts before the ops that reference them).
         let mut events: Vec<Ev> = Vec::new();
@@ -146,7 +130,7 @@ impl Scenario {
                 }
             } else if roll < 0.85 {
                 let res = rng.below(n_res as u32) as usize;
-                if cfg.fault_windows && rng.next_f64() < 0.35 {
+                if rng.next_f64() < 0.35 {
                     // A fault window: capacity to zero now, restored later
                     // (always restored, so every replay drains).
                     let t_end = t_ps + (1 + rng.below(4) as u64) * step;
@@ -484,7 +468,7 @@ mod tests {
     #[test]
     fn generated_scenarios_replay_cleanly() {
         for seed in 0..40u64 {
-            let sc = Scenario::generate(seed, &GenConfig::default());
+            let sc = Scenario::generate(seed);
             let r = replay(&sc, Solver::Incremental);
             assert!(!r.stalled, "seed {} stalled:\n{}", seed, sc.render());
         }
@@ -492,7 +476,7 @@ mod tests {
 
     #[test]
     fn replay_is_deterministic() {
-        let sc = Scenario::generate(7, &GenConfig::default());
+        let sc = Scenario::generate(7);
         let a = replay(&sc, Solver::Incremental);
         let b = replay(&sc, Solver::Incremental);
         assert_eq!(a.completions.len(), b.completions.len());
@@ -504,7 +488,7 @@ mod tests {
 
     #[test]
     fn render_mentions_every_event() {
-        let sc = Scenario::generate(3, &GenConfig::default());
+        let sc = Scenario::generate(3);
         let text = sc.render();
         assert_eq!(
             text.lines().count(),

@@ -10,6 +10,10 @@
 //! bands in the paper's figures) comes from explicit jitter streams
 //! ([`rng::JitterFamily`]).
 //!
+//! What a run did is observable two ways here: the [`telemetry`] journal
+//! (spans, instants, counters, all on simulated time) and each resource's
+//! cumulative [`FluidNet::delivered`] units and [`FluidNet::busy_integral`].
+//!
 //! See `DESIGN.md` at the workspace root for how this engine substitutes for
 //! the paper's physical clusters.
 
@@ -27,7 +31,6 @@ pub mod stats;
 pub mod tags;
 pub mod telemetry;
 pub mod time;
-pub mod trace;
 
 pub use cancel::CancelToken;
 pub use engine::{Engine, EngineError, Event, StallDiagnostic, TimerId};
@@ -40,4 +43,3 @@ pub use stats::{quantile, Series, SeriesPoint, Summary};
 pub use tags::{kind_index, namespace, payload, split_kind_index, tag};
 pub use telemetry::{Journal, Lane};
 pub use time::SimTime;
-pub use trace::Trace;

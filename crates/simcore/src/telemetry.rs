@@ -38,8 +38,10 @@
 //! journal alone.
 //!
 //! Memoized baselines shared across sweep points execute under
-//! [`suspend`], so *which* point happens to compute a cached baseline
-//! (a scheduling race under `--jobs N`) never leaks into any journal.
+//! [`isolate`]: each records into its own journal, which the campaign
+//! merges by baseline key, so *which* point happens to compute a cached
+//! baseline (a scheduling race under `--jobs N`) never leaks into any
+//! journal.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -480,26 +482,11 @@ pub fn take() -> Option<Journal> {
         .map(Recorder::finish)
 }
 
-/// True while a recorder is installed and not suspended. Call sites that
+/// True while a recorder is installed. Call sites that
 /// must allocate to build a record (e.g. `format!` a label) should guard on
 /// this so disabled runs stay allocation-free.
 pub fn is_active() -> bool {
     ACTIVE.with(|a| a.get())
-}
-
-/// Run `f` with recording suspended (restored even on unwind). The
-/// campaign's baseline cache wraps memoized computations in this so the
-/// scheduling race of *which* sweep point computes a shared baseline never
-/// leaks into any journal.
-pub fn suspend<T>(f: impl FnOnce() -> T) -> T {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            ACTIVE.with(|a| a.set(self.0));
-        }
-    }
-    let _restore = Restore(ACTIVE.with(|a| a.replace(false)));
-    f()
 }
 
 /// Run `f` under its own fresh recorder, returning its journal separately;
@@ -693,32 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn suspend_masks_records_and_restores() {
-        isolated(|| {
-            install();
-            instant(us(1), "a", "kept", Lane::Engine);
-            let v = suspend(|| {
-                assert!(!is_active());
-                instant(us(2), "a", "dropped", Lane::Engine);
-                42
-            });
-            assert_eq!(v, 42);
-            assert!(is_active());
-            instant(us(3), "a", "kept2", Lane::Engine);
-            let j = take().unwrap();
-            let names: Vec<&str> = j
-                .records
-                .iter()
-                .filter_map(|r| match &r.kind {
-                    RecordKind::Instant { name, .. } => Some(name.as_str()),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(names, vec!["kept", "kept2"]);
-        });
-    }
-
-    #[test]
     fn isolate_splits_journals_and_restores() {
         isolated(|| {
             install();
@@ -755,15 +716,31 @@ mod tests {
     }
 
     #[test]
-    fn suspend_restores_on_unwind() {
+    fn isolate_restores_on_unwind() {
         isolated(|| {
             install();
+            instant(us(1), "a", "outer", Lane::Engine);
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                suspend(|| panic!("boom"))
+                isolate(|| {
+                    instant(us(2), "a", "inner", Lane::Engine);
+                    counter_add("inner.n", 1);
+                    panic!("boom")
+                })
             }));
             assert!(r.is_err());
-            assert!(is_active(), "flag must be restored after a panic");
-            take();
+            assert!(is_active(), "outer recorder must be active after a panic");
+            instant(us(3), "a", "outer2", Lane::Engine);
+            let j = take().expect("outer recorder restored");
+            let names: Vec<&str> = j
+                .records
+                .iter()
+                .filter_map(|r| match &r.kind {
+                    RecordKind::Instant { name, .. } => Some(name.as_str()),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(names, vec!["outer", "outer2"]);
+            assert!(j.counters.is_empty(), "{:?}", j.counters);
         });
     }
 

@@ -42,6 +42,15 @@ use topology::{CoreId, MachineSpec, NumaId};
 /// (most polls hit cache; this is the amortized miss traffic).
 const POLL_BYTES: f64 = 8.0;
 
+/// Cycles per nop instruction of the polling backoff.
+const NOP_CYCLES: f64 = 1.0;
+
+/// Cycles to dispatch one task (queue pop + state updates).
+const DISPATCH_CYCLES: f64 = 2_000.0;
+
+/// NUMA node holding the scheduler's shared task list.
+const LIST_NUMA: NumaId = NumaId(0);
+
 /// Runtime-event kinds (24-bit tag namespace): `node*16 + kind`.
 const KIND_DISPATCH: u32 = 0;
 /// Reserved for driver-level timers (StarPU ping-pong pre/post overheads).
@@ -56,15 +65,9 @@ pub struct RuntimeConfig {
     /// Maximum nops of the exponential backoff between unsuccessful polls
     /// (StarPU default 32; the paper sweeps 2 / 32 / 10000 / paused).
     pub backoff_max_nops: u32,
-    /// Cycles per nop instruction.
-    pub nop_cycles: f64,
     /// Cycles the list lock is held per acquisition (0 = contention-free
     /// locking, as observed on billy/pyxis).
     pub lock_hold_cycles: f64,
-    /// Cycles to dispatch one task (queue pop + state updates).
-    pub dispatch_cycles: f64,
-    /// NUMA node holding the scheduler's shared task list.
-    pub list_numa: NumaId,
 }
 
 impl RuntimeConfig {
@@ -82,10 +85,7 @@ impl RuntimeConfig {
         RuntimeConfig {
             overhead_cycles: overhead_us * 1e-6 * spec.light_freq_cap * 1e9,
             backoff_max_nops: 32,
-            nop_cycles: 1.0,
             lock_hold_cycles: lock_hold,
-            dispatch_cycles: 2_000.0,
-            list_numa: NumaId(0),
         }
     }
 }
@@ -240,7 +240,7 @@ impl Runtime {
 
     /// Steady-state poll period of an idle worker, in cycles.
     fn poll_period_cycles(&self) -> f64 {
-        self.cfg.backoff_max_nops as f64 * self.cfg.nop_cycles + self.cfg.lock_hold_cycles.max(1.0)
+        self.cfg.backoff_max_nops as f64 * NOP_CYCLES + self.cfg.lock_hold_cycles.max(1.0)
     }
 
     fn start_polling(&self, cluster: &mut Cluster, node: usize, w: &mut Worker) {
@@ -249,7 +249,7 @@ impl Runtime {
         }
         let freq = cluster.freqs[node].core_freq(w.core) * 1e9;
         let rate = freq / self.poll_period_cycles() * POLL_BYTES;
-        let path = cluster.mem[node].path(Requester::Core(w.core), self.cfg.list_numa);
+        let path = cluster.mem[node].path(Requester::Core(w.core), LIST_NUMA);
         let flow = cluster.engine.start_flow(FlowSpec {
             path,
             volume: 1e18, // effectively endless; cancelled on state change
@@ -344,7 +344,7 @@ impl Runtime {
             let f = cluster.spec.light_freq_cap * 1e9;
             let half_poll = SimTime::from_secs_f64(0.5 * self.poll_period_cycles() / f);
             let lock = self.lock_delay(cluster, node);
-            let dispatch = SimTime::from_secs_f64(self.cfg.dispatch_cycles / f);
+            let dispatch = SimTime::from_secs_f64(DISPATCH_CYCLES / f);
             let delay = half_poll + lock + dispatch;
             telemetry::counter_add("rt.dispatches", 1);
             self.nodes[node].dispatching += 1;

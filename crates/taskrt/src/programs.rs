@@ -34,6 +34,18 @@ pub enum UseCase {
     Gemm,
 }
 
+impl UseCase {
+    /// Paper-scale problem size: CG system size `n` = 16384 (64 KiB
+    /// vector-half exchanges), or GEMM tile size 512 (8 MiB panel
+    /// exchanges).
+    pub fn scale(self) -> usize {
+        match self {
+            UseCase::Cg => 16_384,
+            UseCase::Gemm => 512,
+        }
+    }
+}
+
 /// Parameters of a distributed run.
 #[derive(Clone, Copy, Debug)]
 pub struct UseCaseConfig {
@@ -43,38 +55,35 @@ pub struct UseCaseConfig {
     pub workers: usize,
     /// Iterations (CG iterations / GEMM panel rounds).
     pub iterations: u32,
-    /// Problem scale: CG system size `n`, or GEMM tile size.
-    pub scale: usize,
 }
 
 impl UseCaseConfig {
-    /// Paper-scale CG: n = 16384 → 64 KiB vector-half exchanges.
+    /// Paper-scale CG.
     pub fn cg(workers: usize, iterations: u32) -> UseCaseConfig {
         UseCaseConfig {
             kind: UseCase::Cg,
             workers,
             iterations,
-            scale: 16_384,
         }
     }
 
-    /// Paper-scale GEMM: 512-tiles, 8 MiB panel exchanges.
+    /// Paper-scale GEMM.
     pub fn gemm(workers: usize, iterations: u32) -> UseCaseConfig {
         UseCaseConfig {
             kind: UseCase::Gemm,
             workers,
             iterations,
-            scale: 512,
         }
     }
 
     /// Bytes exchanged per direction per iteration.
     pub fn message_size(&self) -> usize {
+        let scale = self.kind.scale();
         match self.kind {
             // Updated half-vector broadcast.
-            UseCase::Cg => 8 * self.scale / 2,
+            UseCase::Cg => 8 * scale / 2,
             // A panel of 4 B-tiles.
-            UseCase::Gemm => 4 * 8 * self.scale * self.scale,
+            UseCase::Gemm => 4 * 8 * scale * scale,
         }
     }
 
@@ -84,7 +93,7 @@ impl UseCaseConfig {
         let data = cluster.data_numa[node];
         match self.kind {
             UseCase::Cg => {
-                let n = self.scale as f64;
+                let n = self.kind.scale() as f64;
                 // This node owns n/2 rows: GEMV slice + vector ops, split
                 // evenly across workers.
                 let total_flops = n * n + 10.0 * n;
@@ -117,7 +126,7 @@ impl UseCaseConfig {
                 let mut tasks: Vec<Vec<Phase>> = vec![Vec::new(); self.workers];
                 for t in 0..tiles {
                     tasks[t % self.workers].extend(gemm::tile_phases_bursty(
-                        self.scale,
+                        self.kind.scale(),
                         topology::NumaId(t as u32 % numa_count),
                     ));
                 }

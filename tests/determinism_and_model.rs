@@ -50,7 +50,6 @@ fn simulator_matches_roofline_closed_form() {
         cfg.governor = Governor::Userspace(2.3);
         cfg.uncore = UncorePolicy::Fixed(2.4);
         cfg.compute_cores = 1;
-        cfg.compute_both_nodes = false;
         cfg.pingpong = PingPongConfig::latency(1);
         cfg.reps = 1;
         let r = protocol::run(&cfg);
