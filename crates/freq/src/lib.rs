@@ -18,6 +18,13 @@
 //! piecewise constant between activity changes, so the paper's per-core
 //! frequency traces (Figures 2 and 3) are read as [`FreqModel::core_freq`]
 //! snapshots taken in each phase; nothing records a time series.
+//!
+//! No query scans cores: `set_activity` keeps two counts per socket (its
+//! non-idle cores, and its heavy cores per license), so the governor reads
+//! the socket's occupancy and worst license in O(1), and
+//! [`FreqModel::activity_changes`] counts the changes, so a caller can tell
+//! that nothing moved since it last looked (DESIGN.md §13.7). Unit tests
+//! keep the per-core scans as the reference the counts must match.
 
 #![warn(missing_docs)]
 
@@ -83,7 +90,6 @@ pub enum UncorePolicy {
 /// The frequency model of one node.
 pub struct FreqModel {
     name: String,
-    sockets: u32,
     cores_per_socket: u32,
     idle_freq: f64,
     light_cap: f64,
@@ -93,6 +99,64 @@ pub struct FreqModel {
     governor: Governor,
     uncore: UncorePolicy,
     activity: Vec<Activity>,
+    /// Per-socket occupancy, kept current by `set_activity`.
+    load: Vec<SocketLoad>,
+    /// Activity changes so far (see [`FreqModel::activity_changes`]).
+    changes: u64,
+}
+
+/// What one socket's cores are doing, counted.
+#[derive(Clone, Copy, Default, Debug)]
+struct SocketLoad {
+    /// Non-idle cores.
+    active: u32,
+    /// Heavy cores, by [`License::index`].
+    heavy: [u32; 3],
+}
+
+impl SocketLoad {
+    /// Count (`add`) or uncount one core doing `activity`.
+    fn tally(&mut self, activity: Activity, add: bool) {
+        let bump = |n: &mut u32| *n = if add { *n + 1 } else { *n - 1 };
+        if activity != Activity::Idle {
+            bump(&mut self.active);
+        }
+        if let Activity::Heavy(l) = activity {
+            bump(&mut self.heavy[l.index()]);
+        }
+    }
+
+    fn heavy_total(&self) -> u32 {
+        self.heavy.iter().sum()
+    }
+
+    fn occupancy(&self) -> Occupancy {
+        let license = if self.heavy[License::Avx512.index()] > 0 {
+            License::Avx512
+        } else if self.heavy[License::Avx2.index()] > 0 {
+            License::Avx2
+        } else {
+            License::Normal
+        };
+        Occupancy {
+            active: self.active,
+            heavy: self.heavy_total(),
+            license,
+        }
+    }
+}
+
+/// The governor's view of a socket: its only inputs besides a core's own
+/// activity.
+#[derive(Clone, Copy, Debug)]
+struct Occupancy {
+    /// Non-idle cores.
+    active: u32,
+    /// Heavy cores.
+    heavy: u32,
+    /// Worst (lowest-ceiling) license among the heavy cores; `Normal` when
+    /// there are none.
+    license: License,
 }
 
 impl FreqModel {
@@ -118,7 +182,6 @@ impl FreqModel {
         let cores = spec.core_count();
         FreqModel {
             name: spec.name.clone(),
-            sockets: spec.sockets,
             cores_per_socket: cores / spec.sockets,
             idle_freq: spec.idle_freq,
             light_cap: spec.light_freq_cap,
@@ -128,6 +191,8 @@ impl FreqModel {
             governor,
             uncore,
             activity: vec![Activity::Idle; cores as usize],
+            load: vec![SocketLoad::default(); spec.sockets as usize],
+            changes: 0,
         }
     }
 
@@ -142,31 +207,7 @@ impl FreqModel {
 
     /// Number of non-idle cores on a socket.
     pub fn active_on_socket(&self, socket: SocketId) -> u32 {
-        self.cores_on_socket(socket)
-            .filter(|&c| self.activity[c.0 as usize] != Activity::Idle)
-            .count() as u32
-    }
-
-    fn heavy_on_socket(&self, socket: SocketId) -> u32 {
-        self.cores_on_socket(socket)
-            .filter(|&c| matches!(self.activity[c.0 as usize], Activity::Heavy(_)))
-            .count() as u32
-    }
-
-    fn cores_on_socket(&self, socket: SocketId) -> impl Iterator<Item = CoreId> + '_ {
-        let start = socket.0 * self.cores_per_socket;
-        (start..start + self.cores_per_socket).map(CoreId)
-    }
-
-    /// Worst (lowest-ceiling) license among heavy cores of a socket.
-    fn socket_license(&self, socket: SocketId) -> License {
-        self.cores_on_socket(socket)
-            .filter_map(|c| match self.activity[c.0 as usize] {
-                Activity::Heavy(l) => Some(l),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(License::Normal)
+        self.load[socket.0 as usize].active
     }
 
     fn ladder(&self, license: License, active: u32) -> f64 {
@@ -182,12 +223,24 @@ impl FreqModel {
     /// have changed (callers then re-apply [`FreqModel::core_freq`] to the
     /// engine's resources).
     pub fn set_activity(&mut self, core: CoreId, activity: Activity) -> bool {
-        let slot = &mut self.activity[core.0 as usize];
-        if *slot == activity {
+        let old = self.activity[core.0 as usize];
+        if old == activity {
             return false;
         }
-        *slot = activity;
+        self.activity[core.0 as usize] = activity;
+        let socket = self.socket_of(core);
+        let load = &mut self.load[socket.0 as usize];
+        load.tally(old, false);
+        load.tally(activity, true);
+        self.changes += 1;
         true
+    }
+
+    /// Number of activity changes recorded so far (calls to
+    /// [`FreqModel::set_activity`] that returned `true`). Every query of
+    /// this model answers the same while the count stands still.
+    pub fn activity_changes(&self) -> u64 {
+        self.changes
     }
 
     /// Current activity of a core.
@@ -197,18 +250,27 @@ impl FreqModel {
 
     /// Frequency of a core in GHz under the current governor and activity.
     pub fn core_freq(&self, core: CoreId) -> f64 {
+        let socket = self.socket_of(core);
+        self.freq_under(
+            self.activity(core),
+            self.load[socket.0 as usize].occupancy(),
+        )
+    }
+
+    /// The governor's rule: the frequency of a core doing `activity` on a
+    /// socket occupied as `occ`.
+    fn freq_under(&self, activity: Activity, occ: Occupancy) -> f64 {
         match self.governor {
             Governor::Userspace(f) => f,
             Governor::Performance { turbo } => {
-                let socket = self.socket_of(core);
-                let active = self.active_on_socket(socket);
-                match self.activity[core.0 as usize] {
+                let active = occ.active;
+                match activity {
                     Activity::Idle => {
                         // The paper observes *all* cores clock up when heavy
                         // computation runs (shared voltage rail): idle cores
                         // follow the socket's heavy frequency.
-                        if self.heavy_on_socket(socket) > 0 {
-                            let lic = self.socket_license(socket);
+                        if occ.heavy > 0 {
+                            let lic = occ.license;
                             if turbo {
                                 self.ladder(lic, active)
                             } else {
@@ -245,8 +307,7 @@ impl FreqModel {
         match self.uncore {
             UncorePolicy::Fixed(f) => f,
             UncorePolicy::Auto => {
-                let busy = (0..self.sockets).any(|s| self.active_on_socket(SocketId(s)) > 0);
-                if busy {
+                if self.load.iter().any(|l| l.active > 0) {
                     self.uncore_range.1
                 } else {
                     self.uncore_range.0
@@ -259,8 +320,73 @@ impl FreqModel {
     /// package-idle latency penalty (§3.2/§3.3: latency improves when
     /// computation runs beside communication).
     pub fn heavy_total(&self) -> u32 {
-        (0..self.sockets)
-            .map(|s| self.heavy_on_socket(SocketId(s)))
+        self.load.iter().map(SocketLoad::heavy_total).sum()
+    }
+}
+
+/// The per-core scans the counts replaced, kept as the reference the
+/// counted queries must match bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    fn cores_on_socket(m: &FreqModel, socket: SocketId) -> impl Iterator<Item = Activity> + '_ {
+        let start = (socket.0 * m.cores_per_socket) as usize;
+        m.activity[start..start + m.cores_per_socket as usize]
+            .iter()
+            .copied()
+    }
+
+    pub fn active_on_socket(m: &FreqModel, socket: SocketId) -> u32 {
+        cores_on_socket(m, socket)
+            .filter(|&a| a != Activity::Idle)
+            .count() as u32
+    }
+
+    fn heavy_on_socket(m: &FreqModel, socket: SocketId) -> u32 {
+        cores_on_socket(m, socket)
+            .filter(|a| matches!(a, Activity::Heavy(_)))
+            .count() as u32
+    }
+
+    /// Worst (lowest-ceiling) license among heavy cores of a socket.
+    fn socket_license(m: &FreqModel, socket: SocketId) -> License {
+        cores_on_socket(m, socket)
+            .filter_map(|a| match a {
+                Activity::Heavy(l) => Some(l),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(License::Normal)
+    }
+
+    /// `core_freq` with the socket's occupancy scanned from its cores.
+    pub fn core_freq(m: &FreqModel, core: CoreId) -> f64 {
+        let socket = m.socket_of(core);
+        let occ = Occupancy {
+            active: active_on_socket(m, socket),
+            heavy: heavy_on_socket(m, socket),
+            license: socket_license(m, socket),
+        };
+        m.freq_under(m.activity(core), occ)
+    }
+
+    pub fn uncore_freq(m: &FreqModel) -> f64 {
+        match m.uncore {
+            UncorePolicy::Fixed(f) => f,
+            UncorePolicy::Auto => {
+                if (0..m.load.len() as u32).any(|s| active_on_socket(m, SocketId(s)) > 0) {
+                    m.uncore_range.1
+                } else {
+                    m.uncore_range.0
+                }
+            }
+        }
+    }
+
+    pub fn heavy_total(m: &FreqModel) -> u32 {
+        (0..m.load.len() as u32)
+            .map(|s| heavy_on_socket(m, SocketId(s)))
             .sum()
     }
 }
@@ -268,7 +394,8 @@ impl FreqModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use topology::{henri, pyxis};
+    use proptest::prelude::*;
+    use topology::{henri, pyxis, Preset};
 
     fn model(gov: Governor) -> FreqModel {
         FreqModel::new(&henri(), gov, UncorePolicy::Auto)
@@ -428,8 +555,12 @@ mod tests {
     #[test]
     fn set_activity_reports_change() {
         let mut m = model(Governor::Performance { turbo: true });
+        assert_eq!(m.activity_changes(), 0);
         assert!(m.set_activity(CoreId(0), Activity::Light));
         assert!(!m.set_activity(CoreId(0), Activity::Light));
+        assert_eq!(m.activity_changes(), 1, "only a real change counts");
+        assert!(m.set_activity(CoreId(0), Activity::Heavy(License::Avx2)));
+        assert_eq!(m.activity_changes(), 2);
     }
 
     #[test]
@@ -443,5 +574,70 @@ mod tests {
         assert!(License::Normal < License::Avx2);
         assert!(License::Avx2 < License::Avx512);
         assert_eq!(License::Avx512.index(), 2);
+    }
+
+    fn activity_strategy() -> impl Strategy<Value = Activity> {
+        prop_oneof![
+            Just(Activity::Idle),
+            Just(Activity::Light),
+            Just(Activity::Heavy(License::Normal)),
+            Just(Activity::Heavy(License::Avx2)),
+            Just(Activity::Heavy(License::Avx512)),
+        ]
+    }
+
+    proptest! {
+        /// The per-socket counts answer every query with the bits the
+        /// per-core scans give: every preset, every governor, both uncore
+        /// policies, after every step of a random `set_activity` sequence
+        /// (repeated picks of a core move it between licenses).
+        #[test]
+        fn counts_match_the_reference_scans(
+            preset in 0usize..5,
+            governor in 0u32..3,
+            auto_uncore in any::<bool>(),
+            steps in prop::collection::vec((0u32..1024, activity_strategy()), 1..160),
+        ) {
+            let presets =
+                [Preset::Henri, Preset::Bora, Preset::Billy, Preset::Pyxis, Preset::Tiny2x2];
+            let spec = presets[preset].spec();
+            let governor = match governor {
+                0 => Governor::Performance { turbo: true },
+                1 => Governor::Performance { turbo: false },
+                _ => Governor::Userspace(spec.base_freq),
+            };
+            let uncore = if auto_uncore {
+                UncorePolicy::Auto
+            } else {
+                UncorePolicy::Fixed(spec.uncore_range.1)
+            };
+            let mut m = FreqModel::new(&spec, governor, uncore);
+            let cores = spec.core_count();
+            for (step, &(pick, act)) in steps.iter().enumerate() {
+                m.set_activity(CoreId(pick % cores), act);
+                for c in 0..cores {
+                    let core = CoreId(c);
+                    prop_assert_eq!(
+                        m.core_freq(core).to_bits(),
+                        reference::core_freq(&m, core).to_bits(),
+                        "step {}: core {}", step, c
+                    );
+                }
+                for s in 0..spec.sockets {
+                    let socket = SocketId(s);
+                    prop_assert_eq!(
+                        m.active_on_socket(socket),
+                        reference::active_on_socket(&m, socket),
+                        "step {}: socket {}", step, s
+                    );
+                }
+                prop_assert_eq!(
+                    m.uncore_freq().to_bits(),
+                    reference::uncore_freq(&m).to_bits(),
+                    "step {}", step
+                );
+                prop_assert_eq!(m.heavy_total(), reference::heavy_total(&m), "step {}", step);
+            }
+        }
     }
 }

@@ -128,10 +128,16 @@ struct JobState {
 }
 
 /// Executes compute jobs on one node. `exec_id` namespaces event tags so
-/// several executors (one per simulated node) can share an engine.
+/// several executors (one per simulated node) can share an engine. An
+/// executor is always driven with its node's one [`FreqModel`].
 pub struct Executor {
     exec_id: u32,
     jobs: Vec<Option<JobState>>,
+    /// [`FreqModel::activity_changes`] when [`Executor::refresh_caps`] last
+    /// ran in full (`None` before the first).
+    caps_at: Option<u64>,
+    /// Refreshes that ran in full rather than returning early.
+    full_refreshes: u64,
 }
 
 impl Executor {
@@ -140,6 +146,8 @@ impl Executor {
         Executor {
             exec_id,
             jobs: Vec::new(),
+            caps_at: None,
+            full_refreshes: 0,
         }
     }
 
@@ -264,7 +272,36 @@ impl Executor {
 
     /// Recompute the roofline caps of all active memory flows (after a
     /// frequency change).
+    ///
+    /// Returns at once while `freqs` has not changed since the last full
+    /// refresh: `phase_cap` reads only `freqs` and the static spec, the
+    /// last full refresh wrote every cap, and `launch_phase` caps each
+    /// later flow from that same state, so every cap already
+    /// equals what the loop would write. Debug builds re-run the skipped
+    /// loop and check that. A flow that finished earlier in this instant
+    /// is gone from the net, and `set_flow_cap` ignores it.
     pub fn refresh_caps(&mut self, engine: &mut Engine, mem: &MemSystem, freqs: &FreqModel) {
+        let changes = freqs.activity_changes();
+        if self.caps_at == Some(changes) {
+            #[cfg(debug_assertions)]
+            for job in self.jobs.iter().flatten() {
+                let phase = &job.spec.phases[job.phase];
+                let Some(cap) = job.flow.and_then(|f| engine.flow_cap(f)) else {
+                    continue;
+                };
+                if phase.bytes > 0.0 {
+                    let want = Self::phase_cap(mem, freqs, job.spec.core, phase);
+                    debug_assert_eq!(
+                        cap.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "skipped refresh left a stale roofline cap"
+                    );
+                }
+            }
+            return;
+        }
+        self.caps_at = Some(changes);
+        self.full_refreshes += 1;
         for job in self.jobs.iter().flatten() {
             if let Some(flow) = job.flow {
                 let phase = &job.spec.phases[job.phase];
@@ -273,6 +310,13 @@ impl Executor {
                 }
             }
         }
+    }
+
+    /// Calls of [`Executor::refresh_caps`] that ran in full rather than
+    /// returning early. A host-cost diagnostic: nothing in a run's output
+    /// reads it.
+    pub fn full_refreshes(&self) -> u64 {
+        self.full_refreshes
     }
 
     /// Handle a completion event. Returns finished job stats when a whole

@@ -26,6 +26,7 @@
 pub mod collective;
 pub mod pingpong;
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
@@ -125,6 +126,8 @@ const NO_REQ: u32 = u32::MAX;
 /// One `(dst, src, mtag)` match bin: FIFO order within the bin is exactly
 /// the global posting/arrival order restricted to the bin's key, so popping
 /// the front is equivalent to the reference matcher's first-match scan.
+/// A bin lives only while one of its queues holds something: a match that
+/// empties it removes it, so per-round collective tags leave nothing behind.
 #[derive(Default, Debug)]
 struct MatchBin {
     /// Posted-but-unmatched receive requests, in posting order.
@@ -132,6 +135,12 @@ struct MatchBin {
     /// Arrived-but-unmatched transfers, in arrival order. Failed transfers
     /// are removed lazily (see `Matcher::Indexed::cancelled`).
     unexpected: VecDeque<TransferId>,
+}
+
+impl MatchBin {
+    fn is_empty(&self) -> bool {
+        self.posted.is_empty() && self.unexpected.is_empty()
+    }
 }
 
 /// Message-matching state. The default `Indexed` form makes post, match and
@@ -145,7 +154,7 @@ struct MatchBin {
 /// (checked by a debug assertion on every send).
 enum Matcher {
     Indexed {
-        /// `(dst, src, mtag)` → match bin.
+        /// `(dst, src, mtag)` → match bin; only non-empty bins are kept.
         bins: HashMap<(u32, u32, u32), MatchBin>,
         /// TransferId → (send request, sending rank).
         meta: Vec<(u32, u32)>,
@@ -538,15 +547,19 @@ impl Cluster {
                 delivered.push(false);
                 cancelled.push(false);
                 send_transfer.push(transfer);
-                let bin = bins.entry((to as u32, from as u32, mtag)).or_default();
-                if let Some(r) = bin.posted.pop_front() {
-                    telemetry::counter_add("mpi.match.probes", 1);
-                    telemetry::counter_add("mpi.match.bin_hit", 1);
-                    recv_of[transfer.0 as usize] = r;
-                    self.recvs[r as usize].matched = Some(transfer);
-                    self.net.recv_ready(&mut self.engine, transfer);
-                } else {
-                    bin.unexpected.push_back(transfer);
+                match bins.entry((to as u32, from as u32, mtag)) {
+                    Entry::Occupied(mut bin) if !bin.get().posted.is_empty() => {
+                        let r = bin.get_mut().posted.pop_front().expect("posted receive");
+                        if bin.get().is_empty() {
+                            bin.remove();
+                        }
+                        telemetry::counter_add("mpi.match.probes", 1);
+                        telemetry::counter_add("mpi.match.bin_hit", 1);
+                        recv_of[transfer.0 as usize] = r;
+                        self.recvs[r as usize].matched = Some(transfer);
+                        self.net.recv_ready(&mut self.engine, transfer);
+                    }
+                    bin => bin.or_default().unexpected.push_back(transfer),
                 }
             }
             Matcher::Scan {
@@ -611,18 +624,27 @@ impl Cluster {
                 cancelled,
                 ..
             } => {
-                let bin = bins.entry((node as u32, src as u32, mtag)).or_default();
                 let mut matched = None;
                 let mut probed = 0u64;
-                // Failed transfers are dropped lazily here, so a failure
-                // elsewhere never scanned this bin.
-                while let Some(t) = bin.unexpected.pop_front() {
-                    probed += 1;
-                    if cancelled[t.0 as usize] {
-                        continue;
+                match bins.entry((node as u32, src as u32, mtag)) {
+                    Entry::Occupied(mut bin) => {
+                        // Failed transfers are dropped lazily here, so a
+                        // failure elsewhere never scanned this bin.
+                        while let Some(t) = bin.get_mut().unexpected.pop_front() {
+                            probed += 1;
+                            if cancelled[t.0 as usize] {
+                                continue;
+                            }
+                            matched = Some(t);
+                            break;
+                        }
+                        if matched.is_none() {
+                            bin.get_mut().posted.push_back(req.0);
+                        } else if bin.get().is_empty() {
+                            bin.remove();
+                        }
                     }
-                    matched = Some(t);
-                    break;
+                    Entry::Vacant(bin) => bin.insert(MatchBin::default()).posted.push_back(req.0),
                 }
                 if probed > 0 {
                     telemetry::counter_add("mpi.match.probes", probed);
@@ -644,11 +666,8 @@ impl Cluster {
                     } else {
                         self.net.recv_ready(&mut self.engine, transfer);
                     }
-                    self.recvs.push(rr);
-                } else {
-                    self.recvs.push(rr);
-                    bin.posted.push_back(req.0);
                 }
+                self.recvs.push(rr);
             }
             Matcher::Scan {
                 posted, unexpected, ..
@@ -1003,10 +1022,19 @@ mod tests {
         drive_until_recv(&mut c, r2);
     }
 
-    /// ISSUE 9 satellite: a 1k-message churn across distinct tags must not
-    /// scan unrelated bins. The indexed matcher probes exactly one entry
-    /// per receive (its own bin's front); the pinned linear scanner walks
-    /// the whole unexpected queue — the telemetry counters prove both.
+    /// Match bins the indexed matcher still holds.
+    fn live_bins(c: &Cluster) -> usize {
+        match &c.matcher {
+            Matcher::Indexed { bins, .. } => bins.len(),
+            Matcher::Scan { .. } => 0,
+        }
+    }
+
+    /// A 1k-message churn across distinct tags must not scan unrelated
+    /// bins. The indexed matcher probes exactly one entry per receive (its
+    /// own bin's front); the pinned linear scanner walks the whole
+    /// unexpected queue — the telemetry counters prove both. Every bin is
+    /// freed once its message has matched.
     #[test]
     fn churn_does_not_scan_unrelated_bins() {
         let run = |force_scan: bool| -> (u64, u64) {
@@ -1024,10 +1052,14 @@ mod tests {
                     // Drain: every eager payload lands unexpected, each in
                     // its own (dst, src, tag) bin.
                     while c.step().is_some() {}
+                    if !force_scan {
+                        assert_eq!(live_bins(&c), 1000, "one bin per unexpected message");
+                    }
                     for t in (0..1000u32).rev() {
                         let r = c.irecv(1, t);
                         assert!(c.test_recv(r), "eager payload already arrived");
                     }
+                    assert_eq!(live_bins(&c), 0, "every bin emptied by its match is freed");
                     let j = telemetry::take().expect("recorder installed");
                     (
                         j.counters.get("mpi.match.probes").copied().unwrap_or(0),
@@ -1046,6 +1078,27 @@ mod tests {
             scan_probes, 500_500,
             "the reference scan walks every unrelated entry (arithmetic-series probe count)"
         );
+    }
+
+    /// Receives posted before their sends: the send's match frees the bin
+    /// the receive created, and FIFO order within a key is kept.
+    #[test]
+    fn match_bins_are_freed_when_receives_come_first() {
+        let mut c = cluster();
+        let first: Vec<ReqId> = (0..100u32).map(|t| c.irecv(1, t)).collect();
+        let second = c.irecv(1, 0);
+        assert_eq!(live_bins(&c), 100);
+        for t in 0..100u32 {
+            c.isend(0, 64, t, 1);
+        }
+        assert_eq!(live_bins(&c), 1, "tag 0 still holds the second receive");
+        for &r in &first {
+            drive_until_recv(&mut c, r);
+        }
+        assert!(!c.test_recv(second), "FIFO: the first send matched the first receive");
+        c.isend(0, 64, 0, 2);
+        assert_eq!(live_bins(&c), 0);
+        drive_until_recv(&mut c, second);
     }
 
     #[test]
@@ -1099,6 +1152,45 @@ mod tests {
             }
         }
         assert!(c.test_send(s));
+    }
+
+    /// A compute event on node 0 re-runs node 1's full roofline refresh
+    /// only after node 1's frequency model changed.
+    #[test]
+    fn sibling_refresh_runs_only_after_a_frequency_change() {
+        let mut c = Cluster::new(
+            &henri(),
+            Governor::Performance { turbo: true },
+            UncorePolicy::Auto,
+            Placement::fig4_default(),
+        );
+        // Compute-capped memory phases: the roofline cap moves with the
+        // core's frequency.
+        let job = |iterations| JobSpec {
+            core: CoreId(0),
+            phases: vec![Phase {
+                flops: 4.0e6,
+                bytes: 1.0e6,
+                data: NumaId(0),
+                license: License::Normal,
+            }],
+            iterations,
+        };
+        let run_node0_job = |c: &mut Cluster, iterations| {
+            c.start_job(0, job(iterations));
+            while !matches!(c.step().expect("progress"), ClusterEvent::JobDone { node: 0, .. }) {}
+        };
+        let long = c.start_job(1, job(1_000_000));
+        let refreshed = c.exec[1].full_refreshes();
+        run_node0_job(&mut c, 20);
+        assert_eq!(c.exec[1].full_refreshes(), refreshed, "node 1's model never changed");
+        // A change made outside the executor, as task-runtime workers
+        // make them: the next node-0 event refreshes node 1 once.
+        c.freqs[1].set_activity(CoreId(5), Activity::Light);
+        c.mem[1].apply_freqs(&mut c.engine, &c.freqs[1]);
+        run_node0_job(&mut c, 20);
+        assert_eq!(c.exec[1].full_refreshes(), refreshed + 1);
+        assert!(c.stop_job(1, long).is_some());
     }
 
     #[test]

@@ -290,6 +290,11 @@ impl Engine {
         self.net.set_flow_cap(id, cap);
     }
 
+    /// Rate cap of a live flow (`None` if the flow is gone).
+    pub fn flow_cap(&self, id: FlowId) -> Option<Option<f64>> {
+        self.net.flow_cap(id)
+    }
+
     /// Cancel a flow before completion, returning its progress report.
     pub fn cancel_flow(&mut self, id: FlowId) -> Option<FlowReport> {
         self.net.cancel_flow(id)

@@ -44,6 +44,10 @@
 //! [`reference::reallocate`] rebuilds the adjacency and the component
 //! decomposition independently and runs the plain loop, one freeze per
 //! round; both send one-flow components to the same waterfill shortcut.
+//! The production walk and solve work in buffers the net owns and clears
+//! per component (the component and walk lists, the fill loop's columns
+//! and the solution), so a steady-state re-solve allocates nothing; the
+//! reference allocates afresh, as an oracle should (DESIGN.md §13.7).
 //! Fast and reference results are bit-identical — not by shared code but
 //! as proven by the differential suites: `prop_fluid_equiv` over
 //! randomized and tie-heavy mutation sequences, simcheck's differential
@@ -254,6 +258,25 @@ pub struct FluidNet {
     epoch: u64,
     next_flow: u64,
     dirty: bool,
+    /// Buffers every re-solve reuses.
+    scratch: Scratch,
+}
+
+/// Buffers every [`FluidNet::reallocate`] reuses: the component walk's
+/// lists, the fill loop's working columns and the solution. Each is
+/// cleared and refilled per component, so nothing carries over from one
+/// component to the next, and a re-solve allocates only when a component
+/// outgrows every earlier one.
+#[derive(Default)]
+struct Scratch {
+    /// Resources of the component being solved (ascending once walked).
+    comp_res: Vec<u32>,
+    /// Slots of the component being solved (by ascending id once walked).
+    comp_slots: Vec<u32>,
+    /// Stack of the component walk.
+    queue: Vec<u32>,
+    fill: FillBuffers,
+    sol: RegionSolution,
 }
 
 /// Snapshot of a finished or cancelled flow.
@@ -305,6 +328,7 @@ impl FluidNet {
             epoch: 0,
             next_flow: 0,
             dirty: false,
+            scratch: Scratch::default(),
         }
     }
 
@@ -487,6 +511,12 @@ impl FluidNet {
         Some(self.detach_slot(slot))
     }
 
+    /// Rate cap of a live flow (`None` if the flow is gone).
+    pub fn flow_cap(&self, id: FlowId) -> Option<Option<f64>> {
+        let slot = *self.index.get(&id.0)?;
+        Some(self.arena.cap[slot as usize])
+    }
+
     /// Rate of a flow under the current allocation.
     pub fn flow_rate(&self, id: FlowId) -> Option<f64> {
         let slot = *self.index.get(&id.0)?;
@@ -527,10 +557,16 @@ impl FluidNet {
         }
         self.epoch += 1;
         let epoch = self.epoch;
-        let seeds = std::mem::take(&mut self.dirty_list);
-        let mut comp_res: Vec<u32> = Vec::new();
-        let mut comp_slots: Vec<u32> = Vec::new();
-        let mut queue: Vec<u32> = Vec::new();
+        // Nothing below marks a resource dirty, so the list comes back
+        // empty, with its buffer, once the seeds are walked.
+        let mut seeds = std::mem::take(&mut self.dirty_list);
+        let Scratch {
+            comp_res,
+            comp_slots,
+            queue,
+            fill,
+            sol,
+        } = &mut self.scratch;
         // Each dirty component is solved as soon as it is found. Finding
         // one reads only member lists, paths and visit marks, never rates
         // or allocations, so solving early cannot change what later seeds
@@ -575,18 +611,28 @@ impl FluidNet {
             }
             stats.components += 1;
             stats.flows_visited += comp_slots.len() as u64;
-            let sol =
-                solve_region(&self.resources, &self.arena, &self.res_local, &comp_res, &comp_slots);
+            solve_region(
+                &self.resources,
+                &self.arena,
+                &self.res_local,
+                comp_res,
+                comp_slots,
+                fill,
+                sol,
+            );
             stats.waterfill += u64::from(sol.waterfill);
             apply_region(
                 &self.resources,
                 &mut self.res,
                 &mut self.arena,
-                &comp_res,
-                &comp_slots,
-                &sol,
+                comp_res,
+                comp_slots,
+                sol,
             );
         }
+        debug_assert!(self.dirty_list.is_empty());
+        seeds.clear();
+        self.dirty_list = seeds;
         stats
     }
 
@@ -677,9 +723,10 @@ impl FluidNet {
 
 /// A solved component, local to its `comp_res`/`comp_slots` ordering:
 /// `rate[i]` for the i-th component slot, `alloc[lr]` for the lr-th
-/// component resource. Produced by [`solve_region`] (pure) and written back
-/// by [`apply_region`] — the split lets the waterfill parity test compare
-/// the solvers' outputs without touching a net.
+/// component resource. Filled by [`solve_region`] (which touches no net
+/// state) and written back by [`apply_region`] — the split lets the
+/// waterfill parity test compare the solvers' outputs without a net.
+#[derive(Default)]
 struct RegionSolution {
     rate: Vec<f64>,
     alloc: Vec<f64>,
@@ -703,7 +750,8 @@ fn solve_singleton(
     arena: &FlowArena,
     comp_res: &[u32],
     comp_slots: &[u32],
-) -> RegionSolution {
+    sol: &mut RegionSolution,
+) {
     let si = comp_slots[0] as usize;
     let w0 = arena.weight[si];
     // A closed one-flow component lists exactly the flow's resources, each
@@ -726,20 +774,19 @@ fn solve_singleton(
     } else {
         w0 * (0.0 + best_dlevel)
     };
-    let mut alloc = vec![0.0f64; comp_res.len()];
+    sol.alloc.clear();
+    sol.alloc.resize(comp_res.len(), 0.0);
     for &r in &arena.path[si] {
         let lr = comp_res.binary_search(&r.0).expect("closed component");
-        alloc[lr] += rate0;
+        sol.alloc[lr] += rate0;
     }
-    RegionSolution {
-        rate: vec![rate0],
-        alloc,
-        waterfill: true,
-    }
+    sol.rate.clear();
+    sol.rate.push(rate0);
+    sol.waterfill = true;
 }
 
-/// Solve one connected component by progressive filling, returning its
-/// rates and per-resource allocations without touching shared state.
+/// Solve one connected component by progressive filling into `sol`: its
+/// rates and per-resource allocations, without touching shared state.
 ///
 /// `comp_res` must be sorted ascending, `comp_slots` sorted by ascending
 /// [`FlowId`], and together they must form a closed component: every
@@ -752,14 +799,18 @@ fn solve_region(
     local: &[u32],
     comp_res: &[u32],
     comp_slots: &[u32],
-) -> RegionSolution {
+    fill: &mut FillBuffers,
+    sol: &mut RegionSolution,
+) {
     if comp_slots.len() == 1 {
-        return solve_singleton(resources, arena, comp_res, comp_slots);
+        solve_singleton(resources, arena, comp_res, comp_slots, sol);
+    } else {
+        solve_general(resources, arena, local, comp_res, comp_slots, fill, sol);
     }
-    solve_general(resources, arena, local, comp_res, comp_slots)
 }
 
 /// Flat adjacency lists: list `k` is `items[start[k]..start[k + 1]]`.
+#[derive(Default)]
 struct Csr {
     start: Vec<u32>,
     items: Vec<u32>,
@@ -802,37 +853,56 @@ fn solve_general(
     local: &[u32],
     comp_res: &[u32],
     comp_slots: &[u32],
-) -> RegionSolution {
+    fill: &mut FillBuffers,
+    sol: &mut RegionSolution,
+) {
     let nf = comp_slots.len();
     let nr = comp_res.len();
     debug_assert!(nf > 0 && nr > 0);
+    let FillBuffers {
+        weight,
+        cap,
+        fpath,
+        lmembers,
+        cursor,
+        frozen,
+        headroom,
+        w,
+        zeros,
+        touched,
+        is_touched,
+        active_res,
+        active_cap_flows,
+    } = fill;
+    let RegionSolution {
+        rate,
+        alloc,
+        waterfill,
+    } = sol;
 
     // Component-local copies of the per-flow parameters, plus the local
     // adjacency in both directions: `lmembers.row(lr)` lists the local
     // flows crossing local resource `lr` (ascending id, once per flow),
     // `fpath.row(i)` the local resources flow `i` crosses (once each).
-    let mut weight = Vec::with_capacity(nf);
-    let mut cap: Vec<Option<f64>> = Vec::with_capacity(nf);
-    let mut fpath = Csr {
-        start: Vec::with_capacity(nf + 1),
-        items: Vec::new(),
-    };
+    weight.clear();
+    cap.clear();
+    fpath.start.clear();
+    fpath.items.clear();
     fpath.start.push(0);
-    // `last[lr]`: the last flow indexed on `lr` (drops duplicate path
-    // entries); reused below as the member lists' fill cursors.
-    let mut last = vec![u32::MAX; nr];
-    let mut lmembers = Csr {
-        start: vec![0u32; nr + 1],
-        items: Vec::new(),
-    };
+    // `cursor[lr]` first holds the last flow indexed on `lr` (drops
+    // duplicate path entries), then the member lists' fill cursors.
+    cursor.clear();
+    cursor.resize(nr, u32::MAX);
+    lmembers.start.clear();
+    lmembers.start.resize(nr + 1, 0);
     for (i, &s) in comp_slots.iter().enumerate() {
         let si = s as usize;
         weight.push(arena.weight[si]);
         cap.push(arena.cap[si]);
         for &r in &arena.path[si] {
             let lr = local[r.index()];
-            if last[lr as usize] != i as u32 {
-                last[lr as usize] = i as u32;
+            if cursor[lr as usize] != i as u32 {
+                cursor[lr as usize] = i as u32;
                 lmembers.start[lr as usize + 1] += 1;
                 fpath.items.push(lr);
             }
@@ -842,9 +912,9 @@ fn solve_general(
     for lr in 0..nr {
         lmembers.start[lr + 1] += lmembers.start[lr];
     }
-    let mut cursor = last;
     cursor.copy_from_slice(&lmembers.start[..nr]);
-    lmembers.items = vec![0u32; fpath.items.len()];
+    lmembers.items.clear();
+    lmembers.items.resize(fpath.items.len(), 0);
     for i in 0..nf {
         for &lr in fpath.row(i) {
             let c = &mut cursor[lr as usize];
@@ -852,6 +922,7 @@ fn solve_general(
             *c += 1;
         }
     }
+    let (weight, cap, fpath, lmembers) = (&*weight, &*cap, &*fpath, &*lmembers);
 
     // Unfrozen weight sum per resource. Kept current across rounds by
     // *re-summing in id order* the resources touched by a round's freezes —
@@ -867,18 +938,22 @@ fn solve_general(
             .sum()
     };
 
-    let mut frozen = vec![false; nf];
-    let mut rate = vec![0.0f64; nf];
-    let mut headroom: Vec<f64> =
-        comp_res.iter().map(|&r| resources[r as usize].capacity).collect();
-    let mut w: Vec<f64> = (0..nr).map(|lr| resum(lr, &frozen)).collect();
+    frozen.clear();
+    frozen.resize(nf, false);
+    rate.clear();
+    rate.resize(nf, 0.0);
+    headroom.clear();
+    headroom.extend(comp_res.iter().map(|&r| resources[r as usize].capacity));
+    w.clear();
+    w.extend((0..nr).map(|lr| resum(lr, frozen)));
     let mut unfrozen = nf;
     let mut level = 0.0f64;
     // Resources scoring `dlevel` 0.0 in the round's scan, ascending.
-    let mut zeros: Vec<u32> = Vec::new();
+    zeros.clear();
     // Resources crossed by a flow frozen this round, each listed once.
-    let mut touched: Vec<u32> = Vec::new();
-    let mut is_touched = vec![false; nr];
+    touched.clear();
+    is_touched.clear();
+    is_touched.resize(nr, false);
 
     // Active scan lists, compacted as the fill proceeds: a resource whose
     // unfrozen weight reached 0.0 can never become a candidate again
@@ -889,9 +964,10 @@ fn solve_general(
     // only iterations the full scans would `continue` past. Dropping a
     // zero-weight resource from the headroom update is equally exact:
     // `headroom -= 0.0 * dl` is a no-op for every finite `dl`.
-    let mut active_res: Vec<u32> = (0..nr as u32).collect();
-    let mut active_cap_flows: Vec<u32> =
-        (0..nf as u32).filter(|&i| cap[i as usize].is_some()).collect();
+    active_res.clear();
+    active_res.extend(0..nr as u32);
+    active_cap_flows.clear();
+    active_cap_flows.extend((0..nf as u32).filter(|&i| cap[i as usize].is_some()));
 
     while unfrozen > 0 {
         active_res.retain(|&lr| w[lr as usize] > 0.0);
@@ -900,7 +976,7 @@ fn solve_general(
         let mut best_dlevel = f64::INFINITY;
         let mut bottleneck: Option<usize> = None;
         zeros.clear();
-        for &lr in &active_res {
+        for &lr in active_res.iter() {
             let l = lr as usize;
             let dlevel = (headroom[l].max(0.0)) / w[l];
             if dlevel < best_dlevel {
@@ -914,7 +990,7 @@ fn solve_general(
         // Flow caps: flow i freezes when level reaches cap/weight.
         let mut cap_dlevel = f64::INFINITY;
         let mut cap_flow: Option<usize> = None;
-        for &i in &active_cap_flows {
+        for &i in active_cap_flows.iter() {
             let i = i as usize;
             if let Some(c) = cap[i] {
                 let dl = (c / weight[i] - level).max(0.0);
@@ -943,7 +1019,7 @@ fn solve_general(
             best_dlevel
         };
         level += dl;
-        for &lr in &active_res {
+        for &lr in active_res.iter() {
             let lr = lr as usize;
             headroom[lr] -= w[lr] * dl;
         }
@@ -974,22 +1050,22 @@ fn solve_general(
                     }
                 }
             };
-            freeze(bottleneck.expect("bottleneck set"), &mut frozen);
+            freeze(bottleneck.expect("bottleneck set"), frozen);
             if dl == 0.0 {
                 for &z in &zeros[1..] {
                     let z = z as usize;
-                    let wz = resum(z, &frozen);
+                    let wz = resum(z, frozen);
                     if wz > 0.0 && headroom[z].max(0.0) / wz == 0.0 {
-                        freeze(z, &mut frozen);
+                        freeze(z, frozen);
                     }
                 }
             }
         }
         // Refresh the weight sums of every resource a newly frozen flow
         // crosses, once each.
-        for &lr in &touched {
+        for &lr in touched.iter() {
             is_touched[lr as usize] = false;
-            w[lr as usize] = resum(lr as usize, &frozen);
+            w[lr as usize] = resum(lr as usize, frozen);
         }
         touched.clear();
     }
@@ -998,17 +1074,33 @@ fn solve_general(
     // crossing a resource twice counts twice), accumulated from 0.0 in the
     // exact (flow, path-occurrence) order the serial write-back always used
     // — f64 addition is order-sensitive, so this order is the contract.
-    let mut alloc = vec![0.0f64; nr];
+    alloc.clear();
+    alloc.resize(nr, 0.0);
     for (i, &s) in comp_slots.iter().enumerate() {
         for &r in &arena.path[s as usize] {
             alloc[local[r.index()] as usize] += rate[i];
         }
     }
-    RegionSolution {
-        rate,
-        alloc,
-        waterfill: false,
-    }
+    *waterfill = false;
+}
+
+/// Working columns of [`solve_general`], reused across components; the
+/// comments there say what each holds.
+#[derive(Default)]
+struct FillBuffers {
+    weight: Vec<f64>,
+    cap: Vec<Option<f64>>,
+    fpath: Csr,
+    lmembers: Csr,
+    cursor: Vec<u32>,
+    frozen: Vec<bool>,
+    headroom: Vec<f64>,
+    w: Vec<f64>,
+    zeros: Vec<u32>,
+    touched: Vec<u32>,
+    is_touched: Vec<bool>,
+    active_res: Vec<u32>,
+    active_cap_flows: Vec<u32>,
 }
 
 /// Write a solved component back: rates on the flows, allocation totals
@@ -1128,7 +1220,9 @@ pub mod reference {
         comp_slots: &[u32],
     ) -> RegionSolution {
         if comp_slots.len() == 1 {
-            return solve_singleton(resources, arena, comp_res, comp_slots);
+            let mut sol = RegionSolution::default();
+            solve_singleton(resources, arena, comp_res, comp_slots, &mut sol);
+            return sol;
         }
         solve_general(resources, arena, comp_res, comp_slots)
     }
@@ -1621,6 +1715,9 @@ mod tests {
     #[test]
     fn waterfill_matches_general_loop_bitwise() {
         let mut rng = crate::Pcg32::new(42, 0x0dec0de);
+        // Reused across cases, as a net reuses them across components.
+        let mut fill = FillBuffers::default();
+        let (mut fast, mut production) = (RegionSolution::default(), RegionSolution::default());
         for case in 0..1000u32 {
             let mut net = FluidNet::new();
             let nres = 1 + rng.below(5) as usize;
@@ -1655,17 +1752,25 @@ mod tests {
             for (lr, &r) in comp_res.iter().enumerate() {
                 local[r as usize] = lr as u32;
             }
-            let fast = solve_singleton(&net.resources, &net.arena, &comp_res, &comp_slots);
-            for (loop_name, slow) in [
-                (
-                    "production",
-                    solve_general(&net.resources, &net.arena, &local, &comp_res, &comp_slots),
-                ),
-                (
-                    "reference",
-                    reference::solve_general(&net.resources, &net.arena, &comp_res, &comp_slots),
-                ),
-            ] {
+            solve_singleton(
+                &net.resources,
+                &net.arena,
+                &comp_res,
+                &comp_slots,
+                &mut fast,
+            );
+            solve_general(
+                &net.resources,
+                &net.arena,
+                &local,
+                &comp_res,
+                &comp_slots,
+                &mut fill,
+                &mut production,
+            );
+            let reference =
+                reference::solve_general(&net.resources, &net.arena, &comp_res, &comp_slots);
+            for (loop_name, slow) in [("production", &production), ("reference", &reference)] {
                 assert!(fast.waterfill && !slow.waterfill);
                 assert_eq!(
                     fast.rate[0].to_bits(),
