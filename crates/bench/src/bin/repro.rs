@@ -286,7 +286,13 @@ fn main() {
     }
 
     let store_stats = store.as_ref().map(|s| s.stats());
-    print_timings(&runs, &report, store_stats.as_ref(), jobs, wall.as_secs_f64());
+    print_timings(
+        &runs,
+        &report,
+        store_stats.as_ref(),
+        jobs,
+        wall.as_secs_f64(),
+    );
     if let Some(path) = &timings_path {
         export(
             path,
@@ -415,9 +421,7 @@ fn predict_cli(args: &[String], single_placement: bool) {
                     eprintln!(
                         "unknown preset: {} (expected one of {})",
                         name,
-                        Preset::clusters()
-                            .map(|p| p.spec().name)
-                            .join(", ")
+                        Preset::clusters().map(|p| p.spec().name).join(", ")
                     );
                     usage();
                 }
@@ -466,14 +470,16 @@ fn predict_cli(args: &[String], single_placement: bool) {
         }
         i += 1;
     }
-    let (Some(preset), Some(family), Some(cores), Some(metric)) =
-        (preset, family, cores, metric)
+    let (Some(preset), Some(family), Some(cores), Some(metric)) = (preset, family, cores, metric)
     else {
         eprintln!("--preset, --workload, --cores and --metric are required");
         usage();
     };
     if single_placement && !placement_given {
-        eprintln!("repro predict requires --placement I (0..{})", topology::Placement::all_combinations().len());
+        eprintln!(
+            "repro predict requires --placement I (0..{})",
+            topology::Placement::all_combinations().len()
+        );
         usage();
     }
     if resume && store_dir.is_none() {
@@ -571,10 +577,12 @@ fn predict_cli(args: &[String], single_placement: bool) {
         return;
     }
 
-    let ranked = advisor.rank_placements(&query, fidelity).unwrap_or_else(|e| {
-        eprintln!("error: ranking failed: {}", e);
-        std::process::exit(1);
-    });
+    let ranked = advisor
+        .rank_placements(&query, fidelity)
+        .unwrap_or_else(|e| {
+            eprintln!("error: ranking failed: {}", e);
+            std::process::exit(1);
+        });
     println!(
         "rank-placements: {}:{} c{} {} — {} candidates, best first",
         preset.spec().name,
@@ -611,10 +619,7 @@ fn predict_cli(args: &[String], single_placement: bool) {
             r.combined
         );
         match truth {
-            Some(t) => println!(
-                "   truth {:.3}x",
-                t.comm_penalty * t.compute_penalty
-            ),
+            Some(t) => println!("   truth {:.3}x", t.comm_penalty * t.compute_penalty),
             None => println!(),
         }
     }
@@ -628,10 +633,7 @@ fn predict_cli(args: &[String], single_placement: bool) {
             })
             .collect();
         if pairs.len() == ranked.len() {
-            let best_true = pairs
-                .iter()
-                .map(|(_, t)| *t)
-                .fold(f64::MAX, f64::min);
+            let best_true = pairs.iter().map(|(_, t)| *t).fold(f64::MAX, f64::min);
             let picked_true = pairs[0].1;
             println!(
                 "   predicted-best regret vs ground-truth best: {:.1}%",
@@ -778,9 +780,7 @@ fn print_engine_throughput(j: &simcore::Journal, busy_s: f64) {
 /// (process-global atomics, so always available).
 fn print_collective_path(j: Option<&simcore::Journal>) {
     let cache = mpisim::collective::cache_stats();
-    let c = |name: &str| {
-        j.and_then(|j| j.counters.get(name).copied()).unwrap_or(0)
-    };
+    let c = |name: &str| j.and_then(|j| j.counters.get(name).copied()).unwrap_or(0);
     let probes = c("mpi.match.probes");
     let hits = c("mpi.match.bin_hit");
     let routes = c("net.route.intern_hit");
@@ -794,7 +794,11 @@ fn print_collective_path(j: Option<&simcore::Journal>) {
             "   matching: {} bin hit(s) in {} probe(s) ({:.2} probes/match)",
             hits,
             probes,
-            if hits > 0 { probes as f64 / hits as f64 } else { 0.0 }
+            if hits > 0 {
+                probes as f64 / hits as f64
+            } else {
+                0.0
+            }
         );
     }
     if routes > 0 {

@@ -51,7 +51,15 @@ fn sigkill_mid_campaign_then_resume_is_byte_identical() {
     let store = base.join("store");
     let killed_json = path("killed.json");
     let mut child = repro()
-        .args(["--quick", "--only", "fig4", "--store", &path("store"), "--json", &killed_json])
+        .args([
+            "--quick",
+            "--only",
+            "fig4",
+            "--store",
+            &path("store"),
+            "--json",
+            &killed_json,
+        ])
         .env("REPRO_POINT_DELAY_MS", "250")
         .stdout(Stdio::null())
         .stderr(Stdio::null())
@@ -64,7 +72,10 @@ fn sigkill_mid_campaign_then_resume_is_byte_identical() {
             break;
         }
         if let Ok(Some(status)) = child.try_wait() {
-            panic!("campaign finished before the kill ({}; {} entries)", status, n);
+            panic!(
+                "campaign finished before the kill ({}; {} entries)",
+                status, n
+            );
         }
         assert!(Instant::now() < deadline, "no points persisted within 60 s");
         std::thread::sleep(Duration::from_millis(5));
@@ -83,13 +94,22 @@ fn sigkill_mid_campaign_then_resume_is_byte_identical() {
     let resumed_json = path("resumed.json");
     let out = repro()
         .args([
-            "--quick", "--only", "fig4",
-            "--store", &path("store"), "--resume",
-            "--json", &resumed_json,
+            "--quick",
+            "--only",
+            "fig4",
+            "--store",
+            &path("store"),
+            "--resume",
+            "--json",
+            &resumed_json,
         ])
         .output()
         .expect("spawn resume run");
-    assert!(out.status.success(), "resume failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "resume failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         stdout.contains("restored (hit)"),
@@ -106,9 +126,14 @@ fn sigkill_mid_campaign_then_resume_is_byte_identical() {
     let rerun_json = path("rerun.json");
     let out = repro()
         .args([
-            "--quick", "--only", "fig4",
-            "--store", &path("store"), "--resume",
-            "--json", &rerun_json,
+            "--quick",
+            "--only",
+            "fig4",
+            "--store",
+            &path("store"),
+            "--resume",
+            "--json",
+            &rerun_json,
         ])
         .output()
         .expect("spawn corrupted-resume run");
@@ -146,22 +171,38 @@ fn partial_campaign_exit_code_policy() {
         .args(["--quick", "--only", "fig9", "--timeout", "0.000001"])
         .output()
         .expect("spawn");
-    assert_eq!(out.status.code(), Some(3), "partial without --allow-partial exits 3");
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "partial without --allow-partial exits 3"
+    );
     assert!(String::from_utf8_lossy(&out.stderr).contains("--allow-partial"));
 
     let out = repro()
         .args([
-            "--quick", "--only", "fig9",
-            "--timeout", "0.000001",
+            "--quick",
+            "--only",
+            "fig9",
+            "--timeout",
+            "0.000001",
             "--allow-partial",
-            "--timings", &timings,
+            "--timings",
+            &timings,
         ])
         .output()
         .expect("spawn");
     assert_eq!(out.status.code(), Some(0), "--allow-partial exits 0");
     let t = std::fs::read_to_string(&timings).expect("timings export");
-    assert!(t.contains("\"partial\":true"), "timings record the partial flag: {}", t);
-    assert!(t.contains("\"timed_out_points\":"), "timings record timeouts: {}", t);
+    assert!(
+        t.contains("\"partial\":true"),
+        "timings record the partial flag: {}",
+        t
+    );
+    assert!(
+        t.contains("\"timed_out_points\":"),
+        "timings record timeouts: {}",
+        t
+    );
 
     let _ = std::fs::remove_dir_all(&base);
 }

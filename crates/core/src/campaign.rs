@@ -146,9 +146,9 @@ pub struct PointOutcome {
 pub fn expect_value<T: 'static>(points: &[PointOutcome], index: usize) -> &T {
     let p = &points[index];
     match &p.value {
-        Some(v) => v
-            .downcast_ref::<T>()
-            .unwrap_or_else(|| panic!("point {} ({}) has an unexpected value type", index, p.label)),
+        Some(v) => v.downcast_ref::<T>().unwrap_or_else(|| {
+            panic!("point {} ({}) has an unexpected value type", index, p.label)
+        }),
         None => panic!(
             "point {} ({}) failed: {}",
             index,
@@ -444,11 +444,7 @@ fn encode_outcome(exp: &dyn Experiment, o: &PointOutcome) -> Option<Vec<u8>> {
 /// recorded seeds match what this binary would derive for the point —
 /// an entry from a different seeding scheme decodes to `None` and the
 /// point is recomputed.
-fn decode_outcome(
-    exp: &dyn Experiment,
-    point: &SweepPoint,
-    bytes: &[u8],
-) -> Option<PointOutcome> {
+fn decode_outcome(exp: &dyn Experiment, point: &SweepPoint, bytes: &[u8]) -> Option<PointOutcome> {
     let first = point_seed(exp.name(), point.index);
     let mut d = Dec::new(bytes);
     let (seed, status) = match d.u8()? {
@@ -770,8 +766,7 @@ pub fn run_set_with_store(
             // lost point; one partial experiment must not take down the
             // figures of every other experiment in the campaign.
             let (figures, finalize_error) =
-                match runner::guarded(|| Ok::<_, String>(exp.finalize(opts.fidelity, &outcomes)))
-                {
+                match runner::guarded(|| Ok::<_, String>(exp.finalize(opts.fidelity, &outcomes))) {
                     Ok(figures) => (figures, None),
                     Err(e) => (Vec::new(), Some(e)),
                 };
@@ -858,7 +853,9 @@ mod tests {
             "test"
         }
         fn plan(&self, _f: Fidelity) -> Vec<SweepPoint> {
-            (0..6).map(|i| SweepPoint::new(i, format!("x={}", i))).collect()
+            (0..6)
+                .map(|i| SweepPoint::new(i, format!("x={}", i)))
+                .collect()
         }
         fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
             if point.index == 3 && ctx.seed == point_seed("doubler", 3) {
@@ -940,7 +937,12 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for exp in ["fig1", "fig6", "overlap"] {
             for i in 0..512 {
-                assert!(seen.insert(point_seed(exp, i)), "collision at {}/{}", exp, i);
+                assert!(
+                    seen.insert(point_seed(exp, i)),
+                    "collision at {}/{}",
+                    exp,
+                    i
+                );
             }
         }
         // The old additive scheme collided when size sweeps overlapped
@@ -966,7 +968,9 @@ mod tests {
             "test"
         }
         fn plan(&self, _f: Fidelity) -> Vec<SweepPoint> {
-            (0..4).map(|i| SweepPoint::new(i, format!("x={}", i))).collect()
+            (0..4)
+                .map(|i| SweepPoint::new(i, format!("x={}", i)))
+                .collect()
         }
         fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
             if point.index == 1 && ctx.seed == point_seed("durable_doubler", 1) {
@@ -1036,20 +1040,19 @@ mod tests {
     }
 
     fn test_store(tag: &str) -> crate::store::ResultStore {
-        let dir = std::env::temp_dir().join(format!(
-            "ifcampaign-test-{}-{}",
-            tag,
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("ifcampaign-test-{}-{}", tag, std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         crate::store::ResultStore::open(dir).expect("open test store")
     }
 
     #[test]
     fn first_attempt_timeout_is_terminal() {
-        let opts = CampaignOptions::serial(Fidelity::Quick)
-            .with_timeout(Some(Duration::from_millis(30)));
-        let wedger = Wedger { wedge_on_retry: false };
+        let opts =
+            CampaignOptions::serial(Fidelity::Quick).with_timeout(Some(Duration::from_millis(30)));
+        let wedger = Wedger {
+            wedge_on_retry: false,
+        };
         let outcomes = run_outcomes_with_store(&wedger, &opts, None);
         assert_eq!(outcomes.len(), 1);
         match &outcomes[0].status {
@@ -1068,13 +1071,19 @@ mod tests {
     fn panic_then_wedged_retry_records_timeout_deterministically() {
         // The satellite scenario: attempt 1 panics (retried), attempt 2
         // wedges and is cancelled at the deadline → TimedOut, replayable.
-        let opts = CampaignOptions::serial(Fidelity::Quick)
-            .with_timeout(Some(Duration::from_millis(30)));
+        let opts =
+            CampaignOptions::serial(Fidelity::Quick).with_timeout(Some(Duration::from_millis(30)));
         let run_once = || {
-            let wedger = Wedger { wedge_on_retry: true };
+            let wedger = Wedger {
+                wedge_on_retry: true,
+            };
             let outcomes = run_outcomes_with_store(&wedger, &opts, None);
             let o = &outcomes[0];
-            (o.seed, o.status.label(), o.status.error().map(str::to_owned))
+            (
+                o.seed,
+                o.status.label(),
+                o.status.error().map(str::to_owned),
+            )
         };
         let (seed_a, label_a, _) = run_once();
         let (seed_b, label_b, _) = run_once();
@@ -1084,10 +1093,16 @@ mod tests {
         assert_eq!((seed_a, label_a), (seed_b, label_b));
         assert_eq!(seed_a, runner::retry_seed(point_seed("wedger", 0), 0));
         // And the campaign marks the experiment partial.
-        let run = run_set_with_store(&[&Wedger { wedge_on_retry: true }], &opts, None)
-            .0
-            .pop()
-            .unwrap();
+        let run = run_set_with_store(
+            &[&Wedger {
+                wedge_on_retry: true,
+            }],
+            &opts,
+            None,
+        )
+        .0
+        .pop()
+        .unwrap();
         assert_eq!(run.timed_out_points, 1);
         assert!(run.is_partial());
     }
@@ -1098,7 +1113,10 @@ mod tests {
         let opts = CampaignOptions::serial(Fidelity::Quick);
         // First run computes and persists all 4 points (incl. the
         // recovered one).
-        let ctx = StoreCtx { store: &store, resume: true };
+        let ctx = StoreCtx {
+            store: &store,
+            resume: true,
+        };
         let (runs, _) = run_set_with_store(&[&DurableDoubler], &opts, Some(ctx));
         assert_eq!(runs[0].restored_points, 0);
         assert_eq!(store.stats().persisted, 4);
@@ -1132,7 +1150,10 @@ mod tests {
     fn corrupt_store_entry_is_recomputed_not_served() {
         let store = test_store("corrupt");
         let opts = CampaignOptions::serial(Fidelity::Quick);
-        let ctx = StoreCtx { store: &store, resume: true };
+        let ctx = StoreCtx {
+            store: &store,
+            resume: true,
+        };
         run_set_with_store(&[&DurableDoubler], &opts, Some(ctx));
         // Flip a bit in one entry's payload region.
         let key = point_key("durable_doubler", Fidelity::Quick, 2);
@@ -1155,7 +1176,10 @@ mod tests {
     fn undurable_experiment_recomputes_on_resume() {
         let store = test_store("undurable");
         let opts = CampaignOptions::serial(Fidelity::Quick);
-        let ctx = StoreCtx { store: &store, resume: true };
+        let ctx = StoreCtx {
+            store: &store,
+            resume: true,
+        };
         let (runs, _) = run_set_with_store(&[&Doubler], &opts, Some(ctx));
         assert_eq!(runs[0].points, 6);
         // Doubler has no codec: nothing persisted, nothing restored.
@@ -1192,7 +1216,11 @@ mod tests {
         let opts = CampaignOptions::serial(Fidelity::Quick);
         let runs = run_set(&[&BrokenFinalize, &Doubler], &opts);
         assert_eq!(runs.len(), 2, "the healthy experiment still finalized");
-        assert!(runs[0].finalize_error.as_deref().unwrap().contains("exploded"));
+        assert!(runs[0]
+            .finalize_error
+            .as_deref()
+            .unwrap()
+            .contains("exploded"));
         assert!(runs[0].figures.is_empty());
         assert!(runs[0].is_partial());
         assert!(runs[1].finalize_error.is_none());
@@ -1262,18 +1290,22 @@ mod tests {
             "test"
         }
         fn plan(&self, _f: Fidelity) -> Vec<SweepPoint> {
-            (0..3).map(|i| SweepPoint::new(i, format!("x={}", i))).collect()
+            (0..3)
+                .map(|i| SweepPoint::new(i, format!("x={}", i)))
+                .collect()
         }
         fn run_point(&self, _point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-            let v: Arc<u64> = ctx.baselines.get_or_compute_result("wedged-baseline", |_| {
-                let mut e = simcore::Engine::new();
-                e.after(SimTime::PS, 1);
-                e.try_run(|eng, _| {
-                    eng.after(SimTime::PS, 1);
-                })
-                .map_err(|err| err.to_string())?;
-                unreachable!("the storm never runs dry");
-            })?;
+            let v: Arc<u64> = ctx
+                .baselines
+                .get_or_compute_result("wedged-baseline", |_| {
+                    let mut e = simcore::Engine::new();
+                    e.after(SimTime::PS, 1);
+                    e.try_run(|eng, _| {
+                        eng.after(SimTime::PS, 1);
+                    })
+                    .map_err(|err| err.to_string())?;
+                    unreachable!("the storm never runs dry");
+                })?;
             Ok(Box::new(*v))
         }
         fn finalize(&self, _f: Fidelity, _points: &[PointOutcome]) -> Vec<FigureData> {
@@ -1288,8 +1320,8 @@ mod tests {
         // first cancellation was served from the cache to every later
         // point, which then (wrongly) recorded Failed — and in a long
         // campaign one transient timeout would poison the whole key.
-        let opts = CampaignOptions::serial(Fidelity::Quick)
-            .with_timeout(Some(Duration::from_millis(20)));
+        let opts =
+            CampaignOptions::serial(Fidelity::Quick).with_timeout(Some(Duration::from_millis(20)));
         let run = run_set_with_store(&[&SharedWedgedBaseline], &opts, None)
             .0
             .pop()

@@ -18,7 +18,9 @@ use mpisim::pingpong::{self, PingPongConfig};
 use simcore::{JitterFamily, Series, Summary};
 use topology::{henri, MachineSpec, Placement};
 
-use crate::campaign::{self, expect_value, point_seed, Experiment, PointCtx, PointValue, SweepPoint};
+use crate::campaign::{
+    self, expect_value, point_seed, Experiment, PointCtx, PointValue, SweepPoint,
+};
 use crate::codec::{Dec, Enc};
 use crate::experiments::Fidelity;
 use crate::protocol::{self, ProtocolConfig};
@@ -247,8 +249,7 @@ impl Experiment for Ablations {
             ),
             Check::new(
                 "NIC arbitration weight sets the bandwidth floor (monotone)",
-                retained.windows(2).all(|w| w[1] >= w[0] - 1e-9)
-                    && retained[3] > retained[0] * 1.5,
+                retained.windows(2).all(|w| w[1] >= w[0] - 1e-9) && retained[3] > retained[0] * 1.5,
                 format!("retained fractions {:?}", retained),
             ),
             Check::new(

@@ -161,7 +161,12 @@ fn configs(fidelity: Fidelity) -> Vec<Cfg> {
         for &fabric in fabrics {
             for &alg in algs {
                 for bg in [0, scale.bg_cores()] {
-                    v.push(Cfg { scale, fabric, alg, bg });
+                    v.push(Cfg {
+                        scale,
+                        fabric,
+                        alg,
+                        bg,
+                    });
                 }
             }
         }
@@ -186,14 +191,26 @@ fn cluster_for(scale: Scale, fabric: FabricPreset) -> Cluster {
 }
 
 /// Start `bg` endless STREAM triads per node, on the NIC-near NUMA node.
-fn start_background(cluster: &mut Cluster, scale: Scale, bg: usize) -> Vec<(usize, memsim::exec::JobId)> {
+fn start_background(
+    cluster: &mut Cluster,
+    scale: Scale,
+    bg: usize,
+) -> Vec<(usize, memsim::exec::JobId)> {
     let mut jobs = Vec::new();
     if bg == 0 {
         return jobs;
     }
-    let w = workload(StreamKernel::Triad, scale.stream_elems(), cluster.data_numa[0], 1);
+    let w = workload(
+        StreamKernel::Triad,
+        scale.stream_elems(),
+        cluster.data_numa[0],
+        1,
+    );
     let cores = cluster.compute_cores();
-    assert!(bg <= cores.len(), "more background cores than the machine has");
+    assert!(
+        bg <= cores.len(),
+        "more background cores than the machine has"
+    );
     for node in 0..cluster.nodes() {
         for &core in &cores[..bg] {
             let mut spec = w.on_core(core);
@@ -390,7 +407,10 @@ impl Experiment for CollectiveContention {
             Check::new(
                 "STREAM never gains bandwidth beside a collective",
                 stream_worst <= 1.001 && stream_worst > 0.0,
-                format!("largest beside/alone STREAM bandwidth ratio {:.4}", stream_worst),
+                format!(
+                    "largest beside/alone STREAM bandwidth ratio {:.4}",
+                    stream_worst
+                ),
             ),
             Check::new(
                 "the rendezvous DMA visibly taxes the triad cores",

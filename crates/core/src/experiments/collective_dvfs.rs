@@ -68,7 +68,8 @@ fn measure(freq_ghz: f64, alg: usize) -> Result<f64, String> {
             data: BindingPolicy::NearNic,
         },
     );
-    let elapsed = collective::run(&mut c, &schedule(alg), 100, 0x8000).map_err(|e| e.to_string())?;
+    let elapsed =
+        collective::run(&mut c, &schedule(alg), 100, 0x8000).map_err(|e| e.to_string())?;
     Ok(elapsed.as_secs_f64() * 1e6)
 }
 
@@ -153,7 +154,10 @@ impl Experiment for CollectiveDvfs {
             Check::new(
                 "rendezvous ring allreduce barely notices core frequency (DMA path)",
                 ring_ratio <= 1.15,
-                format!("allreduce slowdown at min frequency only {:.3}x", ring_ratio),
+                format!(
+                    "allreduce slowdown at min frequency only {:.3}x",
+                    ring_ratio
+                ),
             ),
             Check::new(
                 "eager bcast time falls monotonically with core frequency",
@@ -163,7 +167,10 @@ impl Experiment for CollectiveDvfs {
             Check::new(
                 "frequency sensitivity is the eager path's, not the DMA path's",
                 bcast_ratio > ring_ratio,
-                format!("bcast ratio {:.2} vs allreduce ratio {:.2}", bcast_ratio, ring_ratio),
+                format!(
+                    "bcast ratio {:.2} vs allreduce ratio {:.2}",
+                    bcast_ratio, ring_ratio
+                ),
             ),
         ];
 
@@ -198,6 +205,10 @@ mod tests {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }
         assert_eq!(f.series.len(), 2);
-        assert_eq!(f.series[0].points.len(), 2, "Quick sweeps the two endpoint frequencies");
+        assert_eq!(
+            f.series[0].points.len(),
+            2,
+            "Quick sweeps the two endpoint frequencies"
+        );
     }
 }

@@ -130,7 +130,12 @@ fn base_config(
     fidelity: Fidelity,
     seed: u64,
 ) -> ProtocolConfig {
-    let w = workload(StreamKernel::Triad, STREAM_ELEMS, data_numa(machine, placement), 1);
+    let w = workload(
+        StreamKernel::Triad,
+        STREAM_ELEMS,
+        data_numa(machine, placement),
+        1,
+    );
     let mut cfg = ProtocolConfig::new(machine.clone(), Some(w));
     cfg.placement = placement;
     cfg.compute_cores = cores;
@@ -174,15 +179,17 @@ pub fn measure(
                 metric.tag()
             );
             let comm: std::sync::Arc<StepResults> =
-                ctx.baselines.get_or_compute_result(&comm_key, |comm_seed| {
-                    let cfg = base_config(machine, placement, metric, cores, fidelity, comm_seed);
-                    protocol::try_run_masked(
-                        &cfg,
-                        &simcore::FaultPlan::new(cfg.seed),
-                        StepMask::COMM_ALONE,
-                    )
-                    .map_err(|e| e.to_string())
-                })?;
+                ctx.baselines
+                    .get_or_compute_result(&comm_key, |comm_seed| {
+                        let cfg =
+                            base_config(machine, placement, metric, cores, fidelity, comm_seed);
+                        protocol::try_run_masked(
+                            &cfg,
+                            &simcore::FaultPlan::new(cfg.seed),
+                            StepMask::COMM_ALONE,
+                        )
+                        .map_err(|e| e.to_string())
+                    })?;
             let cfg = base_config(machine, placement, metric, cores, fidelity, seed);
             let fresh = protocol::try_run_masked(
                 &cfg,

@@ -197,7 +197,10 @@ impl Experiment for CrossMachine {
                 machines.iter().all(|(_, loss, _)| *loss > 30.0),
                 format!(
                     "losses: {:?} %",
-                    machines.iter().map(|(_, l, _)| l.round()).collect::<Vec<_>>()
+                    machines
+                        .iter()
+                        .map(|(_, l, _)| l.round())
+                        .collect::<Vec<_>>()
                 ),
             ),
             Check::new(

@@ -192,7 +192,10 @@ impl Experiment for FaultedPingpong {
             let p = PROBS[point.index];
             let base = FaultPlan::new(ctx.seed).with_cts_drop(p);
             let sweep = run_reps(reps, ctx.seed, |rep, seed| {
-                let plan = FaultPlan { seed, ..base.clone() };
+                let plan = FaultPlan {
+                    seed,
+                    ..base.clone()
+                };
                 run_rep(pp, &plan, seed, rep as u64)
             });
             Ok(Box::new(SweepOut {
@@ -215,8 +218,15 @@ impl Experiment for FaultedPingpong {
                         panic!("injected crash: first attempt of rep {}", rep);
                     }
                 }
-                let base = if rep == BLACKOUT_REP { &blackout_plan } else { &demo_plan };
-                let plan = FaultPlan { seed, ..base.clone() };
+                let base = if rep == BLACKOUT_REP {
+                    &blackout_plan
+                } else {
+                    &demo_plan
+                };
+                let plan = FaultPlan {
+                    seed,
+                    ..base.clone()
+                };
                 run_rep(pp, &plan, seed, rep as u64)
             });
             let crash_status = demo[CRASH_REP as usize].run.status;
@@ -264,7 +274,11 @@ impl Experiment for FaultedPingpong {
         let mut d = Dec::new(bytes);
         match d.u8()? {
             0 => {
-                let p = SweepOut { lats: d.f64s()?, rets: d.f64s()?, failures: d.usize()? };
+                let p = SweepOut {
+                    lats: d.f64s()?,
+                    rets: d.f64s()?,
+                    failures: d.usize()?,
+                };
                 d.finish(Box::new(p) as PointValue)
             }
             1 => {
@@ -341,7 +355,10 @@ impl Experiment for FaultedPingpong {
             Check::new(
                 "dropped CTSes inflate latency",
                 lat_at[2] > lat_at[0],
-                format!("{:.1} µs at p=0.35 vs {:.1} µs healthy", lat_at[2], lat_at[0]),
+                format!(
+                    "{:.1} µs at p=0.35 vs {:.1} µs healthy",
+                    lat_at[2], lat_at[0]
+                ),
             ),
             Check::new(
                 "crashed rep recovers on a fresh seed",

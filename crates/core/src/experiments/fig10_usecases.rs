@@ -98,7 +98,10 @@ impl Experiment for Fig10 {
 
     fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
         let mut d = Dec::new(bytes);
-        let p = UseCasePoint { send_bw: d.f64()?, stall_fraction: d.f64()? };
+        let p = UseCasePoint {
+            send_bw: d.f64()?,
+            stall_fraction: d.f64()?,
+        };
         d.finish(Box::new(p) as PointValue)
     }
 

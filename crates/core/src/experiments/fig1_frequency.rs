@@ -21,10 +21,26 @@ use crate::ProtocolConfig;
 /// The four frequency configurations of Figure 1.
 fn configs() -> [(&'static str, Governor, UncorePolicy); 4] {
     [
-        ("core 2.3 GHz, uncore 2.4 GHz", Governor::Userspace(2.3), UncorePolicy::Fixed(2.4)),
-        ("core 1.0 GHz, uncore 2.4 GHz", Governor::Userspace(1.0), UncorePolicy::Fixed(2.4)),
-        ("core 2.3 GHz, uncore 1.2 GHz", Governor::Userspace(2.3), UncorePolicy::Fixed(1.2)),
-        ("core 1.0 GHz, uncore 1.2 GHz", Governor::Userspace(1.0), UncorePolicy::Fixed(1.2)),
+        (
+            "core 2.3 GHz, uncore 2.4 GHz",
+            Governor::Userspace(2.3),
+            UncorePolicy::Fixed(2.4),
+        ),
+        (
+            "core 1.0 GHz, uncore 2.4 GHz",
+            Governor::Userspace(1.0),
+            UncorePolicy::Fixed(2.4),
+        ),
+        (
+            "core 2.3 GHz, uncore 1.2 GHz",
+            Governor::Userspace(2.3),
+            UncorePolicy::Fixed(1.2),
+        ),
+        (
+            "core 1.0 GHz, uncore 1.2 GHz",
+            Governor::Userspace(1.0),
+            UncorePolicy::Fixed(1.2),
+        ),
     ]
 }
 
@@ -113,7 +129,10 @@ impl Experiment for Fig1 {
 
     fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
         let mut d = Dec::new(bytes);
-        let p = Fig1Point { lats: d.f64s()?, bws: d.f64s()? };
+        let p = Fig1Point {
+            lats: d.f64s()?,
+            bws: d.f64s()?,
+        };
         d.finish(Box::new(p) as PointValue)
     }
 
@@ -149,7 +168,10 @@ impl Experiment for Fig1 {
             Check::new(
                 "latency rises at low core frequency (paper: 3.1 vs 1.8 µs, +72 %)",
                 core_ratio > 1.4 && core_ratio < 2.2,
-                format!("measured ratio {:.2} ({:.2} vs {:.2} µs)", core_ratio, l_slow, l_fast),
+                format!(
+                    "measured ratio {:.2} ({:.2} vs {:.2} µs)",
+                    core_ratio, l_slow, l_fast
+                ),
             ),
             Check::new(
                 "uncore frequency has little latency effect (paper: +5 %)",

@@ -96,7 +96,11 @@ impl Experiment for Fig2 {
         Ok(Box::new(Fig2Point {
             lat_alone: r.lat_alone(),
             lat_together: r.lat_together(),
-            flops_alone: r.compute_alone.iter().map(|m| m.compute_flop_rate).collect(),
+            flops_alone: r
+                .compute_alone
+                .iter()
+                .map(|m| m.compute_flop_rate)
+                .collect(),
             flops_together: r.together.iter().map(|m| m.compute_flop_rate).collect(),
             f_ab_comm,
             f_b_compute,

@@ -132,7 +132,10 @@ impl Experiment for Fig3 {
     fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
         let mut e = Enc::new();
         if let Some(p) = value.downcast_ref::<SweepOut>() {
-            e.u8(0).f64s(&p.times).f64s(&p.lat_alone).f64s(&p.lat_together);
+            e.u8(0)
+                .f64s(&p.times)
+                .f64s(&p.lat_alone)
+                .f64s(&p.lat_together);
         } else if let Some(p) = value.downcast_ref::<SnapshotOut>() {
             e.u8(1).f64(p.0).f64(p.1);
         } else {
@@ -186,10 +189,7 @@ impl Experiment for Fig3 {
         let last = s_time.points.last().expect("sweep non-empty").y.median;
         let lat_a: Vec<f64> = s_lat_alone.points.iter().map(|p| p.y.median).collect();
         let lat_t: Vec<f64> = s_lat_together.points.iter().map(|p| p.y.median).collect();
-        let together_never_worse = lat_t
-            .iter()
-            .zip(&lat_a)
-            .all(|(t, a)| *t <= *a * 1.05);
+        let together_never_worse = lat_t.iter().zip(&lat_a).all(|(t, a)| *t <= *a * 1.05);
 
         let checks_a = vec![
             Check::new(

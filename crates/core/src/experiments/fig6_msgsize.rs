@@ -110,7 +110,10 @@ impl Experiment for Fig6 {
 
     fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
         let mut d = Dec::new(bytes);
-        let p = Fig6Point { comm_ratios: d.f64s()?, stream_ratios: d.f64s()? };
+        let p = Fig6Point {
+            comm_ratios: d.f64s()?,
+            stream_ratios: d.f64s()?,
+        };
         d.finish(Box::new(p) as PointValue)
     }
 
@@ -122,10 +125,8 @@ impl Experiment for Fig6 {
                 "comm speed ratio (together/alone), {} cores",
                 cores
             ));
-            let mut stream = Series::new(format!(
-                "STREAM BW ratio (together/alone), {} cores",
-                cores
-            ));
+            let mut stream =
+                Series::new(format!("STREAM BW ratio (together/alone), {} cores", cores));
             for (si, &size) in sizes.iter().enumerate() {
                 let p = expect_value::<Fig6Point>(points, gi * sizes.len() + si);
                 comm.push(size as f64, &p.comm_ratios);
@@ -162,7 +163,11 @@ impl Experiment for Fig6 {
                 format!(
                     "STREAM onset at {:?} B; 64 MiB ratio {:.2}",
                     stream5_onset,
-                    stream5.points.last().map(|p| p.y.median).unwrap_or(f64::NAN)
+                    stream5
+                        .points
+                        .last()
+                        .map(|p| p.y.median)
+                        .unwrap_or(f64::NAN)
                 ),
             ),
         ];

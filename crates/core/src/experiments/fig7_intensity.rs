@@ -53,7 +53,12 @@ struct BwOut {
     t_together: Vec<f64>,
 }
 
-fn base_config(cursor: u32, pingpong: PingPongConfig, fidelity: Fidelity, seed: u64) -> ProtocolConfig {
+fn base_config(
+    cursor: u32,
+    pingpong: PingPongConfig,
+    fidelity: Fidelity,
+    seed: u64,
+) -> ProtocolConfig {
     let machine = henri();
     let w = tunable::workload(ELEMS, cursor, machine.near_numa(), 1);
     let mut cfg = ProtocolConfig::new(machine.clone(), Some(w));
@@ -107,7 +112,12 @@ impl Experiment for Fig7 {
             for (ci, &cursor) in cursors.iter().enumerate() {
                 plan.push(SweepPoint::new(
                     mi * cursors.len() + ci,
-                    format!("{} @ cursor {} ({:.2} flop/B)", tag, cursor, tunable::intensity(cursor)),
+                    format!(
+                        "{} @ cursor {} ({:.2} flop/B)",
+                        tag,
+                        cursor,
+                        tunable::intensity(cursor)
+                    ),
                 ));
             }
         }
@@ -188,7 +198,10 @@ impl Experiment for Fig7 {
         let mut d = Dec::new(bytes);
         match d.u8()? {
             0 => {
-                let p = LatOut { alone: d.f64s()?, together: d.f64s()? };
+                let p = LatOut {
+                    alone: d.f64s()?,
+                    together: d.f64s()?,
+                };
                 d.finish(Box::new(p) as PointValue)
             }
             1 => {

@@ -20,10 +20,26 @@ use crate::protocol::{build_cluster, ProtocolConfig};
 use crate::report::{Check, FigureData};
 
 const COMBOS: [(&str, BindingPolicy, BindingPolicy); 4] = [
-    ("data close, thread close", BindingPolicy::NearNic, BindingPolicy::NearNic),
-    ("data close, thread far", BindingPolicy::NearNic, BindingPolicy::FarFromNic),
-    ("data far, thread close", BindingPolicy::FarFromNic, BindingPolicy::NearNic),
-    ("data far, thread far", BindingPolicy::FarFromNic, BindingPolicy::FarFromNic),
+    (
+        "data close, thread close",
+        BindingPolicy::NearNic,
+        BindingPolicy::NearNic,
+    ),
+    (
+        "data close, thread far",
+        BindingPolicy::NearNic,
+        BindingPolicy::FarFromNic,
+    ),
+    (
+        "data far, thread close",
+        BindingPolicy::FarFromNic,
+        BindingPolicy::NearNic,
+    ),
+    (
+        "data far, thread far",
+        BindingPolicy::FarFromNic,
+        BindingPolicy::FarFromNic,
+    ),
 ];
 
 const MACHINES: [(Preset, f64); 3] = [
@@ -98,7 +114,12 @@ impl Experiment for Fig8 {
                 data,
             };
             let machine = topology::henri();
-            Ok(Box::new(measure(&machine, placement, ctx.fidelity, ctx.seed)))
+            Ok(Box::new(measure(
+                &machine,
+                placement,
+                ctx.fidelity,
+                ctx.seed,
+            )))
         } else {
             // Cross-machine overheads (the §5.2 point values); Quick
             // repetitions suffice for a point estimate on every fidelity.
@@ -121,7 +142,10 @@ impl Experiment for Fig8 {
 
     fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
         let mut d = Dec::new(bytes);
-        let p = Fig8Point { rt_lat: d.f64s()?, plain_lat: d.f64s()? };
+        let p = Fig8Point {
+            rt_lat: d.f64s()?,
+            plain_lat: d.f64s()?,
+        };
         d.finish(Box::new(p) as PointValue)
     }
 

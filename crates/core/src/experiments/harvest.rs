@@ -398,8 +398,12 @@ struct CommAlone {
 fn measure_comm_alone(spec: &PairSpec, fidelity: Fidelity, seed: u64) -> Result<CommAlone, String> {
     let cfg = base_config(spec, fidelity, seed);
     let (res, j) = capture(|| {
-        protocol::try_run_masked(&cfg, &simcore::FaultPlan::new(cfg.seed), StepMask::COMM_ALONE)
-            .map_err(|e| e.to_string())
+        protocol::try_run_masked(
+            &cfg,
+            &simcore::FaultPlan::new(cfg.seed),
+            StepMask::COMM_ALONE,
+        )
+        .map_err(|e| e.to_string())
     });
     let res = res?;
     let per = j.end_time().as_secs_f64();
@@ -659,9 +663,10 @@ pub fn measure_pair(spec: &PairSpec, ctx: &PointCtx<'_>) -> Result<TrainingPair,
         spec.metric.tag()
     );
     let comm_spec = *spec;
-    let comm: std::sync::Arc<CommAlone> = ctx
-        .baselines
-        .get_or_compute_result(&comm_key, |seed| measure_comm_alone(&comm_spec, fidelity, seed))?;
+    let comm: std::sync::Arc<CommAlone> =
+        ctx.baselines.get_or_compute_result(&comm_key, |seed| {
+            measure_comm_alone(&comm_spec, fidelity, seed)
+        })?;
     let comp_key = format!(
         "predict/compute/{}/{}/{}/{}",
         machine_name,
@@ -675,12 +680,9 @@ pub fn measure_pair(spec: &PairSpec, ctx: &PointCtx<'_>) -> Result<TrainingPair,
             measure_compute_alone(&comp_spec, fidelity, seed)
         })?;
     let cfg = base_config(spec, fidelity, ctx.seed);
-    let together = protocol::try_run_masked(
-        &cfg,
-        &simcore::FaultPlan::new(cfg.seed),
-        StepMask::TOGETHER,
-    )
-    .map_err(|e| e.to_string())?;
+    let together =
+        protocol::try_run_masked(&cfg, &simcore::FaultPlan::new(cfg.seed), StepMask::TOGETHER)
+            .map_err(|e| e.to_string())?;
     let features = assemble_features(spec, &comm, &comp);
     let (comm_penalty, compute_penalty) = penalties(spec, &comm, &comp, &together);
     Ok(TrainingPair {
@@ -698,12 +700,9 @@ pub fn measure_pair_direct(spec: &PairSpec, fidelity: Fidelity) -> Result<Traini
     let comm = measure_comm_alone(spec, fidelity, seed ^ 0xC0111)?;
     let comp = measure_compute_alone(spec, fidelity, seed ^ 0xC0217)?;
     let cfg = base_config(spec, fidelity, seed);
-    let together = protocol::try_run_masked(
-        &cfg,
-        &simcore::FaultPlan::new(cfg.seed),
-        StepMask::TOGETHER,
-    )
-    .map_err(|e| e.to_string())?;
+    let together =
+        protocol::try_run_masked(&cfg, &simcore::FaultPlan::new(cfg.seed), StepMask::TOGETHER)
+            .map_err(|e| e.to_string())?;
     let features = assemble_features(spec, &comm, &comp);
     let (comm_penalty, compute_penalty) = penalties(spec, &comm, &comp, &together);
     Ok(TrainingPair {
@@ -770,14 +769,20 @@ impl Experiment for Harvest {
     }
 
     fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        value.downcast_ref::<TrainingPair>().map(TrainingPair::encode)
+        value
+            .downcast_ref::<TrainingPair>()
+            .map(TrainingPair::encode)
     }
 
     fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
         TrainingPair::decode(bytes).map(|p| Box::new(p) as PointValue)
     }
 
-    fn finalize(&self, fidelity: Fidelity, points: &[crate::campaign::PointOutcome]) -> Vec<FigureData> {
+    fn finalize(
+        &self,
+        fidelity: Fidelity,
+        points: &[crate::campaign::PointOutcome],
+    ) -> Vec<FigureData> {
         let pairs = collect_pairs(points);
         let mut comm = Series::new("comm penalty (alone/together)");
         let mut compute = Series::new("compute penalty (alone/together)");
@@ -789,9 +794,9 @@ impl Experiment for Harvest {
         let finite = pairs
             .iter()
             .all(|p| p.comm_penalty.is_finite() && p.compute_penalty.is_finite());
-        let sane = pairs
-            .iter()
-            .all(|p| (0.2..=64.0).contains(&p.comm_penalty) && (0.2..=64.0).contains(&p.compute_penalty));
+        let sane = pairs.iter().all(|p| {
+            (0.2..=64.0).contains(&p.comm_penalty) && (0.2..=64.0).contains(&p.compute_penalty)
+        });
         vec![FigureData {
             id: "predict_harvest",
             title: "Harvested interference training pairs".into(),
@@ -799,7 +804,11 @@ impl Experiment for Harvest {
             ylabel: "slowdown penalty (x)",
             series: vec![comm, compute],
             notes: vec![
-                format!("{} pairs harvested, {} features each", pairs.len(), FEATURES.len()),
+                format!(
+                    "{} pairs harvested, {} features each",
+                    pairs.len(),
+                    FEATURES.len()
+                ),
                 "features come from the alone steps only; penalties from the together step".into(),
             ],
             checks: vec![
@@ -838,13 +847,19 @@ pub fn collect_pairs(points: &[crate::campaign::PointOutcome]) -> Vec<TrainingPa
 pub fn feature_matrix_text(pairs: &[TrainingPair]) -> String {
     let mut out = String::new();
     out.push_str("# predict feature matrix v1\n");
-    out.push_str(&format!("# columns: label {} comm_penalty compute_penalty\n", FEATURES.join(" ")));
+    out.push_str(&format!(
+        "# columns: label {} comm_penalty compute_penalty\n",
+        FEATURES.join(" ")
+    ));
     for p in pairs {
         out.push_str(&p.spec.label());
         for f in &p.features {
             out.push_str(&format!(" {:.9e}", f));
         }
-        out.push_str(&format!(" {:.9e} {:.9e}\n", p.comm_penalty, p.compute_penalty));
+        out.push_str(&format!(
+            " {:.9e} {:.9e}\n",
+            p.comm_penalty, p.compute_penalty
+        ));
     }
     out
 }

@@ -19,6 +19,8 @@ pub mod collective_contention;
 pub mod collective_dvfs;
 pub mod contention;
 pub mod cross_machine;
+pub mod faulted_pingpong;
+pub mod fig10_usecases;
 pub mod fig1_frequency;
 pub mod fig2_freq_dynamics;
 pub mod fig3_avx;
@@ -28,10 +30,8 @@ pub mod fig6_msgsize;
 pub mod fig7_intensity;
 pub mod fig8_runtime_overhead;
 pub mod fig9_polling;
-pub mod faulted_pingpong;
-pub mod overlap;
-pub mod fig10_usecases;
 pub mod harvest;
+pub mod overlap;
 pub mod table1;
 pub mod validation;
 

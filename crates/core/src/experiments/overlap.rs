@@ -36,7 +36,10 @@ const PROFILES: [(&str, f64); 2] = [("cpu", 64.0), ("mem", 0.1)];
 const CORES: usize = 8;
 
 fn sizes(fidelity: Fidelity) -> Vec<usize> {
-    fidelity.pick(&[64 << 10, 1 << 20, 8 << 20, 64 << 20], &[1 << 20, 64 << 20])
+    fidelity.pick(
+        &[64 << 10, 1 << 20, 8 << 20, 64 << 20],
+        &[1 << 20, 64 << 20],
+    )
 }
 
 /// One overlap measurement: (T_comm, T_comp, T_total) in seconds.
@@ -189,8 +192,7 @@ impl Experiment for Overlap {
         for (si, &size) in sizes.iter().enumerate() {
             let OverlapPoint(c1, p1, t1) = *expect_value::<OverlapPoint>(points, si);
             s_cpu.push(size as f64, &[overlap_ratio(c1, p1, t1)]);
-            let OverlapPoint(c2, p2, t2) =
-                *expect_value::<OverlapPoint>(points, sizes.len() + si);
+            let OverlapPoint(c2, p2, t2) = *expect_value::<OverlapPoint>(points, sizes.len() + si);
             s_mem.push(size as f64, &[overlap_ratio(c2, p2, t2)]);
             s_stretch.push(size as f64, &[t2 / c2.max(p2)]);
         }

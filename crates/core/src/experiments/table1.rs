@@ -119,9 +119,8 @@ impl Experiment for Table1 {
         // Encode the table as series: x = row index.
         let mut s_lat = Series::new("latency inflation factor at full occupancy");
         let mut s_bw = Series::new("bandwidth loss (%) at full occupancy");
-        let mut notes = vec![
-            "rows: 0 = data near/thread near, 1 = near/far, 2 = far/near, 3 = far/far".into(),
-        ];
+        let mut notes =
+            vec!["rows: 0 = data near/thread near, 1 = near/far, 2 = far/near, 3 = far/far".into()];
         for (i, r) in rows.iter().enumerate() {
             s_lat.push(i as f64, &[r.lat_factor]);
             s_bw.push(i as f64, &[r.bw_loss * 100.0]);

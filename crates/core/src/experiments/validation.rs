@@ -118,14 +118,22 @@ impl Experiment for Validate {
             for kind in collective::CollectiveOracle::ALL {
                 plan.push(SweepPoint::new(
                     plan.len(),
-                    format!("collective oracle {} on {} fabric", kind.name(), fabric.name()),
+                    format!(
+                        "collective oracle {} on {} fabric",
+                        kind.name(),
+                        fabric.name()
+                    ),
                 ));
             }
         }
         for inv in metamorphic::Invariant::ALL {
             plan.push(SweepPoint::new(
                 plan.len(),
-                format!("metamorphic {} ({} scenarios)", inv.name(), meta_count(fidelity)),
+                format!(
+                    "metamorphic {} ({} scenarios)",
+                    inv.name(),
+                    meta_count(fidelity)
+                ),
             ));
         }
         for inv in collective::CollectiveInvariant::ALL {

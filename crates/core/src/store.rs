@@ -271,8 +271,7 @@ fn parse_entry(bytes: &[u8], key: &str) -> Result<Option<Vec<u8>>, &'static str>
     let key_len = u32::from_le_bytes(take(8, 4)?.try_into().expect("4 bytes")) as usize;
     let stored_key = take(12, key_len)?;
     let pl_off = 12 + key_len;
-    let payload_len =
-        u64::from_le_bytes(take(pl_off, 8)?.try_into().expect("8 bytes")) as usize;
+    let payload_len = u64::from_le_bytes(take(pl_off, 8)?.try_into().expect("8 bytes")) as usize;
     let payload = take(pl_off + 8, payload_len)?;
     let sum_off = pl_off + 8 + payload.len();
     let sum = u64::from_le_bytes(take(sum_off, 8)?.try_into().expect("8 bytes"));
@@ -360,11 +359,7 @@ mod tests {
     use super::*;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "ifstore-test-{}-{}",
-            tag,
-            std::process::id()
-        ));
+        let d = std::env::temp_dir().join(format!("ifstore-test-{}-{}", tag, std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
     }
@@ -407,18 +402,23 @@ mod tests {
             Fault::Truncate(0),
             Fault::Truncate(5),
             Fault::Truncate(20),
-            Fault::BitFlip { offset: 0, bit: 0 },     // magic
-            Fault::BitFlip { offset: 5, bit: 3 },     // version
-            Fault::BitFlip { offset: 9, bit: 1 },     // key_len
-            Fault::BitFlip { offset: 14, bit: 7 },    // key bytes
-            Fault::BitFlip { offset: 1usize << 20, bit: 2 }, // wraps into payload/sum
+            Fault::BitFlip { offset: 0, bit: 0 },  // magic
+            Fault::BitFlip { offset: 5, bit: 3 },  // version
+            Fault::BitFlip { offset: 9, bit: 1 },  // key_len
+            Fault::BitFlip { offset: 14, bit: 7 }, // key bytes
+            Fault::BitFlip {
+                offset: 1usize << 20,
+                bit: 2,
+            }, // wraps into payload/sum
             Fault::TornTail { keep: 16 },
             Fault::Zeroed { len: 64 },
             Fault::Zeroed { len: 0 },
         ];
         for (i, &fault) in faults.iter().enumerate() {
             let key = format!("victim-{}", i);
-            store.put(&key, b"precious bytes that must never be half-served").unwrap();
+            store
+                .put(&key, b"precious bytes that must never be half-served")
+                .unwrap();
             chaos::corrupt_entry(&store, &key, fault);
             match store.get(&key) {
                 Lookup::Quarantined(q) => {

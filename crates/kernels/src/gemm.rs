@@ -31,15 +31,7 @@ pub fn gemm_naive(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f
 /// same order within a block row, so results are exactly equal for the
 /// blocked loop order used here when `bs ≥ k`; otherwise equal within fp
 /// tolerance).
-pub fn gemm_blocked(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    bs: usize,
-) {
+pub fn gemm_blocked(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64], bs: usize) {
     assert!(bs > 0);
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), k * n);

@@ -18,7 +18,9 @@
 //! counter of the paper's Figure 10.
 
 use freq::{Activity, FreqModel, License};
-use simcore::{kind_index, split_kind_index, tag, tags, telemetry, Engine, FlowId, FlowSpec, SimTime};
+use simcore::{
+    kind_index, split_kind_index, tag, tags, telemetry, Engine, FlowId, FlowSpec, SimTime,
+};
 use topology::{CoreId, NumaId};
 
 use crate::{MemSystem, Requester};
@@ -221,13 +223,7 @@ impl Executor {
         Some(roofline.min(per_core))
     }
 
-    fn launch_phase(
-        &mut self,
-        engine: &mut Engine,
-        mem: &MemSystem,
-        freqs: &FreqModel,
-        id: JobId,
-    ) {
+    fn launch_phase(&mut self, engine: &mut Engine, mem: &MemSystem, freqs: &FreqModel, id: JobId) {
         let etag = self.tag_for(id.0);
         let job = self.jobs[id.0 as usize].as_mut().expect("live job");
         let phase = &job.spec.phases[job.phase];
@@ -426,7 +422,11 @@ mod tests {
         let mut e = Engine::new();
         let spec = henri();
         let m = MemSystem::build(&mut e, &spec, "n0.");
-        let f = FreqModel::new(&spec, Governor::Performance { turbo: true }, UncorePolicy::Auto);
+        let f = FreqModel::new(
+            &spec,
+            Governor::Performance { turbo: true },
+            UncorePolicy::Auto,
+        );
         m.apply_freqs(&mut e, &f);
         (e, m, f, Executor::new(0))
     }
@@ -561,7 +561,11 @@ mod tests {
         let done = run_to_completion(&mut e, &m, &mut f, &mut x);
         assert_eq!(done.len(), 9);
         for (_, st) in &done {
-            assert!((st.mem_bandwidth() - 5.0e9).abs() < 1e7, "bw {}", st.mem_bandwidth());
+            assert!(
+                (st.mem_bandwidth() - 5.0e9).abs() < 1e7,
+                "bw {}",
+                st.mem_bandwidth()
+            );
             // Stalled (12-5)/12 of the time.
             assert!((st.stall_fraction() - 7.0 / 12.0).abs() < 0.01);
         }

@@ -107,7 +107,8 @@ pub fn cached(algorithm: Algorithm, nodes: usize, payload: usize) -> Arc<Schedul
     // Build outside the lock: compilation can be expensive and must not
     // serialize unrelated campaign workers.
     let s = algorithm.build(nodes, payload);
-    s.verify_semantics().expect("builder schedules always prove");
+    s.verify_semantics()
+        .expect("builder schedules always prove");
     let s = Arc::new(s);
     let mut map = cache().lock().expect("cache lock");
     let entry = map.entry(key).or_insert_with(|| Arc::clone(&s));
@@ -478,7 +479,10 @@ impl Schedule {
 }
 
 fn bcast_rounds(nodes: usize, payload: usize, root: usize) -> Vec<Round> {
-    assert_eq!(root, 0, "broadcast schedules are built root-0 then permuted");
+    assert_eq!(
+        root, 0,
+        "broadcast schedules are built root-0 then permuted"
+    );
     let levels = log2_ceil(nodes);
     (0..levels)
         .map(|k| {
@@ -630,7 +634,10 @@ mod tests {
             ("ring_allreduce", Schedule::ring_allreduce(nodes, payload)),
             ("tree_allreduce", Schedule::tree_allreduce(nodes, payload)),
             ("binomial_bcast", Schedule::binomial_bcast(nodes, payload)),
-            ("pairwise_alltoall", Schedule::pairwise_alltoall(nodes, payload)),
+            (
+                "pairwise_alltoall",
+                Schedule::pairwise_alltoall(nodes, payload),
+            ),
         ]
     }
 

@@ -221,7 +221,12 @@ mod tests {
                 },
             );
             let bw = res.median_bandwidth();
-            assert!(bw > last, "bandwidth must grow with size: {} vs {}", bw, last);
+            assert!(
+                bw > last,
+                "bandwidth must grow with size: {} vs {}",
+                bw,
+                last
+            );
             last = bw;
         }
     }
@@ -229,10 +234,26 @@ mod tests {
     #[test]
     fn latency_flat_for_tiny_sizes() {
         let mut c = cluster();
-        let l4 = run(&mut c, PingPongConfig { size: 4, reps: 3, warmup: 1, mtag: 1 })
-            .median_latency_us();
-        let l64 = run(&mut c, PingPongConfig { size: 64, reps: 3, warmup: 1, mtag: 2 })
-            .median_latency_us();
+        let l4 = run(
+            &mut c,
+            PingPongConfig {
+                size: 4,
+                reps: 3,
+                warmup: 1,
+                mtag: 1,
+            },
+        )
+        .median_latency_us();
+        let l64 = run(
+            &mut c,
+            PingPongConfig {
+                size: 64,
+                reps: 3,
+                warmup: 1,
+                mtag: 2,
+            },
+        )
+        .median_latency_us();
         assert!((l64 - l4).abs() / l4 < 0.05, "l4 {} l64 {}", l4, l64);
     }
 

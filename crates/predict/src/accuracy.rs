@@ -21,8 +21,8 @@ use interference::campaign::{Experiment, PointCtx, PointOutcome, PointValue, Swe
 use interference::experiments::harvest::{self, Harvest, TrainingPair};
 use interference::experiments::Fidelity;
 use interference::report::{Check, FigureData};
-use simcore::Series;
 use simcheck::stats;
+use simcore::Series;
 use topology::presets::Preset;
 
 use crate::advisor::{default_params, Advisor};
@@ -106,13 +106,10 @@ pub fn rank_eval(pairs: &[TrainingPair], params: &Params) -> RankEval {
     let mut groups = 0usize;
     let mut rhos = Vec::new();
     for family in harvest::Family::all() {
-        let Some(adv) =
-            Advisor::train_excluding(pairs, params, |s| s.family != family)
-        else {
+        let Some(adv) = Advisor::train_excluding(pairs, params, |s| s.family != family) else {
             continue;
         };
-        let held: Vec<&TrainingPair> =
-            pairs.iter().filter(|p| p.spec.family == family).collect();
+        let held: Vec<&TrainingPair> = pairs.iter().filter(|p| p.spec.family == family).collect();
         // Group keys in first-appearance (grid) order.
         let mut keys: Vec<(Preset, u32, &'static str)> = Vec::new();
         for p in &held {
@@ -187,8 +184,8 @@ pub fn parse_baseline(text: &str) -> Option<std::collections::BTreeMap<String, f
 pub fn load_baseline() -> Result<std::collections::BTreeMap<String, f64>, String> {
     let path = std::env::var("PREDICT_BASELINE")
         .unwrap_or_else(|_| format!("{}/../../PREDICT_baseline.json", env!("CARGO_MANIFEST_DIR")));
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read baseline {path}: {e}"))?;
+    let text =
+        std::fs::read_to_string(&path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
     parse_baseline(&text).ok_or_else(|| format!("malformed baseline {path}"))
 }
 
@@ -378,8 +375,7 @@ impl Experiment for PredictAccuracy {
         let b = Advisor::train(&pairs, &params);
         let bytes_equal = a.encode() == b.encode();
         let preds_equal = pairs.iter().all(|p| {
-            a.predict_combined(&p.features).to_bits()
-                == b.predict_combined(&p.features).to_bits()
+            a.predict_combined(&p.features).to_bits() == b.predict_combined(&p.features).to_bits()
         });
         checks.push(Check::new(
             "training bit-deterministic",
@@ -449,8 +445,7 @@ mod tests {
                         placement: pi,
                         family,
                         cores: 6,
-                        metric:
-                            interference::experiments::contention::Metric::Bandwidth,
+                        metric: interference::experiments::contention::Metric::Bandwidth,
                     },
                     features,
                     comm_penalty: penalty,

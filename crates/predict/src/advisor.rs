@@ -112,11 +112,7 @@ impl Advisor {
 
     /// Predict the co-location penalty of a pair spec by running only its
     /// alone steps and pushing the counters through the models.
-    pub fn predict_spec(
-        &self,
-        spec: &PairSpec,
-        fidelity: Fidelity,
-    ) -> Result<(f64, f64), String> {
+    pub fn predict_spec(&self, spec: &PairSpec, fidelity: Fidelity) -> Result<(f64, f64), String> {
         let features = harvest::alone_features(spec, fidelity)?;
         Ok(self.predict_features(&features))
     }
@@ -206,8 +202,7 @@ mod tests {
                 s.preset == Preset::Henri && matches!(s.family, Family::Stream | Family::Gemm)
             }),
         };
-        let opts =
-            interference::campaign::CampaignOptions::serial(Fidelity::Quick);
+        let opts = interference::campaign::CampaignOptions::serial(Fidelity::Quick);
         let outs = interference::campaign::run_outcomes_with_store(&exp, &opts, None);
         harvest::collect_pairs(&outs)
     }

@@ -174,7 +174,11 @@ fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Vec<f64> {
         for k in (col + 1)..n {
             acc -= a[col][k] * w[k];
         }
-        w[col] = if a[col][col] != 0.0 { acc / a[col][col] } else { 0.0 };
+        w[col] = if a[col][col] != 0.0 {
+            acc / a[col][col]
+        } else {
+            0.0
+        };
     }
     w
 }

@@ -17,8 +17,8 @@ fn synthetic(seed: u64, n: usize, dim: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
     let mut ys = Vec::with_capacity(n);
     for _ in 0..n {
         let x: Vec<f64> = (0..dim).map(|_| rng.next_f64() * 4.0).collect();
-        let log_y: f64 = x.iter().zip(&coef).map(|(v, c)| v * c).sum::<f64>()
-            + (rng.next_f64() - 0.5) * 0.05;
+        let log_y: f64 =
+            x.iter().zip(&coef).map(|(v, c)| v * c).sum::<f64>() + (rng.next_f64() - 0.5) * 0.05;
         ys.push(log_y.exp());
         xs.push(x);
     }

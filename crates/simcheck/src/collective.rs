@@ -88,7 +88,6 @@ impl CollectiveOracle {
     }
 }
 
-
 // ---------------------------------------------------------------------------
 // Closed forms and measurement.
 
@@ -165,7 +164,12 @@ fn tree_bcast_oracle(spec: &MachineSpec, fabric: FabricPreset) -> Vec<Outcome> {
     let per_round = expected_eager_s(spec, payload);
     let expected = s.rounds.len() as f64 * per_round;
     let measured = measured_collective_s(spec, fabric, &s);
-    let name = format!("{}: tree bcast n={} payload={} B", fabric.name(), n, payload);
+    let name = format!(
+        "{}: tree bcast n={} payload={} B",
+        fabric.name(),
+        n,
+        payload
+    );
     match fabric {
         // The switch crossbar is non-blocking: every round is link-disjoint
         // and the ⌈log₂n⌉·(α+β·size) form is exact.
@@ -293,14 +297,16 @@ impl CollectiveInvariant {
     }
 }
 
-
 /// Draw one of the four schedule builders.
 fn random_schedule(rng: &mut Pcg32, nodes: usize, payload: usize) -> (&'static str, Schedule) {
     match rng.next_u64() % 4 {
         0 => ("ring_allreduce", Schedule::ring_allreduce(nodes, payload)),
         1 => ("tree_allreduce", Schedule::tree_allreduce(nodes, payload)),
         2 => ("binomial_bcast", Schedule::binomial_bcast(nodes, payload)),
-        _ => ("pairwise_alltoall", Schedule::pairwise_alltoall(nodes, payload)),
+        _ => (
+            "pairwise_alltoall",
+            Schedule::pairwise_alltoall(nodes, payload),
+        ),
     }
 }
 
@@ -413,7 +419,8 @@ pub fn fuzz_collectives(seed: u64, count: usize) -> Outcome {
         match fuzz_one(case_seed) {
             Ok(rounds) => rounds_checked += rounds,
             Err(why) => {
-                first_failure.get_or_insert(format!("case {} seed {:#x}: {}", case, case_seed, why));
+                first_failure
+                    .get_or_insert(format!("case {} seed {:#x}: {}", case, case_seed, why));
             }
         }
     }
@@ -439,7 +446,8 @@ fn fuzz_one(seed: u64) -> Result<usize, String> {
     let label = format!("{} n={} payload={} on {}", alg, nodes, payload, fabric);
 
     // 1. The schedule must compute its collective.
-    s.verify_semantics().map_err(|e| format!("{}: {}", label, e))?;
+    s.verify_semantics()
+        .map_err(|e| format!("{}: {}", label, e))?;
 
     // 2. Mutation sanity: dropping any message must break the dataflow
     //    proof (otherwise the checker is vacuous).
@@ -482,14 +490,9 @@ fn fuzz_one(seed: u64) -> Result<usize, String> {
                 payload: s.payload,
                 rounds: vec![mpisim::collective::Round { msgs: vec![*m] }],
             };
-            let t = collective::run(
-                &mut sequential,
-                &one,
-                5000 + (ri * 64 + mi) as u32,
-                0x6000,
-            )
-            .map_err(|e| format!("{}: {}", label, e))?
-            .as_secs_f64();
+            let t = collective::run(&mut sequential, &one, 5000 + (ri * 64 + mi) as u32, 0x6000)
+                .map_err(|e| format!("{}: {}", label, e))?
+                .as_secs_f64();
             solo_sum += t;
             solo_max = solo_max.max(t);
         }
@@ -551,7 +554,12 @@ mod tests {
             let mut drifted = base.clone();
             drifted.network.link_bw *= drift;
             let measured = measured_collective_s(&drifted, FabricPreset::Switch, &s);
-            let o = Outcome::compare(format!("trip: drift {}", drift), expected, measured, TOL_TIME);
+            let o = Outcome::compare(
+                format!("trip: drift {}", drift),
+                expected,
+                measured,
+                TOL_TIME,
+            );
             assert!(
                 !o.pass,
                 "a {}x link-bandwidth drift must trip the oracle: {}",

@@ -295,10 +295,11 @@ fn contention_monotonicity(seed: u64) -> Verdict {
 
 fn size_monotonicity(seed: u64) -> Verdict {
     let sc = Scenario::generate(seed);
-    let Some(target) = sc.events.iter().position(|e| matches!(
-        e.op,
-        crate::scenario::Op::Start { .. }
-    )) else {
+    let Some(target) = sc
+        .events
+        .iter()
+        .position(|e| matches!(e.op, crate::scenario::Op::Start { .. }))
+    else {
         return Ok(false);
     };
     let mut bigger = sc.clone();

@@ -394,7 +394,14 @@ pub fn replay(sc: &Scenario, solver: Solver) -> Replay {
     while i < sc.events.len() {
         let t_ps = sc.events[i].t_ps;
         let t_s = t_ps as f64 * 1e-12;
-        advance(&mut net, &mut rep, &mut live, &mut now, &mut steps, Some(t_s));
+        advance(
+            &mut net,
+            &mut rep,
+            &mut live,
+            &mut now,
+            &mut steps,
+            Some(t_s),
+        );
         now = t_s;
         while i < sc.events.len() && sc.events[i].t_ps == t_ps {
             match &sc.events[i].op {

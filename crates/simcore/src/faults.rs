@@ -137,7 +137,8 @@ impl FaultPlan {
 
     /// Degrade the wire to `factor` of nominal bandwidth in `[start, end)`.
     pub fn with_link_degradation(mut self, start: SimTime, end: SimTime, factor: f64) -> Self {
-        self.link_degradations.push(LinkDegradation { start, end, factor });
+        self.link_degradations
+            .push(LinkDegradation { start, end, factor });
         self
     }
 
@@ -270,8 +271,7 @@ mod tests {
             empty_window.validate(),
             Err(FaultPlanError::EmptyWindow { .. })
         ));
-        let bad_factor =
-            FaultPlan::new(0).with_link_degradation(SimTime::ZERO, SimTime::SEC, 0.0);
+        let bad_factor = FaultPlan::new(0).with_link_degradation(SimTime::ZERO, SimTime::SEC, 0.0);
         assert!(matches!(
             bad_factor.validate(),
             Err(FaultPlanError::BadFactor { .. })
@@ -294,7 +294,13 @@ mod tests {
         for (start, end) in [(t, t), (t, t - SimTime::PS)] {
             let e = FaultPlan::new(0).with_nic_stall(start, end).validate();
             assert!(
-                matches!(e, Err(FaultPlanError::EmptyWindow { kind: "NIC stall", .. })),
+                matches!(
+                    e,
+                    Err(FaultPlanError::EmptyWindow {
+                        kind: "NIC stall",
+                        ..
+                    })
+                ),
                 "{:?}",
                 e
             );
@@ -327,7 +333,10 @@ mod tests {
 
     #[test]
     fn error_messages_are_descriptive() {
-        let e = FaultPlan::new(0).with_rts_drop(-0.5).validate().unwrap_err();
+        let e = FaultPlan::new(0)
+            .with_rts_drop(-0.5)
+            .validate()
+            .unwrap_err();
         let msg = e.to_string();
         assert!(msg.contains("RTS"), "{}", msg);
         assert!(msg.contains("-0.5"), "{}", msg);

@@ -156,7 +156,11 @@ mod tests {
         let mut a = Pcg32::new(1, 0);
         let mut b = Pcg32::new(1, 1);
         let same = (0..64).filter(|_| a.next_u32() == b.next_u32()).count();
-        assert!(same < 4, "streams should be decorrelated, {} collisions", same);
+        assert!(
+            same < 4,
+            "streams should be decorrelated, {} collisions",
+            same
+        );
     }
 
     #[test]

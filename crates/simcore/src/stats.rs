@@ -144,7 +144,9 @@ mod tests {
     fn quantile_interpolates() {
         let s = [10.0, 20.0];
         assert!((quantile(&s, 0.5) - 15.0).abs() < 1e-12);
-        let s = [0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0];
+        let s = [
+            0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0,
+        ];
         assert!((quantile(&s, 0.1) - 10.0).abs() < 1e-12);
         assert!((quantile(&s, 0.9) - 90.0).abs() < 1e-12);
     }

@@ -76,7 +76,14 @@ mod tests {
 
     #[test]
     fn namespaces_distinct() {
-        let all = [ns::COMPUTE, ns::NET, ns::MPI, ns::RUNTIME, ns::FREQ, ns::EXPERIMENT];
+        let all = [
+            ns::COMPUTE,
+            ns::NET,
+            ns::MPI,
+            ns::RUNTIME,
+            ns::FREQ,
+            ns::EXPERIMENT,
+        ];
         for (i, a) in all.iter().enumerate() {
             for b in &all[i + 1..] {
                 assert_ne!(a, b);

@@ -186,9 +186,7 @@ impl Journal {
         self.records
             .iter()
             .map(|r| match r.kind {
-                RecordKind::Complete { dur, .. } => {
-                    SimTime(r.t.0.saturating_add(dur.0))
-                }
+                RecordKind::Complete { dur, .. } => SimTime(r.t.0.saturating_add(dur.0)),
                 _ => r.t,
             })
             .max()
@@ -256,7 +254,10 @@ impl Journal {
                     lane,
                     dur,
                 } => {
-                    out.push_str(&format!("{} X {} {} @{} dur={}\n", t, cat, name, lane, dur.0));
+                    out.push_str(&format!(
+                        "{} X {} {} @{} dur={}\n",
+                        t, cat, name, lane, dur.0
+                    ));
                 }
                 RecordKind::AsyncBegin {
                     cat,
@@ -436,12 +437,10 @@ impl Recorder {
             .collect();
         for (name, value) in changed {
             self.snapshotted.insert(name, value);
-            self.journal
-                .records
-                .push(Record {
-                    t,
-                    kind: RecordKind::Counter { name, value },
-                });
+            self.journal.records.push(Record {
+                t,
+                kind: RecordKind::Counter { name, value },
+            });
         }
     }
 

@@ -25,7 +25,7 @@
 
 use proptest::prelude::*;
 use simcore::fluid::reference;
-use simcore::{FlowId, FluidNet, FlowSpec, ResourceId};
+use simcore::{FlowId, FlowSpec, FluidNet, ResourceId};
 
 /// One step of a mutation script. Indices are resolved modulo the live
 /// flow / resource count at application time, so scripts stay valid as
@@ -79,8 +79,13 @@ fn ties() -> Values {
         capacity: prop_oneof![Just(25.0), Just(50.0), Just(100.0)].boxed(),
         set_capacity: prop_oneof![Just(0.0), Just(25.0), Just(50.0), Just(100.0)].boxed(),
         weight: prop_oneof![Just(0.5), Just(1.0), Just(2.0)].boxed(),
-        cap: prop_oneof![Just(None), Just(Some(12.5)), Just(Some(25.0)), Just(Some(50.0))]
-            .boxed(),
+        cap: prop_oneof![
+            Just(None),
+            Just(Some(12.5)),
+            Just(Some(25.0)),
+            Just(Some(50.0))
+        ]
+        .boxed(),
     }
 }
 
@@ -112,8 +117,7 @@ fn script(v: Values) -> impl Strategy<Value = (Vec<f64>, Vec<Op>)> {
     let caps = prop::collection::vec(v.capacity.clone(), 2..8);
     caps.prop_flat_map(move |capacities| {
         let nres = capacities.len();
-        prop::collection::vec(op(nres, &v), 8..60)
-            .prop_map(move |ops| (capacities.clone(), ops))
+        prop::collection::vec(op(nres, &v), 8..60).prop_map(move |ops| (capacities.clone(), ops))
     })
 }
 
@@ -131,7 +135,10 @@ fn tie_script() -> impl Strategy<Value = (Vec<f64>, Vec<Op>)> {
 
 /// Bitwise snapshot of everything the solver outputs.
 fn snapshot(net: &FluidNet, flows: &[FlowId], rids: &[ResourceId]) -> (Vec<Option<u64>>, Vec<u64>) {
-    let rates = flows.iter().map(|&f| net.flow_rate(f).map(f64::to_bits)).collect();
+    let rates = flows
+        .iter()
+        .map(|&f| net.flow_rate(f).map(f64::to_bits))
+        .collect();
     let allocs = rids.iter().map(|&r| net.allocated(r).to_bits()).collect();
     (rates, allocs)
 }
@@ -240,8 +247,9 @@ fn ring_chain_matches_reference() {
     // of the first; the Elapse completes one flow and leaves an open chain.
     for n in [2usize, 3, 8, 64, 257] {
         let caps = vec![100.0; n];
-        let mut ops: Vec<Op> =
-            (0..n).map(|i| Op::Start(vec![i, (i + 1) % n], 1.0, None)).collect();
+        let mut ops: Vec<Op> = (0..n)
+            .map(|i| Op::Start(vec![i, (i + 1) % n], 1.0, None))
+            .collect();
         ops.extend([Op::Check, Op::Elapse(1.0), Op::Check]);
         let checks = run_script(&caps, &ops).unwrap_or_else(|e| panic!("ring of {n}: {e}"));
         assert_eq!(checks, 3);
@@ -259,7 +267,10 @@ fn underflowed_zero_level_is_rechecked() {
         Op::Start(vec![1], 1.0, None),
         Op::Check,
     ];
-    assert_eq!(run_script(&[0.0, 5e-324], &ops).expect("bitwise equivalence"), 2);
+    assert_eq!(
+        run_script(&[0.0, 5e-324], &ops).expect("bitwise equivalence"),
+        2
+    );
 }
 
 #[test]

@@ -362,8 +362,7 @@ impl Runtime {
     pub fn handle(&mut self, cluster: &mut Cluster, ev: ClusterEvent) -> RtRouted {
         match ev {
             ClusterEvent::JobDone { node, job, stats } => {
-                let Some(pos) = self.nodes[node].job_map.iter().position(|(j, _)| *j == job)
-                else {
+                let Some(pos) = self.nodes[node].job_map.iter().position(|(j, _)| *j == job) else {
                     return RtRouted::ForeignJob { node, job, stats };
                 };
                 let (_, task) = self.nodes[node].job_map.swap_remove(pos);
@@ -586,9 +585,30 @@ mod tests {
     fn diamond_graph() {
         let mut c = cluster();
         let mut r = rt(&mut c, 4);
-        let a = r.submit(&mut c, 0, TaskSpec { phases: vec![phase(1e6, 0.0)], deps: vec![] });
-        let b = r.submit(&mut c, 0, TaskSpec { phases: vec![phase(2e6, 0.0)], deps: vec![a] });
-        let d = r.submit(&mut c, 0, TaskSpec { phases: vec![phase(1e6, 0.0)], deps: vec![a] });
+        let a = r.submit(
+            &mut c,
+            0,
+            TaskSpec {
+                phases: vec![phase(1e6, 0.0)],
+                deps: vec![],
+            },
+        );
+        let b = r.submit(
+            &mut c,
+            0,
+            TaskSpec {
+                phases: vec![phase(2e6, 0.0)],
+                deps: vec![a],
+            },
+        );
+        let d = r.submit(
+            &mut c,
+            0,
+            TaskSpec {
+                phases: vec![phase(1e6, 0.0)],
+                deps: vec![a],
+            },
+        );
         let e = r.submit(
             &mut c,
             0,
@@ -645,7 +665,11 @@ mod tests {
         assert_eq!(done.len(), 6);
         // 6 tasks over 2 workers ≈ 3 serial rounds.
         let elapsed = c.engine.now().as_millis_f64();
-        assert!(elapsed > 6.0, "elapsed {} ms — queueing not respected", elapsed);
+        assert!(
+            elapsed > 6.0,
+            "elapsed {} ms — queueing not respected",
+            elapsed
+        );
     }
 
     #[test]
@@ -732,10 +756,24 @@ mod tests {
         // Depending on an already-finished task must not deadlock.
         let mut c = cluster();
         let mut r = rt(&mut c, 2);
-        let a = r.submit(&mut c, 0, TaskSpec { phases: vec![phase(1e5, 0.0)], deps: vec![] });
+        let a = r.submit(
+            &mut c,
+            0,
+            TaskSpec {
+                phases: vec![phase(1e5, 0.0)],
+                deps: vec![],
+            },
+        );
         let _ = drain(&mut c, &mut r);
         assert!(r.is_done(0, a));
-        let b = r.submit(&mut c, 0, TaskSpec { phases: vec![phase(1e5, 0.0)], deps: vec![a] });
+        let b = r.submit(
+            &mut c,
+            0,
+            TaskSpec {
+                phases: vec![phase(1e5, 0.0)],
+                deps: vec![a],
+            },
+        );
         let done = drain(&mut c, &mut r);
         assert_eq!(done.len(), 1);
         assert!(r.is_done(0, b));

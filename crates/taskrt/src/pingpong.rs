@@ -104,9 +104,10 @@ fn wait_driver(
 ) {
     *seq += 1;
     let want = *seq;
-    cluster
-        .engine
-        .after(delay, simcore::tag(tags::ns::RUNTIME, kind_index(KIND_DRIVER, want)));
+    cluster.engine.after(
+        delay,
+        simcore::tag(tags::ns::RUNTIME, kind_index(KIND_DRIVER, want)),
+    );
     loop {
         let ev = cluster.step().expect("driver timer lost");
         match rt.handle(cluster, ev) {
@@ -177,7 +178,12 @@ mod tests {
         let paused = lat_with(None);
         assert!(aggressive > default, "{} vs {}", aggressive, default);
         assert!(default > lazy, "{} vs {}", default, lazy);
-        assert!((lazy - paused).abs() / paused < 0.05, "{} vs {}", lazy, paused);
+        assert!(
+            (lazy - paused).abs() / paused < 0.05,
+            "{} vs {}",
+            lazy,
+            paused
+        );
     }
 
     #[test]

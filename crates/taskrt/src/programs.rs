@@ -168,7 +168,14 @@ pub fn run(cluster: &mut Cluster, rt: &mut Runtime, cfg: UseCaseConfig) -> UseCa
         let mut expected = 0usize;
         for node in 0..2 {
             for phases in cfg.tasks_per_iteration(cluster, node) {
-                rt.submit(cluster, node, TaskSpec { phases, deps: vec![] });
+                rt.submit(
+                    cluster,
+                    node,
+                    TaskSpec {
+                        phases,
+                        deps: vec![],
+                    },
+                );
                 expected += 1;
             }
         }
@@ -242,7 +249,10 @@ pub fn autotune_workers(
         .iter()
         .map(|(_, r)| r.tasks_done as f64 / r.elapsed.as_secs_f64())
         .fold(0.0f64, f64::max);
-    let max_bw = results.iter().map(|(_, r)| r.mean_send_bw).fold(0.0f64, f64::max);
+    let max_bw = results
+        .iter()
+        .map(|(_, r)| r.mean_send_bw)
+        .fold(0.0f64, f64::max);
     for (w, r) in &results {
         let tp = r.tasks_done as f64 / r.elapsed.as_secs_f64();
         let score = (tp / max_tp.max(1e-30)) * (r.mean_send_bw / max_bw.max(1e-30));
@@ -330,11 +340,7 @@ mod tests {
 
     #[test]
     fn autotune_picks_a_candidate() {
-        let (best, scores) = autotune_workers(
-            cluster,
-            |w| UseCaseConfig::cg(w, 1),
-            &[2, 8, 20],
-        );
+        let (best, scores) = autotune_workers(cluster, |w| UseCaseConfig::cg(w, 1), &[2, 8, 20]);
         assert!(scores.iter().any(|(w, _)| *w == best));
         assert_eq!(scores.len(), 3);
         // Scores are normalized products: all within [0, 1].

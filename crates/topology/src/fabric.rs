@@ -354,12 +354,8 @@ fn build_switch(nodes: usize) -> Fabric {
 }
 
 /// Directions of a 2-D torus, in per-node link-creation order.
-const TORUS_DIRS: [(&str, usize, isize); 4] = [
-    ("xp", 0, 1),
-    ("xn", 0, -1),
-    ("yp", 1, 1),
-    ("yn", 1, -1),
-];
+const TORUS_DIRS: [(&str, usize, isize); 4] =
+    [("xp", 0, 1), ("xn", 0, -1), ("yp", 1, 1), ("yn", 1, -1)];
 
 fn build_torus(x: usize, y: usize) -> Fabric {
     let nodes = x * y;
@@ -465,7 +461,8 @@ fn build_dragonfly(groups: usize, routers: usize) -> Fabric {
             }
         }
     }
-    let intra_link = |g: usize, i: usize, j: usize| intra[node(g, i) * routers + j].expect("i != j");
+    let intra_link =
+        |g: usize, i: usize, j: usize| intra[node(g, i) * routers + j].expect("i != j");
     let mut routes = Vec::with_capacity(nodes * nodes);
     for s in 0..nodes {
         for d in 0..nodes {
@@ -534,9 +531,24 @@ mod tests {
             ("switch8", FabricSpec::switch().build_for(8)),
             ("torus4x2", FabricPreset::Torus.spec(8).build_for(8)),
             ("torus4x4", FabricPreset::Torus.spec(16).build_for(16)),
-            ("torus5x3", FabricSpec { kind: FabricKind::Torus { x: 5, y: 3 } }.build()),
+            (
+                "torus5x3",
+                FabricSpec {
+                    kind: FabricKind::Torus { x: 5, y: 3 },
+                }
+                .build(),
+            ),
             ("dfly2x4", FabricPreset::Dragonfly.spec(8).build_for(8)),
-            ("dfly3x3", FabricSpec { kind: FabricKind::Dragonfly { groups: 3, routers: 3 } }.build()),
+            (
+                "dfly3x3",
+                FabricSpec {
+                    kind: FabricKind::Dragonfly {
+                        groups: 3,
+                        routers: 3,
+                    },
+                }
+                .build(),
+            ),
             ("dfly4x4", FabricPreset::Dragonfly.spec(16).build_for(16)),
         ]
     }

@@ -41,10 +41,18 @@ impl fmt::Display for TopologyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TopologyError::CoreOutOfRange { core, count } => {
-                write!(f, "core {:?} out of range (machine has {} cores)", core, count)
+                write!(
+                    f,
+                    "core {:?} out of range (machine has {} cores)",
+                    core, count
+                )
             }
             TopologyError::NumaOutOfRange { numa, count } => {
-                write!(f, "numa {:?} out of range (machine has {} NUMA nodes)", numa, count)
+                write!(
+                    f,
+                    "numa {:?} out of range (machine has {} NUMA nodes)",
+                    numa, count
+                )
             }
             TopologyError::NoFarNuma { sockets } => write!(
                 f,

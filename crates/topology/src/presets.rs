@@ -88,18 +88,15 @@ pub fn henri() -> MachineSpec {
         turbo_table: [
             // normal: Xeon Gold 6140 SSE turbo ladder
             vec![
-                3.7, 3.7, 3.5, 3.5, 3.3, 3.3, 3.3, 3.3, 3.0, 3.0, 3.0, 3.0, 2.8, 2.8, 2.8, 2.8,
-                2.5,
+                3.7, 3.7, 3.5, 3.5, 3.3, 3.3, 3.3, 3.3, 3.0, 3.0, 3.0, 3.0, 2.8, 2.8, 2.8, 2.8, 2.5,
             ],
             // AVX2 ladder
             vec![
-                3.4, 3.4, 3.2, 3.2, 3.1, 3.1, 3.1, 3.1, 2.8, 2.8, 2.8, 2.8, 2.6, 2.6, 2.6, 2.6,
-                2.4,
+                3.4, 3.4, 3.2, 3.2, 3.1, 3.1, 3.1, 3.1, 2.8, 2.8, 2.8, 2.8, 2.6, 2.6, 2.6, 2.6, 2.4,
             ],
             // AVX512 ladder (4 cores → 3.0 GHz, ≥17 cores → 2.3 GHz; Fig 3)
             vec![
-                3.0, 3.0, 3.0, 3.0, 2.8, 2.8, 2.8, 2.8, 2.6, 2.6, 2.6, 2.6, 2.4, 2.4, 2.4, 2.4,
-                2.3,
+                3.0, 3.0, 3.0, 3.0, 2.8, 2.8, 2.8, 2.8, 2.6, 2.6, 2.6, 2.6, 2.4, 2.4, 2.4, 2.4, 2.3,
             ],
         ],
         uncore_range: (1.2, 2.4),
@@ -148,16 +145,13 @@ pub fn bora() -> MachineSpec {
         base_freq: 2.6,
         turbo_table: [
             vec![
-                3.9, 3.9, 3.7, 3.7, 3.5, 3.5, 3.5, 3.5, 3.3, 3.3, 3.3, 3.3, 3.1, 3.1, 3.1, 3.1,
-                2.8,
+                3.9, 3.9, 3.7, 3.7, 3.5, 3.5, 3.5, 3.5, 3.3, 3.3, 3.3, 3.3, 3.1, 3.1, 3.1, 3.1, 2.8,
             ],
             vec![
-                3.6, 3.6, 3.4, 3.4, 3.3, 3.3, 3.3, 3.3, 3.0, 3.0, 3.0, 3.0, 2.8, 2.8, 2.8, 2.8,
-                2.6,
+                3.6, 3.6, 3.4, 3.4, 3.3, 3.3, 3.3, 3.3, 3.0, 3.0, 3.0, 3.0, 2.8, 2.8, 2.8, 2.8, 2.6,
             ],
             vec![
-                3.2, 3.2, 3.2, 3.2, 3.0, 3.0, 3.0, 3.0, 2.8, 2.8, 2.8, 2.8, 2.6, 2.6, 2.6, 2.6,
-                2.4,
+                3.2, 3.2, 3.2, 3.2, 3.0, 3.0, 3.0, 3.0, 2.8, 2.8, 2.8, 2.8, 2.6, 2.6, 2.6, 2.6, 2.4,
             ],
         ],
         uncore_range: (1.2, 2.4),
@@ -204,9 +198,15 @@ pub fn billy() -> MachineSpec {
         base_freq: 2.5,
         turbo_table: [
             // Zen2 has no AVX licensing penalty — all tables identical.
-            vec![3.35, 3.35, 3.2, 3.2, 3.1, 3.1, 3.1, 3.1, 2.9, 2.9, 2.9, 2.9, 2.7],
-            vec![3.35, 3.35, 3.2, 3.2, 3.1, 3.1, 3.1, 3.1, 2.9, 2.9, 2.9, 2.9, 2.7],
-            vec![3.35, 3.35, 3.2, 3.2, 3.1, 3.1, 3.1, 3.1, 2.9, 2.9, 2.9, 2.9, 2.7],
+            vec![
+                3.35, 3.35, 3.2, 3.2, 3.1, 3.1, 3.1, 3.1, 2.9, 2.9, 2.9, 2.9, 2.7,
+            ],
+            vec![
+                3.35, 3.35, 3.2, 3.2, 3.1, 3.1, 3.1, 3.1, 2.9, 2.9, 2.9, 2.9, 2.7,
+            ],
+            vec![
+                3.35, 3.35, 3.2, 3.2, 3.1, 3.1, 3.1, 3.1, 2.9, 2.9, 2.9, 2.9, 2.7,
+            ],
         ],
         uncore_range: (1.4, 2.0),
         flops_per_cycle: 4.0,
@@ -317,7 +317,11 @@ mod tests {
         for p in Preset::clusters() {
             let m = p.spec();
             assert!(m.core_count() > 0);
-            assert!(m.numa_count() >= 2, "{} needs 2 NUMA nodes for near/far", m.name);
+            assert!(
+                m.numa_count() >= 2,
+                "{} needs 2 NUMA nodes for near/far",
+                m.name
+            );
         }
         assert_eq!(tiny2x2().core_count(), 4);
     }

@@ -71,5 +71,8 @@ fn main() {
         |w| UseCaseConfig::cg(w, 1),
         &[4, 8, 16, 25, 35],
     );
-    println!("\nautotuned CG worker count: {} (scores: {:?})", best, scores);
+    println!(
+        "\nautotuned CG worker count: {} (scores: {:?})",
+        best, scores
+    );
 }

@@ -36,11 +36,8 @@ fn main() {
 
     // The wire degraded to 40 % of nominal for the first 10 s of every
     // repetition — long enough to cover the whole measurement.
-    let degraded_plan = FaultPlan::new(cfg.seed).with_link_degradation(
-        SimTime::ZERO,
-        SimTime::SEC * 10,
-        0.40,
-    );
+    let degraded_plan =
+        FaultPlan::new(cfg.seed).with_link_degradation(SimTime::ZERO, SimTime::SEC * 10, 0.40);
     let degraded = protocol::try_run_faulted(&cfg, &degraded_plan).expect("degraded run");
     let bw1 = med(&degraded.bw_alone());
     println!(

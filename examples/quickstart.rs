@@ -49,13 +49,23 @@ fn main() {
     let s_alone = med(&bw.compute_bw_alone());
     let s_tog = med(&bw.compute_bw_together());
 
-    println!("network latency   : {:>8.2} µs alone → {:>8.2} µs beside STREAM (×{:.2})",
-        l_alone, l_tog, l_tog / l_alone);
-    println!("network bandwidth : {:>8.2} GB/s alone → {:>8.2} GB/s beside STREAM (−{:.0} %)",
-        b_alone / 1e9, b_tog / 1e9, (1.0 - b_tog / b_alone) * 100.0);
-    println!("STREAM per core   : {:>8.2} GB/s alone → {:>8.2} GB/s beside comm (−{:.0} %)",
-        s_alone / 1e9, s_tog / 1e9, (1.0 - s_tog / s_alone) * 100.0);
     println!(
-        "\npaper (henri): latency roughly doubles, bandwidth loses ~2/3, STREAM loses ≤25 %"
+        "network latency   : {:>8.2} µs alone → {:>8.2} µs beside STREAM (×{:.2})",
+        l_alone,
+        l_tog,
+        l_tog / l_alone
     );
+    println!(
+        "network bandwidth : {:>8.2} GB/s alone → {:>8.2} GB/s beside STREAM (−{:.0} %)",
+        b_alone / 1e9,
+        b_tog / 1e9,
+        (1.0 - b_tog / b_alone) * 100.0
+    );
+    println!(
+        "STREAM per core   : {:>8.2} GB/s alone → {:>8.2} GB/s beside comm (−{:.0} %)",
+        s_alone / 1e9,
+        s_tog / 1e9,
+        (1.0 - s_tog / s_alone) * 100.0
+    );
+    println!("\npaper (henri): latency roughly doubles, bandwidth loses ~2/3, STREAM loses ≤25 %");
 }

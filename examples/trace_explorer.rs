@@ -54,8 +54,11 @@ fn main() {
     print!("{}", journal.to_text());
     println!();
     println!("== summary ==");
-    println!("   {} records, {:.3} ms simulated", journal.records.len(),
-        journal.end_time().as_secs_f64() * 1e3);
+    println!(
+        "   {} records, {:.3} ms simulated",
+        journal.records.len(),
+        journal.end_time().as_secs_f64() * 1e3
+    );
     for r in &res.half_rtts {
         println!("   half-rtt sample: {:.2} us", r.as_micros_f64());
     }

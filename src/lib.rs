@@ -4,12 +4,12 @@
 //! "Interferences between Communications and Computations in Distributed HPC
 //! Systems" (Denis, Jeannot, Swartvagher).
 
+pub use freq;
 pub use interference;
 pub use kernels;
+pub use memsim;
 pub use mpisim;
 pub use netsim;
-pub use memsim;
-pub use freq;
-pub use topology;
 pub use simcore;
 pub use taskrt;
+pub use topology;

@@ -63,12 +63,12 @@ fn collective_campaign_resumes_byte_identical() {
     let dir = std::env::temp_dir().join(format!("ifstore-collective-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = ResultStore::open(&dir).expect("open temp store");
-    let ctx = StoreCtx { store: &store, resume: true };
-    let (runs, _) = campaign::run_set_with_store(
-        &exps,
-        &CampaignOptions::serial(Fidelity::Quick),
-        Some(ctx),
-    );
+    let ctx = StoreCtx {
+        store: &store,
+        resume: true,
+    };
+    let (runs, _) =
+        campaign::run_set_with_store(&exps, &CampaignOptions::serial(Fidelity::Quick), Some(ctx));
     let total_points: usize = runs.iter().map(|r| r.points).sum();
     assert_eq!(store.stats().persisted as usize, total_points);
 
@@ -85,15 +85,15 @@ fn collective_campaign_resumes_byte_identical() {
         std::fs::remove_file(p).expect("drop entry");
     }
 
-    let (runs2, _) = campaign::run_set_with_store(
-        &exps,
-        &CampaignOptions::new(Fidelity::Quick, 4),
-        Some(ctx),
-    );
+    let (runs2, _) =
+        campaign::run_set_with_store(&exps, &CampaignOptions::new(Fidelity::Quick, 4), Some(ctx));
     let restored: usize = runs2.iter().map(|r| r.restored_points).sum();
     assert_eq!(restored, total_points - lost);
     let resumed = figures_to_json(
-        &runs2.iter().flat_map(|r| r.figures.clone()).collect::<Vec<_>>(),
+        &runs2
+            .iter()
+            .flat_map(|r| r.figures.clone())
+            .collect::<Vec<_>>(),
     );
     assert_identical(&clean, &resumed, "resumed collective campaign diverged");
     let _ = std::fs::remove_dir_all(store.dir());
@@ -150,5 +150,8 @@ fn quick_plan_covers_both_scales() {
         .map(|p| p.label.clone())
         .collect();
     assert!(labels.iter().any(|l| l.contains("henri x 8")), "{labels:?}");
-    assert!(labels.iter().any(|l| l.contains("tiny2x2 x 64")), "{labels:?}");
+    assert!(
+        labels.iter().any(|l| l.contains("tiny2x2 x 64")),
+        "{labels:?}"
+    );
 }

@@ -151,7 +151,12 @@ fn worker_pause_resume_roundtrip() {
     rt.resume_workers(&mut c, 0);
     rt.resume_workers(&mut c, 1);
     let polling2 = taskrt::pingpong::run(&mut c, &mut rt, pp).median_latency_us();
-    assert!(paused < polling1, "paused {} vs polling {}", paused, polling1);
+    assert!(
+        paused < polling1,
+        "paused {} vs polling {}",
+        paused,
+        polling1
+    );
     assert!(
         (polling2 - polling1).abs() / polling1 < 0.05,
         "resume did not restore: {} vs {}",

@@ -54,9 +54,7 @@ fn is_counter_line(line: &str) -> bool {
     };
     match rest.split_once(" = ") {
         Some((name, value)) => {
-            !name.is_empty()
-                && !value.is_empty()
-                && value.bytes().all(|b| b.is_ascii_digit())
+            !name.is_empty() && !value.is_empty() && value.bytes().all(|b| b.is_ascii_digit())
         }
         None => false,
     }
@@ -203,7 +201,9 @@ fn rendezvous_cts_drop_journal_matches_golden() {
             let drops = j
                 .records
                 .iter()
-                .filter(|r| matches!(&r.kind, RecordKind::Instant { name, .. } if name == "cts.drop"))
+                .filter(
+                    |r| matches!(&r.kind, RecordKind::Instant { name, .. } if name == "cts.drop"),
+                )
                 .count();
             assert!(drops > 0, "drop instants must be recorded");
             assert_golden("rendezvous_cts_drop", &j.to_text());
@@ -262,7 +262,9 @@ fn ring_allreduce_degraded_journal_matches_golden() {
             let edges = |name: &str| {
                 j.records
                     .iter()
-                    .filter(|r| matches!(&r.kind, RecordKind::Instant { name: n, .. } if *n == name))
+                    .filter(
+                        |r| matches!(&r.kind, RecordKind::Instant { name: n, .. } if *n == name),
+                    )
                     .count()
             };
             assert_eq!(edges("link.degrade"), 1, "one degradation onset");
@@ -328,18 +330,24 @@ fn chrome_export_of_campaign_journal_is_valid() {
     let json = report.journal.expect("telemetry enabled").to_chrome_json();
     let doc = support::parse(&json);
     let events = doc.get("traceEvents").as_arr();
-    assert!(events.len() > 100, "expected a rich trace, got {}", events.len());
-    let mut phases: Vec<&str> = events
-        .iter()
-        .map(|e| e.get("ph").as_str())
-        .collect();
+    assert!(
+        events.len() > 100,
+        "expected a rich trace, got {}",
+        events.len()
+    );
+    let mut phases: Vec<&str> = events.iter().map(|e| e.get("ph").as_str()).collect();
     phases.sort_unstable();
     phases.dedup();
     // fig4 drives mpisim directly (no taskrt workers), so sync B/E task
     // spans are absent; async spans, completes, instants, counters and
     // metadata must all be present.
     for needed in ["M", "X", "b", "e", "i", "C"] {
-        assert!(phases.contains(&needed), "missing ph {:?} in {:?}", needed, phases);
+        assert!(
+            phases.contains(&needed),
+            "missing ph {:?} in {:?}",
+            needed,
+            phases
+        );
     }
     // Every event names a process and sits at a non-negative timestamp.
     for e in events {
@@ -367,8 +375,14 @@ fn predict_feature_matrix_matches_golden() {
     };
     let opts = CampaignOptions::serial(Fidelity::Quick);
     let outcomes = run_outcomes_with_store(&exp, &opts, None);
-    assert!(outcomes.iter().all(|o| o.value.is_some()), "harvest must complete");
+    assert!(
+        outcomes.iter().all(|o| o.value.is_some()),
+        "harvest must complete"
+    );
     let pairs = harvest::collect_pairs(&outcomes);
     assert_eq!(pairs.len(), 16, "4 placements x 2 core counts x 2 metrics");
-    assert_golden_free("predict_feature_matrix", &harvest::feature_matrix_text(&pairs));
+    assert_golden_free(
+        "predict_feature_matrix",
+        &harvest::feature_matrix_text(&pairs),
+    );
 }

@@ -34,7 +34,11 @@ fn figure_json_key_sets_are_stable() {
             "figure-level schema changed"
         );
         for series in fig.get("series").as_arr() {
-            assert_eq!(series.keys(), ["name", "points"], "series-level schema changed");
+            assert_eq!(
+                series.keys(),
+                ["name", "points"],
+                "series-level schema changed"
+            );
             for point in series.get("points").as_arr() {
                 assert_eq!(
                     point.keys(),
@@ -44,12 +48,24 @@ fn figure_json_key_sets_are_stable() {
             }
         }
         for check in fig.get("checks").as_arr() {
-            assert_eq!(check.keys(), ["detail", "name", "pass"], "check-level schema changed");
+            assert_eq!(
+                check.keys(),
+                ["detail", "name", "pass"],
+                "check-level schema changed"
+            );
         }
         for run in fig.get("runs").as_arr() {
             assert_eq!(
                 run.keys(),
-                ["error", "rep", "retrans_bytes", "retries", "retry_wait_s", "seed", "status"],
+                [
+                    "error",
+                    "rep",
+                    "retrans_bytes",
+                    "retries",
+                    "retry_wait_s",
+                    "seed",
+                    "status"
+                ],
                 "run-level schema changed"
             );
         }

@@ -41,11 +41,23 @@ fn finding_frequency_effects() {
         pingpong::run(&mut c, PingPongConfig::bandwidth(2)).median_bandwidth()
     };
     let ratio = lat_at(1.0, 2.4) / lat_at(2.3, 2.4);
-    assert!((1.4..2.2).contains(&ratio), "core-frequency latency ratio {}", ratio);
+    assert!(
+        (1.4..2.2).contains(&ratio),
+        "core-frequency latency ratio {}",
+        ratio
+    );
     let uncore_lat = lat_at(2.3, 1.2) / lat_at(2.3, 2.4);
-    assert!((uncore_lat - 1.0).abs() < 0.12, "uncore latency ratio {}", uncore_lat);
+    assert!(
+        (uncore_lat - 1.0).abs() < 0.12,
+        "uncore latency ratio {}",
+        uncore_lat
+    );
     let bw_ratio = bw_at(2.3, 2.4) / bw_at(2.3, 1.2);
-    assert!((1.005..1.10).contains(&bw_ratio), "uncore bandwidth ratio {}", bw_ratio);
+    assert!(
+        (1.005..1.10).contains(&bw_ratio),
+        "uncore bandwidth ratio {}",
+        bw_ratio
+    );
 }
 
 /// §3.2: latency is *better* beside CPU-bound computation (package-idle
@@ -117,17 +129,26 @@ fn finding_placement_ordering() {
     let (nn_lat, nn_loss) = measure(combos[0].1); // near/near
     let (nf_lat, _) = measure(combos[1].1); // data near, thread far
     let (fn_lat, fn_loss) = measure(combos[2].1); // data far, thread near
-    // Far thread inflates latency more than near thread.
+                                                  // Far thread inflates latency more than near thread.
     assert!(nf_lat > nn_lat, "thread far {} vs near {}", nf_lat, nn_lat);
     // Far data loses more bandwidth than near data.
-    assert!(fn_loss > nn_loss, "data far {} vs near {}", fn_loss, nn_loss);
+    assert!(
+        fn_loss > nn_loss,
+        "data far {} vs near {}",
+        fn_loss,
+        nn_loss
+    );
     let _ = fn_lat;
 }
 
 /// §5.2: the task runtime adds tens of µs of latency, scaled per machine.
 #[test]
 fn finding_runtime_overheads_per_machine() {
-    for (preset, expected_us) in [(Preset::Henri, 38.0), (Preset::Billy, 23.0), (Preset::Pyxis, 45.0)] {
+    for (preset, expected_us) in [
+        (Preset::Henri, 38.0),
+        (Preset::Billy, 23.0),
+        (Preset::Pyxis, 45.0),
+    ] {
         let machine = preset.spec();
         let mut c = Cluster::new(
             &machine,

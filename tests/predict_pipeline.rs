@@ -80,7 +80,11 @@ fn training_is_byte_identical_across_runs() {
     let params = default_params();
     let a = Advisor::train(&pairs, &params);
     let b = Advisor::train(&pairs, &params);
-    assert_eq!(a.encode(), b.encode(), "model bytes differ between trainings");
+    assert_eq!(
+        a.encode(),
+        b.encode(),
+        "model bytes differ between trainings"
+    );
     for p in &pairs {
         let pa = a.predict_features(&p.features);
         let pb = b.predict_features(&p.features);
@@ -115,7 +119,10 @@ fn harvest_resumes_byte_identical_from_store() {
     let store = temp_store("harvest-resume");
     let mut opts = CampaignOptions::serial(Fidelity::Quick);
     opts.jobs = 2;
-    let ctx = StoreCtx { store: &store, resume: true };
+    let ctx = StoreCtx {
+        store: &store,
+        resume: true,
+    };
     let first = run_outcomes_with_store(&exp, &opts, Some(ctx));
     assert!(first.iter().all(|o| o.value.is_some()));
     // Second pass serves every point from the store instead of recomputing.
@@ -154,7 +161,11 @@ fn leave_one_workload_out_ranking_generalises() {
     );
 
     let eval = accuracy::rank_eval(&pairs, &default_params());
-    assert!(eval.groups >= 40, "too few held-out groups: {}", eval.groups);
+    assert!(
+        eval.groups >= 40,
+        "too few held-out groups: {}",
+        eval.groups
+    );
     assert!(
         eval.best_pick >= 0.80,
         "held-out best-placement pick rate {:.3} < 0.80 (regret bound {})",

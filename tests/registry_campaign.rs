@@ -35,7 +35,10 @@ fn registry_is_complete_unique_and_ordered() {
         .iter()
         .map(|e| e.name())
         .collect();
-    assert_eq!(names, EXPECTED, "registry changed: update EXPECTED and DESIGN.md");
+    assert_eq!(
+        names, EXPECTED,
+        "registry changed: update EXPECTED and DESIGN.md"
+    );
     let unique: std::collections::HashSet<&&str> = names.iter().collect();
     assert_eq!(unique.len(), names.len(), "duplicate registry names");
     assert_eq!(

@@ -55,7 +55,11 @@ fn every_fault_shape_is_detected_and_recomputable() {
         // The slot is clean again: recompute (put) and serve.
         assert!(matches!(store.get(&key), Lookup::Miss), "entry cleared");
         store.put(&key, &payload).expect("re-put");
-        assert_eq!(store.get(&key), Lookup::Hit(payload), "recomputed entry serves");
+        assert_eq!(
+            store.get(&key),
+            Lookup::Hit(payload),
+            "recomputed entry serves"
+        );
     }
     assert!(store.stats().quarantined >= 6, "faults were quarantined");
     let _ = std::fs::remove_dir_all(store.dir());
@@ -77,7 +81,10 @@ fn fully_corrupted_store_recomputes_to_identical_figures() {
     );
 
     let store = temp_store("campaign");
-    let ctx = StoreCtx { store: &store, resume: true };
+    let ctx = StoreCtx {
+        store: &store,
+        resume: true,
+    };
     campaign::run_set_with_store(&[exp], &opts, Some(ctx));
     let entries: Vec<_> = std::fs::read_dir(store.dir())
         .expect("read store dir")
@@ -94,7 +101,10 @@ fn fully_corrupted_store_recomputes_to_identical_figures() {
     assert_eq!(runs[0].restored_points, 0, "no corrupt entry was served");
     assert_eq!(runs[0].failed_points, 0);
     let resumed = figures_to_json(
-        &runs.iter().flat_map(|r| r.figures.clone()).collect::<Vec<_>>(),
+        &runs
+            .iter()
+            .flat_map(|r| r.figures.clone())
+            .collect::<Vec<_>>(),
     );
     assert_eq!(clean, resumed, "figures diverged after store corruption");
 

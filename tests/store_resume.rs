@@ -38,7 +38,8 @@ fn every_registry_experiment_value_roundtrips_exactly() {
                 .and_then(|v| exp.encode_value(&v))
                 .unwrap_or_else(|| panic!("{}: point {} re-encode failed", exp.name(), o.index));
             assert_eq!(
-                bytes, bytes2,
+                bytes,
+                bytes2,
                 "{}: point {} codec is not bit-exact",
                 exp.name(),
                 o.index
@@ -88,7 +89,10 @@ fn resumed_campaign_is_byte_identical_across_jobs() {
     );
 
     let store = temp_store("resume-jobs");
-    let ctx = StoreCtx { store: &store, resume: true };
+    let ctx = StoreCtx {
+        store: &store,
+        resume: true,
+    };
     let opts = CampaignOptions::serial(Fidelity::Quick);
     let (runs, _) = campaign::run_set_with_store(&exps, &opts, Some(ctx));
     let total_points: usize = runs.iter().map(|r| r.points).sum();
@@ -113,7 +117,10 @@ fn resumed_campaign_is_byte_identical_across_jobs() {
     let restored: usize = runs2.iter().map(|r| r.restored_points).sum();
     assert_eq!(restored, total_points - lost);
     let resumed = figures_to_json(
-        &runs2.iter().flat_map(|r| r.figures.clone()).collect::<Vec<_>>(),
+        &runs2
+            .iter()
+            .flat_map(|r| r.figures.clone())
+            .collect::<Vec<_>>(),
     );
     assert_eq!(clean, resumed, "resumed figures differ from a clean run");
     let _ = std::fs::remove_dir_all(store.dir());

@@ -108,7 +108,12 @@ fn assert_journal_invariants(j: &Journal) {
         }
     }
     for (lane, stack) in &stacks {
-        assert!(stack.is_empty(), "unclosed sync span(s) on {}: {:?}", lane, stack);
+        assert!(
+            stack.is_empty(),
+            "unclosed sync span(s) on {}: {:?}",
+            lane,
+            stack
+        );
     }
     for ((cat, id), open) in &open_async {
         assert_eq!(*open, 0, "unclosed async span {} #{}", cat, id);
