@@ -24,6 +24,7 @@ pub mod cancel;
 pub mod engine;
 pub mod faults;
 pub mod fluid;
+pub mod idhash;
 pub mod queue;
 pub mod reference_paths;
 pub mod rng;
@@ -36,6 +37,7 @@ pub use cancel::CancelToken;
 pub use engine::{Engine, EngineError, Event, StallDiagnostic, TimerId};
 pub use faults::{FaultPlan, FaultPlanError, LinkDegradation, NicStall, StragglerCore};
 pub use fluid::{FlowId, FlowReport, FlowSpec, FluidNet, ReallocStats, ResourceId};
+pub use idhash::{IdBuildHasher, IdHasher};
 pub use queue::{QueueEntry, TimerQueue};
 pub use reference_paths::ReferencePaths;
 pub use rng::{JitterFamily, Pcg32, SplitMix64};

@@ -6,14 +6,17 @@
 //! `BTreeMap<(deadline, seq), QueueEntry>`, and demand **identical** pops —
 //! entry for entry, including ids and tags — across any interleaving of
 //! inserts, O(1) cancellations, stale cancellations and pops, because event
-//! order is what makes simulation output byte-stable. They also pin the
+//! order is what makes simulation output byte-stable. Ids come from
+//! `insert`; a stale id (popped or cancelled earlier) may name a slot that
+//! a later insert reuses, and cancelling it must leave that slot's new
+//! timer live. They also pin the
 //! accounting: `live_len` is the model's size, every stored entry is live
 //! or tombstoned, `live_entries` lists the model in `(deadline, seq)` order,
 //! and a drained queue stores nothing and holds no tombstone.
 //!
 //! Deadlines are scattered from the current watermark (same tick, next
 //! tick, near ties, the far future), cancels target live entries by index,
-//! and pops advance the watermark. Case count honours `PROPTEST_CASES` (CI
+//! stale cancels target dead ids by index, and pops advance the watermark. Case count honours `PROPTEST_CASES` (CI
 //! runs 512; the nightly long-fuzz raises it further).
 
 use std::collections::BTreeMap;
@@ -30,6 +33,9 @@ enum Op {
     /// Cancel the n-th live entry in `(deadline, seq)` order (modulo the
     /// live count at application time).
     Cancel(usize),
+    /// Cancel again the n-th id popped or cancelled so far (modulo their
+    /// count): a no-op, even when a later insert reuses its slot.
+    StaleCancel(usize),
     /// Pop once from queue and model and compare; advances the watermark.
     Pop,
 }
@@ -50,13 +56,15 @@ fn delta() -> impl Strategy<Value = u64> {
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    // Repetition stands in for arm weights (~4 insert : 1 cancel : 3 pop).
+    // Repetition stands in for arm weights
+    // (~4 insert : 1 cancel : 1 stale cancel : 3 pop).
     prop_oneof![
         delta().prop_map(Op::Insert).boxed(),
         delta().prop_map(Op::Insert).boxed(),
         delta().prop_map(Op::Insert).boxed(),
         delta().prop_map(Op::Insert).boxed(),
         (0..64usize).prop_map(Op::Cancel).boxed(),
+        (0..256usize).prop_map(Op::StaleCancel).boxed(),
         Just(Op::Pop).boxed(),
         Just(Op::Pop).boxed(),
         Just(Op::Pop).boxed(),
@@ -78,9 +86,14 @@ fn assert_agrees(q: &TimerQueue, model: &Model) {
     assert_eq!(q.live_entries(), want, "live_entries diverged");
 }
 
-/// Pop once from both and compare. Every third popped entry is then
-/// cancelled again, which must be a no-op.
-fn pop_both(q: &mut TimerQueue, model: &mut Model, watermark: &mut u64) -> Option<QueueEntry> {
+/// Pop once from both and compare, listing the popped id as dead. Every
+/// third popped entry is then cancelled again, which must be a no-op.
+fn pop_both(
+    q: &mut TimerQueue,
+    model: &mut Model,
+    watermark: &mut u64,
+    dead: &mut Vec<TimerId>,
+) -> Option<QueueEntry> {
     let want = model.pop_first().map(|(_, e)| e);
     assert_eq!(q.peek_deadline(), want.map(|e| e.deadline));
     let got = q.pop();
@@ -90,7 +103,8 @@ fn pop_both(q: &mut TimerQueue, model: &mut Model, watermark: &mut u64) -> Optio
     );
     if let Some(e) = got {
         *watermark = e.deadline.0;
-        if e.seq % 3 == 0 {
+        dead.push(e.id);
+        if e.id.seq() % 3 == 0 {
             let tombstones = q.outstanding_tombstones();
             q.cancel(e.id);
             assert_eq!(
@@ -111,34 +125,47 @@ fn run_script(ops: &[Op]) {
     let mut q = TimerQueue::new();
     let mut model = Model::new();
     let mut watermark = 0u64;
-    let mut seq = 0u64;
+    let mut inserts = 0u64;
+    // Ids popped or cancelled so far.
+    let mut dead: Vec<TimerId> = Vec::new();
 
     for o in ops {
         match o {
             Op::Insert(delta) => {
-                seq += 1;
-                let e = QueueEntry {
-                    deadline: SimTime(watermark.saturating_add(*delta)),
-                    seq,
-                    id: TimerId::from_raw(seq),
-                    tag: seq ^ 0xA5A5,
-                };
-                q.insert(e);
-                model.insert((e.deadline, e.seq), e);
+                inserts += 1;
+                let deadline = SimTime(watermark.saturating_add(*delta));
+                let tag = inserts ^ 0xA5A5;
+                let id = q.insert(deadline, tag);
+                assert_eq!(id.seq(), inserts, "seq is the insert count");
+                let e = QueueEntry { deadline, id, tag };
+                model.insert((deadline, id.seq()), e);
             }
             Op::Cancel(i) => {
                 if !model.is_empty() {
                     let key = *model.keys().nth(i % model.len()).expect("in range");
-                    q.cancel(model.remove(&key).expect("listed").id);
+                    let id = model.remove(&key).expect("listed").id;
+                    q.cancel(id);
+                    dead.push(id);
+                }
+            }
+            Op::StaleCancel(i) => {
+                if !dead.is_empty() {
+                    let tombstones = q.outstanding_tombstones();
+                    q.cancel(dead[i % dead.len()]);
+                    assert_eq!(
+                        q.outstanding_tombstones(),
+                        tombstones,
+                        "stale cancel changed the tombstones"
+                    );
                 }
             }
             Op::Pop => {
-                pop_both(&mut q, &mut model, &mut watermark);
+                pop_both(&mut q, &mut model, &mut watermark, &mut dead);
             }
         }
         assert_agrees(&q, &model);
     }
-    while pop_both(&mut q, &mut model, &mut watermark).is_some() {}
+    while pop_both(&mut q, &mut model, &mut watermark, &mut dead).is_some() {}
     assert_eq!(q.stored_len(), 0);
     assert_eq!(q.outstanding_tombstones(), 0, "queue leaked tombstones");
 }
@@ -170,8 +197,11 @@ fn deterministic_boundary_script() {
         Op::Pop,
         Op::Pop,
         Op::Cancel(0),
+        Op::StaleCancel(0),
         Op::Insert(1),
+        Op::StaleCancel(3),
         Op::Pop,
+        Op::StaleCancel(1),
         Op::Pop,
     ];
     run_script(&ops);
