@@ -1,8 +1,14 @@
 #!/usr/bin/env bash
-# Repo verification: tier-1 acceptance (release build + full test suite)
-# plus a zero-warning lint gate. Run from anywhere inside the repo.
+# Repo verification: a formatting gate, tier-1 acceptance (release build +
+# full test suite) plus a zero-warning lint gate. Run from anywhere inside
+# the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "==> cargo fmt --check (workspace, then the benchmark package)"
+# The benchmark is a workspace of its own, so `--all` does not reach it.
+cargo fmt --all --check
+cargo fmt --check --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo build --release"
 cargo build --release
