@@ -42,11 +42,12 @@ use simcore::{
 use topology::fabric::{Fabric, FabricSpec};
 use topology::{CoreId, MachineSpec, NumaId, Placement};
 
-/// A request handle for a non-blocking operation.
+/// A request handle for a non-blocking operation. A send's handle carries
+/// the number of its transfer in [`NetSim`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ReqId(u32);
 
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum ReqState {
     Pending,
     Complete,
@@ -107,27 +108,34 @@ impl fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-#[derive(Clone, Debug)]
+/// What mpisim alone knows of a send. Its transfer of the same number in
+/// [`NetSim`] holds the endpoints, the size and the retries, and netsim's
+/// events name what the cluster needs of them.
+#[derive(Clone, Copy, Debug)]
 struct SendReq {
     state: ReqState,
-    size: usize,
+    /// The receive request that matched this send ([`NO_REQ`] until one
+    /// does).
+    recv: u32,
+    /// The payload arrived before any receive matched it.
+    delivered: bool,
 }
 
-#[derive(Clone, Debug)]
-struct RecvReq {
-    node: usize,
-    src: usize,
-    mtag: u32,
-    state: ReqState,
-    matched: Option<TransferId>,
-}
+// A cluster keeps one `SendReq` per message for the whole run, so its width
+// is the collectives' per-message RSS; a 24 B form raised it (DESIGN.md
+// §13.8).
+const _: () = assert!(std::mem::size_of::<SendReq>() == 8);
 
-/// `Matcher::Indexed` side-table sentinel: "no request".
+/// [`SendReq::recv`] sentinel: no receive has matched yet.
 const NO_REQ: u32 = u32::MAX;
 
-/// One `(dst, src, mtag)` match bin: FIFO order within the bin is exactly
-/// the global posting/arrival order restricted to the bin's key, so popping
-/// the front is equivalent to the reference matcher's first-match scan.
+/// A match key, `(dst, src, mtag)`. Tags are always concrete (there is no
+/// `ANY_SOURCE` or `ANY_TAG`), so a receive matches only its own key.
+type Key = (u32, u32, u32);
+
+/// One match bin: FIFO order within the bin is exactly the global
+/// posting/arrival order restricted to the bin's key, so popping the front
+/// is equivalent to the reference matcher's first-match scan.
 /// A bin lives only while one of its queues holds something: a match that
 /// empties it removes it, so per-round collective tags leave nothing behind,
 /// and parks it on the spare list, whose bins (queue buffers included) the
@@ -137,7 +145,7 @@ struct MatchBin {
     /// Posted-but-unmatched receive requests, in posting order.
     posted: VecDeque<u32>,
     /// Arrived-but-unmatched transfers, in arrival order. Failed transfers
-    /// are removed lazily (see `Matcher::Indexed::cancelled`).
+    /// are removed lazily, by [`Matcher::post_recv`].
     unexpected: VecDeque<TransferId>,
 }
 
@@ -147,43 +155,31 @@ impl MatchBin {
     }
 }
 
-/// Message-matching state. The default `Indexed` form makes post, match and
-/// cancel O(1) amortised at any rank count; `Scan` is the single-queue
-/// linear matcher, selected by [`ReferencePaths::matcher`] at cluster build
-/// and kept as the byte-identity reference.
+/// The queue discipline of tag matching: which posted receive an arriving
+/// message takes, and which queued message a new receive takes. Both forms
+/// take the earliest entry on the same key, so they pick the same partner
+/// every time. The default `Indexed` form keeps one FIFO bin per key, O(1)
+/// amortised at any rank count; `Scan` keeps two global queues searched by
+/// first-match linear scans. [`ReferencePaths::matcher`] selects `Scan` at
+/// cluster build, as the differential reference for the queues.
 ///
-/// The dense side tables rely on [`TransferId`]s being allocated in
-/// lockstep with send requests: `Cluster` is the only `start_send` caller,
-/// so `TransferId(i)` is always the i-th transfer this cluster started
-/// (checked by a debug assertion on every send).
+/// The matcher holds no request state: what a match does to the requests
+/// (their states, which receive a send matched, an early delivery) is
+/// [`Cluster`]'s, shared by both forms.
 enum Matcher {
     Indexed {
-        /// `(dst, src, mtag)` → match bin; only non-empty bins are kept.
-        bins: HashMap<(u32, u32, u32), MatchBin, IdBuildHasher>,
+        /// Key → match bin; only non-empty bins are kept.
+        bins: HashMap<Key, MatchBin, IdBuildHasher>,
         /// Bins emptied by a match, taken (with their queues' capacity)
         /// by the next new bin.
         spare: Vec<MatchBin>,
-        /// TransferId → (send request, sending rank).
-        meta: Vec<(u32, u32)>,
-        /// TransferId → matched receive request ([`NO_REQ`] while unmatched).
-        recv_of: Vec<u32>,
-        /// TransferId → payload arrived before any receive was posted.
-        delivered: Vec<bool>,
-        /// TransferId → transfer failed while possibly still queued in a
-        /// bin; matching skips (and drops) cancelled entries lazily, so a
-        /// failure never scans unrelated bins.
-        cancelled: Vec<bool>,
-        /// Send request → TransferId.
-        send_transfer: Vec<TransferId>,
     },
     Scan {
-        /// Posted-but-unmatched receives (all keys interleaved).
-        posted: VecDeque<u32>,
-        /// Arrived-but-unmatched transfers: (dest_node, src, mtag,
-        /// transfer, delivered_already).
-        unexpected: VecDeque<(usize, usize, u32, TransferId, bool)>,
-        /// (transfer → send request, mtag, from) registry.
-        transfer_req: Vec<(TransferId, u32, u32, usize)>,
+        /// Posted-but-unmatched receives, all keys interleaved.
+        posted: VecDeque<(Key, u32)>,
+        /// Arrived-but-unmatched transfers, all keys interleaved. A failed
+        /// transfer leaves at once, by [`Matcher::drop_failed`].
+        unexpected: VecDeque<(Key, TransferId)>,
     },
 }
 
@@ -193,37 +189,120 @@ impl Matcher {
             Matcher::Scan {
                 posted: VecDeque::new(),
                 unexpected: VecDeque::new(),
-                transfer_req: Vec::new(),
             }
         } else {
             Matcher::Indexed {
                 bins: HashMap::default(),
                 spare: Vec::new(),
-                meta: Vec::new(),
-                recv_of: Vec::new(),
-                delivered: Vec::new(),
-                cancelled: Vec::new(),
-                send_transfer: Vec::new(),
             }
         }
     }
 
-    /// (send request, sending rank) of a transfer.
-    fn send_of(&self, id: TransferId) -> (u32, usize) {
+    /// Transfer `t` was sent on `key`: take the earliest receive posted on
+    /// `key`, or queue `t` as unexpected.
+    fn post_send(&mut self, key: Key, t: TransferId) -> Option<u32> {
         match self {
-            Matcher::Indexed { meta, .. } => {
-                let (sreq, from) = meta[id.0 as usize];
-                (sreq, from as usize)
-            }
-            Matcher::Scan { transfer_req, .. } => {
-                let (_, sreq, _, from) = *transfer_req
-                    .iter()
-                    .find(|(t, _, _, _)| *t == id)
-                    .expect("known transfer");
-                (sreq, from)
+            Matcher::Indexed { bins, spare } => match bins.entry(key) {
+                Entry::Occupied(mut bin) if !bin.get().posted.is_empty() => {
+                    let r = bin.get_mut().posted.pop_front().expect("posted receive");
+                    if bin.get().is_empty() {
+                        spare.push(bin.remove());
+                    }
+                    telemetry::counter_add("mpi.match.probes", 1);
+                    telemetry::counter_add("mpi.match.bin_hit", 1);
+                    Some(r)
+                }
+                bin => {
+                    bin.or_insert_with(|| spare.pop().unwrap_or_default())
+                        .unexpected
+                        .push_back(t);
+                    None
+                }
+            },
+            Matcher::Scan { posted, unexpected } => {
+                let r = take_first(posted, key);
+                if r.is_none() {
+                    unexpected.push_back((key, t));
+                }
+                r
             }
         }
     }
+
+    /// Receive `r` was posted on `key`: take the earliest transfer queued
+    /// on `key` that has not `failed`, or queue `r`. The bins drop failed
+    /// transfers here, lazily, so a failure never scans unrelated bins; the
+    /// scan removed them when they failed.
+    fn post_recv(
+        &mut self,
+        key: Key,
+        r: u32,
+        failed: impl Fn(TransferId) -> bool,
+    ) -> Option<TransferId> {
+        match self {
+            Matcher::Indexed { bins, spare } => {
+                let mut matched = None;
+                let mut probed = 0u64;
+                match bins.entry(key) {
+                    Entry::Occupied(mut bin) => {
+                        while let Some(t) = bin.get_mut().unexpected.pop_front() {
+                            probed += 1;
+                            if failed(t) {
+                                continue;
+                            }
+                            matched = Some(t);
+                            break;
+                        }
+                        if matched.is_none() {
+                            bin.get_mut().posted.push_back(r);
+                        } else if bin.get().is_empty() {
+                            spare.push(bin.remove());
+                        }
+                    }
+                    Entry::Vacant(bin) => bin
+                        .insert(spare.pop().unwrap_or_default())
+                        .posted
+                        .push_back(r),
+                }
+                if probed > 0 {
+                    telemetry::counter_add("mpi.match.probes", probed);
+                }
+                if matched.is_some() {
+                    telemetry::counter_add("mpi.match.bin_hit", 1);
+                }
+                matched
+            }
+            Matcher::Scan { posted, unexpected } => {
+                let t = take_first(unexpected, key);
+                if t.is_none() {
+                    posted.push_back((key, r));
+                }
+                t
+            }
+        }
+    }
+
+    /// Transfer `t` failed. The scan removes it from its queue now; the
+    /// bins skip it when a receive reaches it ([`Matcher::post_recv`]).
+    fn drop_failed(&mut self, t: TransferId) {
+        if let Matcher::Scan { unexpected, .. } = self {
+            unexpected.retain(|&(_, u)| u != t);
+        }
+    }
+}
+
+/// The scan's first-match search: remove and return the earliest entry of
+/// `queue` on `key`, counting each entry it looks at as a probe.
+fn take_first<T: Copy>(queue: &mut VecDeque<(Key, T)>, key: Key) -> Option<T> {
+    let mut probed = 0u64;
+    let pos = queue.iter().position(|&(k, _)| {
+        probed += 1;
+        k == key
+    });
+    if probed > 0 {
+        telemetry::counter_add("mpi.match.probes", probed);
+    }
+    Some(queue.remove(pos?).expect("index valid").1)
 }
 
 /// One record of the send profiler.
@@ -280,6 +359,12 @@ pub enum ClusterEvent {
 }
 
 /// The complete simulated world: N identical nodes plus the routed fabric.
+///
+/// A send's [`ReqId`] is its transfer's number in `net`, so the cluster
+/// keeps per message only what netsim does not know: a send's state, the
+/// receive that matched it and whether its payload arrived first (8 B),
+/// and a receive's state (1 B). Its `Matcher` only decides which queued
+/// partner a new send or receive takes.
 pub struct Cluster {
     /// The discrete-event engine.
     pub engine: Engine,
@@ -297,9 +382,12 @@ pub struct Cluster {
     pub comm_core: Vec<CoreId>,
     /// NUMA node holding communication buffers on each node.
     pub data_numa: Vec<NumaId>,
+    /// Send requests by [`ReqId`], which is also the transfer's number in
+    /// `net`: the only per-send record this layer keeps.
     sends: Vec<SendReq>,
-    recvs: Vec<RecvReq>,
-    /// Tag-matching state (indexed bins by default; see [`Matcher`]).
+    /// Receive request states by [`ReqId`]: the only per-receive record.
+    recvs: Vec<ReqState>,
+    /// Tag-matching queues (indexed bins by default; see [`Matcher`]).
     matcher: Matcher,
     profile: Vec<SendRecord>,
     profiling: bool,
@@ -523,7 +611,15 @@ impl Cluster {
                 buffer,
             )
         };
-        let req = ReqId(self.sends.len() as u32);
+        // One number names the send here and its transfer in netsim, which
+        // holds what this layer does not: this is the only `start_send` call
+        // on the cluster's `NetSim`, so the two count up together.
+        assert_eq!(
+            transfer.0 as usize,
+            self.sends.len(),
+            "a send's request id is its transfer id"
+        );
+        let req = ReqId(transfer.0);
         if telemetry::is_active() {
             telemetry::async_begin(
                 self.engine.now(),
@@ -535,71 +631,15 @@ impl Cluster {
         }
         self.sends.push(SendReq {
             state: ReqState::Pending,
-            size,
+            recv: NO_REQ,
+            delivered: false,
         });
-        // Match against an already-posted receive.
-        match &mut self.matcher {
-            Matcher::Indexed {
-                bins,
-                spare,
-                meta,
-                recv_of,
-                delivered,
-                cancelled,
-                send_transfer,
-            } => {
-                debug_assert_eq!(
-                    transfer.0 as usize,
-                    meta.len(),
-                    "transfer ids allocate in lockstep with sends"
-                );
-                meta.push((req.0, from as u32));
-                recv_of.push(NO_REQ);
-                delivered.push(false);
-                cancelled.push(false);
-                send_transfer.push(transfer);
-                match bins.entry((to as u32, from as u32, mtag)) {
-                    Entry::Occupied(mut bin) if !bin.get().posted.is_empty() => {
-                        let r = bin.get_mut().posted.pop_front().expect("posted receive");
-                        if bin.get().is_empty() {
-                            spare.push(bin.remove());
-                        }
-                        telemetry::counter_add("mpi.match.probes", 1);
-                        telemetry::counter_add("mpi.match.bin_hit", 1);
-                        recv_of[transfer.0 as usize] = r;
-                        self.recvs[r as usize].matched = Some(transfer);
-                        self.net.recv_ready(&mut self.engine, transfer);
-                    }
-                    bin => bin
-                        .or_insert_with(|| spare.pop().unwrap_or_default())
-                        .unexpected
-                        .push_back(transfer),
-                }
-            }
-            Matcher::Scan {
-                posted,
-                unexpected,
-                transfer_req,
-            } => {
-                transfer_req.push((transfer, req.0, mtag, from));
-                let recvs = &self.recvs;
-                let mut probed = 0u64;
-                let pos = posted.iter().position(|&r| {
-                    probed += 1;
-                    let rr = &recvs[r as usize];
-                    rr.node == to && rr.src == from && rr.mtag == mtag
-                });
-                if probed > 0 {
-                    telemetry::counter_add("mpi.match.probes", probed);
-                }
-                if let Some(pos) = pos {
-                    let r = posted.remove(pos).expect("index valid");
-                    self.recvs[r as usize].matched = Some(transfer);
-                    self.net.recv_ready(&mut self.engine, transfer);
-                } else {
-                    unexpected.push_back((to, from, mtag, transfer, false));
-                }
-            }
+        if let Some(r) = self
+            .matcher
+            .post_send((to as u32, from as u32, mtag), transfer)
+        {
+            self.sends[req.0 as usize].recv = r;
+            self.net.recv_ready(&mut self.engine, transfer);
         }
         req
     }
@@ -626,106 +666,30 @@ impl Cluster {
             req.0 as u64,
             Lane::Node(node as u8),
         );
-        let mut rr = RecvReq {
-            node,
-            src,
-            mtag,
-            state: ReqState::Pending,
-            matched: None,
-        };
-        // Match against an unexpected arrival.
-        match &mut self.matcher {
-            Matcher::Indexed {
-                bins,
-                spare,
-                recv_of,
-                delivered,
-                cancelled,
-                ..
-            } => {
-                let mut matched = None;
-                let mut probed = 0u64;
-                match bins.entry((node as u32, src as u32, mtag)) {
-                    Entry::Occupied(mut bin) => {
-                        // Failed transfers are dropped lazily here, so a
-                        // failure elsewhere never scanned this bin.
-                        while let Some(t) = bin.get_mut().unexpected.pop_front() {
-                            probed += 1;
-                            if cancelled[t.0 as usize] {
-                                continue;
-                            }
-                            matched = Some(t);
-                            break;
-                        }
-                        if matched.is_none() {
-                            bin.get_mut().posted.push_back(req.0);
-                        } else if bin.get().is_empty() {
-                            spare.push(bin.remove());
-                        }
-                    }
-                    Entry::Vacant(bin) => bin
-                        .insert(spare.pop().unwrap_or_default())
-                        .posted
-                        .push_back(req.0),
-                }
-                if probed > 0 {
-                    telemetry::counter_add("mpi.match.probes", probed);
-                }
-                if let Some(transfer) = matched {
-                    telemetry::counter_add("mpi.match.bin_hit", 1);
-                    recv_of[transfer.0 as usize] = req.0;
-                    rr.matched = Some(transfer);
-                    if delivered[transfer.0 as usize] {
-                        rr.state = ReqState::Complete;
-                        // The payload already arrived: the request is
-                        // instantaneous.
-                        telemetry::async_end(
-                            self.engine.now(),
-                            "mpi.recv",
-                            req.0 as u64,
-                            Lane::Node(node as u8),
-                        );
-                    } else {
-                        self.net.recv_ready(&mut self.engine, transfer);
-                    }
-                }
-                self.recvs.push(rr);
-            }
-            Matcher::Scan {
-                posted, unexpected, ..
-            } => {
-                let mut probed = 0u64;
-                let pos = unexpected.iter().position(|&(d, s, t, _, _)| {
-                    probed += 1;
-                    d == node && s == src && t == mtag
-                });
-                if probed > 0 {
-                    telemetry::counter_add("mpi.match.probes", probed);
-                }
-                if let Some(pos) = pos {
-                    let (_, _, _, transfer, delivered) =
-                        unexpected.remove(pos).expect("index valid");
-                    rr.matched = Some(transfer);
-                    if delivered {
-                        rr.state = ReqState::Complete;
-                        // The payload already arrived: the request is
-                        // instantaneous.
-                        telemetry::async_end(
-                            self.engine.now(),
-                            "mpi.recv",
-                            req.0 as u64,
-                            Lane::Node(node as u8),
-                        );
-                    } else {
-                        self.net.recv_ready(&mut self.engine, transfer);
-                    }
-                    self.recvs.push(rr);
-                } else {
-                    self.recvs.push(rr);
-                    posted.push_back(req.0);
-                }
+        let sends = &self.sends;
+        let matched = self
+            .matcher
+            .post_recv((node as u32, src as u32, mtag), req.0, |t| {
+                sends[t.0 as usize].state == ReqState::Failed
+            });
+        let mut state = ReqState::Pending;
+        if let Some(transfer) = matched {
+            let s = &mut self.sends[transfer.0 as usize];
+            s.recv = req.0;
+            if s.delivered {
+                // The payload already arrived: the request is instantaneous.
+                state = ReqState::Complete;
+                telemetry::async_end(
+                    self.engine.now(),
+                    "mpi.recv",
+                    req.0 as u64,
+                    Lane::Node(node as u8),
+                );
+            } else {
+                self.net.recv_ready(&mut self.engine, transfer);
             }
         }
+        self.recvs.push(state);
         req
     }
 
@@ -736,7 +700,7 @@ impl Cluster {
 
     /// True if the request has completed.
     pub fn test_recv(&self, req: ReqId) -> bool {
-        self.recvs[req.0 as usize].state == ReqState::Complete
+        self.recvs[req.0 as usize] == ReqState::Complete
     }
 
     /// True if the send's transfer failed permanently (fault injection).
@@ -746,22 +710,12 @@ impl Cluster {
 
     /// True if the receive's matched transfer failed permanently.
     pub fn recv_failed(&self, req: ReqId) -> bool {
-        self.recvs[req.0 as usize].state == ReqState::Failed
+        self.recvs[req.0 as usize] == ReqState::Failed
     }
 
     /// Retransmission accounting for a send request (zeroes when healthy).
     pub fn send_retry_stats(&self, req: ReqId) -> netsim::RetryStats {
-        let transfer = match &self.matcher {
-            Matcher::Indexed { send_transfer, .. } => send_transfer[req.0 as usize],
-            Matcher::Scan { transfer_req, .. } => {
-                let (transfer, ..) = *transfer_req
-                    .iter()
-                    .find(|(_, s, _, _)| *s == req.0)
-                    .expect("known send request");
-                transfer
-            }
-        };
-        self.net.retry_stats(transfer)
+        self.net.retry_stats(TransferId(req.0))
     }
 
     /// Number of send requests still pending.
@@ -776,7 +730,7 @@ impl Cluster {
     pub fn pending_recvs(&self) -> usize {
         self.recvs
             .iter()
-            .filter(|r| r.state == ReqState::Pending)
+            .filter(|&&r| r == ReqState::Pending)
             .count()
     }
 
@@ -847,96 +801,55 @@ impl Cluster {
     /// Apply what one netsim step surfaced, returning the request it
     /// completed, if any.
     fn apply_net_event(&mut self, out: NetEvent) -> Option<ClusterEvent> {
+        let now = self.engine.now();
         match out {
-            NetEvent::SendComplete { id, sender_elapsed } => {
-                let (sreq, from) = self.matcher.send_of(id);
-                let s = &mut self.sends[sreq as usize];
-                s.state = ReqState::Complete;
-                telemetry::async_end(
-                    self.engine.now(),
-                    "mpi.send",
-                    sreq as u64,
-                    Lane::Node(from as u8),
-                );
+            NetEvent::SendComplete {
+                id,
+                from,
+                size,
+                sender_elapsed,
+            } => {
+                self.sends[id.0 as usize].state = ReqState::Complete;
+                telemetry::async_end(now, "mpi.send", id.0 as u64, Lane::Node(from as u8));
                 if self.profiling {
                     let rs = self.net.retry_stats(id);
                     self.profile.push(SendRecord {
                         node: from,
-                        size: s.size,
+                        size,
                         elapsed: sender_elapsed,
                         retries: rs.retries,
                         retrans_bytes: rs.retrans_bytes,
                         retry_wait: rs.retry_wait,
                     });
                 }
-                Some(ClusterEvent::SendComplete(ReqId(sreq)))
+                Some(ClusterEvent::SendComplete(ReqId(id.0)))
             }
-            NetEvent::Delivered { id } => {
-                // Find the matched receive, if any.
-                let ri = match &mut self.matcher {
-                    Matcher::Indexed {
-                        recv_of, delivered, ..
-                    } => {
-                        let r = recv_of[id.0 as usize];
-                        if r == NO_REQ {
-                            // Arrived before any receive was posted.
-                            delivered[id.0 as usize] = true;
-                            None
-                        } else {
-                            Some(r as usize)
-                        }
-                    }
-                    Matcher::Scan { unexpected, .. } => {
-                        let pos = self.recvs.iter().position(|r| r.matched == Some(id));
-                        if pos.is_none() {
-                            if let Some(u) = unexpected.iter_mut().find(|(_, _, _, t, _)| *t == id)
-                            {
-                                // Arrived before any receive was posted.
-                                u.4 = true;
-                            }
-                        }
-                        pos
-                    }
-                };
-                let ri = ri?;
-                self.recvs[ri].state = ReqState::Complete;
-                telemetry::async_end(
-                    self.engine.now(),
-                    "mpi.recv",
-                    ri as u64,
-                    Lane::Node(self.recvs[ri].node as u8),
-                );
-                Some(ClusterEvent::RecvComplete(ReqId(ri as u32)))
-            }
-            NetEvent::Failed { id, retries } => {
-                let (sreq, from) = self.matcher.send_of(id);
-                self.sends[sreq as usize].state = ReqState::Failed;
-                let lane = Lane::Node(from as u8);
-                telemetry::instant(self.engine.now(), "mpi", "send.failed", lane);
-                telemetry::async_end(self.engine.now(), "mpi.send", sreq as u64, lane);
-                // The matched receive (or queued unexpected arrival)
-                // will never complete either.
-                match &mut self.matcher {
-                    Matcher::Indexed {
-                        recv_of, cancelled, ..
-                    } => {
-                        let r = recv_of[id.0 as usize];
-                        if r != NO_REQ {
-                            self.recvs[r as usize].state = ReqState::Failed;
-                        }
-                        // Lazy removal from its bin: no queue sweep, no
-                        // unrelated-bin scans.
-                        cancelled[id.0 as usize] = true;
-                    }
-                    Matcher::Scan { unexpected, .. } => {
-                        if let Some(ri) = self.recvs.iter().position(|r| r.matched == Some(id)) {
-                            self.recvs[ri].state = ReqState::Failed;
-                        }
-                        unexpected.retain(|&(_, _, _, t, _)| t != id);
-                    }
+            NetEvent::Delivered { id, to } => {
+                let s = &mut self.sends[id.0 as usize];
+                if s.recv == NO_REQ {
+                    // Arrived before any receive was posted.
+                    s.delivered = true;
+                    return None;
                 }
+                let r = s.recv;
+                self.recvs[r as usize] = ReqState::Complete;
+                telemetry::async_end(now, "mpi.recv", r as u64, Lane::Node(to as u8));
+                Some(ClusterEvent::RecvComplete(ReqId(r)))
+            }
+            NetEvent::Failed { id, from, retries } => {
+                let s = &mut self.sends[id.0 as usize];
+                s.state = ReqState::Failed;
+                let lane = Lane::Node(from as u8);
+                telemetry::instant(now, "mpi", "send.failed", lane);
+                telemetry::async_end(now, "mpi.send", id.0 as u64, lane);
+                // The matched receive will never complete either, and a
+                // queued unexpected transfer must never match.
+                if s.recv != NO_REQ {
+                    self.recvs[s.recv as usize] = ReqState::Failed;
+                }
+                self.matcher.drop_failed(id);
                 Some(ClusterEvent::SendFailed {
-                    req: ReqId(sreq),
+                    req: ReqId(id.0),
                     retries,
                 })
             }
@@ -1128,6 +1041,54 @@ mod tests {
             c.irecv(1, t);
         }
         assert_eq!((live_bins(&c), spare_bins(&c)), (50, 50));
+    }
+
+    /// Under certain RTS loss, an eager send completes untouched while a
+    /// rendezvous send with its receive posted fails, and every query about
+    /// the failed send reads that send's own transfer. Both matchers share
+    /// this bookkeeping, so the matcher differential cannot see it.
+    #[test]
+    fn failed_send_reports_its_own_transfer_under_both_matchers() {
+        use netsim::{CTRL_MSG_BYTES, DEFAULT_MAX_RETRIES};
+        for scan in [false, true] {
+            let paths = ReferencePaths {
+                matcher: scan,
+                ..ReferencePaths::default()
+            };
+            let mut c = simcore::reference_paths::scoped(paths, || {
+                Cluster::with_fabric(
+                    &henri(),
+                    FabricSpec::switch().build_for(4),
+                    Governor::Userspace(2.3),
+                    UncorePolicy::Fixed(2.4),
+                    Placement::fig4_default(),
+                )
+            });
+            assert_eq!(c.reference_paths().matcher, scan);
+            c.apply_faults(&FaultPlan::new(3).with_rts_drop(1.0))
+                .expect("valid plan");
+            let eager_recv = c.irecv_from(1, 0, 4);
+            let eager = c.isend_to(0, 1, 64, 4, 1);
+            let rdv_recv = c.irecv_from(3, 2, 4);
+            let rdv = c.isend_to(2, 3, 4 << 20, 4, 2);
+            let (mut completed, mut failed) = (Vec::new(), Vec::new());
+            while let Some(ev) = c.step() {
+                match ev {
+                    ClusterEvent::SendComplete(s) => completed.push(s),
+                    ClusterEvent::SendFailed { req, retries } => failed.push((req, retries)),
+                    _ => {}
+                }
+            }
+            assert_eq!(completed, [eager], "scan {scan}");
+            assert!(c.test_recv(eager_recv));
+            assert_eq!(c.send_retry_stats(eager), netsim::RetryStats::default());
+            assert_eq!(failed, [(rdv, DEFAULT_MAX_RETRIES + 1)], "scan {scan}");
+            assert!(c.send_failed(rdv) && c.recv_failed(rdv_recv));
+            assert!(!c.send_failed(eager) && !c.recv_failed(eager_recv));
+            let rs = c.send_retry_stats(rdv);
+            assert_eq!(rs.retries, DEFAULT_MAX_RETRIES + 1);
+            assert!(rs.retrans_bytes >= DEFAULT_MAX_RETRIES as u64 * CTRL_MSG_BYTES);
+        }
     }
 
     #[test]

@@ -74,7 +74,10 @@ pub struct NodeRef<'a> {
     pub comm_core: CoreId,
 }
 
-/// Events surfaced to the message-passing layer.
+/// Events surfaced to the message-passing layer. Each names what the layer
+/// needs of its transfer (the endpoint whose request it settles, the size
+/// for the profiler), read from the live transfer, so the layer need keep
+/// no copy of them.
 #[derive(Clone, Debug)]
 pub enum NetEvent {
     /// The sender finished pushing the payload (eager copy done or DMA
@@ -84,6 +87,10 @@ pub enum NetEvent {
     SendComplete {
         /// Transfer.
         id: TransferId,
+        /// Sending node.
+        from: usize,
+        /// Payload bytes.
+        size: usize,
         /// Time from `start_send` to the last byte leaving the sender.
         sender_elapsed: SimTime,
     },
@@ -91,12 +98,16 @@ pub enum NetEvent {
     Delivered {
         /// Transfer.
         id: TransferId,
+        /// Receiving node.
+        to: usize,
     },
     /// The rendezvous handshake exhausted its retransmission budget (only
     /// possible under an injected [`FaultPlan`]); the transfer is abandoned.
     Failed {
         /// Transfer.
         id: TransferId,
+        /// Sending node.
+        from: usize,
         /// Retransmissions attempted before giving up.
         retries: u32,
     },
@@ -176,8 +187,6 @@ struct Transfer {
     cts_sent: bool,
     /// A CTS reached the sender and the DMA is running (dedups retries).
     dma_started: bool,
-    /// Retransmissions so far; bounds the exponential backoff.
-    retries: u32,
     /// Current retransmission timeout (doubles per retry).
     rto: SimTime,
 }
@@ -202,7 +211,8 @@ pub struct NetSim {
     /// `wire_spans[from * nodes + to]` slices `wire_arena`.
     wire_spans: Vec<(u32, u32)>,
     transfers: Vec<Option<Transfer>>,
-    /// Parallel to `transfers`, kept after retirement for the profiler.
+    /// Parallel to `transfers`, kept after retirement for the profiler; its
+    /// retry count is also what bounds a live transfer's backoff.
     retry_stats: Vec<RetryStats>,
     /// Registered buffer ids per node (the pin-down cache).
     reg_cache: Vec<HashSet<u64, IdBuildHasher>>,
@@ -493,7 +503,6 @@ impl NetSim {
             rts_arrived: false,
             cts_sent: false,
             dma_started: false,
-            retries: 0,
             rto: self.rto_base,
         }));
         self.retry_stats.push(RetryStats::default());
@@ -676,6 +685,8 @@ impl NetSim {
                 );
                 out = Some(NetEvent::SendComplete {
                     id,
+                    from,
+                    size,
                     sender_elapsed: engine.now() - t.started,
                 });
                 engine.start_flow(FlowSpec {
@@ -740,6 +751,8 @@ impl NetSim {
                 );
                 out = Some(NetEvent::SendComplete {
                     id,
+                    from,
+                    size,
                     sender_elapsed: engine.now() - t.started,
                 });
                 engine.start_flow(FlowSpec {
@@ -771,7 +784,7 @@ impl NetSim {
                     id.0 as u64,
                     Lane::Node(from as u8),
                 );
-                out = Some(NetEvent::Delivered { id });
+                out = Some(NetEvent::Delivered { id, to });
             }
             Step::LinkFaultStart
             | Step::LinkFaultEnd
@@ -779,7 +792,6 @@ impl NetSim {
             | Step::NicStallEnd
             | Step::RtsTimeout => unreachable!("handled before the transfer prologue"),
         }
-        let _ = buffer;
         out
     }
 
@@ -805,12 +817,11 @@ impl NetSim {
         // Either the RTS or the CTS was lost: retransmit with backoff.
         let waited = t.rto;
         let from = t.from;
-        t.retries += 1;
         t.rto = t.rto * 2;
-        let retries = t.retries;
         let stats = &mut self.retry_stats[tid];
         stats.retries += 1;
         stats.retry_wait += waited;
+        let retries = stats.retries;
         telemetry::counter_add("net.retrans", 1);
         telemetry::instant(engine.now(), "net", "rto", Lane::Node(from as u8));
         if retries > DEFAULT_MAX_RETRIES {
@@ -822,7 +833,7 @@ impl NetSim {
                 id.0 as u64,
                 Lane::Node(from as u8),
             );
-            return Some(NetEvent::Failed { id, retries });
+            return Some(NetEvent::Failed { id, from, retries });
         }
         self.send_rts(engine, id);
         None
@@ -1263,7 +1274,8 @@ mod tests {
         }
     }
 
-    /// Drive one `src → dst` message to delivery on a fabric world.
+    /// Drive one `src → dst` message to delivery on a fabric world, checking
+    /// that its events name its own endpoints and size.
     fn fabric_one_way(w: &mut FabricWorld, src: usize, dst: usize, size: usize, buffer: u64) {
         let id = {
             let nref = NodeRef {
@@ -1297,8 +1309,18 @@ mod tests {
                     },
                     &ev,
                 ) {
-                    if matches!(out, NetEvent::Delivered { .. }) {
-                        delivered = true;
+                    match out {
+                        NetEvent::SendComplete {
+                            id: t,
+                            from,
+                            size: bytes,
+                            ..
+                        } => assert_eq!((t, from, bytes), (id, src, size)),
+                        NetEvent::Delivered { id: t, to } => {
+                            assert_eq!((t, to), (id, dst));
+                            delivered = true;
+                        }
+                        NetEvent::Failed { .. } => panic!("healthy fabric cannot fail"),
                     }
                 }
             }

@@ -608,10 +608,10 @@ mod tests {
             let adj = adjacency(&f);
             for s in 0..f.nodes() {
                 let dist = bfs_dist(&adj, s);
-                for d in 0..f.nodes() {
+                for (d, &want) in dist[..f.nodes()].iter().enumerate() {
                     assert_eq!(
                         f.hops(s, d),
-                        dist[d],
+                        want,
                         "{}: route {}→{} is not shortest",
                         name,
                         s,

@@ -19,8 +19,9 @@ echo "==> cargo test -q"
 # (predict) oracles included.
 cargo test -q
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# --all-targets lints the tests, benches and examples too.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> benchmark package: tests + clippy"
 # The benchmark is a workspace of its own that builds the crates by path
