@@ -80,10 +80,12 @@ pub fn cache_stats() -> CacheStats {
     }
 }
 
-#[allow(clippy::type_complexity)]
-fn cache() -> &'static Mutex<HashMap<(Algorithm, usize, usize), Arc<Schedule>>> {
-    static CACHE: OnceLock<Mutex<HashMap<(Algorithm, usize, usize), Arc<Schedule>>>> =
-        OnceLock::new();
+/// The cache: one entry per key, each set once, by the first request for
+/// its key.
+type Cache = Mutex<HashMap<(Algorithm, usize, usize), Arc<OnceLock<Arc<Schedule>>>>>;
+
+fn cache() -> &'static Cache {
+    static CACHE: OnceLock<Cache> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -98,22 +100,31 @@ fn cache() -> &'static Mutex<HashMap<(Algorithm, usize, usize), Arc<Schedule>>> 
 /// returned only for an exact match. The first build of a key runs
 /// `verify_semantics` and panics on a prover rejection — a builder bug, not
 /// a runtime condition.
+///
+/// Each key is built once per process, and counted as one miss, however
+/// many workers ask for it at once: the key's entry is put in the map under
+/// the lock, and the build runs outside it, in the one thread that sets the
+/// entry. The others wait for that entry alone, so unrelated keys still
+/// build in parallel, and each counts a hit.
 pub fn cached(algorithm: Algorithm, nodes: usize, payload: usize) -> Arc<Schedule> {
-    let key = (algorithm, nodes, payload);
-    if let Some(s) = cache().lock().expect("cache lock").get(&key) {
-        CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        return Arc::clone(s);
-    }
-    // Build outside the lock: compilation can be expensive and must not
-    // serialize unrelated campaign workers.
-    let s = algorithm.build(nodes, payload);
-    s.verify_semantics()
-        .expect("builder schedules always prove");
-    let s = Arc::new(s);
-    let mut map = cache().lock().expect("cache lock");
-    let entry = map.entry(key).or_insert_with(|| Arc::clone(&s));
-    CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-    Arc::clone(entry)
+    let entry = Arc::clone(
+        cache()
+            .lock()
+            .expect("cache lock")
+            .entry((algorithm, nodes, payload))
+            .or_default(),
+    );
+    let mut built = false;
+    let s = entry.get_or_init(|| {
+        built = true;
+        let s = algorithm.build(nodes, payload);
+        s.verify_semantics()
+            .expect("builder schedules always prove");
+        Arc::new(s)
+    });
+    let counter = if built { &CACHE_MISSES } else { &CACHE_HITS };
+    counter.fetch_add(1, Ordering::Relaxed);
+    Arc::clone(s)
 }
 
 /// What the schedule computes; fixes the semantic pre/post-conditions.

@@ -362,14 +362,24 @@ impl NetSim {
 
     /// Scale the DMA path with each node's uncore frequency (the ±4 %
     /// bandwidth effect of §3.1). `uncore` holds one frequency per node.
+    ///
+    /// Capacities are refreshed only when some node's scale changes bits:
+    /// every other input of `refresh_caps` (jitter, fault windows, stalls)
+    /// refreshes them itself when it changes, so with the scales unchanged
+    /// the refresh would write every capacity it already holds.
     pub fn apply_uncore(&mut self, engine: &mut Engine, spec: &MachineSpec, uncore: &[f64]) {
         assert_eq!(uncore.len(), self.uncore_scale.len());
-        for (n, &u) in uncore.iter().enumerate() {
+        let mut moved = false;
+        for (scale, &u) in self.uncore_scale.iter_mut().zip(uncore) {
             let (lo, hi) = spec.uncore_range;
             let t = ((u - lo) / (hi - lo)).clamp(0.0, 1.0);
-            self.uncore_scale[n] = 1.0 - DMA_UNCORE_SPAN * (1.0 - t);
+            let new = 1.0 - DMA_UNCORE_SPAN * (1.0 - t);
+            moved |= new.to_bits() != scale.to_bits();
+            *scale = new;
         }
-        self.refresh_caps(engine);
+        if moved {
+            self.refresh_caps(engine);
+        }
     }
 
     /// Recompute link and NIC capacities from the composition of jitter,
@@ -1074,6 +1084,47 @@ mod tests {
         // ~4 % effect, like the paper's 10.1 vs 10.5 GB/s.
         assert!(bw_high > bw_low * 1.02, "low {} high {}", bw_low, bw_high);
         assert!(bw_high < bw_low * 1.10);
+    }
+
+    /// An unchanged uncore vector runs no refresh: a capacity written by
+    /// hand stays, and nothing is left to re-solve. A changed one moves the
+    /// NICs and rewrites every link and NIC capacity from its inputs.
+    #[test]
+    fn unchanged_uncore_leaves_capacities_alone() {
+        let mut w = world();
+        let spec = henri();
+        let nics = [
+            w.net.nic_tx[0],
+            w.net.nic_rx[0],
+            w.net.nic_tx[1],
+            w.net.nic_rx[1],
+        ];
+        let link = w.net.links[0];
+        w.net.apply_uncore(&mut w.engine, &spec, &[1.2, 1.2]);
+        let low = nics.map(|r| w.engine.capacity(r));
+        let link_bw = w.engine.capacity(link);
+        assert!(low[0] < spec.network.dma_bw, "low uncore slows the NIC");
+        // A flow on the link, solved, so a re-solve would show.
+        let f = w.engine.start_flow(FlowSpec {
+            path: vec![link],
+            volume: 1e12,
+            weight: 1.0,
+            cap: None,
+            tag: 0,
+        });
+        w.engine.set_capacity(link, link_bw / 2.0);
+        w.engine.flow_rate(f);
+        telemetry::install();
+        w.net.apply_uncore(&mut w.engine, &spec, &[1.2, 1.2]);
+        w.engine.flow_rate(f);
+        let journal = telemetry::take().expect("journal");
+        assert_eq!(nics.map(|r| w.engine.capacity(r)), low);
+        assert_eq!(w.engine.capacity(link), link_bw / 2.0, "refreshed");
+        assert_eq!(journal.counters.get("fluid.reallocs"), None, "re-solved");
+        w.net.apply_uncore(&mut w.engine, &spec, &[2.4, 1.2]);
+        assert!(w.engine.capacity(nics[0]) > low[0], "NIC did not move");
+        assert_eq!(w.engine.capacity(nics[2]), low[2]);
+        assert_eq!(w.engine.capacity(link), link_bw, "not refreshed");
     }
 
     /// Drive one message to completion or failure under faults; returns

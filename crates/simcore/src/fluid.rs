@@ -40,24 +40,26 @@
 //!
 //! The per-component solve ([`solve_region`]) runs progressive filling in
 //! one pass per fill level: the resources that saturate at one level
-//! freeze in the same round, each touched resource's weight is re-summed
-//! once per round, and component-local resource positions come from an
-//! O(1) index ([`solve_general`] gives the reason each shortcut is
-//! exact). The from-scratch
-//! [`reference::reallocate`] rebuilds the adjacency and the component
-//! decomposition independently, from a scan of the id column sorted by
-//! id, and runs the plain loop, one freeze per round; both send one-flow
-//! components to the same waterfill shortcut.
+//! freeze in the same round, and so do the capped flows that reach their
+//! caps at one level (the equal-cap STREAM cores of the paper's §4), each
+//! touched resource's weight is re-summed once per round, and the loop
+//! reads the net's own member lists, paths, weights and caps through
+//! component-local positions written for each solve, copying no adjacency
+//! ([`solve_general`] gives the reason each shortcut is exact). The
+//! from-scratch [`reference::reallocate`] rebuilds the adjacency and the
+//! component decomposition independently, from a scan of the id column
+//! sorted by id, and runs the plain loop, one freeze per round; both send
+//! one-flow components to the same waterfill shortcut.
 //! The production walk and solve work in buffers the net owns and clears
 //! per component (the component and walk lists, the fill loop's columns
 //! and the solution), so a steady-state re-solve allocates nothing; the
 //! reference allocates afresh, as an oracle should (DESIGN.md §13.7).
 //! Fast and reference results are bit-identical — not by shared code but
 //! as proven by the differential suites: `prop_fluid_equiv` over
-//! randomized and tie-heavy mutation sequences, simcheck's differential
-//! fuzzer and the whole-campaign `tests/allocator_replay.rs`. Exact f64
-//! equality matters: completion times derive from rates, so even a 1-ulp
-//! drift would eventually flip picosecond event ordering and break
+//! randomized, tie-heavy and STREAM-shaped mutation sequences, simcheck's
+//! differential fuzzer and the whole-campaign `tests/allocator_replay.rs`.
+//! Exact f64 equality matters: completion times derive from rates, so even
+//! a 1-ulp drift would eventually flip picosecond event ordering and break
 //! golden-trace and `--json` byte-stability.
 //!
 //! # Advancing time
@@ -261,9 +263,6 @@ pub struct FluidNet {
     dirty_list: Vec<u32>,
     /// Epoch-stamped visit marks for the component BFS (no per-call zeroing).
     res_mark: Vec<u64>,
-    /// `res_local[r]` = position of `r` in the component being solved
-    /// (valid only for that component's resources; rewritten per solve).
-    res_local: Vec<u32>,
     slot_mark: Vec<u64>,
     epoch: u64,
     next_flow: u64,
@@ -274,9 +273,10 @@ pub struct FluidNet {
 
 /// Buffers every [`FluidNet::reallocate`] reuses: the component walk's
 /// lists, the fill loop's working columns and the solution. Each is
-/// cleared and refilled per component, so nothing carries over from one
-/// component to the next, and a re-solve allocates only when a component
-/// outgrows every earlier one.
+/// cleared and refilled per component (the local positions are rewritten
+/// for the component's own resources and slots, the only entries it
+/// reads), so nothing carries over from one component to the next, and a
+/// re-solve allocates only when a component outgrows every earlier one.
 #[derive(Default)]
 struct Scratch {
     /// Resources of the component being solved (ascending once walked).
@@ -333,7 +333,6 @@ impl FluidNet {
             res_dirty: Vec::new(),
             dirty_list: Vec::new(),
             res_mark: Vec::new(),
-            res_local: Vec::new(),
             slot_mark: Vec::new(),
             epoch: 0,
             next_flow: 0,
@@ -354,7 +353,6 @@ impl FluidNet {
         self.members.push(Vec::new());
         self.res_dirty.push(false);
         self.res_mark.push(0);
-        self.res_local.push(0);
         id
     }
 
@@ -630,15 +628,12 @@ impl FluidNet {
             comp_res.sort_unstable();
             let ids = &self.arena.id;
             comp_slots.sort_unstable_by_key(|&s| ids[s as usize]);
-            for (lr, &r) in comp_res.iter().enumerate() {
-                self.res_local[r as usize] = lr as u32;
-            }
             stats.components += 1;
             stats.flows_visited += comp_slots.len() as u64;
             solve_region(
                 &self.resources,
                 &self.arena,
-                &self.res_local,
+                &self.members,
                 comp_res,
                 comp_slots,
                 fill,
@@ -818,12 +813,11 @@ fn solve_singleton(
 /// `comp_res` must be sorted ascending, `comp_slots` sorted by ascending
 /// [`FlowId`], and together they must form a closed component: every
 /// resource crossed by a listed flow is listed, and every flow crossing a
-/// listed resource is listed. `local[r]` must hold `r`'s position in
-/// `comp_res` for every listed resource.
+/// listed resource is listed. `members` is the net's inverse index.
 fn solve_region(
     resources: &[Resource],
     arena: &FlowArena,
-    local: &[u32],
+    members: &[Vec<u32>],
     comp_res: &[u32],
     comp_slots: &[u32],
     fill: &mut FillBuffers,
@@ -832,20 +826,7 @@ fn solve_region(
     if comp_slots.len() == 1 {
         solve_singleton(resources, arena, comp_res, comp_slots, sol);
     } else {
-        solve_general(resources, arena, local, comp_res, comp_slots, fill, sol);
-    }
-}
-
-/// Flat adjacency lists: list `k` is `items[start[k]..start[k + 1]]`.
-#[derive(Default)]
-struct Csr {
-    start: Vec<u32>,
-    items: Vec<u32>,
-}
-
-impl Csr {
-    fn row(&self, k: usize) -> &[u32] {
-        &self.items[self.start[k] as usize..self.start[k + 1] as usize]
+        solve_general(resources, arena, members, comp_res, comp_slots, fill, sol);
     }
 }
 
@@ -866,18 +847,30 @@ impl Csr {
 ///   if it still has weight and still scores 0.0. The re-check is
 ///   required: a subnormal headroom whose `headroom / w` underflowed to
 ///   0.0 scores above 0.0 once one of its flows freezes elsewhere.
+/// * **Cap-tie cascade.** When a cap wins a round at increment 0.0, every
+///   resource scored above 0.0 (so every `w` is finite), and the plain
+///   loop's next rounds freeze, one per round and at its cap, the first
+///   unfrozen flow that scored 0.0 in this round's cap scan: `level` and
+///   every `headroom` keep their bits (`x - w·0.0 == x`), so each listed
+///   flow still scores 0.0, and a re-summed `w` adds fewer positive
+///   weights in the same order, so it is never larger and every resource
+///   still scores above 0.0. This loop freezes all of them, in ascending
+///   order, in the same round.
 /// * **One re-sum per touched resource per round.** A re-sum reads only
-///   `frozen` and `weight`, so re-summing each touched resource once after
-///   the round's freezes gives the bits the plain loop's re-sum per
+///   `frozen` and the weights, so re-summing each touched resource once
+///   after the round's freezes gives the bits the plain loop's re-sum per
 ///   (frozen flow, path resource) pair gives.
-/// * **O(1) adjacency.** `local` replaces the plain loop's binary searches
-///   of `comp_res`, and both adjacency directions are built flat, in the
-///   plain loop's order (ascending flow per member list, first occurrence
-///   per path).
+/// * **No copies.** The loop reads the net's own columns: `members[r]`
+///   lists each flow crossing `r` once, by ascending id, which is the
+///   plain loop's local member order, and weights, caps and paths are read
+///   by slot. `res_local` and `slot_local` map a resource or slot to its
+///   position in the component; they are written for each solve, and a
+///   closed component reads no entry it did not write. A path that crosses
+///   a resource twice touches it once, through `is_touched`.
 fn solve_general(
     resources: &[Resource],
     arena: &FlowArena,
-    local: &[u32],
+    members: &[Vec<u32>],
     comp_res: &[u32],
     comp_slots: &[u32],
     fill: &mut FillBuffers,
@@ -887,19 +880,19 @@ fn solve_general(
     let nr = comp_res.len();
     debug_assert!(nf > 0 && nr > 0);
     let FillBuffers {
-        weight,
-        cap,
-        fpath,
-        lmembers,
-        cursor,
+        res_local,
+        slot_local,
         frozen,
         headroom,
         w,
         zeros,
+        cap_zeros,
         touched,
         is_touched,
         active_res,
         active_cap_flows,
+        #[cfg(test)]
+        rounds,
     } = fill;
     let RegionSolution {
         rate,
@@ -907,49 +900,16 @@ fn solve_general(
         waterfill,
     } = sol;
 
-    // Component-local copies of the per-flow parameters, plus the local
-    // adjacency in both directions: `lmembers.row(lr)` lists the local
-    // flows crossing local resource `lr` (ascending id, once per flow),
-    // `fpath.row(i)` the local resources flow `i` crosses (once each).
-    weight.clear();
-    cap.clear();
-    fpath.start.clear();
-    fpath.items.clear();
-    fpath.start.push(0);
-    // `cursor[lr]` first holds the last flow indexed on `lr` (drops
-    // duplicate path entries), then the member lists' fill cursors.
-    cursor.clear();
-    cursor.resize(nr, u32::MAX);
-    lmembers.start.clear();
-    lmembers.start.resize(nr + 1, 0);
+    res_local.resize(resources.len(), 0);
+    for (lr, &r) in comp_res.iter().enumerate() {
+        res_local[r as usize] = lr as u32;
+    }
+    slot_local.resize(arena.len(), 0);
     for (i, &s) in comp_slots.iter().enumerate() {
-        let si = s as usize;
-        weight.push(arena.weight[si]);
-        cap.push(arena.cap[si]);
-        for &r in &arena.path[si] {
-            let lr = local[r.index()];
-            if cursor[lr as usize] != i as u32 {
-                cursor[lr as usize] = i as u32;
-                lmembers.start[lr as usize + 1] += 1;
-                fpath.items.push(lr);
-            }
-        }
-        fpath.start.push(fpath.items.len() as u32);
+        slot_local[s as usize] = i as u32;
     }
-    for lr in 0..nr {
-        lmembers.start[lr + 1] += lmembers.start[lr];
-    }
-    cursor.copy_from_slice(&lmembers.start[..nr]);
-    lmembers.items.clear();
-    lmembers.items.resize(fpath.items.len(), 0);
-    for i in 0..nf {
-        for &lr in fpath.row(i) {
-            let c = &mut cursor[lr as usize];
-            lmembers.items[*c as usize] = i as u32;
-            *c += 1;
-        }
-    }
-    let (weight, cap, fpath, lmembers) = (&*weight, &*cap, &*fpath, &*lmembers);
+    let (res_local, slot_local) = (&*res_local, &*slot_local);
+    let slot = |i: u32| comp_slots[i as usize] as usize;
 
     // Unfrozen weight sum per resource. Kept current across rounds by
     // *re-summing in id order* the resources touched by a round's freezes —
@@ -957,11 +917,10 @@ fn solve_general(
     // the bits a from-scratch summation would produce (f64 addition is not
     // associative; `(a+b+c)-a != b+c`). See DESIGN.md §10.
     let resum = |lr: usize, frozen: &[bool]| -> f64 {
-        lmembers
-            .row(lr)
+        members[comp_res[lr] as usize]
             .iter()
-            .filter(|&&i| !frozen[i as usize])
-            .map(|&i| weight[i as usize])
+            .filter(|&&s| !frozen[slot_local[s as usize] as usize])
+            .map(|&s| arena.weight[s as usize])
             .sum()
     };
 
@@ -975,8 +934,6 @@ fn solve_general(
     w.extend((0..nr).map(|lr| resum(lr, frozen)));
     let mut unfrozen = nf;
     let mut level = 0.0f64;
-    // Resources scoring `dlevel` 0.0 in the round's scan, ascending.
-    zeros.clear();
     // Resources crossed by a flow frozen this round, each listed once.
     touched.clear();
     is_touched.clear();
@@ -994,12 +951,17 @@ fn solve_general(
     active_res.clear();
     active_res.extend(0..nr as u32);
     active_cap_flows.clear();
-    active_cap_flows.extend((0..nf as u32).filter(|&i| cap[i as usize].is_some()));
+    active_cap_flows.extend((0..nf as u32).filter(|&i| arena.cap[slot(i)].is_some()));
 
     while unfrozen > 0 {
+        #[cfg(test)]
+        {
+            *rounds += 1;
+        }
         active_res.retain(|&lr| w[lr as usize] > 0.0);
         active_cap_flows.retain(|&i| !frozen[i as usize]);
-        // For each resource, the level increment at which it saturates.
+        // For each resource, the level increment at which it saturates;
+        // `zeros`, and `cap_zeros` below, list those that score 0.0.
         let mut best_dlevel = f64::INFINITY;
         let mut bottleneck: Option<usize> = None;
         zeros.clear();
@@ -1017,13 +979,17 @@ fn solve_general(
         // Flow caps: flow i freezes when level reaches cap/weight.
         let mut cap_dlevel = f64::INFINITY;
         let mut cap_flow: Option<usize> = None;
+        cap_zeros.clear();
         for &i in active_cap_flows.iter() {
-            let i = i as usize;
-            if let Some(c) = cap[i] {
-                let dl = (c / weight[i] - level).max(0.0);
+            let s = slot(i);
+            if let Some(c) = arena.cap[s] {
+                let dl = (c / arena.weight[s] - level).max(0.0);
                 if dl < cap_dlevel {
                     cap_dlevel = dl;
-                    cap_flow = Some(i);
+                    cap_flow = Some(i as usize);
+                }
+                if dl == 0.0 {
+                    cap_zeros.push(i);
                 }
             }
         }
@@ -1034,7 +1000,7 @@ fn solve_general(
             for i in 0..nf {
                 if !frozen[i] {
                     frozen[i] = true;
-                    rate[i] = weight[i] * level;
+                    rate[i] = arena.weight[slot(i as u32)] * level;
                 }
             }
             break;
@@ -1050,40 +1016,50 @@ fn solve_general(
             let lr = lr as usize;
             headroom[lr] -= w[lr] * dl;
         }
-        if cap_dlevel < best_dlevel {
-            // A flow reaches its cap first.
-            let i = cap_flow.expect("cap flow set");
+        // Freeze local flow `i` at rate `r`, listing each resource it
+        // crosses in `touched` once.
+        let mut freeze = |i: usize, r: f64, frozen: &mut [bool]| {
             frozen[i] = true;
-            rate[i] = cap[i].expect("capped");
+            rate[i] = r;
             unfrozen -= 1;
-            touched.extend_from_slice(fpath.row(i));
+            for &pr in &arena.path[slot(i as u32)] {
+                let lr = res_local[pr.index()] as usize;
+                if !is_touched[lr] {
+                    is_touched[lr] = true;
+                    touched.push(lr as u32);
+                }
+            }
+        };
+        if cap_dlevel < best_dlevel {
+            // Flows reach their caps: `cap_flow`, which is `cap_zeros[0]`
+            // when `dl` is 0.0, and then every later cap-scan zero.
+            let cap = |i: usize| arena.cap[slot(i as u32)].expect("capped");
+            let i = cap_flow.expect("cap flow set");
+            freeze(i, cap(i), frozen);
+            if dl == 0.0 {
+                for &z in &cap_zeros[1..] {
+                    freeze(z as usize, cap(z as usize), frozen);
+                }
+            }
         } else {
             // A resource saturates: the bottleneck, which is `zeros[0]` when
             // `dl` is 0.0, and then every later scan zero that still scores
             // 0.0 after the freezes before it.
-            let mut freeze = |lr: usize, frozen: &mut [bool]| {
-                for &i in lmembers.row(lr) {
-                    let i = i as usize;
+            let mut freeze_res = |lr: usize, frozen: &mut [bool]| {
+                for &s in &members[comp_res[lr] as usize] {
+                    let i = slot_local[s as usize] as usize;
                     if !frozen[i] {
-                        frozen[i] = true;
-                        rate[i] = weight[i] * level;
-                        unfrozen -= 1;
-                        for &pr in fpath.row(i) {
-                            if !is_touched[pr as usize] {
-                                is_touched[pr as usize] = true;
-                                touched.push(pr);
-                            }
-                        }
+                        freeze(i, arena.weight[s as usize] * level, frozen);
                     }
                 }
             };
-            freeze(bottleneck.expect("bottleneck set"), frozen);
+            freeze_res(bottleneck.expect("bottleneck set"), frozen);
             if dl == 0.0 {
                 for &z in &zeros[1..] {
                     let z = z as usize;
                     let wz = resum(z, frozen);
                     if wz > 0.0 && headroom[z].max(0.0) / wz == 0.0 {
-                        freeze(z, frozen);
+                        freeze_res(z, frozen);
                     }
                 }
             }
@@ -1105,29 +1081,31 @@ fn solve_general(
     alloc.resize(nr, 0.0);
     for (i, &s) in comp_slots.iter().enumerate() {
         for &r in &arena.path[s as usize] {
-            alloc[local[r.index()] as usize] += rate[i];
+            alloc[res_local[r.index()] as usize] += rate[i];
         }
     }
     *waterfill = false;
 }
 
-/// Working columns of [`solve_general`], reused across components; the
+/// Working state of [`solve_general`], reused across components: the local
+/// positions it writes for each solve, and the fill loop's columns. The
 /// comments there say what each holds.
 #[derive(Default)]
 struct FillBuffers {
-    weight: Vec<f64>,
-    cap: Vec<Option<f64>>,
-    fpath: Csr,
-    lmembers: Csr,
-    cursor: Vec<u32>,
+    res_local: Vec<u32>,
+    slot_local: Vec<u32>,
     frozen: Vec<bool>,
     headroom: Vec<f64>,
     w: Vec<f64>,
     zeros: Vec<u32>,
+    cap_zeros: Vec<u32>,
     touched: Vec<u32>,
     is_touched: Vec<bool>,
     active_res: Vec<u32>,
     active_cap_flows: Vec<u32>,
+    /// Rounds of the fill loop, summed over every solve.
+    #[cfg(test)]
+    rounds: u32,
 }
 
 /// Write a solved component back: rates on the flows, allocation totals
@@ -1765,13 +1743,15 @@ mod tests {
     }
 
     /// Two multi-flow components solved back to back through one net's
-    /// scratch buffers. The first leaves `cursor[0] == 1`, and flow 1 of
-    /// the second first crosses its local resource 0, so a `cursor` kept
-    /// from the first solve would take that crossing for a duplicate path
-    /// entry and drop it. Rates and allocations must equal the reference's
-    /// bit for bit.
+    /// scratch buffers. `p` reuses the slot `y` held at local position 1 in
+    /// the first solve, and is local flow 0 of the second, so a
+    /// `slot_local` entry kept from the first solve would read `p` as
+    /// local flow 1. The first solve also ends with every `frozen` flag
+    /// set, so flags kept from it would start the second solve with both
+    /// flows frozen. Rates and allocations must equal the reference's bit
+    /// for bit.
     #[test]
-    fn back_to_back_components_start_from_a_clear_cursor() {
+    fn back_to_back_components_start_from_clear_local_state() {
         let mut net = FluidNet::new();
         let a0 = net.add_resource("a0", 100.0);
         let a1 = net.add_resource("a1", 100.0);
@@ -1780,14 +1760,25 @@ mod tests {
         let x = net.start_flow(spec(vec![a0, a1], 1e6));
         let y = net.start_flow(spec(vec![a1], 1e6));
         net.reallocate();
-        // One flow crosses a0, the first component's local resource 0.
-        assert_eq!(net.scratch.fill.cursor[0], 1);
+        let fill = &net.scratch.fill;
+        assert_eq!(fill.slot_local[y.slot as usize], 1);
+        assert_eq!(fill.frozen, [true, true]);
+        net.cancel_flow(y).unwrap();
         let p = net.start_flow(spec(vec![b1], 1e6));
         let q = net.start_flow(spec(vec![b0, b1], 1e6));
+        assert_eq!(p.slot, y.slot, "p reuses y's slot");
         net.reallocate();
+        // The second component is the last one solved by the fill loop (x
+        // alone takes the waterfill): its local positions, every flow
+        // frozen, and no resource left marked touched.
+        let fill = &net.scratch.fill;
+        assert_eq!(fill.slot_local[p.slot as usize], 0);
+        assert_eq!(fill.slot_local[q.slot as usize], 1);
+        assert_eq!(fill.frozen, [true, true]);
+        assert_eq!(fill.is_touched, [false, false]);
         let snapshot = |net: &FluidNet| {
             (
-                [x, y, p, q].map(|f| net.flow_rate(f).map(f64::to_bits)),
+                [x, p, q].map(|f| net.flow_rate(f).map(f64::to_bits)),
                 [a0, a1, b0, b1].map(|r| net.allocated(r).to_bits()),
             )
         };
@@ -1796,6 +1787,46 @@ mod tests {
         assert_eq!(fast, snapshot(&net));
         assert_eq!(net.flow_rate(q), Some(10.0), "b0 binds q");
         assert_eq!(net.flow_rate(p), Some(90.0));
+    }
+
+    /// Equal-cap flows on one hub, as STREAM cores behind one memory
+    /// controller beside the NIC's uncapped DMA flow. The first cap round
+    /// (increment above 0) freezes one core, the second freezes the other
+    /// five at once, and the third saturates the hub; the plain loop takes
+    /// one round per core. Weight 49 makes `49 · (1 / 49)` miss the cap of
+    /// 1.0 by an ulp, so a tie frozen at `weight · level` shows.
+    #[test]
+    fn equal_caps_freeze_in_one_round() {
+        let mut net = FluidNet::new();
+        let hub = net.add_resource("hub", 100.0);
+        let cores: Vec<FlowId> = (0..6)
+            .map(|_| {
+                net.start_flow(FlowSpec {
+                    weight: 49.0,
+                    cap: Some(1.0),
+                    ..spec(vec![hub], 1e6)
+                })
+            })
+            .collect();
+        let nic = net.start_flow(FlowSpec {
+            weight: 2.0,
+            ..spec(vec![hub], 1e6)
+        });
+        assert_ne!(49.0 * (1.0 / 49.0), 1.0);
+        net.reallocate();
+        assert_eq!(net.scratch.fill.rounds, 3);
+        let snapshot = |net: &FluidNet| {
+            (
+                cores.iter().map(|&f| net.flow_rate(f)).collect::<Vec<_>>(),
+                net.flow_rate(nic).map(f64::to_bits),
+                net.allocated(hub).to_bits(),
+            )
+        };
+        let fast = snapshot(&net);
+        assert_eq!(fast.0, [Some(1.0); 6]);
+        assert!((net.flow_rate(nic).unwrap() - 94.0).abs() < 1e-9);
+        reference::reallocate(&mut net);
+        assert_eq!(fast, snapshot(&net));
     }
 
     #[test]
@@ -1848,10 +1879,6 @@ mod tests {
             comp_res.sort_unstable();
             comp_res.dedup();
             let comp_slots = [slot];
-            let mut local = vec![0u32; nres];
-            for (lr, &r) in comp_res.iter().enumerate() {
-                local[r as usize] = lr as u32;
-            }
             solve_singleton(
                 &net.resources,
                 &net.arena,
@@ -1862,7 +1889,7 @@ mod tests {
             solve_general(
                 &net.resources,
                 &net.arena,
-                &local,
+                &net.members,
                 &comp_res,
                 &comp_slots,
                 &mut fill,

@@ -16,12 +16,12 @@
 //! component decomposition from the flow paths alone, so stale inverse-index
 //! entries, missed dirty bits, or components split/merged incorrectly all
 //! surface as mismatches. It also runs the plain progressive-filling loop,
-//! one freeze per round, against the production loop's same-level tie
-//! cascade and once-per-round re-sums: tie-heavy scripts, a ring chain and
-//! an underflow corner aim at those.
+//! one freeze per round, against the production loop's same-level and
+//! cap-tie cascades and once-per-round re-sums: tie-heavy and STREAM-shaped
+//! scripts, a ring chain and an underflow corner aim at those.
 //!
-//! Case count honours `PROPTEST_CASES` (CI runs 512); the tie-heavy
-//! property runs at least 1024.
+//! Case count honours `PROPTEST_CASES` (CI runs 512); the tie-heavy and
+//! STREAM-shaped properties run at least 1024.
 
 use proptest::prelude::*;
 use simcore::fluid::reference;
@@ -133,6 +133,60 @@ fn tie_script() -> impl Strategy<Value = (Vec<f64>, Vec<Op>)> {
     })
 }
 
+/// A STREAM-shaped script, the paper's central case: k >= 4 flows with one
+/// cap and one weight on hub resource 0, as equal cores behind one memory
+/// controller, some with a resource of their own (the core); then flows
+/// without a cap, on the hub (the NIC's DMA) or off it; then random
+/// mutations that reuse the shared cap. The hub's capacity is 0.5-3x the
+/// cores' summed caps, so the caps bind first in most scripts and tie at
+/// one level, which takes the production loop's cap-tie cascade.
+fn stream_script() -> impl Strategy<Value = (Vec<f64>, Vec<Op>)> {
+    let weight = prop_oneof![Just(0.5), Just(1.0), Just(2.0), Just(49.0), 0.1f64..8.0];
+    (
+        4usize..=12,
+        weight,
+        0.5f64..300.0,
+        0.5f64..3.0,
+        prop::collection::vec(1.0f64..1000.0, 1..5),
+    )
+        .prop_flat_map(|(k, w, cap, load, others)| {
+            let mut capacities = vec![cap * k as f64 * load];
+            capacities.extend(others);
+            let nres = capacities.len();
+            let core = prop::option::of(1..nres)
+                .prop_map(move |own| Op::Start(own.into_iter().chain([0]).collect(), w, Some(cap)));
+            // Each with the position among the cores at which it starts.
+            let uncapped = (
+                prop::collection::btree_set(0..nres, 1..=nres.min(3)),
+                prop_oneof![Just(1.0), Just(2.0), 0.1f64..8.0],
+                0..=k,
+            )
+                .prop_map(|(path, w, at)| (Op::Start(path.into_iter().collect(), w, None), at));
+            // `op` draws no initial capacity, and new flows share the
+            // cores' weight.
+            let v = Values {
+                capacity: Just(0.0).boxed(),
+                set_capacity: prop_oneof![Just(0.0), 1.0f64..1000.0].boxed(),
+                weight: Just(w).boxed(),
+                cap: prop_oneof![Just(Some(cap)), Just(None), prop::option::of(0.5f64..300.0)]
+                    .boxed(),
+            };
+            (
+                prop::collection::vec(core, k),
+                prop::collection::vec(uncapped, 0..4),
+                prop::collection::vec(op(nres, &v), 0..24),
+            )
+                .prop_map(move |(mut script, uncapped, ops)| {
+                    for (start, at) in uncapped {
+                        script.insert(at.min(script.len()), start);
+                    }
+                    script.push(Op::Check);
+                    script.extend(ops);
+                    (capacities.clone(), script)
+                })
+        })
+}
+
 /// Bitwise snapshot of everything the solver outputs.
 fn snapshot(net: &FluidNet, flows: &[FlowId], rids: &[ResourceId]) -> (Vec<Option<u64>>, Vec<u64>) {
     let rates = flows
@@ -235,6 +289,19 @@ proptest! {
     /// loop freeze a resource at the level the previous round reached.
     #[test]
     fn incremental_matches_reference_bitwise_under_ties(case in tie_script()) {
+        let (capacities, ops) = case;
+        run_script(&capacities, &ops)?;
+    }
+}
+
+proptest! {
+    // At least 1024 cases, like the tie property.
+    #![proptest_config(ProptestConfig::with_cases(ProptestConfig::default().cases.max(1024)))]
+
+    /// The same on STREAM-shaped scripts, where most solves freeze several
+    /// equal caps at one level.
+    #[test]
+    fn incremental_matches_reference_bitwise_on_stream_shapes(case in stream_script()) {
         let (capacities, ops) = case;
         run_script(&capacities, &ops)?;
     }
