@@ -75,8 +75,8 @@ impl Experiment for Fig2 {
         let mut cluster = protocol::build_cluster(&cfg, &family, 0);
         let comm_core = cluster.comm_core[0];
         // (B) idle-but-for-the-comm-thread (it polls from cluster creation).
-        let f_b_compute = cluster.freqs[0].core_freq(CoreId(0));
-        let f_ab_comm = cluster.freqs[0].core_freq(comm_core);
+        let f_b_compute = cluster.freqs()[0].core_freq(CoreId(0));
+        let f_ab_comm = cluster.freqs()[0].core_freq(comm_core);
         // (C) with 20 heavy cores.
         let w = primes::workload(0, 40_000, 1);
         let cores = cluster.compute_cores();
@@ -86,9 +86,9 @@ impl Experiment for Fig2 {
             spec.iterations = u64::MAX / 2;
             jobs.push(cluster.start_job(0, spec));
         }
-        let f_c_compute = cluster.freqs[0].core_freq(CoreId(0));
-        let f_c_comm = cluster.freqs[0].core_freq(comm_core);
-        let f_c_idle = cluster.freqs[0].core_freq(CoreId(17)); // idle core, socket 0
+        let f_c_compute = cluster.freqs()[0].core_freq(CoreId(0));
+        let f_c_comm = cluster.freqs()[0].core_freq(comm_core);
+        let f_c_idle = cluster.freqs()[0].core_freq(CoreId(17)); // idle core, socket 0
         for j in jobs {
             cluster.stop_job(0, j);
         }

@@ -92,8 +92,8 @@ impl Experiment for Fig3 {
                 jobs.push(cluster.start_job(0, spec));
             }
             let out = SnapshotOut(
-                cluster.freqs[0].core_freq(CoreId(0)),
-                cluster.freqs[0].core_freq(comm),
+                cluster.freqs()[0].core_freq(CoreId(0)),
+                cluster.freqs()[0].core_freq(comm),
             );
             for j in jobs {
                 cluster.stop_job(0, j);

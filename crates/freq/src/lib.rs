@@ -12,19 +12,21 @@
 //!   controller; it scales memory bandwidth slightly and is raised by the
 //!   package when any core is busy.
 //!
-//! The model is pure state + queries; the simulation driver calls
-//! [`FreqModel::set_activity`] on workload transitions and re-applies the
-//! resulting frequencies to the engine's cycle resources. Frequencies are
-//! piecewise constant between activity changes, so the paper's per-core
-//! frequency traces (Figures 2 and 3) are read as [`FreqModel::core_freq`]
-//! snapshots taken in each phase; nothing records a time series.
+//! The model is pure state + queries. The simulator changes a core's
+//! activity in one place per layer, which calls [`FreqModel::set_activity`]
+//! and, when it reports a change, moves every capacity that depends on the
+//! frequencies: `memsim`'s `Executor::set_activity` re-applies the core and
+//! memory-controller capacities and recaps the node's live roofline caps,
+//! and `mpisim`'s `Cluster::set_activity` adds the node's NIC uncore scale
+//! (DESIGN.md §13.7). Frequencies are piecewise constant between activity
+//! changes, so the paper's per-core frequency traces (Figures 2 and 3) are
+//! read as [`FreqModel::core_freq`] snapshots taken in each phase; nothing
+//! records a time series.
 //!
 //! No query scans cores: `set_activity` keeps two counts per socket (its
 //! non-idle cores, and its heavy cores per license), so the governor reads
-//! the socket's occupancy and worst license in O(1), and
-//! [`FreqModel::activity_changes`] counts the changes, so a caller can tell
-//! that nothing moved since it last looked (DESIGN.md §13.7). Unit tests
-//! keep the per-core scans as the reference the counts must match.
+//! the socket's occupancy and worst license in O(1). Unit tests keep the
+//! per-core scans as the reference the counts must match.
 
 #![warn(missing_docs)]
 
@@ -101,8 +103,6 @@ pub struct FreqModel {
     activity: Vec<Activity>,
     /// Per-socket occupancy, kept current by `set_activity`.
     load: Vec<SocketLoad>,
-    /// Activity changes so far (see [`FreqModel::activity_changes`]).
-    changes: u64,
 }
 
 /// What one socket's cores are doing, counted.
@@ -192,7 +192,6 @@ impl FreqModel {
             uncore,
             activity: vec![Activity::Idle; cores as usize],
             load: vec![SocketLoad::default(); spec.sockets as usize],
-            changes: 0,
         }
     }
 
@@ -232,15 +231,7 @@ impl FreqModel {
         let load = &mut self.load[socket.0 as usize];
         load.tally(old, false);
         load.tally(activity, true);
-        self.changes += 1;
         true
-    }
-
-    /// Number of activity changes recorded so far (calls to
-    /// [`FreqModel::set_activity`] that returned `true`). Every query of
-    /// this model answers the same while the count stands still.
-    pub fn activity_changes(&self) -> u64 {
-        self.changes
     }
 
     /// Current activity of a core.
@@ -555,12 +546,9 @@ mod tests {
     #[test]
     fn set_activity_reports_change() {
         let mut m = model(Governor::Performance { turbo: true });
-        assert_eq!(m.activity_changes(), 0);
         assert!(m.set_activity(CoreId(0), Activity::Light));
         assert!(!m.set_activity(CoreId(0), Activity::Light));
-        assert_eq!(m.activity_changes(), 1, "only a real change counts");
         assert!(m.set_activity(CoreId(0), Activity::Heavy(License::Avx2)));
-        assert_eq!(m.activity_changes(), 2);
     }
 
     #[test]

@@ -131,15 +131,11 @@ struct JobState {
 
 /// Executes compute jobs on one node. `exec_id` namespaces event tags so
 /// several executors (one per simulated node) can share an engine. An
-/// executor is always driven with its node's one [`FreqModel`].
+/// executor is always driven with its node's one [`FreqModel`], and every
+/// activity change of that model goes through [`Executor::set_activity`].
 pub struct Executor {
     exec_id: u32,
     jobs: Vec<Option<JobState>>,
-    /// [`FreqModel::activity_changes`] when [`Executor::refresh_caps`] last
-    /// ran in full (`None` before the first).
-    caps_at: Option<u64>,
-    /// Refreshes that ran in full rather than returning early.
-    full_refreshes: u64,
 }
 
 impl Executor {
@@ -148,8 +144,6 @@ impl Executor {
         Executor {
             exec_id,
             jobs: Vec::new(),
-            caps_at: None,
-            full_refreshes: 0,
         }
     }
 
@@ -200,13 +194,37 @@ impl Executor {
             phase: 0,
             flow: None,
         }));
-        if freqs.set_activity(core, Activity::Heavy(license)) {
+        if self.set_activity(engine, mem, freqs, core, Activity::Heavy(license)) {
             telemetry::counter_add("freq.transitions", 1);
-            mem.apply_freqs(engine, freqs);
-            self.refresh_caps(engine, mem, freqs);
         }
         self.launch_phase(engine, mem, freqs, id);
         id
+    }
+
+    /// The node's one frequency transition: record `core`'s new activity
+    /// and, if that changed it, move every capacity that follows the
+    /// frequencies on this node: the core and controller capacities
+    /// ([`MemSystem::apply_freqs`]) and the roofline cap of every live
+    /// memory phase. Returns whether the activity changed.
+    pub fn set_activity(
+        &mut self,
+        engine: &mut Engine,
+        mem: &MemSystem,
+        freqs: &mut FreqModel,
+        core: CoreId,
+        activity: Activity,
+    ) -> bool {
+        if !freqs.set_activity(core, activity) {
+            return false;
+        }
+        mem.apply_freqs(engine, freqs);
+        for job in self.jobs.iter().flatten() {
+            let phase = &job.spec.phases[job.phase];
+            if let Some(flow) = job.flow.filter(|_| phase.bytes > 0.0) {
+                engine.set_flow_cap(flow, Self::phase_cap(mem, freqs, job.spec.core, phase));
+            }
+        }
+        true
     }
 
     /// Roofline rate cap of a phase on `core` at current frequency.
@@ -266,55 +284,6 @@ impl Executor {
         }
     }
 
-    /// Recompute the roofline caps of all active memory flows (after a
-    /// frequency change).
-    ///
-    /// Returns at once while `freqs` has not changed since the last full
-    /// refresh: `phase_cap` reads only `freqs` and the static spec, the
-    /// last full refresh wrote every cap, and `launch_phase` caps each
-    /// later flow from that same state, so every cap already
-    /// equals what the loop would write. Debug builds re-run the skipped
-    /// loop and check that. A flow that finished earlier in this instant
-    /// is gone from the net, and `set_flow_cap` ignores it.
-    pub fn refresh_caps(&mut self, engine: &mut Engine, mem: &MemSystem, freqs: &FreqModel) {
-        let changes = freqs.activity_changes();
-        if self.caps_at == Some(changes) {
-            #[cfg(debug_assertions)]
-            for job in self.jobs.iter().flatten() {
-                let phase = &job.spec.phases[job.phase];
-                let Some(cap) = job.flow.and_then(|f| engine.flow_cap(f)) else {
-                    continue;
-                };
-                if phase.bytes > 0.0 {
-                    let want = Self::phase_cap(mem, freqs, job.spec.core, phase);
-                    debug_assert_eq!(
-                        cap.map(f64::to_bits),
-                        want.map(f64::to_bits),
-                        "skipped refresh left a stale roofline cap"
-                    );
-                }
-            }
-            return;
-        }
-        self.caps_at = Some(changes);
-        self.full_refreshes += 1;
-        for job in self.jobs.iter().flatten() {
-            if let Some(flow) = job.flow {
-                let phase = &job.spec.phases[job.phase];
-                if phase.bytes > 0.0 {
-                    engine.set_flow_cap(flow, Self::phase_cap(mem, freqs, job.spec.core, phase));
-                }
-            }
-        }
-    }
-
-    /// Calls of [`Executor::refresh_caps`] that ran in full rather than
-    /// returning early. A host-cost diagnostic: nothing in a run's output
-    /// reads it.
-    pub fn full_refreshes(&self) -> u64 {
-        self.full_refreshes
-    }
-
     /// Handle a completion event. Returns finished job stats when a whole
     /// job completes. Panics if the tag is not owned by this executor.
     pub fn on_event(
@@ -352,11 +321,8 @@ impl Executor {
                 if job.iter == job.spec.iterations {
                     let mut st = self.jobs[jid as usize].take().expect("live job").stats;
                     st.finished = engine.now();
-                    let core = st.core;
-                    if freqs.set_activity(core, Activity::Idle) {
+                    if self.set_activity(engine, mem, freqs, st.core, Activity::Idle) {
                         telemetry::counter_add("freq.transitions", 1);
-                        mem.apply_freqs(engine, freqs);
-                        self.refresh_caps(engine, mem, freqs);
                     }
                     return Some((id, st));
                 }
@@ -398,10 +364,8 @@ impl Executor {
             }
         }
         job.stats.finished = engine.now();
-        if freqs.set_activity(job.spec.core, Activity::Idle) {
+        if self.set_activity(engine, mem, freqs, job.spec.core, Activity::Idle) {
             telemetry::counter_add("freq.transitions", 1);
-            mem.apply_freqs(engine, freqs);
-            self.refresh_caps(engine, mem, freqs);
         }
         Some(job.stats)
     }
@@ -696,5 +660,40 @@ mod tests {
         // the solo-turbo prediction.
         let solo = bytes / (14.8e9 / ai);
         assert!(first.1.elapsed_s() > solo * 1.1, "no slowdown observed");
+    }
+
+    /// A transition made outside any job (a polling worker) moves a live
+    /// roofline cap in the same call: after each one, the compute-capped
+    /// phase's cap is `phase_cap` under the new model, bit for bit.
+    #[test]
+    fn set_activity_recaps_live_jobs_at_once() {
+        let (mut e, m, mut f, mut x) = setup();
+        let id = x.start(
+            &mut e,
+            &m,
+            &mut f,
+            JobSpec {
+                core: CoreId(0),
+                phases: vec![Phase {
+                    flops: 8.0e9,
+                    bytes: 2.0e9,
+                    data: NumaId(0),
+                    license: License::Normal,
+                }],
+                iterations: 1,
+            },
+        );
+        let job = x.jobs[id.0 as usize].as_ref().expect("live job");
+        let (flow, phase) = (job.flow.expect("memory phase"), job.spec.phases[0].clone());
+        let mut caps = vec![e.flow_cap(flow).expect("live flow")];
+        for c in 1..9 {
+            assert!(x.set_activity(&mut e, &m, &mut f, CoreId(c), Activity::Light));
+            let want = Executor::phase_cap(&m, &f, CoreId(0), &phase);
+            let got = e.flow_cap(flow).expect("live flow");
+            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "core {c}");
+            caps.push(got);
+        }
+        assert!(caps.windows(2).any(|w| w[0] != w[1]), "the cap never moved");
+        assert!(!x.set_activity(&mut e, &m, &mut f, CoreId(8), Activity::Light));
     }
 }

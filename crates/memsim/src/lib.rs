@@ -7,7 +7,8 @@
 //! * one **intra-socket mesh link** per socket (sub-NUMA clustering
 //!   traffic),
 //! * one **inter-socket link** per direction (UPI/xGMI),
-//! * one **cycle resource** per core (capacity = core frequency), used for
+//! * one **cycle resource** per core (capacity = core frequency times the
+//!   core's cycle factor: 1, or a straggler's factor), used for
 //!   pure-compute phases and per-message software overheads.
 //!
 //! Every memory access path is a list of resources: the data's home
@@ -75,6 +76,9 @@ pub struct MemSystem {
     upi: [ResourceId; 2],
     /// Per-core cycle resources, unit = cycles/s.
     cores: Vec<ResourceId>,
+    /// Per-core multiplier of the frequency on the cycle resource: 1.0, or
+    /// a straggler's factor (see [`MemSystem::set_cycle_factor`]).
+    cycle_factor: Vec<f64>,
 }
 
 impl MemSystem {
@@ -103,6 +107,7 @@ impl MemSystem {
             meshes,
             upi,
             cores,
+            cycle_factor: vec![1.0; spec.core_count() as usize],
         }
     }
 
@@ -170,11 +175,20 @@ impl MemSystem {
         }
     }
 
-    /// Apply current frequencies: core cycle capacities and uncore-scaled
-    /// controller capacities. Call after every `FreqModel` activity change.
+    /// Pin `core`'s cycle resource to `factor` of its frequency from the
+    /// next [`MemSystem::apply_freqs`] on (a straggler core). The roofline
+    /// caps of memory phases still follow the unscaled frequency.
+    pub fn set_cycle_factor(&mut self, core: CoreId, factor: f64) {
+        self.cycle_factor[core.0 as usize] = factor;
+    }
+
+    /// Apply current frequencies: core cycle capacities (each times its
+    /// cycle factor, exact for the default 1.0) and uncore-scaled
+    /// controller capacities. The only writer of both; call after every
+    /// `FreqModel` activity change.
     pub fn apply_freqs(&self, engine: &mut Engine, freqs: &FreqModel) {
-        for c in 0..self.spec.core_count() {
-            engine.set_capacity(self.cores[c as usize], freqs.core_freq(CoreId(c)) * 1e9);
+        for (c, (&r, &k)) in self.cores.iter().zip(&self.cycle_factor).enumerate() {
+            engine.set_capacity(r, freqs.core_freq(CoreId(c as u32)) * 1e9 * k);
         }
         let bw = self.spec.mem_bw_at_uncore(freqs.uncore_freq());
         for &ctl in &self.controllers {

@@ -372,10 +372,11 @@ pub struct Cluster {
     pub spec: MachineSpec,
     /// Per-node memory systems.
     pub mem: Vec<MemSystem>,
-    /// Per-node frequency models.
-    pub freqs: Vec<FreqModel>,
+    /// Per-node frequency models, changed only by [`Cluster::set_activity`]
+    /// and the job transitions (read them with [`Cluster::freqs`]).
+    freqs: Vec<FreqModel>,
     /// Per-node compute executors.
-    pub exec: Vec<Executor>,
+    exec: Vec<Executor>,
     /// NIC + fabric simulation.
     pub net: NetSim,
     /// Communication-thread core of each node.
@@ -391,10 +392,6 @@ pub struct Cluster {
     matcher: Matcher,
     profile: Vec<SendRecord>,
     profiling: bool,
-    /// Injected faults (empty when healthy); kept for straggler re-application.
-    fault_plan: FaultPlan,
-    /// Reused by [`Cluster::refresh_uncore`] to avoid a per-event allocation.
-    uncore_scratch: Vec<f64>,
 }
 
 impl Cluster {
@@ -433,38 +430,31 @@ impl Cluster {
             .map(|i| MemSystem::build(&mut engine, spec, format!("n{}.", i)))
             .collect();
         let resolved = spec.resolve(placement);
-        let comm_core = vec![resolved.comm_core; nodes];
-        let data_numa = vec![resolved.data_numa; nodes];
-        let mut freqs: Vec<FreqModel> = (0..nodes)
-            .map(|_| FreqModel::new(spec, governor, uncore))
-            .collect();
-        // The communication thread busy-polls from the start (MadMPI's
-        // pioman): architecturally active but light.
-        for (f, m) in freqs.iter_mut().zip(&mem) {
-            f.set_activity(resolved.comm_core, Activity::Light);
-            m.apply_freqs(&mut engine, f);
-        }
-        let mut net = NetSim::build_fabric(&mut engine, spec, fabric);
-        let uncore: Vec<f64> = freqs.iter().map(|f| f.uncore_freq()).collect();
-        net.apply_uncore(&mut engine, spec, &uncore);
+        let net = NetSim::build_fabric(&mut engine, spec, fabric);
         let matcher = Matcher::new(engine.reference_paths().matcher);
-        Cluster {
+        let mut cluster = Cluster {
             engine,
             spec: spec.clone(),
             mem,
-            freqs,
+            freqs: (0..nodes)
+                .map(|_| FreqModel::new(spec, governor, uncore))
+                .collect(),
             exec: (0..nodes).map(|i| Executor::new(i as u32)).collect(),
             net,
-            comm_core,
-            data_numa,
+            comm_core: vec![resolved.comm_core; nodes],
+            data_numa: vec![resolved.data_numa; nodes],
             sends: Vec::new(),
             recvs: Vec::new(),
             matcher,
             profile: Vec::new(),
             profiling: false,
-            fault_plan: FaultPlan::default(),
-            uncore_scratch: Vec::with_capacity(nodes),
+        };
+        // The communication thread busy-polls from the start (MadMPI's
+        // pioman): architecturally active but light.
+        for node in 0..nodes {
+            cluster.set_activity(node, resolved.comm_core, Activity::Light);
         }
+        cluster
     }
 
     /// The [`ReferencePaths`] this cluster was built on: its engine's, with
@@ -482,18 +472,58 @@ impl Cluster {
     }
 
     /// Install a fault plan: network windows/drops go to [`NetSim`], and
-    /// straggler cores are pinned below nominal frequency (re-applied after
-    /// every frequency change). Identical seeds replay identical faults.
+    /// each straggler core's cycle resource runs at its factor of the
+    /// core's frequency from now on ([`MemSystem::set_cycle_factor`]).
+    /// Identical seeds replay identical faults. A plan that fails
+    /// validation, or names a node or core this cluster does not have,
+    /// installs nothing. Call at most once, before traffic starts.
     pub fn apply_faults(&mut self, plan: &FaultPlan) -> Result<(), FaultPlanError> {
+        let (nodes, cores) = (self.nodes(), self.spec.core_count() as usize);
+        if let Some(s) = plan
+            .stragglers
+            .iter()
+            .find(|s| s.node >= nodes || s.core >= cores)
+        {
+            return Err(FaultPlanError::StragglerOutOfRange {
+                node: s.node,
+                core: s.core,
+                nodes,
+                cores,
+            });
+        }
         self.net.apply_faults(&mut self.engine, plan)?;
-        self.fault_plan = plan.clone();
-        self.refresh_uncore();
+        for s in &plan.stragglers {
+            self.mem[s.node].set_cycle_factor(CoreId(s.core as u32), s.factor);
+            self.mem[s.node].apply_freqs(&mut self.engine, &self.freqs[s.node]);
+        }
         Ok(())
     }
 
-    /// The currently installed fault plan (empty when healthy).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault_plan
+    /// Per-node frequency models, read-only: change an activity with
+    /// [`Cluster::set_activity`].
+    pub fn freqs(&self) -> &[FreqModel] {
+        &self.freqs
+    }
+
+    /// The cluster's one frequency transition outside a job: set `core` of
+    /// `node` to `activity` through the node's executor (core, controller
+    /// and roofline caps, [`Executor::set_activity`]), then rescale the
+    /// node's NIC with its uncore frequency. Returns whether the activity
+    /// changed. A job's start, end and stop make the same transition.
+    pub fn set_activity(&mut self, node: usize, core: CoreId, activity: Activity) -> bool {
+        let (mem, freqs) = (&self.mem[node], &mut self.freqs[node]);
+        let changed = self.exec[node].set_activity(&mut self.engine, mem, freqs, core, activity);
+        if changed {
+            self.refresh_nic(node);
+        }
+        changed
+    }
+
+    /// Rescale `node`'s NIC with its uncore frequency (a no-op unless it
+    /// moved): the last step of every activity change on the node.
+    fn refresh_nic(&mut self, node: usize) {
+        let ghz = self.freqs[node].uncore_freq();
+        self.net.set_uncore(&mut self.engine, &self.spec, node, ghz);
     }
 
     /// Arm the engine's quiescence watchdog: any attempt to simulate past
@@ -518,8 +548,6 @@ impl Cluster {
         let lat = lat_rng.jitter(self.spec.lat_jitter);
         let bw = bw_rng.jitter(self.spec.network.bw_jitter);
         self.net.set_jitter(&mut self.engine, lat, bw);
-        // set_jitter resets the NIC capacities; re-apply the uncore scale.
-        self.refresh_uncore();
     }
 
     /// Enable the sending-bandwidth profiler.
@@ -540,33 +568,15 @@ impl Cluster {
             &mut self.freqs[node],
             spec,
         );
-        // Frequency/uncore changes may also move the NIC DMA ceiling.
-        self.refresh_uncore();
+        self.refresh_nic(node);
         id
     }
 
     /// Stop a running job, returning its partial stats.
     pub fn stop_job(&mut self, node: usize, id: JobId) -> Option<JobStats> {
         let st = self.exec[node].stop(&mut self.engine, &self.mem[node], &mut self.freqs[node], id);
-        self.refresh_uncore();
+        self.refresh_nic(node);
         st
-    }
-
-    fn refresh_uncore(&mut self) {
-        self.uncore_scratch.clear();
-        self.uncore_scratch
-            .extend(self.freqs.iter().map(|f| f.uncore_freq()));
-        self.net
-            .apply_uncore(&mut self.engine, &self.spec, &self.uncore_scratch);
-        // Straggler cores: cap the core's cycle budget below what the
-        // frequency model just applied. Idempotent, so safe to re-run after
-        // every frequency change.
-        for s in &self.fault_plan.stragglers {
-            let core = CoreId(s.core as u32);
-            let f = self.freqs[s.node].core_freq(core);
-            self.engine
-                .set_capacity(self.mem[s.node].core_resource(core), f * 1e9 * s.factor);
-        }
     }
 
     /// Non-blocking send of `size` bytes from `from` to the other node of a
@@ -781,15 +791,9 @@ impl Cluster {
                             (&self.mem[node], &mut self.freqs[node], &mut self.exec[node]);
                         exec.on_event(&mut self.engine, mem, freqs, &ev)
                     };
-                    // Any frequency change may have moved uncore/NIC caps
-                    // and other executors' rooflines.
-                    self.refresh_uncore();
-                    // Split-borrow safe: refresh the sibling executors' caps.
-                    for other in (0..self.exec.len()).filter(|&o| o != node) {
-                        let (m, f) = (&self.mem[other], &self.freqs[other]);
-                        self.exec[other].refresh_caps(&mut self.engine, m, f);
-                    }
+                    // Only a job's end changes an activity here.
                     if let Some((job, stats)) = done {
+                        self.refresh_nic(node);
                         return Ok(Some(ClusterEvent::JobDone { node, job, stats }));
                     }
                 }
@@ -1144,50 +1148,104 @@ mod tests {
         assert!(c.test_send(s));
     }
 
-    /// A compute event on node 0 re-runs node 1's full roofline refresh
-    /// only after node 1's frequency model changed.
+    /// A straggler's cycle resource runs at its factor of the core's
+    /// frequency through every later transition: the socket ladder moving
+    /// under an AVX512 job on the same socket, and that job stopping. The
+    /// same core on the healthy node runs at its frequency.
     #[test]
-    fn sibling_refresh_runs_only_after_a_frequency_change() {
+    fn straggler_stays_scaled_across_transitions() {
         let mut c = Cluster::new(
             &henri(),
             Governor::Performance { turbo: true },
             UncorePolicy::Auto,
             Placement::fig4_default(),
         );
-        // Compute-capped memory phases: the roofline cap moves with the
-        // core's frequency.
-        let job = |iterations| JobSpec {
-            core: CoreId(0),
-            phases: vec![Phase {
-                flops: 4.0e6,
-                bytes: 1.0e6,
-                data: NumaId(0),
-                license: License::Normal,
-            }],
-            iterations,
+        c.apply_faults(&FaultPlan::new(1).with_straggler(1, 3, 0.5))
+            .expect("valid plan");
+        let core = CoreId(3);
+        let check = |c: &Cluster, when: &str| {
+            let bits = |node: usize| c.engine.capacity(c.mem[node].core_resource(core)).to_bits();
+            let f = |node: usize| c.freqs()[node].core_freq(core);
+            assert_eq!(bits(1), (f(1) * 1e9 * 0.5).to_bits(), "straggler {when}");
+            assert_eq!(bits(0), (f(0) * 1e9).to_bits(), "healthy core {when}");
         };
-        let run_node0_job = |c: &mut Cluster, iterations| {
-            c.start_job(0, job(iterations));
-            while !matches!(
-                c.step().expect("progress"),
-                ClusterEvent::JobDone { node: 0, .. }
-            ) {}
-        };
-        let long = c.start_job(1, job(1_000_000));
-        let refreshed = c.exec[1].full_refreshes();
-        run_node0_job(&mut c, 20);
-        assert_eq!(
-            c.exec[1].full_refreshes(),
-            refreshed,
-            "node 1's model never changed"
+        check(&c, "after apply_faults");
+        let idle = c.freqs()[1].core_freq(core);
+        let job = c.start_job(
+            1,
+            JobSpec {
+                core: CoreId(0),
+                phases: vec![Phase {
+                    flops: 1e12,
+                    bytes: 0.0,
+                    data: NumaId(0),
+                    license: License::Avx512,
+                }],
+                iterations: 1,
+            },
         );
-        // A change made outside the executor, as task-runtime workers
-        // make them: the next node-0 event refreshes node 1 once.
-        c.freqs[1].set_activity(CoreId(5), Activity::Light);
-        c.mem[1].apply_freqs(&mut c.engine, &c.freqs[1]);
-        run_node0_job(&mut c, 20);
-        assert_eq!(c.exec[1].full_refreshes(), refreshed + 1);
-        assert!(c.stop_job(1, long).is_some());
+        assert_ne!(c.freqs()[1].core_freq(core), idle, "the ladder moved");
+        check(&c, "after the job started");
+        assert!(c.stop_job(1, job).is_some());
+        check(&c, "after the job stopped");
+    }
+
+    /// A straggler on a node or core the cluster lacks is a typed error,
+    /// and nothing of the plan is installed: its NIC stall window never
+    /// runs.
+    #[test]
+    fn out_of_range_straggler_is_an_error() {
+        for (node, core) in [(5, 0), (0, 99)] {
+            let mut c = cluster();
+            let plan = FaultPlan::new(1)
+                .with_nic_stall(SimTime::from_micros(1), SimTime::from_micros(2))
+                .with_straggler(node, core, 0.5);
+            let err = c.apply_faults(&plan).expect_err("outside the cluster");
+            assert_eq!(
+                err,
+                FaultPlanError::StragglerOutOfRange {
+                    node,
+                    core,
+                    nodes: 2,
+                    cores: 36
+                }
+            );
+            assert!(err.to_string().contains("outside the cluster"), "{err}");
+            assert!(c.step().is_none());
+            assert_eq!(c.engine.now(), SimTime::ZERO, "a fault window ran");
+        }
+    }
+
+    /// Under `UncorePolicy::Auto`, idling both communication cores drops
+    /// the uncore, and `Cluster::set_activity` carries that to the NICs: a
+    /// large rendezvous send on a registered buffer runs slower.
+    #[test]
+    fn idle_comm_cores_slow_the_nic() {
+        let send_time = |idle: bool| {
+            let mut c = Cluster::new(
+                &henri(),
+                Governor::Performance { turbo: true },
+                UncorePolicy::Auto,
+                Placement::fig4_default(),
+            );
+            if idle {
+                for node in 0..2 {
+                    let comm = c.comm_core[node];
+                    assert!(c.set_activity(node, comm, Activity::Idle));
+                }
+            }
+            let send = |c: &mut Cluster| {
+                let start = c.engine.now();
+                let r = c.irecv(1, 1);
+                c.isend(0, 64 << 20, 1, 1);
+                drive_until_recv(c, r);
+                (c.engine.now() - start).as_secs_f64()
+            };
+            send(&mut c); // registers the buffer
+            send(&mut c)
+        };
+        let (busy, idle) = (send_time(false), send_time(true));
+        assert!(idle > busy * 1.02, "busy {busy} s, idle {idle} s");
     }
 
     #[test]

@@ -223,7 +223,7 @@ pub struct NetSim {
     bw_mult: f64,
     idle_penalty_s: f64,
     /// Per-node DMA scale from the uncore frequency (managed by
-    /// `apply_uncore`), composed with fault windows in `refresh_caps`.
+    /// `set_uncore`), composed with jitter and NIC stalls in `set_nic_caps`.
     uncore_scale: Vec<f64>,
     /// Injected faults (empty plan when healthy).
     faults: FaultPlan,
@@ -357,34 +357,38 @@ impl NetSim {
         assert!(lat_mult > 0.0 && bw_mult > 0.0);
         self.lat_mult = lat_mult;
         self.bw_mult = bw_mult;
-        self.refresh_caps(engine);
+        self.recompute_caps(engine);
     }
 
-    /// Scale the DMA path with each node's uncore frequency (the ±4 %
-    /// bandwidth effect of §3.1). `uncore` holds one frequency per node.
+    /// Scale `node`'s DMA path with its uncore frequency `ghz` (the ±4 %
+    /// bandwidth effect of §3.1).
     ///
-    /// Capacities are refreshed only when some node's scale changes bits:
-    /// every other input of `refresh_caps` (jitter, fault windows, stalls)
-    /// refreshes them itself when it changes, so with the scales unchanged
-    /// the refresh would write every capacity it already holds.
-    pub fn apply_uncore(&mut self, engine: &mut Engine, spec: &MachineSpec, uncore: &[f64]) {
-        assert_eq!(uncore.len(), self.uncore_scale.len());
-        let mut moved = false;
-        for (scale, &u) in self.uncore_scale.iter_mut().zip(uncore) {
-            let (lo, hi) = spec.uncore_range;
-            let t = ((u - lo) / (hi - lo)).clamp(0.0, 1.0);
-            let new = 1.0 - DMA_UNCORE_SPAN * (1.0 - t);
-            moved |= new.to_bits() != scale.to_bits();
-            *scale = new;
+    /// Writes only that node's two NIC capacities, and only when its scale
+    /// changes bits: link capacities do not depend on the uncore, and every
+    /// other input of `recompute_caps` (jitter, fault windows, stalls)
+    /// rewrites every capacity itself when it changes.
+    pub fn set_uncore(&mut self, engine: &mut Engine, spec: &MachineSpec, node: usize, ghz: f64) {
+        let (lo, hi) = spec.uncore_range;
+        let t = ((ghz - lo) / (hi - lo)).clamp(0.0, 1.0);
+        let scale = 1.0 - DMA_UNCORE_SPAN * (1.0 - t);
+        if scale.to_bits() != self.uncore_scale[node].to_bits() {
+            self.uncore_scale[node] = scale;
+            self.set_nic_caps(engine, node);
         }
-        if moved {
-            self.refresh_caps(engine);
-        }
+    }
+
+    /// Write `node`'s NIC capacities: the DMA bandwidth under jitter, the
+    /// node's uncore scale and any open NIC stall.
+    fn set_nic_caps(&self, engine: &mut Engine, node: usize) {
+        let nic_mult = if self.stalls_active > 0 { 0.0 } else { 1.0 };
+        let cap = self.cfg.dma_bw * self.bw_mult * self.uncore_scale[node] * nic_mult;
+        engine.set_capacity(self.nic_tx[node], cap);
+        engine.set_capacity(self.nic_rx[node], cap);
     }
 
     /// Recompute link and NIC capacities from the composition of jitter,
     /// uncore scaling and currently open fault windows.
-    fn refresh_caps(&self, engine: &mut Engine) {
+    fn recompute_caps(&self, engine: &mut Engine) {
         let degrade: f64 = self
             .faults
             .link_degradations
@@ -396,11 +400,8 @@ impl NetSim {
         for (w, l) in self.links.iter().zip(self.fabric.links()) {
             engine.set_capacity(*w, self.cfg.link_bw * l.bw_scale * self.bw_mult * degrade);
         }
-        let nic_mult = if self.stalls_active > 0 { 0.0 } else { 1.0 };
-        for n in 0..self.nic_tx.len() {
-            let cap = self.cfg.dma_bw * self.bw_mult * self.uncore_scale[n] * nic_mult;
-            engine.set_capacity(self.nic_tx[n], cap);
-            engine.set_capacity(self.nic_rx[n], cap);
+        for n in 0..self.nodes() {
+            self.set_nic_caps(engine, n);
         }
     }
 
@@ -599,19 +600,19 @@ impl NetSim {
                     "link.restore"
                 };
                 telemetry::instant(engine.now(), "net", name, Lane::Engine);
-                self.refresh_caps(engine);
+                self.recompute_caps(engine);
                 return None;
             }
             Step::NicStallStart => {
                 self.stalls_active += 1;
                 telemetry::instant(engine.now(), "net", "nic.stall", Lane::Engine);
-                self.refresh_caps(engine);
+                self.recompute_caps(engine);
                 return None;
             }
             Step::NicStallEnd => {
                 self.stalls_active -= 1;
                 telemetry::instant(engine.now(), "net", "nic.resume", Lane::Engine);
-                self.refresh_caps(engine);
+                self.recompute_caps(engine);
                 return None;
             }
             Step::RtsTimeout => return self.on_rts_timeout(engine, id),
@@ -1073,11 +1074,16 @@ mod tests {
     fn uncore_scales_dma_capacity() {
         let mut w = world();
         let spec = henri();
-        w.net.apply_uncore(&mut w.engine, &spec, &[1.2, 1.2]);
+        let set_both = |w: &mut World, ghz: f64| {
+            for node in 0..2 {
+                w.net.set_uncore(&mut w.engine, &spec, node, ghz);
+            }
+        };
+        set_both(&mut w, 1.2);
         let size = 64 * 1024 * 1024;
         let (_, _) = one_way(&mut w, size, 3);
         let (low, _) = one_way(&mut w, size, 3);
-        w.net.apply_uncore(&mut w.engine, &spec, &[2.4, 2.4]);
+        set_both(&mut w, 2.4);
         let (high, _) = one_way(&mut w, size, 3);
         let bw_low = size as f64 / low.as_secs_f64();
         let bw_high = size as f64 / high.as_secs_f64();
@@ -1086,9 +1092,10 @@ mod tests {
         assert!(bw_high < bw_low * 1.10);
     }
 
-    /// An unchanged uncore vector runs no refresh: a capacity written by
-    /// hand stays, and nothing is left to re-solve. A changed one moves the
-    /// NICs and rewrites every link and NIC capacity from its inputs.
+    /// An unchanged uncore scale writes nothing: a capacity written by
+    /// hand stays, and nothing is left to re-solve. A changed one moves
+    /// only that node's NICs; the other node's NICs and the link, whose
+    /// capacities do not depend on the uncore, keep theirs.
     #[test]
     fn unchanged_uncore_leaves_capacities_alone() {
         let mut w = world();
@@ -1100,7 +1107,9 @@ mod tests {
             w.net.nic_rx[1],
         ];
         let link = w.net.links[0];
-        w.net.apply_uncore(&mut w.engine, &spec, &[1.2, 1.2]);
+        for node in 0..2 {
+            w.net.set_uncore(&mut w.engine, &spec, node, 1.2);
+        }
         let low = nics.map(|r| w.engine.capacity(r));
         let link_bw = w.engine.capacity(link);
         assert!(low[0] < spec.network.dma_bw, "low uncore slows the NIC");
@@ -1115,16 +1124,20 @@ mod tests {
         w.engine.set_capacity(link, link_bw / 2.0);
         w.engine.flow_rate(f);
         telemetry::install();
-        w.net.apply_uncore(&mut w.engine, &spec, &[1.2, 1.2]);
+        for node in 0..2 {
+            w.net.set_uncore(&mut w.engine, &spec, node, 1.2);
+        }
         w.engine.flow_rate(f);
         let journal = telemetry::take().expect("journal");
         assert_eq!(nics.map(|r| w.engine.capacity(r)), low);
         assert_eq!(w.engine.capacity(link), link_bw / 2.0, "refreshed");
         assert_eq!(journal.counters.get("fluid.reallocs"), None, "re-solved");
-        w.net.apply_uncore(&mut w.engine, &spec, &[2.4, 1.2]);
+        w.net.set_uncore(&mut w.engine, &spec, 0, 2.4);
         assert!(w.engine.capacity(nics[0]) > low[0], "NIC did not move");
+        assert_eq!(w.engine.capacity(nics[1]), w.engine.capacity(nics[0]));
         assert_eq!(w.engine.capacity(nics[2]), low[2]);
-        assert_eq!(w.engine.capacity(link), link_bw, "not refreshed");
+        assert_eq!(w.engine.capacity(nics[3]), low[3]);
+        assert_eq!(w.engine.capacity(link), link_bw / 2.0, "link rewritten");
     }
 
     /// Drive one message to completion or failure under faults; returns

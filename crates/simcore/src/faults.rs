@@ -78,6 +78,17 @@ pub enum FaultPlanError {
         /// The offending value.
         prob: f64,
     },
+    /// A straggler names a node or core the cluster does not have.
+    StragglerOutOfRange {
+        /// The straggler's node index.
+        node: usize,
+        /// The straggler's core index.
+        core: usize,
+        /// Nodes in the cluster.
+        nodes: usize,
+        /// Cores per node.
+        cores: usize,
+    },
 }
 
 impl fmt::Display for FaultPlanError {
@@ -96,6 +107,16 @@ impl fmt::Display for FaultPlanError {
             FaultPlanError::BadProbability { kind, prob } => {
                 write!(f, "{} drop probability {} outside [0, 1]", kind, prob)
             }
+            FaultPlanError::StragglerOutOfRange {
+                node,
+                core,
+                nodes,
+                cores,
+            } => write!(
+                f,
+                "straggler core {} of node {} is outside the cluster ({} nodes of {} cores)",
+                core, node, nodes, cores
+            ),
         }
     }
 }

@@ -184,10 +184,7 @@ impl Runtime {
                 poll_flow: None,
                 paused: false,
             };
-            if cluster.freqs[node].set_activity(core, Activity::Light) {
-                let (mem, freqs) = (&cluster.mem[node], &cluster.freqs[node]);
-                mem.apply_freqs(&mut cluster.engine, freqs);
-            }
+            cluster.set_activity(node, core, Activity::Light);
             self.start_polling(cluster, node, &mut w);
             self.nodes[node].workers.push(w);
         }
@@ -211,9 +208,8 @@ impl Runtime {
             if let Some(flow) = w.poll_flow.take() {
                 cluster.engine.cancel_flow(flow);
             }
-            if w.busy.is_none() && cluster.freqs[node].set_activity(w.core, Activity::Idle) {
-                let (mem, freqs) = (&cluster.mem[node], &cluster.freqs[node]);
-                mem.apply_freqs(&mut cluster.engine, freqs);
+            if w.busy.is_none() {
+                cluster.set_activity(node, w.core, Activity::Idle);
             }
         }
         self.nodes[node].workers = workers;
@@ -226,10 +222,7 @@ impl Runtime {
             if w.paused {
                 w.paused = false;
                 if w.busy.is_none() {
-                    if cluster.freqs[node].set_activity(w.core, Activity::Light) {
-                        let (mem, freqs) = (&cluster.mem[node], &cluster.freqs[node]);
-                        mem.apply_freqs(&mut cluster.engine, freqs);
-                    }
+                    cluster.set_activity(node, w.core, Activity::Light);
                     self.start_polling(cluster, node, w);
                 }
             }
@@ -247,7 +240,7 @@ impl Runtime {
         if w.paused || w.busy.is_some() || w.poll_flow.is_some() {
             return;
         }
-        let freq = cluster.freqs[node].core_freq(w.core) * 1e9;
+        let freq = cluster.freqs()[node].core_freq(w.core) * 1e9;
         let rate = freq / self.poll_period_cycles() * POLL_BYTES;
         let path = cluster.mem[node].path(Requester::Core(w.core), LIST_NUMA);
         let flow = cluster.engine.start_flow(FlowSpec {
@@ -381,10 +374,7 @@ impl Runtime {
                     if w.core == core {
                         w.busy = None;
                         if !w.paused {
-                            if cluster.freqs[node].set_activity(core, Activity::Light) {
-                                let (mem, freqs) = (&cluster.mem[node], &cluster.freqs[node]);
-                                mem.apply_freqs(&mut cluster.engine, freqs);
-                            }
+                            cluster.set_activity(node, core, Activity::Light);
                             self.start_polling(cluster, node, w);
                         }
                     }

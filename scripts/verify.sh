@@ -32,6 +32,11 @@ cargo clippy --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 echo "==> repro smoke: one figure through the parallel campaign engine"
 cargo run --release -p bench --bin repro -- --quick --only fig1 --jobs 2
 
+echo "==> repro: every paper experiment at Full fidelity"
+# Exits non-zero if any paper check fails. Full --ext is not run here: its
+# bora cross-machine check still fails at Full (24/25).
+cargo run --release -p bench --bin repro -- --all --jobs 2
+
 echo "==> repro smoke: store + resume round-trip is byte-identical"
 # First run persists every point; second run must restore them all and
 # export the same bytes (crash-consistency, DESIGN.md §12).

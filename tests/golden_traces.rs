@@ -295,6 +295,26 @@ fn fig4_quick_campaign_journal_matches_golden() {
     assert_golden("fig4_quick_campaign", &j.to_text());
 }
 
+/// The Quick fig10 campaign: task-runtime workers switch between polling,
+/// computing and idle, so the journal pins every worker transition's effect
+/// on the rooflines and clocks (`freq.transitions`, `fluid.*`) as well as
+/// the task spans.
+#[test]
+fn fig10_quick_campaign_journal_matches_golden() {
+    let fig10 = experiments::find("fig10").expect("registered");
+    let opts = CampaignOptions::serial(Fidelity::Quick).with_telemetry(true);
+    let (runs, report) = run_set_with_report(&[fig10], &opts);
+    assert_eq!(runs.len(), 1);
+    assert_eq!(runs[0].failed_points, 0);
+    let j = report.journal.expect("telemetry enabled");
+    let cats = j.categories();
+    for needed in ["campaign", "engine", "task"] {
+        assert!(cats.contains(&needed), "missing {} in {:?}", needed, cats);
+    }
+    assert!(j.counters["freq.transitions"] > 0);
+    assert_golden("fig10_quick_campaign", &j.to_text());
+}
+
 /// The ISSUE's headline oracle: the merged campaign journal is
 /// byte-identical between `--jobs 1` and `--jobs 4`, even though which
 /// worker computes each shared baseline is a scheduling race.
