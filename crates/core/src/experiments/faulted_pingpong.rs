@@ -22,7 +22,7 @@ use topology::henri;
 use super::Fidelity;
 use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
 use crate::codec::{Dec, Enc};
-use crate::protocol::{build_cluster, ProtocolConfig};
+use crate::protocol::{build_cluster, retry_totals, ProtocolConfig, RepMetrics};
 use crate::report::{Check, FigureData, RunOutcome};
 use crate::runner::{self, RunStatus};
 
@@ -43,14 +43,6 @@ const BLACKOUT_REP: u32 = 2;
 /// CTS drop probabilities of the sweep.
 const PROBS: [f64; 3] = [0.0, 0.15, 0.35];
 
-/// Measurements of one successful repetition.
-struct RepOutcome {
-    lat_us: f64,
-    retries: u64,
-    retrans_bytes: u64,
-    retry_wait_s: f64,
-}
-
 fn pingpong_cfg(fidelity: Fidelity) -> PingPongConfig {
     PingPongConfig {
         size: MSG_SIZE,
@@ -60,13 +52,14 @@ fn pingpong_cfg(fidelity: Fidelity) -> PingPongConfig {
     }
 }
 
-/// One repetition: fresh cluster, injected plan, profiled ping-pong.
+/// One repetition: fresh cluster, injected plan, profiled ping-pong. Its
+/// metrics are the median latency and the retry work.
 fn run_rep(
     pp: PingPongConfig,
     plan: &FaultPlan,
     seed: u64,
     rep: u64,
-) -> Result<RepOutcome, mpisim::ClusterError> {
+) -> Result<RepMetrics, mpisim::ClusterError> {
     let proto = ProtocolConfig::new(henri(), None);
     let family = JitterFamily::new(seed);
     let mut cluster: Cluster = build_cluster(&proto, &family, rep);
@@ -74,18 +67,10 @@ fn run_rep(
     cluster.set_time_budget(Some(REP_BUDGET));
     cluster.enable_profiling();
     let res = pingpong::try_run(&mut cluster, pp)?;
-    let mut out = RepOutcome {
-        lat_us: res.median_latency_us(),
-        retries: 0,
-        retrans_bytes: 0,
-        retry_wait_s: 0.0,
-    };
-    for rec in cluster.send_profile() {
-        out.retries += rec.retries as u64;
-        out.retrans_bytes += rec.retrans_bytes;
-        out.retry_wait_s += rec.retry_wait.as_secs_f64();
-    }
-    Ok(out)
+    Ok(RepMetrics {
+        comm_latency_us: res.median_latency_us(),
+        ..retry_totals(&cluster)
+    })
 }
 
 /// One repetition's export record, plus its latency when an attempt
@@ -103,7 +88,7 @@ struct Rep {
 fn run_reps(
     reps: u32,
     base: u64,
-    mut attempt: impl FnMut(u32, u64) -> Result<RepOutcome, mpisim::ClusterError>,
+    mut attempt: impl FnMut(u32, u64) -> Result<RepMetrics, mpisim::ClusterError>,
 ) -> Vec<Rep> {
     (0..reps)
         .map(|rep| {
@@ -123,13 +108,13 @@ fn run_reps(
                 ..Default::default()
             };
             if let Some(v) = &value {
-                run.retries = v.retries;
-                run.retrans_bytes = v.retrans_bytes;
-                run.retry_wait_s = v.retry_wait_s;
+                run.retries = v.comm_retries;
+                run.retrans_bytes = v.comm_retrans_bytes;
+                run.retry_wait_s = v.comm_retry_wait_s;
             }
             Rep {
                 run,
-                lat_us: value.map(|v| v.lat_us),
+                lat_us: value.map(|v| v.comm_latency_us),
             }
         })
         .collect()
@@ -458,7 +443,7 @@ mod tests {
             pingpong::run(&mut cluster, pp).median_latency_us()
         };
         let injected = run_rep(pp, &FaultPlan::new(7), 7, 0).unwrap();
-        assert_eq!(healthy, injected.lat_us);
-        assert_eq!(injected.retries, 0);
+        assert_eq!(healthy, injected.comm_latency_us);
+        assert_eq!(injected.comm_retries, 0);
     }
 }

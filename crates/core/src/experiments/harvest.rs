@@ -1,5 +1,5 @@
 //! Training-pair harvest for the counter-driven interference predictor
-//! (ROADMAP item 4; modelled on arXiv 2410.18126's counter-based slowdown
+//! (DESIGN.md §16; modelled on arXiv 2410.18126's counter-based slowdown
 //! prediction).
 //!
 //! One *pair* is a (machine preset, placement, workload family, computing
@@ -748,7 +748,7 @@ impl Experiment for Harvest {
     }
 
     fn anchor(&self) -> &'static str {
-        "predictor training pairs (ROADMAP item 4, arXiv 2410.18126)"
+        "predictor training pairs (DESIGN.md §16, arXiv 2410.18126)"
     }
 
     fn plan(&self, fidelity: Fidelity) -> Vec<SweepPoint> {

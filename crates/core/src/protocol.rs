@@ -364,13 +364,16 @@ fn stop_compute(
     }
 }
 
-/// Record the profiler's retry totals into a rep's metrics.
-fn collect_retry_totals(cluster: &Cluster, m: &mut RepMetrics) {
+/// Rep metrics holding only the retry work of every profiled send of
+/// `cluster`, summed in profile order.
+pub(crate) fn retry_totals(cluster: &Cluster) -> RepMetrics {
+    let mut m = RepMetrics::default();
     for rec in cluster.send_profile() {
-        m.comm_retries += rec.retries as u64;
-        m.comm_retrans_bytes += rec.retrans_bytes;
-        m.comm_retry_wait_s += rec.retry_wait.as_secs_f64();
+        m.comm_retries += rec.retry.retries as u64;
+        m.comm_retrans_bytes += rec.retry.retrans_bytes;
+        m.comm_retry_wait_s += rec.retry.retry_wait.as_secs_f64();
     }
+    m
 }
 
 /// Run the full three-step protocol.
@@ -442,13 +445,11 @@ pub fn try_run_masked(
             apply_plan(&mut cluster, plan)?;
             cluster.enable_profiling();
             let res = pingpong::try_run(&mut cluster, cfg.pingpong)?;
-            let mut m = RepMetrics {
+            results.comm_alone.push(RepMetrics {
                 comm_latency_us: res.median_latency_us(),
                 comm_bandwidth: res.median_bandwidth(),
-                ..Default::default()
-            };
-            collect_retry_totals(&cluster, &mut m);
-            results.comm_alone.push(m);
+                ..retry_totals(&cluster)
+            });
         }
 
         // Step 3: together.
@@ -468,9 +469,8 @@ pub fn try_run_masked(
             let mut m = RepMetrics {
                 comm_latency_us: res.median_latency_us(),
                 comm_bandwidth: res.median_bandwidth(),
-                ..Default::default()
+                ..retry_totals(&cluster)
             };
-            collect_retry_totals(&cluster, &mut m);
             stop_compute(&mut cluster, jobs, &mut m);
             results.together.push(m);
         }

@@ -200,7 +200,9 @@ impl FreqModel {
         &self.name
     }
 
-    fn socket_of(&self, core: CoreId) -> SocketId {
+    /// The socket of `core`: the only socket whose core frequencies a
+    /// change of `core`'s activity can move.
+    pub fn socket_of(&self, core: CoreId) -> SocketId {
         SocketId(core.0 / self.cores_per_socket)
     }
 
@@ -625,6 +627,43 @@ mod tests {
                     "step {}", step
                 );
                 prop_assert_eq!(m.heavy_total(), reference::heavy_total(&m), "step {}", step);
+            }
+        }
+
+        /// Under each governor, a `set_activity` leaves every core of the
+        /// other sockets at the same frequency, bit for bit: the premise
+        /// that lets `memsim`'s `Executor::set_activity` recap the changed
+        /// socket's live memory phases alone.
+        #[test]
+        fn set_activity_leaves_other_sockets_alone(
+            preset in 0usize..5,
+            steps in prop::collection::vec((0u32..1024, activity_strategy()), 1..160),
+        ) {
+            let presets =
+                [Preset::Henri, Preset::Bora, Preset::Billy, Preset::Pyxis, Preset::Tiny2x2];
+            let spec = presets[preset].spec();
+            let governors = [
+                Governor::Performance { turbo: true },
+                Governor::Performance { turbo: false },
+                Governor::Userspace(spec.base_freq),
+            ];
+            let cores = spec.core_count();
+            for governor in governors {
+                let mut m = FreqModel::new(&spec, governor, UncorePolicy::Auto);
+                for (step, &(pick, act)) in steps.iter().enumerate() {
+                    let changed = CoreId(pick % cores);
+                    let bits = |m: &FreqModel, c: u32| m.core_freq(CoreId(c)).to_bits();
+                    let before: Vec<u64> = (0..cores).map(|c| bits(&m, c)).collect();
+                    m.set_activity(changed, act);
+                    for c in 0..cores {
+                        if m.socket_of(CoreId(c)) != m.socket_of(changed) {
+                            prop_assert_eq!(
+                                bits(&m, c), before[c as usize],
+                                "{:?} step {}: core {} moved", governor, step, c
+                            );
+                        }
+                    }
+                }
             }
         }
     }

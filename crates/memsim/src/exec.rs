@@ -205,7 +205,9 @@ impl Executor {
     /// and, if that changed it, move every capacity that follows the
     /// frequencies on this node: the core and controller capacities
     /// ([`MemSystem::apply_freqs`]) and the roofline cap of every live
-    /// memory phase. Returns whether the activity changed.
+    /// memory phase on `core`'s socket. A cap reads only its own core's
+    /// frequency, and the change moves no other socket's, so the other
+    /// socket's caps keep their bits. Returns whether the activity changed.
     pub fn set_activity(
         &mut self,
         engine: &mut Engine,
@@ -218,7 +220,11 @@ impl Executor {
             return false;
         }
         mem.apply_freqs(engine, freqs);
+        let socket = freqs.socket_of(core);
         for job in self.jobs.iter().flatten() {
+            if freqs.socket_of(job.spec.core) != socket {
+                continue;
+            }
             let phase = &job.spec.phases[job.phase];
             if let Some(flow) = job.flow.filter(|_| phase.bytes > 0.0) {
                 engine.set_flow_cap(flow, Self::phase_cap(mem, freqs, job.spec.core, phase));
@@ -664,34 +670,44 @@ mod tests {
 
     /// A transition made outside any job (a polling worker) moves a live
     /// roofline cap in the same call: after each one, the compute-capped
-    /// phase's cap is `phase_cap` under the new model, bit for bit.
+    /// phase's cap is `phase_cap` under the new model, bit for bit. A phase
+    /// on the other socket, which the transition does not recap, keeps
+    /// the cap `phase_cap` gives it too.
     #[test]
     fn set_activity_recaps_live_jobs_at_once() {
         let (mut e, m, mut f, mut x) = setup();
-        let id = x.start(
-            &mut e,
-            &m,
-            &mut f,
-            JobSpec {
-                core: CoreId(0),
-                phases: vec![Phase {
-                    flops: 8.0e9,
-                    bytes: 2.0e9,
-                    data: NumaId(0),
-                    license: License::Normal,
-                }],
+        let mut start = |core: u32| {
+            let phase = Phase {
+                flops: 8.0e9,
+                bytes: 2.0e9,
+                data: NumaId(0),
+                license: License::Normal,
+            };
+            let spec = JobSpec {
+                core: CoreId(core),
+                phases: vec![phase.clone()],
                 iterations: 1,
-            },
-        );
-        let job = x.jobs[id.0 as usize].as_ref().expect("live job");
-        let (flow, phase) = (job.flow.expect("memory phase"), job.spec.phases[0].clone());
+            };
+            let id = x.start(&mut e, &m, &mut f, spec);
+            let flow = x.jobs[id.0 as usize].as_ref().and_then(|j| j.flow);
+            (CoreId(core), flow.expect("memory phase"), phase)
+        };
+        // Core 20 is on henri's second socket.
+        let (near, far) = (start(0), start(20));
+        let flow = near.1;
         let mut caps = vec![e.flow_cap(flow).expect("live flow")];
         for c in 1..9 {
             assert!(x.set_activity(&mut e, &m, &mut f, CoreId(c), Activity::Light));
-            let want = Executor::phase_cap(&m, &f, CoreId(0), &phase);
-            let got = e.flow_cap(flow).expect("live flow");
-            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "core {c}");
-            caps.push(got);
+            for (core, flow, phase) in [&near, &far] {
+                let want = Executor::phase_cap(&m, &f, *core, phase);
+                let got = e.flow_cap(*flow).expect("live flow");
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "{core:?} after {c}"
+                );
+            }
+            caps.push(e.flow_cap(flow).expect("live flow"));
         }
         assert!(caps.windows(2).any(|w| w[0] != w[1]), "the cap never moved");
         assert!(!x.set_activity(&mut e, &m, &mut f, CoreId(8), Activity::Light));

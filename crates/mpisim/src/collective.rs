@@ -130,8 +130,12 @@ pub fn cached(algorithm: Algorithm, nodes: usize, payload: usize) -> Arc<Schedul
 /// What the schedule computes; fixes the semantic pre/post-conditions.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CollectiveOp {
-    /// Every rank ends with the reduction of every rank's contribution.
-    Allreduce,
+    /// Every rank ends with the reduction of every rank's contribution, in
+    /// each of the payload's `chunks` chunks (numbered from 0).
+    Allreduce {
+        /// Chunks the payload is split into.
+        chunks: u32,
+    },
     /// Every rank ends with `root`'s payload.
     Bcast {
         /// Originating rank.
@@ -223,7 +227,9 @@ impl Schedule {
             rounds.push(Round { msgs });
         }
         Schedule {
-            op: CollectiveOp::Allreduce,
+            op: CollectiveOp::Allreduce {
+                chunks: nodes as u32,
+            },
             nodes,
             payload,
             rounds,
@@ -253,7 +259,7 @@ impl Schedule {
         }
         rounds.extend(bcast_rounds(nodes, payload, 0));
         Schedule {
-            op: CollectiveOp::Allreduce,
+            op: CollectiveOp::Allreduce { chunks: 1 },
             nodes,
             payload,
             rounds,
@@ -325,18 +331,18 @@ impl Schedule {
         };
         // state[rank][chunk] = contribution bitmask.
         let mut state: Vec<HashMap<u32, Vec<u64>>> = vec![HashMap::new(); n];
+        // The chunks an allreduce must reduce are the ones it states, not
+        // the ones its messages carry: a chunk no message sends is proved,
+        // and fails.
+        let reduced: Vec<u32> = match self.op {
+            CollectiveOp::Allreduce { chunks } => (0..chunks).collect(),
+            CollectiveOp::Bcast { .. } | CollectiveOp::Alltoall => Vec::new(),
+        };
         match self.op {
-            CollectiveOp::Allreduce => {
+            CollectiveOp::Allreduce { .. } => {
                 // Every rank contributes to every chunk of the payload.
-                let chunks: BTreeSet<u32> = self
-                    .rounds
-                    .iter()
-                    .flat_map(|r| r.msgs.iter().map(|m| m.chunk))
-                    .collect();
                 for (rank, st) in state.iter_mut().enumerate() {
-                    for &c in &chunks {
-                        st.insert(c, singleton(rank));
-                    }
+                    st.extend(reduced.iter().map(|&c| (c, singleton(rank))));
                 }
             }
             CollectiveOp::Bcast { root } => {
@@ -390,10 +396,9 @@ impl Schedule {
             b
         };
         match self.op {
-            CollectiveOp::Allreduce => {
-                let chunks: BTreeSet<u32> = state[0].keys().copied().collect();
+            CollectiveOp::Allreduce { .. } => {
                 for (rank, st) in state.iter().enumerate() {
-                    for &c in &chunks {
+                    for &c in &reduced {
                         if st.get(&c) != Some(&full) {
                             return Err(format!(
                                 "rank {} chunk {} is not fully reduced: {:?}",
@@ -617,8 +622,11 @@ pub fn run_ordered(
                         }
                     }
                 }
-                Some(ClusterEvent::SendFailed { req, retries }) => {
-                    return Err(ClusterError::TransferFailed { send: req, retries });
+                Some(ClusterEvent::SendFailed { req, retry }) => {
+                    return Err(ClusterError::TransferFailed {
+                        send: req,
+                        retries: retry.retries,
+                    });
                 }
                 Some(_) => {}
                 None => {
@@ -650,6 +658,33 @@ mod tests {
                 Schedule::pairwise_alltoall(nodes, payload),
             ),
         ]
+    }
+
+    /// An allreduce proves every chunk it must reduce, whether or not a
+    /// message carries it: a ring that never sends one of its chunks, and
+    /// an allreduce with no rounds at all, fail on the missing chunk.
+    #[test]
+    fn allreduce_proof_covers_chunks_no_message_sends() {
+        for missing in [0, 2] {
+            let mut s = Schedule::ring_allreduce(4, 1024);
+            for round in &mut s.rounds {
+                round.msgs.retain(|m| m.chunk != missing);
+            }
+            let err = s.verify_semantics().expect_err("chunk never reduced");
+            let want = format!("rank 0 chunk {missing} is not fully reduced");
+            assert!(err.starts_with(&want), "chunk {missing}: {err}");
+        }
+        for mut s in [
+            Schedule::ring_allreduce(4, 1024),
+            Schedule::tree_allreduce(4, 1024),
+        ] {
+            s.rounds.clear();
+            let err = s.verify_semantics().expect_err("nothing reduced");
+            assert!(
+                err.starts_with("rank 0 chunk 0 is not fully reduced"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -33,11 +33,12 @@ use std::fmt;
 use freq::{Activity, FreqModel, Governor, UncorePolicy};
 use memsim::exec::{Executor, JobId, JobSpec, JobStats};
 use memsim::MemSystem;
-use netsim::{NetEvent, NetSim, NodeRef, TransferId};
+use netsim::{NetEvent, NetSim, NodeRef, RetryStats, TransferId};
 use simcore::faults::{FaultPlan, FaultPlanError};
 use simcore::telemetry::{self, Lane};
 use simcore::{
-    tags, Engine, EngineError, Event, IdBuildHasher, JitterFamily, ReferencePaths, SimTime,
+    split_kind_index, tags, Engine, EngineError, Event, IdBuildHasher, JitterFamily,
+    ReferencePaths, SimTime,
 };
 use topology::fabric::{Fabric, FabricSpec};
 use topology::{CoreId, MachineSpec, NumaId, Placement};
@@ -109,8 +110,8 @@ impl fmt::Display for ClusterError {
 impl std::error::Error for ClusterError {}
 
 /// What mpisim alone knows of a send. Its transfer of the same number in
-/// [`NetSim`] holds the endpoints, the size and the retries, and netsim's
-/// events name what the cluster needs of them.
+/// [`NetSim`] holds the endpoints, the size and the retries while it lives,
+/// and netsim's events name what the cluster needs of them.
 #[derive(Clone, Copy, Debug)]
 struct SendReq {
     state: ReqState,
@@ -306,7 +307,7 @@ fn take_first<T: Copy>(queue: &mut VecDeque<(Key, T)>, key: Key) -> Option<T> {
 }
 
 /// One record of the send profiler.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SendRecord {
     /// Sending node.
     pub node: usize,
@@ -314,12 +315,9 @@ pub struct SendRecord {
     pub size: usize,
     /// Time from submission to last byte out of the sender.
     pub elapsed: SimTime,
-    /// Rendezvous retransmissions this send needed (0 on a healthy fabric).
-    pub retries: u32,
-    /// Control-message bytes re-sent across the wire.
-    pub retrans_bytes: u64,
-    /// Simulated time spent waiting in expired retransmission timeouts.
-    pub retry_wait: SimTime,
+    /// The rendezvous retry work this send needed (zero on a healthy
+    /// fabric).
+    pub retry: RetryStats,
 }
 
 impl SendRecord {
@@ -341,8 +339,8 @@ pub enum ClusterEvent {
     SendFailed {
         /// The failed send request.
         req: ReqId,
-        /// Retransmissions attempted.
-        retries: u32,
+        /// Its retry work, the final timeout included.
+        retry: RetryStats,
     },
     /// A compute job finished on a node.
     JobDone {
@@ -723,11 +721,6 @@ impl Cluster {
         self.recvs[req.0 as usize] == ReqState::Failed
     }
 
-    /// Retransmission accounting for a send request (zeroes when healthy).
-    pub fn send_retry_stats(&self, req: ReqId) -> netsim::RetryStats {
-        self.net.retry_stats(TransferId(req.0))
-    }
-
     /// Number of send requests still pending.
     pub fn pending_sends(&self) -> usize {
         self.sends
@@ -781,11 +774,10 @@ impl Cluster {
                     }
                 }
                 tags::ns::COMPUTE => {
-                    let node = self
-                        .exec
-                        .iter()
-                        .position(|e| e.owns(ev.tag()))
-                        .expect("compute event has an owning executor");
+                    // Executor ids are node indices, and a compute tag's
+                    // kind is its executor's id; `on_event` checks `owns`.
+                    let (exec_id, _) = split_kind_index(simcore::payload(ev.tag()));
+                    let node = exec_id as usize;
                     let done = {
                         let (mem, freqs, exec) =
                             (&self.mem[node], &mut self.freqs[node], &mut self.exec[node]);
@@ -812,18 +804,16 @@ impl Cluster {
                 from,
                 size,
                 sender_elapsed,
+                retry,
             } => {
                 self.sends[id.0 as usize].state = ReqState::Complete;
                 telemetry::async_end(now, "mpi.send", id.0 as u64, Lane::Node(from as u8));
                 if self.profiling {
-                    let rs = self.net.retry_stats(id);
                     self.profile.push(SendRecord {
                         node: from,
                         size,
                         elapsed: sender_elapsed,
-                        retries: rs.retries,
-                        retrans_bytes: rs.retrans_bytes,
-                        retry_wait: rs.retry_wait,
+                        retry,
                     });
                 }
                 Some(ClusterEvent::SendComplete(ReqId(id.0)))
@@ -840,7 +830,7 @@ impl Cluster {
                 telemetry::async_end(now, "mpi.recv", r as u64, Lane::Node(to as u8));
                 Some(ClusterEvent::RecvComplete(ReqId(r)))
             }
-            NetEvent::Failed { id, from, retries } => {
+            NetEvent::Failed { id, from, retry } => {
                 let s = &mut self.sends[id.0 as usize];
                 s.state = ReqState::Failed;
                 let lane = Lane::Node(from as u8);
@@ -854,7 +844,7 @@ impl Cluster {
                 self.matcher.drop_failed(id);
                 Some(ClusterEvent::SendFailed {
                     req: ReqId(id.0),
-                    retries,
+                    retry,
                 })
             }
         }
@@ -1048,9 +1038,10 @@ mod tests {
     }
 
     /// Under certain RTS loss, an eager send completes untouched while a
-    /// rendezvous send with its receive posted fails, and every query about
-    /// the failed send reads that send's own transfer. Both matchers share
-    /// this bookkeeping, so the matcher differential cannot see it.
+    /// rendezvous send with its receive posted fails, and every event and
+    /// query about the failed send reads that send's own transfer. Both
+    /// matchers share this bookkeeping, so the matcher differential cannot
+    /// see it.
     #[test]
     fn failed_send_reports_its_own_transfer_under_both_matchers() {
         use netsim::{CTRL_MSG_BYTES, DEFAULT_MAX_RETRIES};
@@ -1071,6 +1062,7 @@ mod tests {
             assert_eq!(c.reference_paths().matcher, scan);
             c.apply_faults(&FaultPlan::new(3).with_rts_drop(1.0))
                 .expect("valid plan");
+            c.enable_profiling();
             let eager_recv = c.irecv_from(1, 0, 4);
             let eager = c.isend_to(0, 1, 64, 4, 1);
             let rdv_recv = c.irecv_from(3, 2, 4);
@@ -1079,20 +1071,64 @@ mod tests {
             while let Some(ev) = c.step() {
                 match ev {
                     ClusterEvent::SendComplete(s) => completed.push(s),
-                    ClusterEvent::SendFailed { req, retries } => failed.push((req, retries)),
+                    ClusterEvent::SendFailed { req, retry } => failed.push((req, retry)),
                     _ => {}
                 }
             }
             assert_eq!(completed, [eager], "scan {scan}");
             assert!(c.test_recv(eager_recv));
-            assert_eq!(c.send_retry_stats(eager), netsim::RetryStats::default());
-            assert_eq!(failed, [(rdv, DEFAULT_MAX_RETRIES + 1)], "scan {scan}");
+            let profile = c.send_profile();
+            assert_eq!(profile.len(), 1, "scan {scan}");
+            assert_eq!(
+                (profile[0].size, profile[0].retry),
+                (64, RetryStats::default())
+            );
+            // No RTS gets through, so no CTS is sent: each retry but the
+            // final give-up re-sends the RTS alone.
+            let [(req, retry)] = failed[..] else {
+                panic!("scan {scan}: failures {failed:?}")
+            };
+            assert_eq!(req, rdv, "scan {scan}");
+            assert_eq!(retry.retries, DEFAULT_MAX_RETRIES + 1);
+            assert_eq!(
+                retry.retrans_bytes,
+                DEFAULT_MAX_RETRIES as u64 * CTRL_MSG_BYTES
+            );
             assert!(c.send_failed(rdv) && c.recv_failed(rdv_recv));
             assert!(!c.send_failed(eager) && !c.recv_failed(eager_recv));
-            let rs = c.send_retry_stats(rdv);
-            assert_eq!(rs.retries, DEFAULT_MAX_RETRIES + 1);
-            assert!(rs.retrans_bytes >= DEFAULT_MAX_RETRIES as u64 * CTRL_MSG_BYTES);
         }
+    }
+
+    /// A compute event reaches the executor of its own node: jobs on nodes
+    /// 3 and 1 of a 4-node cluster finish there, in duration order.
+    #[test]
+    fn compute_events_reach_their_own_node() {
+        let mut c = Cluster::with_fabric(
+            &henri(),
+            FabricSpec::switch().build_for(4),
+            Governor::Userspace(2.3),
+            UncorePolicy::Fixed(2.4),
+            Placement::fig4_default(),
+        );
+        let job = |flops: f64| JobSpec {
+            core: CoreId(0),
+            phases: vec![Phase {
+                flops,
+                bytes: 1e6,
+                data: NumaId(0),
+                license: License::Normal,
+            }],
+            iterations: 2,
+        };
+        let long = c.start_job(3, job(2e9));
+        let short = c.start_job(1, job(1e9));
+        let mut done = Vec::new();
+        while let Some(ev) = c.step() {
+            if let ClusterEvent::JobDone { node, job, .. } = ev {
+                done.push((node, job));
+            }
+        }
+        assert_eq!(done, [(1, short), (3, long)]);
     }
 
     #[test]

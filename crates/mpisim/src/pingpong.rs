@@ -145,14 +145,14 @@ fn wait_recv(
     background: &mut impl FnMut(&mut Cluster, ClusterEvent),
 ) -> Result<(), ClusterError> {
     while !cluster.test_recv(req) {
-        if cluster.recv_failed(req) || cluster.send_failed(send) {
-            return Err(ClusterError::TransferFailed {
-                send,
-                retries: cluster.send_retry_stats(send).retries,
-            });
-        }
         match cluster.try_step()? {
             Some(ClusterEvent::RecvComplete(r)) if r == req => break,
+            Some(ClusterEvent::SendFailed { req: failed, retry }) if failed == send => {
+                return Err(ClusterError::TransferFailed {
+                    send,
+                    retries: retry.retries,
+                });
+            }
             Some(other) => background(cluster, other),
             None => {
                 return Err(ClusterError::Dry {

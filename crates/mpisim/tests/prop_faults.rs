@@ -38,8 +38,12 @@ fn faulted_pingpong(plan: &FaultPlan, pp: PingPongConfig) -> (Trace, f64) {
     let res = pingpong::try_run(&mut c, pp).expect("bounded drop probability must complete");
     let trace = Trace {
         half_rtts: res.half_rtts.clone(),
-        retries: c.send_profile().iter().map(|r| r.retries).collect(),
-        retrans_bytes: c.send_profile().iter().map(|r| r.retrans_bytes).collect(),
+        retries: c.send_profile().iter().map(|r| r.retry.retries).collect(),
+        retrans_bytes: c
+            .send_profile()
+            .iter()
+            .map(|r| r.retry.retrans_bytes)
+            .collect(),
         end_time: c.engine.now(),
     };
     (trace, c.net.wire_delivered(&c.engine))

@@ -15,13 +15,15 @@
 //! simulated-time horizon (the engine's time budget). After each phase,
 //! every send that failed in it gets a same-key receive and a same-key
 //! eager resend, in an order the script picks, so the lazy skip of failed
-//! transfers runs. The event streams (kind, request, simulated time,
-//! retries), every request's final state and retry accounting, and how
-//! each drain ended must be identical. Case count honours `PROPTEST_CASES`
-//! (CI runs 512; the nightly long fuzz 4096).
+//! transfers runs. The event streams (kind, request, simulated time, and
+//! the retry work a failure reports), the profiler's records (the retry
+//! work of each completed send), every request's final state and how each
+//! drain ended must be identical. Case count honours `PROPTEST_CASES` (CI
+//! runs 512; the nightly long fuzz 4096).
 
 use freq::{Governor, UncorePolicy};
-use mpisim::{Cluster, ClusterError, ClusterEvent, ReqId};
+use mpisim::{Cluster, ClusterError, ClusterEvent, ReqId, SendRecord};
+use netsim::RetryStats;
 use proptest::prelude::*;
 use simcore::reference_paths::{self, ReferencePaths};
 use simcore::{EngineError, FaultPlan, SimTime};
@@ -148,8 +150,9 @@ enum End {
     Error(String),
 }
 
-/// (kind, request, simulated time, retries) of one cluster event.
-type Record = (&'static str, Option<ReqId>, SimTime, u32);
+/// (kind, request, simulated time, retry work of a failure) of one cluster
+/// event.
+type Record = (&'static str, Option<ReqId>, SimTime, RetryStats);
 
 /// Everything the comparison looks at.
 #[derive(Debug, PartialEq)]
@@ -157,8 +160,10 @@ struct Run {
     events: Vec<Record>,
     /// How each phase's drain ended, then the final drain.
     ends: Vec<End>,
-    /// Per send: (complete, failed, retries, retransmitted bytes, retry wait).
-    sends: Vec<(bool, bool, u32, u64, SimTime)>,
+    /// The profiler's record of each completed send, retry work included.
+    profile: Vec<SendRecord>,
+    /// Per send: (complete, failed).
+    sends: Vec<(bool, bool)>,
     /// Per receive: (complete, failed).
     recvs: Vec<(bool, bool)>,
     end_time: SimTime,
@@ -173,11 +178,11 @@ fn drain(c: &mut Cluster, horizon: SimTime, events: &mut Vec<Record>) -> End {
             Err(ClusterError::Wedged(EngineError::BudgetExceeded { .. })) => return End::Horizon,
             Err(e) => return End::Error(e.to_string()),
             Ok(Some(ev)) => match ev {
-                ClusterEvent::SendComplete(r) => ("send", Some(r), 0),
-                ClusterEvent::RecvComplete(r) => ("recv", Some(r), 0),
-                ClusterEvent::SendFailed { req, retries } => ("failed", Some(req), retries),
-                ClusterEvent::JobDone { .. } => ("job", None, 0),
-                ClusterEvent::Other(_) => ("other", None, 0),
+                ClusterEvent::SendComplete(r) => ("send", Some(r), RetryStats::default()),
+                ClusterEvent::RecvComplete(r) => ("recv", Some(r), RetryStats::default()),
+                ClusterEvent::SendFailed { req, retry } => ("failed", Some(req), retry),
+                ClusterEvent::JobDone { .. } => ("job", None, RetryStats::default()),
+                ClusterEvent::Other(_) => ("other", None, RetryStats::default()),
             },
         };
         events.push((record.0, record.1, c.engine.now(), record.2));
@@ -196,6 +201,7 @@ fn run(script: &Script) -> Run {
         .with_rts_drop(script.drop_rts)
         .with_cts_drop(script.drop_cts);
     c.apply_faults(&plan).expect("valid plan");
+    c.enable_profiling();
     let eager = henri().network.eager_threshold;
     let mut sends: Vec<(ReqId, (usize, usize, u32))> = Vec::new();
     let mut recvs = Vec::new();
@@ -252,18 +258,10 @@ fn run(script: &Script) -> Run {
     Run {
         events,
         ends,
+        profile: c.send_profile().to_vec(),
         sends: sends
             .iter()
-            .map(|&(s, _)| {
-                let rs = c.send_retry_stats(s);
-                (
-                    c.test_send(s),
-                    c.send_failed(s),
-                    rs.retries,
-                    rs.retrans_bytes,
-                    rs.retry_wait,
-                )
-            })
+            .map(|&(s, _)| (c.test_send(s), c.send_failed(s)))
             .collect(),
         recvs: recvs
             .iter()

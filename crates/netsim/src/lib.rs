@@ -76,8 +76,8 @@ pub struct NodeRef<'a> {
 
 /// Events surfaced to the message-passing layer. Each names what the layer
 /// needs of its transfer (the endpoint whose request it settles, the size
-/// for the profiler), read from the live transfer, so the layer need keep
-/// no copy of them.
+/// and retry work for the profiler), read from the live transfer, so the
+/// layer need keep no copy of them.
 #[derive(Clone, Debug)]
 pub enum NetEvent {
     /// The sender finished pushing the payload (eager copy done or DMA
@@ -93,6 +93,8 @@ pub enum NetEvent {
         size: usize,
         /// Time from `start_send` to the last byte leaving the sender.
         sender_elapsed: SimTime,
+        /// The handshake's retry work up to this moment.
+        retry: RetryStats,
     },
     /// The payload arrived and receive-side processing finished.
     Delivered {
@@ -108,13 +110,13 @@ pub enum NetEvent {
         id: TransferId,
         /// Sending node.
         from: usize,
-        /// Retransmissions attempted before giving up.
-        retries: u32,
+        /// The handshake's retry work, the final timeout included.
+        retry: RetryStats,
     },
 }
 
-/// Per-transfer retransmission accounting, kept after the transfer retires
-/// so the profiler can attribute retry costs per send.
+/// A transfer's retransmission accounting, as its [`NetEvent::SendComplete`]
+/// or [`NetEvent::Failed`] reports it; nothing keeps it after that.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RetryStats {
     /// Handshake retransmissions triggered by timeouts.
@@ -177,6 +179,11 @@ struct Transfer {
     dest_numa: NumaId,
     buffer: u64,
     started: SimTime,
+    /// Handshake retransmissions so far; the current timeout is the base
+    /// doubled this many times.
+    retries: u32,
+    /// RTS and CTS messages sent again after the first of each.
+    resends: u32,
     recv_ready: bool,
     awaiting_recv: bool,
     /// The sender has issued at least one RTS.
@@ -187,8 +194,28 @@ struct Transfer {
     cts_sent: bool,
     /// A CTS reached the sender and the DMA is running (dedups retries).
     dma_started: bool,
-    /// Current retransmission timeout (doubles per retry).
-    rto: SimTime,
+}
+
+// netsim keeps one slot per message for the whole run, so this width is
+// part of the collectives' per-message RSS (DESIGN.md §13.8).
+const _: () = assert!(std::mem::size_of::<Option<Transfer>>() <= 64);
+
+impl Transfer {
+    /// The timeout of the next handshake attempt: `rto_base` doubled per
+    /// retry.
+    fn rto(&self, rto_base: SimTime) -> SimTime {
+        rto_base * (1u64 << self.retries)
+    }
+
+    /// The retry work so far. The timeouts waited out sum to `rto_base`
+    /// times 1 + 2 + … + 2^(retries − 1), exact in integer picoseconds.
+    fn retry(&self, rto_base: SimTime) -> RetryStats {
+        RetryStats {
+            retries: self.retries,
+            retrans_bytes: self.resends as u64 * CTRL_MSG_BYTES,
+            retry_wait: rto_base * ((1u64 << self.retries) - 1),
+        }
+    }
 }
 
 /// The fabric-wide network simulator.
@@ -203,17 +230,7 @@ pub struct NetSim {
     /// One fluid resource per directed fabric link, in `fabric.links()`
     /// order.
     links: Vec<ResourceId>,
-    /// Pre-resolved wire slots per `(from, to)` pair, pair-major:
-    /// `[nic_tx[from], link resources.., nic_rx[to]]` — the exact middle
-    /// segment both flow paths (PIO and DMA) splice in, so per-transfer
-    /// setup is one slice copy instead of per-hop table lookups.
-    wire_arena: Vec<ResourceId>,
-    /// `wire_spans[from * nodes + to]` slices `wire_arena`.
-    wire_spans: Vec<(u32, u32)>,
     transfers: Vec<Option<Transfer>>,
-    /// Parallel to `transfers`, kept after retirement for the profiler; its
-    /// retry count is also what bounds a live transfer's backoff.
-    retry_stats: Vec<RetryStats>,
     /// Registered buffer ids per node (the pin-down cache).
     reg_cache: Vec<HashSet<u64, IdBuildHasher>>,
     /// Reused buffer a payload path is assembled in before it is copied
@@ -266,27 +283,13 @@ impl NetSim {
         // A generous default RTO: several wire round-trips, but far below
         // any experiment's total runtime.
         let rto_base = SimTime::from_secs_f64(cfg.wire_latency_s * 16.0).max(SimTime::US);
-        let mut wire_arena = Vec::with_capacity(n * n * 3);
-        let mut wire_spans = Vec::with_capacity(n * n);
-        for (from, &tx) in nic_tx.iter().enumerate() {
-            for (to, &rx) in nic_rx.iter().enumerate() {
-                let start = wire_arena.len() as u32;
-                wire_arena.push(tx);
-                wire_arena.extend(fabric.route(from, to).iter().map(|&l| links[l as usize]));
-                wire_arena.push(rx);
-                wire_spans.push((start, wire_arena.len() as u32));
-            }
-        }
         NetSim {
             cfg,
             fabric,
             nic_tx,
             nic_rx,
             links,
-            wire_arena,
-            wire_spans,
             transfers: Vec::new(),
-            retry_stats: Vec::new(),
             reg_cache: vec![HashSet::default(); n],
             path_buf: Vec::new(),
             lat_mult: 1.0,
@@ -307,17 +310,11 @@ impl NetSim {
         &self.fabric
     }
 
-    /// The interned `from → to` wire segment: `nic_tx`, the route's link
-    /// resources in hop order, `nic_rx`.
-    fn wire(&self, from: usize, to: usize) -> &[ResourceId] {
-        let (start, end) = self.wire_spans[from * self.nic_tx.len() + to];
-        &self.wire_arena[start as usize..end as usize]
-    }
-
     /// The path of transfer `id`'s payload: the sender's memory path as
-    /// read by `read_by`, the wire segment (one interned slice copy), then
-    /// the receiver's memory path as written by its NIC. Assembled in a
-    /// reused buffer and returned as one exact-capacity `Vec`.
+    /// read by `read_by`, the sender's NIC, each link of the fabric's
+    /// interned route in hop order, the receiver's NIC, then the
+    /// receiver's memory path as written by its NIC. Assembled in a reused
+    /// buffer and returned as one exact-capacity `Vec`.
     fn payload_path(
         &mut self,
         id: TransferId,
@@ -332,7 +329,10 @@ impl NetSim {
         let mut path = std::mem::take(&mut self.path_buf);
         path.clear();
         sender.mem.path_into(read_by, t.data_numa, &mut path);
-        path.extend_from_slice(self.wire(t.from, t.to));
+        path.push(self.nic_tx[t.from]);
+        let hops = self.fabric.route(t.from, t.to);
+        path.extend(hops.iter().map(|&l| self.links[l as usize]));
+        path.push(self.nic_rx[t.to]);
         receiver
             .mem
             .path_into(Requester::Nic, t.dest_numa, &mut path);
@@ -431,15 +431,10 @@ impl NetSim {
         Ok(())
     }
 
-    /// Retransmission accounting for a transfer (live or retired).
-    pub fn retry_stats(&self, id: TransferId) -> RetryStats {
-        self.retry_stats[id.0 as usize]
-    }
-
     /// Total payload bytes actually delivered across the fabric links
     /// (control messages are modelled as pure latency and carry no wire
     /// volume). On a multi-hop fabric a payload is counted once per hop.
-    /// Retransmitted control bytes are tracked separately in
+    /// Retransmitted control bytes are reported per send in
     /// [`RetryStats::retrans_bytes`].
     pub fn wire_delivered(&self, engine: &Engine) -> f64 {
         self.links.iter().map(|&w| engine.delivered(w)).sum()
@@ -508,15 +503,15 @@ impl NetSim {
             dest_numa,
             buffer,
             started: engine.now(),
+            retries: 0,
+            resends: 0,
             recv_ready: false,
             awaiting_recv: false,
             rts_sent: false,
             rts_arrived: false,
             cts_sent: false,
             dma_started: false,
-            rto: self.rto_base,
         }));
-        self.retry_stats.push(RetryStats::default());
         // Step 1: software overhead — cycles on the communication core.
         let cycles = self.cfg.sw_overhead_cycles * 0.5;
         engine.start_flow(FlowSpec {
@@ -545,16 +540,12 @@ impl NetSim {
     }
 
     fn send_cts(&mut self, engine: &mut Engine, id: TransferId) {
-        let tid = id.0 as usize;
-        let (resend, to) = {
-            let t = self.transfers[tid].as_mut().expect("live transfer");
-            let resend = t.cts_sent;
-            t.cts_sent = true;
-            (resend, t.to)
-        };
-        if resend {
-            self.retry_stats[tid].retrans_bytes += CTRL_MSG_BYTES;
-        }
+        let t = self.transfers[id.0 as usize]
+            .as_mut()
+            .expect("live transfer");
+        t.resends += u32::from(t.cts_sent);
+        t.cts_sent = true;
+        let to = t.to;
         // The CTS originates on the receiver's node.
         let cts_lane = Lane::Node(to as u8);
         // Fault injection: the CTS may be lost on the wire. The sender's
@@ -699,6 +690,7 @@ impl NetSim {
                     from,
                     size,
                     sender_elapsed: engine.now() - t.started,
+                    retry: t.retry(self.rto_base),
                 });
                 engine.start_flow(FlowSpec {
                     path: vec![receiver.mem.core_resource(receiver.comm_core)],
@@ -765,6 +757,7 @@ impl NetSim {
                     from,
                     size,
                     sender_elapsed: engine.now() - t.started,
+                    retry: t.retry(self.rto_base),
                 });
                 engine.start_flow(FlowSpec {
                     path: vec![receiver.mem.core_resource(receiver.comm_core)],
@@ -821,21 +814,16 @@ impl NetSim {
             // The RTS got through but the receiver has not posted a matching
             // receive yet — nothing was lost, so re-arm without counting a
             // retry (the CTS path re-checks on `recv_ready`).
-            let rto = t.rto;
+            let rto = t.rto(self.rto_base);
             engine.after(rto, self.step_tag(id, Step::RtsTimeout));
             return None;
         }
         // Either the RTS or the CTS was lost: retransmit with backoff.
-        let waited = t.rto;
-        let from = t.from;
-        t.rto = t.rto * 2;
-        let stats = &mut self.retry_stats[tid];
-        stats.retries += 1;
-        stats.retry_wait += waited;
-        let retries = stats.retries;
+        t.retries += 1;
+        let (from, retry) = (t.from, t.retry(self.rto_base));
         telemetry::counter_add("net.retrans", 1);
         telemetry::instant(engine.now(), "net", "rto", Lane::Node(from as u8));
-        if retries > DEFAULT_MAX_RETRIES {
+        if retry.retries > DEFAULT_MAX_RETRIES {
             self.transfers[tid] = None;
             telemetry::instant(engine.now(), "net", "xfer.failed", Lane::Node(from as u8));
             telemetry::async_end(
@@ -844,23 +832,19 @@ impl NetSim {
                 id.0 as u64,
                 Lane::Node(from as u8),
             );
-            return Some(NetEvent::Failed { id, from, retries });
+            return Some(NetEvent::Failed { id, from, retry });
         }
         self.send_rts(engine, id);
         None
     }
 
     fn send_rts(&mut self, engine: &mut Engine, id: TransferId) {
-        let tid = id.0 as usize;
-        let (resend, rto, from) = {
-            let t = self.transfers[tid].as_mut().expect("live transfer");
-            let resend = t.rts_sent;
-            t.rts_sent = true;
-            (resend, t.rto, t.from)
-        };
-        if resend {
-            self.retry_stats[tid].retrans_bytes += CTRL_MSG_BYTES;
-        }
+        let t = self.transfers[id.0 as usize]
+            .as_mut()
+            .expect("live transfer");
+        t.resends += u32::from(t.rts_sent);
+        t.rts_sent = true;
+        let (rto, from) = (t.rto(self.rto_base), t.from);
         // With drops armed, guard every handshake with a retransmission
         // timeout. Healthy runs skip the timer entirely so their event
         // streams are untouched by fault support.
@@ -1141,7 +1125,8 @@ mod tests {
     }
 
     /// Drive one message to completion or failure under faults; returns
-    /// (delivered, retry stats).
+    /// whether it was delivered, and the retry work its `SendComplete` or
+    /// `Failed` event reported.
     fn one_way_faulted(w: &mut World, size: usize, buffer: u64) -> (bool, RetryStats) {
         let id = {
             let n0 = NodeRef {
@@ -1155,6 +1140,7 @@ mod tests {
         w.net.recv_ready(&mut w.engine, id);
         let mut delivered = false;
         let mut failed = false;
+        let mut retry = None;
         while !delivered && !failed {
             let Some(ev) = w.engine.next() else { break };
             if w.net.owns(ev.tag()) {
@@ -1170,13 +1156,19 @@ mod tests {
                 ) {
                     match out {
                         NetEvent::Delivered { .. } => delivered = true,
-                        NetEvent::Failed { .. } => failed = true,
-                        NetEvent::SendComplete { .. } => {}
+                        NetEvent::Failed { retry: r, .. } => (failed, retry) = (true, Some(r)),
+                        NetEvent::SendComplete { retry: r, .. } => retry = Some(r),
                     }
                 }
             }
         }
-        (delivered, w.net.retry_stats(id))
+        (delivered, retry.expect("the send completed or failed"))
+    }
+
+    /// The timeouts a transfer waits out over `retries` retries: the base,
+    /// doubled per retry.
+    fn waited(w: &World, retries: u32) -> SimTime {
+        (0..retries).fold(SimTime::ZERO, |sum, k| sum + w.net.rto_base * (1u64 << k))
     }
 
     #[test]
@@ -1190,10 +1182,10 @@ mod tests {
             let (delivered, rs) = one_way_faulted(&mut w, size, 100 + buf);
             assert!(delivered, "p=0.5 with 8 retries should recover");
             total_retries += rs.retries;
-            if rs.retries > 0 {
-                assert!(rs.retrans_bytes >= CTRL_MSG_BYTES);
-                assert!(!rs.retry_wait.is_zero());
-            }
+            // A lost CTS costs one timeout, then the RTS and the CTS again.
+            let resent = 2 * rs.retries as u64 * CTRL_MSG_BYTES;
+            assert_eq!(rs.retrans_bytes, resent, "send {buf}: {rs:?}");
+            assert_eq!(rs.retry_wait, waited(&w, rs.retries), "send {buf}");
         }
         assert!(total_retries > 0, "half the CTSes should have been dropped");
     }
@@ -1210,7 +1202,12 @@ mod tests {
             DEFAULT_MAX_RETRIES + 1,
             "every retry plus the final give-up timeout"
         );
-        assert!(rs.retrans_bytes >= DEFAULT_MAX_RETRIES as u64 * CTRL_MSG_BYTES);
+        // No RTS arrives, so no CTS is ever sent: only the RTS is re-sent.
+        assert_eq!(
+            rs.retrans_bytes,
+            DEFAULT_MAX_RETRIES as u64 * CTRL_MSG_BYTES
+        );
+        assert_eq!(rs.retry_wait, waited(&w, DEFAULT_MAX_RETRIES + 1));
     }
 
     #[test]
@@ -1426,24 +1423,44 @@ mod tests {
         }
     }
 
-    /// The interned wire spans are a pure table of the routes: for every
-    /// fabric shape and all n² pairs, `wire` yields exactly the NIC
-    /// egress, the route's link resources in hop order, and the NIC ingress.
+    /// A payload crosses the sender's memory path, its NIC, each link of
+    /// `Fabric::route` in hop order, the receiver's NIC and the receiver's
+    /// memory path: on the direct wire and every preset at 8 nodes, for
+    /// every pair of distinct nodes (a self-send never reaches netsim) and
+    /// both readers (the PIO copy's core, the NIC's DMA).
     #[test]
-    fn interned_wire_spans_equal_per_hop_routes() {
+    fn payload_path_follows_the_fabric_route() {
         use topology::fabric::FabricPreset;
         let fabrics = std::iter::once(FabricSpec::direct().build())
             .chain(FabricPreset::ALL.iter().map(|p| p.spec(8).build_for(8)));
         for fabric in fabrics {
-            let net = fabric_world(fabric).net;
+            let FabricWorld {
+                mut engine,
+                mem,
+                freqs,
+                mut net,
+                comm_core,
+            } = fabric_world(fabric);
             let kind = net.fabric.kind();
+            let node = |i: usize| NodeRef {
+                mem: &mem[i],
+                freqs: &freqs[i],
+                comm_core,
+            };
             for from in 0..net.nodes() {
-                for to in 0..net.nodes() {
-                    let hops = net.fabric.route(from, to).iter();
-                    let mut want = vec![net.nic_tx[from]];
-                    want.extend(hops.map(|&l| net.links[l as usize]));
-                    want.push(net.nic_rx[to]);
-                    assert_eq!(net.wire(from, to), want, "{kind:?}: route {from} -> {to}");
+                for to in (0..net.nodes()).filter(|&to| to != from) {
+                    let (src, dst) = (NumaId(0), NumaId(1));
+                    let id = net.start_send(&mut engine, from, to, &node(from), 64, src, dst, 0);
+                    for read_by in [Requester::Core(comm_core), Requester::Nic] {
+                        let mut want = mem[from].path(read_by, src);
+                        want.push(net.nic_tx[from]);
+                        let hops = net.fabric.route(from, to).iter();
+                        want.extend(hops.map(|&l| net.links[l as usize]));
+                        want.push(net.nic_rx[to]);
+                        want.extend(mem[to].path(Requester::Nic, dst));
+                        let got = net.payload_path(id, &node(from), &node(to), read_by);
+                        assert_eq!(got, want, "{kind:?}: {from} -> {to}, {read_by:?}");
+                    }
                 }
             }
         }

@@ -1,6 +1,6 @@
 //! # predict — counter-driven interference prediction
 //!
-//! The placement-advisor subsystem (ROADMAP item 4, after Shubham et al.'s
+//! The placement-advisor subsystem (DESIGN.md §16, after Shubham et al.'s
 //! counter-based slowdown prediction, arXiv 2410.18126): learn the
 //! co-location penalty of a (communication, computation) pair from the
 //! PMU-style telemetry counters of its **alone** runs, so a scheduler can

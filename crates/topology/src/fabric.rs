@@ -195,14 +195,6 @@ impl FabricSpec {
     }
 }
 
-/// Dense identifier of an interned `(src, dst)` route: `src * nodes + dst`.
-///
-/// Stable for the lifetime of the [`Fabric`] that issued it; resolves to
-/// the hop list through [`Fabric::route_by_id`] without any per-transfer
-/// hashing or cloning.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct RouteId(pub u32);
-
 /// A built fabric: links plus a dense `(src, dst) → route` table.
 ///
 /// Routes are interned at build time: every hop list lives in one shared
@@ -273,20 +265,10 @@ impl Fabric {
     }
 
     /// The deterministic route from `src` to `dst` as link indices, hop by
-    /// hop. Empty iff `src == dst`.
+    /// hop: a slice of the interned arena. Empty iff `src == dst`.
     pub fn route(&self, src: usize, dst: usize) -> &[LinkIdx] {
-        self.route_by_id(self.route_id(src, dst))
-    }
-
-    /// The interned id of the `src → dst` route.
-    pub fn route_id(&self, src: usize, dst: usize) -> RouteId {
         debug_assert!(src < self.nodes && dst < self.nodes);
-        RouteId((src * self.nodes + dst) as u32)
-    }
-
-    /// Resolve an interned route id to its hop list.
-    pub fn route_by_id(&self, id: RouteId) -> &[LinkIdx] {
-        let (start, end) = self.route_spans[id.0 as usize];
+        let (start, end) = self.route_spans[src * self.nodes + dst];
         &self.route_arena[start as usize..end as usize]
     }
 

@@ -102,7 +102,7 @@ fn collective_campaign_resumes_byte_identical() {
 /// Runs `f` with the collective layer's reference twin installed: linear-scan
 /// message matching. (Interned routes and memoized schedules have no runtime
 /// twin: one-shot proofs cover them — netsim's
-/// `interned_wire_spans_equal_per_hop_routes` and `tests/schedule_cache.rs`.)
+/// `payload_path_follows_the_fabric_route` and `tests/schedule_cache.rs`.)
 fn with_reference_paths<T>(f: impl FnOnce() -> T) -> T {
     let matcher = ReferencePaths {
         matcher: true,
