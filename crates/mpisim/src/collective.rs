@@ -9,10 +9,10 @@
 //!
 //! Schedules carry enough semantic information (`chunk` identity and
 //! combine-vs-copy) for [`Schedule::verify_semantics`] to prove, by tracking
-//! per-rank contribution sets, that the message pattern actually computes
-//! the collective — independently of any timing. `simcheck` fuzzes random
-//! schedules through this checker and compares the simulated round times
-//! against a naive sequential reference.
+//! per-rank contribution sets one chunk at a time, that the message pattern
+//! actually computes the collective — independently of any timing.
+//! `simcheck` fuzzes random schedules through this checker and compares the
+//! simulated round times against a naive sequential reference.
 //!
 //! Algorithms provided (the classics; see DESIGN.md §14 for closed forms):
 //!
@@ -24,7 +24,7 @@
 //! * [`Schedule::pairwise_alltoall`] — `n−1` rounds, round `r` pairs rank
 //!   `i` with `(i+r) mod n`.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -313,125 +313,111 @@ impl Schedule {
     /// rank's copy reflects. Messages within a round read the senders'
     /// *pre-round* state (they are concurrent). Returns a description of
     /// the first violated condition.
+    ///
+    /// A chunk's sets change only through the messages that carry it, so
+    /// the proof takes one chunk at a time: the messages, stably sorted by
+    /// chunk (each chunk's stay in round order), replay that chunk round by
+    /// round in one reused buffer of `nodes × ⌈nodes/64⌉` words. The
+    /// transient is that buffer plus one entry per message, whatever the
+    /// number of chunks.
     pub fn verify_semantics(&self) -> Result<(), String> {
         let n = self.nodes;
-        // Contribution sets as rank bitmasks: bit `r` set ⇔ original rank
-        // r's contribution is merged into this (rank, chunk) copy. The
-        // prover's inner loop is word-parallel OR/compare, and each round
-        // snapshots only the sets its messages actually read — the naïve
-        // whole-state clone made 1k-rank proofs take hours.
-        let words = n.div_ceil(64);
-        let singleton = |r: usize| {
-            let mut b = vec![0u64; words];
-            b[r / 64] |= 1u64 << (r % 64);
-            b
+        // The chunks the op must deliver: an allreduce's are the ones it
+        // states, not the ones its messages carry, so a chunk no message
+        // sends is proved, and fails.
+        let chunks = match self.op {
+            CollectiveOp::Allreduce { chunks } => chunks as usize,
+            CollectiveOp::Bcast { .. } => 1,
+            CollectiveOp::Alltoall => n,
         };
-        let to_set = |b: &[u64]| -> BTreeSet<usize> {
-            (0..n).filter(|&r| b[r / 64] >> (r % 64) & 1 == 1).collect()
-        };
-        // state[rank][chunk] = contribution bitmask.
-        let mut state: Vec<HashMap<u32, Vec<u64>>> = vec![HashMap::new(); n];
-        // The chunks an allreduce must reduce are the ones it states, not
-        // the ones its messages carry: a chunk no message sends is proved,
-        // and fails.
-        let reduced: Vec<u32> = match self.op {
-            CollectiveOp::Allreduce { chunks } => (0..chunks).collect(),
-            CollectiveOp::Bcast { .. } | CollectiveOp::Alltoall => Vec::new(),
-        };
-        match self.op {
-            CollectiveOp::Allreduce { .. } => {
-                // Every rank contributes to every chunk of the payload.
-                for (rank, st) in state.iter_mut().enumerate() {
-                    st.extend(reduced.iter().map(|&c| (c, singleton(rank))));
-                }
-            }
-            CollectiveOp::Bcast { root } => {
-                state[root].insert(0, singleton(root));
-            }
-            CollectiveOp::Alltoall => {
-                for (rank, st) in state.iter_mut().enumerate() {
-                    st.insert(rank as u32, singleton(rank));
-                }
-            }
-        }
-        let mut reads: Vec<Vec<u64>> = Vec::new();
+        let mut msgs = Vec::with_capacity(self.total_messages());
         for (ri, round) in self.rounds.iter().enumerate() {
-            // Concurrent semantics: all sends read pre-round state. Snapshot
-            // exactly the sets this round's messages send, then apply.
-            reads.clear();
             for m in &round.msgs {
                 if m.src >= n || m.dst >= n || m.src == m.dst {
                     return Err(format!("round {}: invalid endpoints {:?}", ri, m));
                 }
-                let Some(held) = state[m.src]
-                    .get(&m.chunk)
-                    .filter(|s| s.iter().any(|&w| w != 0))
-                else {
-                    return Err(format!(
-                        "round {}: rank {} sends chunk {} it does not hold",
-                        ri, m.src, m.chunk
-                    ));
-                };
-                reads.push(held.clone());
-            }
-            for (m, held) in round.msgs.iter().zip(reads.drain(..)) {
-                if m.combine {
-                    let dst = state[m.dst]
-                        .entry(m.chunk)
-                        .or_insert_with(|| vec![0u64; words]);
-                    for (d, s) in dst.iter_mut().zip(&held) {
-                        *d |= s;
-                    }
-                } else {
-                    state[m.dst].insert(m.chunk, held);
-                }
+                msgs.push((ri, m));
             }
         }
-        let full: Vec<u64> = {
-            let mut b = vec![0u64; words];
-            for (i, w) in b.iter_mut().enumerate() {
-                let bits = (n - i * 64).min(64);
-                *w = if bits == 64 { !0 } else { (1u64 << bits) - 1 };
-            }
-            b
+        msgs.sort_by_key(|&(_, m)| m.chunk);
+        let not_held = |ri: usize, m: &ScheduleMsg| {
+            format!(
+                "round {}: rank {} sends chunk {} it does not hold",
+                ri, m.src, m.chunk
+            )
         };
-        match self.op {
-            CollectiveOp::Allreduce { .. } => {
-                for (rank, st) in state.iter().enumerate() {
-                    for &c in &reduced {
-                        if st.get(&c) != Some(&full) {
-                            return Err(format!(
-                                "rank {} chunk {} is not fully reduced: {:?}",
-                                rank,
-                                c,
-                                st.get(&c).map(|b| to_set(b))
-                            ));
+        let mut carried = msgs.chunk_by(|a, b| a.1.chunk == b.1.chunk).peekable();
+        // One chunk's contribution sets as rank bitmasks: bit `r` of the
+        // `words` words from `rank · words` is set ⇔ original rank r's
+        // contribution is merged into `rank`'s copy. The prover's inner
+        // loop is word-parallel OR/copy.
+        let words = n.div_ceil(64);
+        let mut state = vec![0u64; n * words];
+        // The sets one round's messages of the chunk send, taken before
+        // any of them is applied.
+        let mut reads = Vec::new();
+        for c in 0..chunks {
+            state.fill(0);
+            let seeds = match self.op {
+                CollectiveOp::Allreduce { .. } => 0..n,
+                CollectiveOp::Bcast { root } => root..root + 1,
+                CollectiveOp::Alltoall => c..c + 1,
+            };
+            let want = seeds.len();
+            for r in seeds {
+                state[r * words + r / 64] |= 1 << (r % 64);
+            }
+            let mine = carried
+                .next_if(|g| g[0].1.chunk as usize == c)
+                .unwrap_or_default();
+            for round in mine.chunk_by(|a, b| a.0 == b.0) {
+                reads.clear();
+                for &(ri, m) in round {
+                    let held = &state[m.src * words..][..words];
+                    if held.iter().all(|&w| w == 0) {
+                        return Err(not_held(ri, m));
+                    }
+                    reads.extend_from_slice(held);
+                }
+                for (&(_, m), held) in round.iter().zip(reads.chunks_exact(words)) {
+                    let dst = &mut state[m.dst * words..][..words];
+                    if m.combine {
+                        for (d, s) in dst.iter_mut().zip(held) {
+                            *d |= s;
                         }
+                    } else {
+                        dst.copy_from_slice(held);
                     }
                 }
             }
-            CollectiveOp::Bcast { root } => {
-                let want = singleton(root);
-                for (rank, st) in state.iter().enumerate() {
-                    if st.get(&0) != Some(&want) {
-                        return Err(format!("rank {} did not receive the broadcast", rank));
-                    }
+            // Every set is a union of the chunk's seeds, so its size says
+            // whether it holds them all.
+            for rank in 0..n {
+                let set = &state[rank * words..][..words];
+                let have: usize = set.iter().map(|w| w.count_ones() as usize).sum();
+                if have == want {
+                    continue;
                 }
-            }
-            CollectiveOp::Alltoall => {
-                for (rank, st) in state.iter().enumerate() {
-                    for s in 0..n {
-                        if st.get(&(s as u32)) != Some(&singleton(s)) {
-                            return Err(format!(
-                                "rank {} is missing the block from rank {}",
-                                rank, s
-                            ));
-                        }
+                return Err(match self.op {
+                    CollectiveOp::Allreduce { .. } => format!(
+                        "rank {} chunk {} is not fully reduced: {} of {} contributions",
+                        rank, c, have, want
+                    ),
+                    CollectiveOp::Bcast { .. } => {
+                        format!("rank {} did not receive the broadcast", rank)
                     }
-                }
+                    CollectiveOp::Alltoall => {
+                        format!("rank {} is missing the block from rank {}", rank, c)
+                    }
+                });
             }
         }
-        Ok(())
+        // A chunk past the op's is held by no rank, so its first message
+        // sends what it does not hold.
+        match carried.next() {
+            Some(&[(ri, m), ..]) => Err(not_held(ri, m)),
+            _ => Ok(()),
+        }
     }
 
     /// Bytes each fabric link is expected to carry for this schedule

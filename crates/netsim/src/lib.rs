@@ -28,7 +28,7 @@
 
 #![warn(missing_docs)]
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 
 use freq::FreqModel;
 use memsim::{MemSystem, Requester};
@@ -196,8 +196,9 @@ struct Transfer {
     dma_started: bool,
 }
 
-// netsim keeps one slot per message for the whole run, so this width is
-// part of the collectives' per-message RSS (DESIGN.md §13.8).
+// A slot lives until its transfer and every older one have retired, so
+// this width times the window's length is what netsim holds per message in
+// flight (DESIGN.md §13.8).
 const _: () = assert!(std::mem::size_of::<Option<Transfer>>() <= 64);
 
 impl Transfer {
@@ -218,6 +219,41 @@ impl Transfer {
     }
 }
 
+/// The transfers from the oldest one still in flight on: transfer
+/// `first + k` is `slots[k]`, `None` once it has retired. A retired
+/// transfer leaves once every older one has, so no slot outlives the oldest
+/// transfer in flight. Ids are sequential and never reused, and an id below
+/// the window reads as retired.
+#[derive(Default)]
+struct Transfers {
+    first: u32,
+    slots: VecDeque<Option<Transfer>>,
+}
+
+impl Transfers {
+    /// Start tracking `t` under the next id.
+    fn push(&mut self, t: Transfer) -> TransferId {
+        let id = TransferId(self.first + self.slots.len() as u32);
+        self.slots.push_back(Some(t));
+        id
+    }
+
+    /// Transfer `id`, unless it has retired.
+    fn get(&mut self, id: TransferId) -> Option<&mut Transfer> {
+        let k = id.0.checked_sub(self.first)?;
+        self.slots.get_mut(k as usize)?.as_mut()
+    }
+
+    /// Retire live transfer `id`, then drop the retired slots at the front.
+    fn retire(&mut self, id: TransferId) {
+        self.slots[(id.0 - self.first) as usize] = None;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.first += 1;
+        }
+    }
+}
+
 /// The fabric-wide network simulator.
 pub struct NetSim {
     cfg: NetworkSpec,
@@ -230,7 +266,8 @@ pub struct NetSim {
     /// One fluid resource per directed fabric link, in `fabric.links()`
     /// order.
     links: Vec<ResourceId>,
-    transfers: Vec<Option<Transfer>>,
+    /// The transfers in flight, by id; see [`Transfers`].
+    transfers: Transfers,
     /// Registered buffer ids per node (the pin-down cache).
     reg_cache: Vec<HashSet<u64, IdBuildHasher>>,
     /// Reused buffer a payload path is assembled in before it is copied
@@ -289,7 +326,7 @@ impl NetSim {
             nic_tx,
             nic_rx,
             links,
-            transfers: Vec::new(),
+            transfers: Transfers::default(),
             reg_cache: vec![HashSet::default(); n],
             path_buf: Vec::new(),
             lat_mult: 1.0,
@@ -323,9 +360,7 @@ impl NetSim {
         read_by: Requester,
     ) -> Vec<ResourceId> {
         telemetry::counter_add("net.route.intern_hit", 1);
-        let t = self.transfers[id.0 as usize]
-            .as_ref()
-            .expect("live transfer");
+        let t = self.transfers.get(id).expect("live transfer");
         let mut path = std::mem::take(&mut self.path_buf);
         path.clear();
         sender.mem.path_into(read_by, t.data_numa, &mut path);
@@ -483,19 +518,7 @@ impl NetSim {
     ) -> TransferId {
         debug_assert!(from_node != to_node, "self-sends never touch the fabric");
         debug_assert!(from_node < self.nodes() && to_node < self.nodes());
-        let id = TransferId(self.transfers.len() as u32);
-        telemetry::async_begin(
-            engine.now(),
-            "net.xfer",
-            if size <= self.cfg.eager_threshold {
-                "eager"
-            } else {
-                "rdv"
-            },
-            id.0 as u64,
-            Lane::Node(from_node as u8),
-        );
-        self.transfers.push(Some(Transfer {
+        let id = self.transfers.push(Transfer {
             from: from_node,
             to: to_node,
             size,
@@ -511,7 +534,18 @@ impl NetSim {
             rts_arrived: false,
             cts_sent: false,
             dma_started: false,
-        }));
+        });
+        telemetry::async_begin(
+            engine.now(),
+            "net.xfer",
+            if size <= self.cfg.eager_threshold {
+                "eager"
+            } else {
+                "rdv"
+            },
+            id.0 as u64,
+            Lane::Node(from_node as u8),
+        );
         // Step 1: software overhead — cycles on the communication core.
         let cycles = self.cfg.sw_overhead_cycles * 0.5;
         engine.start_flow(FlowSpec {
@@ -529,7 +563,7 @@ impl NetSim {
     pub fn recv_ready(&mut self, engine: &mut Engine, id: TransferId) {
         // Eager transfers may already have completed and retired; posting
         // the receive afterwards is then a no-op.
-        let Some(t) = self.transfers[id.0 as usize].as_mut() else {
+        let Some(t) = self.transfers.get(id) else {
             return;
         };
         t.recv_ready = true;
@@ -540,9 +574,7 @@ impl NetSim {
     }
 
     fn send_cts(&mut self, engine: &mut Engine, id: TransferId) {
-        let t = self.transfers[id.0 as usize]
-            .as_mut()
-            .expect("live transfer");
+        let t = self.transfers.get(id).expect("live transfer");
         t.resends += u32::from(t.cts_sent);
         t.cts_sent = true;
         let to = t.to;
@@ -611,9 +643,7 @@ impl NetSim {
         }
 
         let (from, to, size, buffer) = {
-            let t = self.transfers[tid as usize]
-                .as_ref()
-                .expect("live transfer");
+            let t = self.transfers.get(id).expect("live transfer");
             (t.from, t.to, t.size, t.buffer)
         };
         let sender = nodes(from);
@@ -677,19 +707,25 @@ impl NetSim {
                     tag: self.step_tag(id, Step::EagerPayload),
                 });
             }
-            Step::EagerPayload => {
-                let t = self.transfers[tid as usize]
-                    .as_ref()
-                    .expect("live transfer");
-                telemetry::sample(
-                    "net.sender_elapsed_us",
-                    (engine.now() - t.started).as_micros_f64(),
-                );
+            Step::EagerPayload | Step::DmaDone => {
+                // The last byte left the sender; the receive side's software
+                // overhead starts.
+                if step == Step::DmaDone {
+                    telemetry::async_end(
+                        engine.now(),
+                        "net.dma",
+                        id.0 as u64,
+                        Lane::Node(from as u8),
+                    );
+                }
+                let t = self.transfers.get(id).expect("live transfer");
+                let sender_elapsed = engine.now() - t.started;
+                telemetry::sample("net.sender_elapsed_us", sender_elapsed.as_micros_f64());
                 out = Some(NetEvent::SendComplete {
                     id,
                     from,
                     size,
-                    sender_elapsed: engine.now() - t.started,
+                    sender_elapsed,
                     retry: t.retry(self.rto_base),
                 });
                 engine.start_flow(FlowSpec {
@@ -701,9 +737,7 @@ impl NetSim {
                 });
             }
             Step::RtsArrived => {
-                let t = self.transfers[tid as usize]
-                    .as_mut()
-                    .expect("live transfer");
+                let t = self.transfers.get(id).expect("live transfer");
                 t.rts_arrived = true;
                 if t.recv_ready {
                     // Also re-sends the CTS on a duplicate RTS (the previous
@@ -715,9 +749,7 @@ impl NetSim {
             }
             Step::CtsArrived => {
                 {
-                    let t = self.transfers[tid as usize]
-                        .as_mut()
-                        .expect("live transfer");
+                    let t = self.transfers.get(id).expect("live transfer");
                     if t.dma_started {
                         // Duplicate CTS from a retried handshake.
                         return None;
@@ -743,30 +775,6 @@ impl NetSim {
                     tag: self.step_tag(id, Step::DmaDone),
                 });
             }
-            Step::DmaDone => {
-                let t = self.transfers[tid as usize]
-                    .as_ref()
-                    .expect("live transfer");
-                telemetry::async_end(engine.now(), "net.dma", id.0 as u64, Lane::Node(from as u8));
-                telemetry::sample(
-                    "net.sender_elapsed_us",
-                    (engine.now() - t.started).as_micros_f64(),
-                );
-                out = Some(NetEvent::SendComplete {
-                    id,
-                    from,
-                    size,
-                    sender_elapsed: engine.now() - t.started,
-                    retry: t.retry(self.rto_base),
-                });
-                engine.start_flow(FlowSpec {
-                    path: vec![receiver.mem.core_resource(receiver.comm_core)],
-                    volume: self.cfg.sw_overhead_cycles * 0.5,
-                    weight: 1.0,
-                    cap: None,
-                    tag: self.step_tag(id, Step::RecvOverhead),
-                });
-            }
             Step::RecvOverhead => {
                 // Completion handling is NIC-side control traffic (CQ on
                 // the NIC's NUMA node), not a DRAM access.
@@ -781,7 +789,7 @@ impl NetSim {
                 engine.after(d, self.step_tag(id, Step::RecvCtrl));
             }
             Step::RecvCtrl => {
-                self.transfers[tid as usize] = None;
+                self.transfers.retire(id);
                 telemetry::async_end(
                     engine.now(),
                     "net.xfer",
@@ -801,8 +809,7 @@ impl NetSim {
 
     /// A retransmission timeout expired for `id`'s rendezvous handshake.
     fn on_rts_timeout(&mut self, engine: &mut Engine, id: TransferId) -> Option<NetEvent> {
-        let tid = id.0 as usize;
-        let Some(t) = self.transfers[tid].as_mut() else {
+        let Some(t) = self.transfers.get(id) else {
             // Transfer already delivered and retired; stale timer.
             return None;
         };
@@ -824,7 +831,7 @@ impl NetSim {
         telemetry::counter_add("net.retrans", 1);
         telemetry::instant(engine.now(), "net", "rto", Lane::Node(from as u8));
         if retry.retries > DEFAULT_MAX_RETRIES {
-            self.transfers[tid] = None;
+            self.transfers.retire(id);
             telemetry::instant(engine.now(), "net", "xfer.failed", Lane::Node(from as u8));
             telemetry::async_end(
                 engine.now(),
@@ -839,9 +846,7 @@ impl NetSim {
     }
 
     fn send_rts(&mut self, engine: &mut Engine, id: TransferId) {
-        let t = self.transfers[id.0 as usize]
-            .as_mut()
-            .expect("live transfer");
+        let t = self.transfers.get(id).expect("live transfer");
         t.resends += u32::from(t.rts_sent);
         t.rts_sent = true;
         let (rto, from) = (t.rto(self.rto_base), t.from);
@@ -908,45 +913,66 @@ mod tests {
         }
     }
 
+    /// Start a `size`-byte send from node `from` to the other node.
+    fn send(w: &mut World, from: usize, size: usize, buffer: u64) -> TransferId {
+        let node = NodeRef {
+            mem: &w.mem[from],
+            freqs: &w.freqs[from],
+            comm_core: w.comm_core,
+        };
+        let (to, numa) = (1 - from, NumaId(0));
+        w.net
+            .start_send(&mut w.engine, from, to, &node, size, numa, numa, buffer)
+    }
+
+    /// Hand `ev` to netsim; returns what it surfaced.
+    fn on(w: &mut World, ev: &simcore::Event) -> Option<NetEvent> {
+        let (mem, freqs, cc) = (&w.mem, &w.freqs, w.comm_core);
+        let node = |i: usize| NodeRef {
+            mem: &mem[i],
+            freqs: &freqs[i],
+            comm_core: cc,
+        };
+        w.net.on_event(&mut w.engine, node, ev)
+    }
+
+    /// Process the next engine event: `None` once the engine is empty,
+    /// else what netsim surfaced for it.
+    fn step(w: &mut World) -> Option<Option<NetEvent>> {
+        let ev = w.engine.next()?;
+        Some(on(w, &ev))
+    }
+
+    /// Run the engine dry; returns the transfers delivered, in id order.
+    fn drain(w: &mut World) -> Vec<TransferId> {
+        let mut delivered = Vec::new();
+        while let Some(out) = step(w) {
+            if let Some(NetEvent::Delivered { id, .. }) = out {
+                delivered.push(id);
+            }
+        }
+        delivered.sort_by_key(|id| id.0);
+        delivered
+    }
+
     /// Drive one message through; returns (delivery latency, sender elapsed).
     fn one_way(w: &mut World, size: usize, buffer: u64) -> (SimTime, SimTime) {
         let start = w.engine.now();
-        let id = {
-            let n0 = NodeRef {
-                mem: &w.mem[0],
-                freqs: &w.freqs[0],
-                comm_core: w.comm_core,
-            };
-            w.net
-                .start_send(&mut w.engine, 0, 1, &n0, size, NumaId(0), NumaId(0), buffer)
-        };
+        let id = send(w, 0, size, buffer);
         w.net.recv_ready(&mut w.engine, id);
-        let mut delivered = None;
         let mut send_el = None;
-        while delivered.is_none() {
-            let ev = w.engine.next().expect("progress");
-            if w.net.owns(ev.tag()) {
-                let (mem, freqs, cc) = (&w.mem, &w.freqs, w.comm_core);
-                if let Some(out) = w.net.on_event(
-                    &mut w.engine,
-                    |i| NodeRef {
-                        mem: &mem[i],
-                        freqs: &freqs[i],
-                        comm_core: cc,
-                    },
-                    &ev,
-                ) {
-                    match out {
-                        NetEvent::SendComplete { sender_elapsed, .. } => {
-                            send_el = Some(sender_elapsed)
-                        }
-                        NetEvent::Delivered { .. } => delivered = Some(w.engine.now()),
-                        NetEvent::Failed { .. } => panic!("healthy fabric cannot fail"),
-                    }
+        loop {
+            match step(w).expect("progress") {
+                Some(NetEvent::SendComplete { sender_elapsed, .. }) => {
+                    send_el = Some(sender_elapsed)
                 }
+                Some(NetEvent::Delivered { .. }) => {
+                    return (w.engine.now() - start, send_el.unwrap())
+                }
+                Some(NetEvent::Failed { .. }) => panic!("healthy fabric cannot fail"),
+                None => {}
             }
         }
-        (delivered.unwrap() - start, send_el.unwrap())
     }
 
     #[test]
@@ -1128,41 +1154,18 @@ mod tests {
     /// whether it was delivered, and the retry work its `SendComplete` or
     /// `Failed` event reported.
     fn one_way_faulted(w: &mut World, size: usize, buffer: u64) -> (bool, RetryStats) {
-        let id = {
-            let n0 = NodeRef {
-                mem: &w.mem[0],
-                freqs: &w.freqs[0],
-                comm_core: w.comm_core,
-            };
-            w.net
-                .start_send(&mut w.engine, 0, 1, &n0, size, NumaId(0), NumaId(0), buffer)
-        };
+        let id = send(w, 0, size, buffer);
         w.net.recv_ready(&mut w.engine, id);
-        let mut delivered = false;
-        let mut failed = false;
         let mut retry = None;
-        while !delivered && !failed {
-            let Some(ev) = w.engine.next() else { break };
-            if w.net.owns(ev.tag()) {
-                let (mem, freqs, cc) = (&w.mem, &w.freqs, w.comm_core);
-                if let Some(out) = w.net.on_event(
-                    &mut w.engine,
-                    |i| NodeRef {
-                        mem: &mem[i],
-                        freqs: &freqs[i],
-                        comm_core: cc,
-                    },
-                    &ev,
-                ) {
-                    match out {
-                        NetEvent::Delivered { .. } => delivered = true,
-                        NetEvent::Failed { retry: r, .. } => (failed, retry) = (true, Some(r)),
-                        NetEvent::SendComplete { retry: r, .. } => retry = Some(r),
-                    }
-                }
+        while let Some(out) = step(w) {
+            match out {
+                Some(NetEvent::Delivered { .. }) => return (true, retry.expect("completed")),
+                Some(NetEvent::Failed { retry: r, .. }) => return (false, r),
+                Some(NetEvent::SendComplete { retry: r, .. }) => retry = Some(r),
+                None => {}
             }
         }
-        (delivered, retry.expect("the send completed or failed"))
+        (false, retry.expect("the send completed or failed"))
     }
 
     /// The timeouts a transfer waits out over `retries` retries: the base,
@@ -1483,40 +1486,121 @@ mod tests {
     fn rendezvous_waits_for_receiver() {
         // Without recv_ready the transfer must stall at the RTS.
         let mut w = world();
-        let id = {
-            let n0 = NodeRef {
-                mem: &w.mem[0],
-                freqs: &w.freqs[0],
-                comm_core: w.comm_core,
-            };
-            w.net
-                .start_send(&mut w.engine, 0, 1, &n0, 1 << 20, NumaId(0), NumaId(0), 77)
-        };
-        let mut delivered = false;
-        let drain = |w: &mut World, delivered: &mut bool| {
-            while let Some(ev) = w.engine.next() {
-                if w.net.owns(ev.tag()) {
-                    let (mem, freqs, cc) = (&w.mem, &w.freqs, w.comm_core);
-                    if let Some(out) = w.net.on_event(
-                        &mut w.engine,
-                        |i| NodeRef {
-                            mem: &mem[i],
-                            freqs: &freqs[i],
-                            comm_core: cc,
-                        },
-                        &ev,
-                    ) {
-                        if matches!(out, NetEvent::Delivered { .. }) {
-                            *delivered = true;
+        let id = send(&mut w, 0, 1 << 20, 77);
+        assert!(drain(&mut w).is_empty(), "must wait for the receive");
+        w.net.recv_ready(&mut w.engine, id);
+        assert_eq!(drain(&mut w), [id]);
+    }
+
+    /// `(first id, slots)` of the transfer window.
+    fn window(w: &World) -> (u32, usize) {
+        (w.net.transfers.first, w.net.transfers.slots.len())
+    }
+
+    /// A transfer that retires before an older one keeps its slot until
+    /// every older one has retired; then they all leave the window, and
+    /// ids carry on from where they were.
+    #[test]
+    fn retired_transfers_leave_only_behind_the_oldest() {
+        let mut w = world();
+        // Transfer 0 waits at its RTS for a receive; 1 and 2 are eager.
+        let slow = send(&mut w, 0, 1 << 20, 1);
+        let fast = [send(&mut w, 0, 64, 2), send(&mut w, 1, 64, 3)];
+        assert_eq!(drain(&mut w), fast);
+        assert!(fast.iter().all(|&id| w.net.transfers.get(id).is_none()));
+        assert!(w.net.transfers.get(slow).is_some());
+        assert_eq!(window(&w), (0, 3));
+        w.net.recv_ready(&mut w.engine, slow);
+        assert_eq!(drain(&mut w), [slow]);
+        assert_eq!(window(&w), (3, 0));
+        assert_eq!(send(&mut w, 0, 64, 4), TransferId(3));
+    }
+
+    /// Posting the receive of an eager transfer that has already retired
+    /// reaches no other transfer, not even the one now at the window's
+    /// front.
+    #[test]
+    fn recv_ready_after_retirement_changes_nothing() {
+        let mut w = world();
+        let eager = send(&mut w, 0, 64, 1);
+        assert_eq!(drain(&mut w), [eager]);
+        let rdv = send(&mut w, 0, 1 << 20, 2);
+        assert_eq!(window(&w), (rdv.0, 1), "the eager id is below the window");
+        w.net.recv_ready(&mut w.engine, eager);
+        assert!(
+            drain(&mut w).is_empty(),
+            "the rendezvous waits for its own receive"
+        );
+        w.net.recv_ready(&mut w.engine, rdv);
+        assert_eq!(drain(&mut w), [rdv]);
+    }
+
+    /// A retransmission timeout that fires after its transfer retired
+    /// finds nothing to retry, even with a younger transfer at the
+    /// window's front.
+    #[test]
+    fn rts_timeout_after_retirement_changes_nothing() {
+        let mut w = world();
+        // A plan that never drops still guards every handshake with a
+        // timeout; at 1 ms it fires long after its transfer is delivered.
+        let plan = FaultPlan::new(3).with_rts_drop(f64::MIN_POSITIVE);
+        w.net.apply_faults(&mut w.engine, &plan).unwrap();
+        w.net.rto_base = SimTime::from_millis(1);
+        let done = send(&mut w, 0, 128 << 10, 1);
+        w.net.recv_ready(&mut w.engine, done);
+        while !matches!(step(&mut w), Some(Some(NetEvent::Delivered { .. }))) {}
+        // Registering 16 MiB takes 1.7 ms, across the stale timeout.
+        let live = send(&mut w, 0, 16 << 20, 2);
+        w.net.recv_ready(&mut w.engine, live);
+        let rto = w.net.rto_base;
+        let mut stale_fired = false;
+        loop {
+            let ev = w.engine.next().expect("progress");
+            let (step, tid) = split_kind_index(simcore::payload(ev.tag()));
+            let stale = step == Step::RtsTimeout as u32 && tid == done.0;
+            let before = w.net.transfers.get(live).map(|t| t.retry(rto));
+            let out = on(&mut w, &ev);
+            if stale {
+                stale_fired = true;
+                assert!(out.is_none());
+                assert_eq!(w.net.transfers.get(live).map(|t| t.retry(rto)), before);
+                assert_eq!(window(&w), (live.0, 1));
+            }
+            match out {
+                Some(NetEvent::SendComplete { retry, .. }) => {
+                    assert_eq!(retry, RetryStats::default())
+                }
+                Some(NetEvent::Delivered { .. }) => break,
+                Some(NetEvent::Failed { .. }) => panic!("nothing was dropped"),
+                None => {}
+            }
+        }
+        assert!(
+            stale_fired,
+            "the timeout fired while the next transfer was live"
+        );
+    }
+
+    /// Ping-pongs, each message sent once the one before it is delivered,
+    /// keep at most two slots however many messages they send.
+    #[test]
+    fn back_to_back_ping_pongs_keep_at_most_two_slots() {
+        let mut w = world();
+        for size in [4, 1 << 20] {
+            for _ in 0..20 {
+                for from in [0, 1] {
+                    let id = send(&mut w, from, size, from as u64);
+                    w.net.recv_ready(&mut w.engine, id);
+                    loop {
+                        let out = step(&mut w).expect("progress");
+                        assert!(window(&w).1 <= 2, "{:?}", window(&w));
+                        if matches!(out, Some(NetEvent::Delivered { .. })) {
+                            break;
                         }
                     }
                 }
             }
-        };
-        drain(&mut w, &mut delivered);
-        assert!(!delivered, "must wait for the receive to be posted");
-        w.net.recv_ready(&mut w.engine, id);
-        drain(&mut w, &mut delivered);
-        assert!(delivered);
+        }
+        assert_eq!(window(&w), (80, 0));
     }
 }
