@@ -775,7 +775,8 @@ fn print_engine_throughput(j: &simcore::Journal, busy_s: f64) {
 }
 
 /// Collective fast-path digest: message-matching bin hits vs probe scans,
-/// route-interning hits, waterfill fast-path engagements (all from the
+/// payload paths routed through `Fabric::route` (`net.route.intern_hit`),
+/// waterfill fast-path engagements (all from the
 /// journal, so they need `--trace`), and the schedule-memoization cache
 /// (process-global atomics, so always available).
 fn print_collective_path(j: Option<&simcore::Journal>) {

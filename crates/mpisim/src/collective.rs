@@ -427,7 +427,7 @@ impl Schedule {
         let mut bytes = vec![0.0f64; fabric.links().len()];
         for round in &self.rounds {
             for m in &round.msgs {
-                for &l in fabric.route(m.src, m.dst) {
+                for l in fabric.route(m.src, m.dst) {
                     bytes[l as usize] += (m.size as f64).max(1.0);
                 }
             }
@@ -772,7 +772,7 @@ mod tests {
             .rounds
             .iter()
             .flat_map(|r| r.msgs.iter())
-            .map(|m| fabric.route(m.src, m.dst).len())
+            .map(|m| fabric.route(m.src, m.dst).count())
             .sum();
         assert_eq!(total, hops as f64 * 1000.0);
     }

@@ -404,7 +404,7 @@ impl Cluster {
     ) -> Cluster {
         Cluster::with_fabric(
             spec,
-            FabricSpec::direct().build(),
+            FabricSpec::Direct.build(),
             governor,
             uncore,
             placement,
@@ -1053,7 +1053,7 @@ mod tests {
             let mut c = simcore::reference_paths::scoped(paths, || {
                 Cluster::with_fabric(
                     &henri(),
-                    FabricSpec::switch().build_for(4),
+                    FabricSpec::Switch.build_for(4),
                     Governor::Userspace(2.3),
                     UncorePolicy::Fixed(2.4),
                     Placement::fig4_default(),
@@ -1105,7 +1105,7 @@ mod tests {
     fn compute_events_reach_their_own_node() {
         let mut c = Cluster::with_fabric(
             &henri(),
-            FabricSpec::switch().build_for(4),
+            FabricSpec::Switch.build_for(4),
             Governor::Userspace(2.3),
             UncorePolicy::Fixed(2.4),
             Placement::fig4_default(),

@@ -192,7 +192,7 @@ fn drain(c: &mut Cluster, horizon: SimTime, events: &mut Vec<Record>) -> End {
 fn run(script: &Script) -> Run {
     let mut c = Cluster::with_fabric(
         &henri(),
-        FabricSpec::switch().build_for(script.ranks),
+        FabricSpec::Switch.build_for(script.ranks),
         Governor::Userspace(2.3),
         UncorePolicy::Fixed(2.4),
         Placement::fig4_default(),

@@ -257,7 +257,7 @@ impl Transfers {
 /// The fabric-wide network simulator.
 pub struct NetSim {
     cfg: NetworkSpec,
-    /// The routed fabric: link set + deterministic routing table.
+    /// The routed fabric: link set + deterministic next-hop rule.
     fabric: Fabric,
     /// NIC egress (DMA/PIO injection) resource per node.
     nic_tx: Vec<ResourceId>,
@@ -295,10 +295,10 @@ pub struct NetSim {
 
 impl NetSim {
     /// Build NIC + wire resources for the paper's two-node point-to-point
-    /// fabric of `spec` machines (the degenerate [`FabricSpec::direct`]
+    /// fabric of `spec` machines (the degenerate [`FabricSpec::Direct`]
     /// case — resource names and order are frozen by the golden traces).
     pub fn build(engine: &mut Engine, spec: &MachineSpec) -> NetSim {
-        Self::build_fabric(engine, spec, FabricSpec::direct().build())
+        Self::build_fabric(engine, spec, FabricSpec::Direct.build())
     }
 
     /// Build NIC resources for every node of `fabric` plus one fluid
@@ -348,10 +348,14 @@ impl NetSim {
     }
 
     /// The path of transfer `id`'s payload: the sender's memory path as
-    /// read by `read_by`, the sender's NIC, each link of the fabric's
-    /// interned route in hop order, the receiver's NIC, then the
+    /// read by `read_by`, the sender's NIC, each link of
+    /// [`Fabric::route`] in hop order, the receiver's NIC, then the
     /// receiver's memory path as written by its NIC. Assembled in a reused
-    /// buffer and returned as one exact-capacity `Vec`.
+    /// buffer and returned as one exact-capacity `Vec`; the route is walked
+    /// here, when the payload is injected. Each call counts one
+    /// `net.route.intern_hit`, a payload path routed through
+    /// [`Fabric::route`]; the counter keeps its name because goldens and
+    /// the benchmark read it.
     fn payload_path(
         &mut self,
         id: TransferId,
@@ -366,7 +370,7 @@ impl NetSim {
         sender.mem.path_into(read_by, t.data_numa, &mut path);
         path.push(self.nic_tx[t.from]);
         let hops = self.fabric.route(t.from, t.to);
-        path.extend(hops.iter().map(|&l| self.links[l as usize]));
+        path.extend(hops.map(|l| self.links[l as usize]));
         path.push(self.nic_rx[t.to]);
         receiver
             .mem
@@ -1403,7 +1407,7 @@ mod tests {
             let mut expect = vec![0.0f64; w.net.fabric().links().len()];
             for (i, &(s, d, size)) in msgs.iter().enumerate() {
                 fabric_one_way(&mut w, s, d, size, 1000 + i as u64);
-                for &l in w.net.fabric().route(s, d) {
+                for l in w.net.fabric().route(s, d) {
                     expect[l as usize] += (size as f64).max(1.0);
                 }
             }
@@ -1434,7 +1438,7 @@ mod tests {
     #[test]
     fn payload_path_follows_the_fabric_route() {
         use topology::fabric::FabricPreset;
-        let fabrics = std::iter::once(FabricSpec::direct().build())
+        let fabrics = std::iter::once(FabricSpec::Direct.build())
             .chain(FabricPreset::ALL.iter().map(|p| p.spec(8).build_for(8)));
         for fabric in fabrics {
             let FabricWorld {
@@ -1457,8 +1461,8 @@ mod tests {
                     for read_by in [Requester::Core(comm_core), Requester::Nic] {
                         let mut want = mem[from].path(read_by, src);
                         want.push(net.nic_tx[from]);
-                        let hops = net.fabric.route(from, to).iter();
-                        want.extend(hops.map(|&l| net.links[l as usize]));
+                        let hops = net.fabric.route(from, to);
+                        want.extend(hops.map(|l| net.links[l as usize]));
                         want.push(net.nic_rx[to]);
                         want.extend(mem[to].path(Requester::Nic, dst));
                         let got = net.payload_path(id, &node(from), &node(to), read_by);
@@ -1476,7 +1480,7 @@ mod tests {
         // direct wire.
         let mut direct = world_with_comm_core(CoreId(8));
         let (d_lat, _) = one_way(&mut direct, 4096, 1);
-        let mut sw = fabric_world(FabricSpec::switch().build_for(2));
+        let mut sw = fabric_world(FabricSpec::Switch.build_for(2));
         fabric_one_way(&mut sw, 0, 1, 4096, 1);
         let s_lat = sw.engine.now();
         assert_eq!(d_lat, s_lat, "direct {:?} switch {:?}", d_lat, s_lat);

@@ -388,7 +388,7 @@ fn link_conservation(seed: u64) -> Result<(), String> {
             .rounds
             .iter()
             .flat_map(|r| r.msgs.iter())
-            .filter(|m| c.net.fabric().route(m.src, m.dst).contains(&(l as u32)))
+            .filter(|m| c.net.fabric().route(m.src, m.dst).any(|h| h as usize == l))
             .count();
         let slack = crossings as f64 * spec.network.link_bw * link.bw_scale * 1e-12 + 1e-9;
         if (got - want).abs() > slack {

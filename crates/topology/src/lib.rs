@@ -13,7 +13,7 @@ pub mod fabric;
 pub mod machine;
 pub mod presets;
 
-pub use fabric::{Fabric, FabricKind, FabricPreset, FabricSpec, LinkIdx, LinkSpec};
+pub use fabric::{Fabric, FabricPreset, FabricSpec, LinkIdx, LinkSpec};
 pub use machine::{
     BindingPolicy, CoreId, MachineSpec, NetworkKind, NetworkSpec, NumaId, Placement, SocketId,
     TopologyError,

@@ -95,7 +95,8 @@ EOF
 done
 
 echo "==> 1024-rank ring allreduce: recorded completion time, under a minute"
-# --nocapture shows the peak RSS (VmHWM) the gate prints; no bound is set.
+# --nocapture shows the VmRSS after each step and the peak (VmHWM) the gate
+# prints; no bound is set.
 cargo test --release -q -p mpisim --test ring_allreduce_1024 -- --ignored --nocapture
 
 echo "==> OK: build, tests, lints and repro smoke all green"
