@@ -803,7 +803,7 @@ fn print_collective_path(j: Option<&simcore::Journal>) {
         );
     }
     if routes > 0 {
-        println!("   routes: {} interned-path hit(s)", routes);
+        println!("   routes: {} payload path(s) routed on the fabric", routes);
     }
     if cache.hits + cache.misses > 0 {
         println!(

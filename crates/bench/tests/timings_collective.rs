@@ -1,5 +1,5 @@
 //! `repro --timings` collective-path counters: the ISSUE 9 fast paths
-//! (indexed matching, route interning, schedule memoization, waterfill)
+//! (indexed matching, fabric routing, schedule memoization, waterfill)
 //! must be observable from the timing export — both as a text section and
 //! as a stable `"collective"` JSON object — so a regression that silently
 //! falls back to a reference path shows up in CI dashboards.
@@ -65,7 +65,7 @@ fn timings_export_reports_collective_fast_paths() {
         "missing match digest:\n{stdout}"
     );
     assert!(
-        stdout.contains("interned-path hit(s)"),
+        stdout.contains("payload path(s) routed on the fabric"),
         "missing route digest:\n{stdout}"
     );
     assert!(

@@ -145,15 +145,14 @@ pub enum CollectiveOp {
     Alltoall,
 }
 
-/// One point-to-point message inside a round.
+/// One point-to-point message inside a round. It carries
+/// [`Schedule::msg_size`] bytes, as every message of its schedule does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScheduleMsg {
     /// Sending rank.
-    pub src: usize,
+    pub src: u32,
     /// Receiving rank.
-    pub dst: usize,
-    /// Payload bytes.
-    pub size: usize,
+    pub dst: u32,
     /// Which logical chunk of the collective payload this message carries.
     pub chunk: u32,
     /// `true`: the receiver reduces the chunk into its own copy
@@ -161,13 +160,8 @@ pub struct ScheduleMsg {
     pub combine: bool,
 }
 
-/// A set of messages that proceed concurrently.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Round {
-    /// The round's messages; order is irrelevant to semantics and (by the
-    /// interleave-independence invariant) to timing.
-    pub msgs: Vec<ScheduleMsg>,
-}
+// The schedule keeps one per message for as long as it is cached.
+const _: () = assert!(std::mem::size_of::<ScheduleMsg>() == 16);
 
 /// A compiled collective: rounds of point-to-point messages.
 #[derive(Clone, Debug, PartialEq)]
@@ -179,11 +173,10 @@ pub struct Schedule {
     /// Collective payload in bytes (per-pair block size for alltoall).
     pub payload: usize,
     /// The rounds, executed with a barrier between consecutive rounds.
-    pub rounds: Vec<Round>,
-}
-
-fn ceil_div(a: usize, b: usize) -> usize {
-    a.div_ceil(b)
+    /// A round's messages proceed concurrently; their order is irrelevant
+    /// to semantics and (by the interleave-independence invariant) to
+    /// timing.
+    pub rounds: Vec<Vec<ScheduleMsg>>,
 }
 
 fn log2_ceil(n: usize) -> u32 {
@@ -191,45 +184,37 @@ fn log2_ceil(n: usize) -> u32 {
     usize::BITS - (n - 1).leading_zeros()
 }
 
+/// `nodes` as a `u32` rank count, of at least two ranks.
+fn ranks(nodes: usize) -> u32 {
+    assert!(nodes >= 2, "a collective needs at least two ranks");
+    u32::try_from(nodes).expect("ranks are u32")
+}
+
 impl Schedule {
     /// Ring allreduce: reduce-scatter then allgather over the logical ring
     /// `i → (i+1) mod n`, `2(n−1)` rounds of `⌈payload/n⌉`-byte chunks.
     pub fn ring_allreduce(nodes: usize, payload: usize) -> Schedule {
-        assert!(nodes >= 2, "a collective needs at least two ranks");
-        let chunk_size = ceil_div(payload, nodes);
-        let mut rounds = Vec::with_capacity(2 * (nodes - 1));
+        let n = ranks(nodes);
+        let ring = |r: u32, shift: u32, combine: bool| -> Vec<ScheduleMsg> {
+            (0..n)
+                .map(|i| ScheduleMsg {
+                    src: i,
+                    dst: (i + 1) % n,
+                    chunk: (i + shift + n - r) % n,
+                    combine,
+                })
+                .collect()
+        };
         // Reduce-scatter: round r, rank i sends chunk (i − r) mod n to its
-        // ring successor, which reduces it into its own copy.
-        for r in 0..nodes - 1 {
-            let msgs = (0..nodes)
-                .map(|i| ScheduleMsg {
-                    src: i,
-                    dst: (i + 1) % nodes,
-                    size: chunk_size,
-                    chunk: ((i + nodes - r % nodes) % nodes) as u32,
-                    combine: true,
-                })
-                .collect();
-            rounds.push(Round { msgs });
-        }
-        // Allgather: rank i now owns the fully-reduced chunk (i+1) mod n;
-        // circulate completed chunks, round r forwarding (i + 1 − r) mod n.
-        for r in 0..nodes - 1 {
-            let msgs = (0..nodes)
-                .map(|i| ScheduleMsg {
-                    src: i,
-                    dst: (i + 1) % nodes,
-                    size: chunk_size,
-                    chunk: ((i + 1 + nodes - r % nodes) % nodes) as u32,
-                    combine: false,
-                })
-                .collect();
-            rounds.push(Round { msgs });
-        }
+        // ring successor, which reduces it into its own copy. Allgather:
+        // rank i now owns the fully-reduced chunk (i+1) mod n; circulate
+        // completed chunks, round r forwarding (i + 1 − r) mod n.
+        let rounds = (0..n - 1)
+            .map(|r| ring(r, 0, true))
+            .chain((0..n - 1).map(|r| ring(r, 1, false)))
+            .collect();
         Schedule {
-            op: CollectiveOp::Allreduce {
-                chunks: nodes as u32,
-            },
+            op: CollectiveOp::Allreduce { chunks: n },
             nodes,
             payload,
             rounds,
@@ -239,25 +224,24 @@ impl Schedule {
     /// Binomial-tree allreduce: reduce to rank 0, then broadcast back down;
     /// `2⌈log₂n⌉` rounds, every message carries the full payload.
     pub fn tree_allreduce(nodes: usize, payload: usize) -> Schedule {
-        assert!(nodes >= 2, "a collective needs at least two ranks");
+        let n = ranks(nodes);
         let levels = log2_ceil(nodes);
         let mut rounds = Vec::with_capacity(2 * levels as usize);
         // Reduce: mirror of the broadcast, deepest level first.
         for k in (0..levels).rev() {
-            let span = 1usize << k;
+            let span = 1u32 << k;
             let msgs = (0..span)
-                .filter(|r| r + span < nodes)
+                .filter(|r| r + span < n)
                 .map(|r| ScheduleMsg {
                     src: r + span,
                     dst: r,
-                    size: payload,
                     chunk: 0,
                     combine: true,
                 })
                 .collect();
-            rounds.push(Round { msgs });
+            rounds.push(msgs);
         }
-        rounds.extend(bcast_rounds(nodes, payload, 0));
+        rounds.extend(bcast_rounds(nodes));
         Schedule {
             op: CollectiveOp::Allreduce { chunks: 1 },
             nodes,
@@ -269,30 +253,28 @@ impl Schedule {
     /// Binomial broadcast from rank 0: `⌈log₂n⌉` rounds, round `k` doubling
     /// the set of ranks holding the payload.
     pub fn binomial_bcast(nodes: usize, payload: usize) -> Schedule {
-        assert!(nodes >= 2, "a collective needs at least two ranks");
         Schedule {
             op: CollectiveOp::Bcast { root: 0 },
             nodes,
             payload,
-            rounds: bcast_rounds(nodes, payload, 0),
+            rounds: bcast_rounds(nodes),
         }
     }
 
     /// Pairwise-exchange alltoall: `n−1` rounds, round `r` sending rank
     /// `i`'s block to `(i+r) mod n`; `block` bytes per (src, dst) pair.
     pub fn pairwise_alltoall(nodes: usize, block: usize) -> Schedule {
-        assert!(nodes >= 2, "a collective needs at least two ranks");
-        let rounds = (1..nodes)
-            .map(|r| Round {
-                msgs: (0..nodes)
+        let n = ranks(nodes);
+        let rounds = (1..n)
+            .map(|r| {
+                (0..n)
                     .map(|i| ScheduleMsg {
                         src: i,
-                        dst: (i + r) % nodes,
-                        size: block,
-                        chunk: i as u32,
+                        dst: (i + r) % n,
+                        chunk: i,
                         combine: false,
                     })
-                    .collect(),
+                    .collect()
             })
             .collect();
         Schedule {
@@ -303,9 +285,19 @@ impl Schedule {
         }
     }
 
+    /// Payload bytes of every message: one `⌈payload/chunks⌉`-byte chunk
+    /// for an allreduce, the whole payload for a broadcast, one block for
+    /// an alltoall.
+    pub fn msg_size(&self) -> usize {
+        match self.op {
+            CollectiveOp::Allreduce { chunks } => self.payload.div_ceil(chunks as usize),
+            CollectiveOp::Bcast { .. } | CollectiveOp::Alltoall => self.payload,
+        }
+    }
+
     /// Total point-to-point messages across all rounds.
     pub fn total_messages(&self) -> usize {
-        self.rounds.iter().map(|r| r.msgs.len()).sum()
+        self.rounds.iter().map(Vec::len).sum()
     }
 
     /// Prove the schedule computes its [`CollectiveOp`] by dataflow alone:
@@ -315,11 +307,12 @@ impl Schedule {
     /// the first violated condition.
     ///
     /// A chunk's sets change only through the messages that carry it, so
-    /// the proof takes one chunk at a time: the messages, stably sorted by
-    /// chunk (each chunk's stay in round order), replay that chunk round by
-    /// round in one reused buffer of `nodes × ⌈nodes/64⌉` words. The
-    /// transient is that buffer plus one entry per message, whatever the
-    /// number of chunks.
+    /// the proof takes one chunk at a time: the messages, ordered by
+    /// (chunk, round, index) so each chunk's stay in round order, replay
+    /// that chunk round by round in one reused buffer of
+    /// `nodes × ⌈nodes/64⌉` words. The transient is that buffer plus one
+    /// 12 B entry per message, sorted in place, whatever the number of
+    /// chunks.
     pub fn verify_semantics(&self) -> Result<(), String> {
         let n = self.nodes;
         // The chunks the op must deliver: an allreduce's are the ones it
@@ -330,23 +323,27 @@ impl Schedule {
             CollectiveOp::Bcast { .. } => 1,
             CollectiveOp::Alltoall => n,
         };
-        let mut msgs = Vec::with_capacity(self.total_messages());
+        let mut order = Vec::with_capacity(self.total_messages());
         for (ri, round) in self.rounds.iter().enumerate() {
-            for m in &round.msgs {
-                if m.src >= n || m.dst >= n || m.src == m.dst {
+            for (mi, m) in round.iter().enumerate() {
+                let (src, dst) = (m.src as usize, m.dst as usize);
+                if src >= n || dst >= n || src == dst {
                     return Err(format!("round {}: invalid endpoints {:?}", ri, m));
                 }
-                msgs.push((ri, m));
+                order.push((m.chunk, ri as u32, mi as u32));
             }
         }
-        msgs.sort_by_key(|&(_, m)| m.chunk);
-        let not_held = |ri: usize, m: &ScheduleMsg| {
+        // No two entries are equal, so an unstable sort gives the stable
+        // order without a stable sort's scratch.
+        order.sort_unstable();
+        let msg = |&(_, ri, mi): &(u32, u32, u32)| (ri, &self.rounds[ri as usize][mi as usize]);
+        let not_held = |(ri, m): (u32, &ScheduleMsg)| {
             format!(
                 "round {}: rank {} sends chunk {} it does not hold",
                 ri, m.src, m.chunk
             )
         };
-        let mut carried = msgs.chunk_by(|a, b| a.1.chunk == b.1.chunk).peekable();
+        let mut carried = order.chunk_by(|a, b| a.0 == b.0).peekable();
         // One chunk's contribution sets as rank bitmasks: bit `r` of the
         // `words` words from `rank · words` is set ⇔ original rank r's
         // contribution is merged into `rank`'s copy. The prover's inner
@@ -368,19 +365,19 @@ impl Schedule {
                 state[r * words + r / 64] |= 1 << (r % 64);
             }
             let mine = carried
-                .next_if(|g| g[0].1.chunk as usize == c)
+                .next_if(|g| g[0].0 as usize == c)
                 .unwrap_or_default();
-            for round in mine.chunk_by(|a, b| a.0 == b.0) {
+            for round in mine.chunk_by(|a, b| a.1 == b.1) {
                 reads.clear();
-                for &(ri, m) in round {
-                    let held = &state[m.src * words..][..words];
+                for (ri, m) in round.iter().map(msg) {
+                    let held = &state[m.src as usize * words..][..words];
                     if held.iter().all(|&w| w == 0) {
-                        return Err(not_held(ri, m));
+                        return Err(not_held((ri, m)));
                     }
                     reads.extend_from_slice(held);
                 }
-                for (&(_, m), held) in round.iter().zip(reads.chunks_exact(words)) {
-                    let dst = &mut state[m.dst * words..][..words];
+                for ((_, m), held) in round.iter().map(msg).zip(reads.chunks_exact(words)) {
+                    let dst = &mut state[m.dst as usize * words..][..words];
                     if m.combine {
                         for (d, s) in dst.iter_mut().zip(held) {
                             *d |= s;
@@ -415,7 +412,7 @@ impl Schedule {
         // A chunk past the op's is held by no rank, so its first message
         // sends what it does not hold.
         match carried.next() {
-            Some(&[(ri, m), ..]) => Err(not_held(ri, m)),
+            Some([first, ..]) => Err(not_held(msg(first))),
             _ => Ok(()),
         }
     }
@@ -424,12 +421,11 @@ impl Schedule {
     /// (payload only; control traffic is latency-modelled, not byte-
     /// accounted). Indexed like [`Fabric::links`].
     pub fn link_bytes(&self, fabric: &Fabric) -> Vec<f64> {
+        let size = (self.msg_size() as f64).max(1.0);
         let mut bytes = vec![0.0f64; fabric.links().len()];
-        for round in &self.rounds {
-            for m in &round.msgs {
-                for l in fabric.route(m.src, m.dst) {
-                    bytes[l as usize] += (m.size as f64).max(1.0);
-                }
+        for m in self.rounds.iter().flatten() {
+            for l in fabric.route(m.src as usize, m.dst as usize) {
+                bytes[l as usize] += size;
             }
         }
         bytes
@@ -449,26 +445,24 @@ impl Schedule {
             CollectiveOp::Bcast { root } => CollectiveOp::Bcast { root: perm[root] },
             other => other,
         };
+        let relabel = |r: u32| u32::try_from(perm[r as usize]).expect("ranks are u32");
         let rounds = self
             .rounds
             .iter()
-            .map(|r| Round {
-                msgs: r
-                    .msgs
-                    .iter()
+            .map(|r| {
+                r.iter()
                     .map(|m| ScheduleMsg {
-                        src: perm[m.src],
-                        dst: perm[m.dst],
-                        size: m.size,
+                        src: relabel(m.src),
+                        dst: relabel(m.dst),
                         // Alltoall chunk identity is the owning rank: relabel.
                         chunk: if self.op == CollectiveOp::Alltoall {
-                            perm[m.chunk as usize] as u32
+                            relabel(m.chunk)
                         } else {
                             m.chunk
                         },
                         combine: m.combine,
                     })
-                    .collect(),
+                    .collect()
             })
             .collect();
         Schedule {
@@ -480,27 +474,20 @@ impl Schedule {
     }
 }
 
-fn bcast_rounds(nodes: usize, payload: usize, root: usize) -> Vec<Round> {
-    assert_eq!(
-        root, 0,
-        "broadcast schedules are built root-0 then permuted"
-    );
-    let levels = log2_ceil(nodes);
-    (0..levels)
+fn bcast_rounds(nodes: usize) -> Vec<Vec<ScheduleMsg>> {
+    let n = ranks(nodes);
+    (0..log2_ceil(nodes))
         .map(|k| {
-            let span = 1usize << k;
-            Round {
-                msgs: (0..span)
-                    .filter(|r| r + span < nodes)
-                    .map(|r| ScheduleMsg {
-                        src: r,
-                        dst: r + span,
-                        size: payload,
-                        chunk: 0,
-                        combine: false,
-                    })
-                    .collect(),
-            }
+            let span = 1u32 << k;
+            (0..span)
+                .filter(|r| r + span < n)
+                .map(|r| ScheduleMsg {
+                    src: r,
+                    dst: r + span,
+                    chunk: 0,
+                    combine: false,
+                })
+                .collect()
         })
         .collect()
 }
@@ -539,8 +526,9 @@ pub fn run_ordered(
     );
     let start = cluster.engine.now();
     let nodes = schedule.nodes as u64;
+    let size = schedule.msg_size();
     for (ri, round) in schedule.rounds.iter().enumerate() {
-        let mut order: Vec<usize> = (0..round.msgs.len()).collect();
+        let mut order: Vec<usize> = (0..round.len()).collect();
         if let Some(seed) = shuffle_seed {
             let mut rng = Pcg32::new(seed, ri as u64);
             // Fisher–Yates over the posting order.
@@ -550,7 +538,7 @@ pub fn run_ordered(
             }
         }
         let mtag = mtag_base + ri as u32;
-        let n = round.msgs.len();
+        let n = round.len();
         if n == 0 {
             continue;
         }
@@ -558,14 +546,14 @@ pub fn run_ordered(
         // Pre-post every receive of the round, then every send: rendezvous
         // handshakes find their receive already matched.
         for &mi in &order {
-            let m = &round.msgs[mi];
-            let r = cluster.irecv_from(m.dst, m.src, mtag);
+            let m = &round[mi];
+            let r = cluster.irecv_from(m.dst as usize, m.src as usize, mtag);
             reqs.push((r, ReqId(0)));
         }
         for (k, &mi) in order.iter().enumerate() {
-            let m = &round.msgs[mi];
+            let m = &round[mi];
             let buffer = buffer_base + m.src as u64 * nodes + m.dst as u64;
-            let s = cluster.isend_to(m.src, m.dst, m.size, mtag, buffer);
+            let s = cluster.isend_to(m.src as usize, m.dst as usize, size, mtag, buffer);
             reqs[k].1 = s;
         }
         // Barrier: the next round's sends depend on this round's data.
@@ -654,7 +642,7 @@ mod tests {
         for missing in [0, 2] {
             let mut s = Schedule::ring_allreduce(4, 1024);
             for round in &mut s.rounds {
-                round.msgs.retain(|m| m.chunk != missing);
+                round.retain(|m| m.chunk != missing);
             }
             let err = s.verify_semantics().expect_err("chunk never reduced");
             let want = format!("rank 0 chunk {missing} is not fully reduced");
@@ -697,10 +685,10 @@ mod tests {
     #[test]
     fn semantics_checker_rejects_a_dropped_message() {
         let mut s = Schedule::ring_allreduce(4, 4096);
-        s.rounds[2].msgs.remove(1);
+        s.rounds[2].remove(1);
         assert!(s.verify_semantics().is_err());
         let mut b = Schedule::binomial_bcast(8, 64);
-        b.rounds[1].msgs.pop();
+        b.rounds[1].pop();
         assert!(b.verify_semantics().is_err());
     }
 
@@ -709,10 +697,9 @@ mod tests {
         // Rank 1 forwards the broadcast a round too early (it only receives
         // the payload in round 0 — concurrent reads use pre-round state).
         let mut s = Schedule::binomial_bcast(4, 64);
-        s.rounds[0].msgs.push(ScheduleMsg {
+        s.rounds[0].push(ScheduleMsg {
             src: 1,
             dst: 3,
-            size: 64,
             chunk: 0,
             combine: false,
         });
@@ -765,15 +752,18 @@ mod tests {
     #[test]
     fn link_bytes_accounts_every_hop() {
         let fabric = FabricPreset::Torus.spec(8).build_for(8);
-        let s = Schedule::pairwise_alltoall(8, 1000);
-        let per_link = s.link_bytes(&fabric);
-        let total: f64 = per_link.iter().sum();
-        let hops: usize = s
-            .rounds
-            .iter()
-            .flat_map(|r| r.msgs.iter())
-            .map(|m| fabric.route(m.src, m.dst).count())
-            .sum();
-        assert_eq!(total, hops as f64 * 1000.0);
+        // The ring sends ⌈1000/8⌉-byte chunks, the others whole payloads.
+        let sizes = [125, 1000, 1000, 1000];
+        for ((name, s), size) in all_schedules(8, 1000).into_iter().zip(sizes) {
+            assert_eq!(s.msg_size(), size, "{name}");
+            let total: f64 = s.link_bytes(&fabric).iter().sum();
+            let hops: usize = s
+                .rounds
+                .iter()
+                .flatten()
+                .map(|m| fabric.route(m.src as usize, m.dst as usize).count())
+                .sum();
+            assert_eq!(total, (hops * size) as f64, "{name}");
+        }
     }
 }

@@ -634,7 +634,7 @@ impl Cluster {
                 "mpi.send",
                 &format!("send {}B", size),
                 req.0 as u64,
-                Lane::Node(from as u8),
+                Lane::Node(from as u32),
             );
         }
         self.sends.push(SendReq {
@@ -672,7 +672,7 @@ impl Cluster {
             "mpi.recv",
             "recv",
             req.0 as u64,
-            Lane::Node(node as u8),
+            Lane::Node(node as u32),
         );
         let sends = &self.sends;
         let matched = self
@@ -691,7 +691,7 @@ impl Cluster {
                     self.engine.now(),
                     "mpi.recv",
                     req.0 as u64,
-                    Lane::Node(node as u8),
+                    Lane::Node(node as u32),
                 );
             } else {
                 self.net.recv_ready(&mut self.engine, transfer);
@@ -807,7 +807,7 @@ impl Cluster {
                 retry,
             } => {
                 self.sends[id.0 as usize].state = ReqState::Complete;
-                telemetry::async_end(now, "mpi.send", id.0 as u64, Lane::Node(from as u8));
+                telemetry::async_end(now, "mpi.send", id.0 as u64, Lane::Node(from as u32));
                 if self.profiling {
                     self.profile.push(SendRecord {
                         node: from,
@@ -827,13 +827,13 @@ impl Cluster {
                 }
                 let r = s.recv;
                 self.recvs[r as usize] = ReqState::Complete;
-                telemetry::async_end(now, "mpi.recv", r as u64, Lane::Node(to as u8));
+                telemetry::async_end(now, "mpi.recv", r as u64, Lane::Node(to as u32));
                 Some(ClusterEvent::RecvComplete(ReqId(r)))
             }
             NetEvent::Failed { id, from, retry } => {
                 let s = &mut self.sends[id.0 as usize];
                 s.state = ReqState::Failed;
-                let lane = Lane::Node(from as u8);
+                let lane = Lane::Node(from as u32);
                 telemetry::instant(now, "mpi", "send.failed", lane);
                 telemetry::async_end(now, "mpi.send", id.0 as u64, lane);
                 // The matched receive will never complete either, and a
@@ -878,7 +878,7 @@ mod tests {
     use super::*;
     use freq::License;
     use memsim::exec::Phase;
-    use topology::{henri, BindingPolicy};
+    use topology::{henri, tiny2x2, BindingPolicy};
 
     fn cluster() -> Cluster {
         Cluster::new(
@@ -1097,6 +1097,39 @@ mod tests {
             assert!(c.send_failed(rdv) && c.recv_failed(rdv_recv));
             assert!(!c.send_failed(eager) && !c.recv_failed(eager_recv));
         }
+    }
+
+    /// A rank past 255 records on its own lane: rank 299's send to rank 0
+    /// on a 300-rank switch cluster puts every `mpi.send` and `net.xfer`
+    /// record on `n299`, not on a truncated rank.
+    #[test]
+    fn rank_299_records_its_spans_on_its_own_lane() {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut c = Cluster::with_fabric(
+                    &tiny2x2(),
+                    FabricSpec::Switch.build_for(300),
+                    Governor::Userspace(2.0),
+                    UncorePolicy::Fixed(2.0),
+                    Placement::fig4_default(),
+                );
+                telemetry::install();
+                let r = c.irecv_from(0, 299, 1);
+                c.isend_to(299, 0, 64, 1, 1);
+                drive_until_recv(&mut c, r);
+                let text = telemetry::take().expect("recorder installed").to_text();
+                for cat in ["mpi.send", "net.xfer"] {
+                    let lanes: Vec<&str> = text
+                        .lines()
+                        .filter(|l| l.contains(&format!(" {cat} ")))
+                        .filter_map(|l| l.rsplit_once(" @").map(|(_, lane)| lane))
+                        .collect();
+                    assert_eq!(lanes, ["n299", "n299"], "{cat} begins and ends");
+                }
+            })
+            .join()
+            .expect("test thread")
+        });
     }
 
     /// A compute event reaches the executor of its own node: jobs on nodes

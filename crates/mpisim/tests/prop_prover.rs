@@ -15,7 +15,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use mpisim::collective::{CollectiveOp, Round, Schedule, ScheduleMsg};
+use mpisim::collective::{CollectiveOp, Schedule, ScheduleMsg};
 use proptest::prelude::*;
 use simcore::Pcg32;
 
@@ -37,17 +37,18 @@ fn naive_proves(s: &Schedule) -> bool {
     }
     for round in &s.rounds {
         let mut reads = Vec::new();
-        for m in &round.msgs {
-            if m.src >= n || m.dst >= n || m.src == m.dst {
+        for m in round {
+            let (src, dst) = (m.src as usize, m.dst as usize);
+            if src >= n || dst >= n || src == dst {
                 return false;
             }
-            match held.get(&(m.src, m.chunk)) {
+            match held.get(&(src, m.chunk)) {
                 Some(set) if !set.is_empty() => reads.push(set.clone()),
                 _ => return false,
             }
         }
-        for (m, set) in round.msgs.iter().zip(reads) {
-            let dst = held.entry((m.dst, m.chunk)).or_default();
+        for (m, set) in round.iter().zip(reads) {
+            let dst = held.entry((m.dst as usize, m.chunk)).or_default();
             if m.combine {
                 dst.extend(set);
             } else {
@@ -99,39 +100,38 @@ fn mutate(s: &mut Schedule, kind: usize, rng: &mut Pcg32) {
     let chunks = op_chunks(s);
     let mut pick = |n: usize| (rng.next_u64() % n.max(1) as u64) as usize;
     let ri = pick(s.rounds.len());
-    let mi = pick(s.rounds[ri].msgs.len());
-    let (later, dst) = (pick(s.rounds.len()), pick(s.nodes));
+    let mi = pick(s.rounds[ri].len());
+    let (later, dst) = (pick(s.rounds.len()), pick(s.nodes) as u32);
     let (within, beyond) = (pick(chunks as usize) as u32, chunks + pick(4) as u32);
     let rounds = &mut s.rounds;
-    if rounds[ri].msgs.is_empty() {
+    if rounds[ri].is_empty() {
         return;
     }
     match kind {
         1 => {
-            rounds[ri].msgs.remove(mi);
+            rounds[ri].remove(mi);
         }
         2 if ri + 1 < rounds.len() => {
-            let m = rounds[ri].msgs[mi];
+            let m = rounds[ri][mi];
             let to = ri + 1 + later % (rounds.len() - ri - 1);
-            rounds[to].msgs.push(m);
+            rounds[to].push(m);
         }
         3 if ri > 0 => {
-            let m = rounds[ri].msgs.remove(mi);
-            rounds[ri - 1].msgs.push(m);
+            let m = rounds[ri].remove(mi);
+            rounds[ri - 1].push(m);
         }
-        4 => rounds[ri].msgs[mi].dst = dst,
-        5 => rounds[ri].msgs[mi].combine ^= true,
-        6 => rounds[ri].msgs[mi].chunk = within,
-        7 => rounds[ri].msgs[mi].chunk = beyond,
+        4 => rounds[ri][mi].dst = dst,
+        5 => rounds[ri][mi].combine ^= true,
+        6 => rounds[ri][mi].chunk = within,
+        7 => rounds[ri][mi].chunk = beyond,
         _ => {}
     }
 }
 
-fn msg(src: usize, dst: usize, combine: bool) -> ScheduleMsg {
+fn msg(src: u32, dst: u32, combine: bool) -> ScheduleMsg {
     ScheduleMsg {
         src,
         dst,
-        size: 64,
         chunk: 0,
         combine,
     }
@@ -163,14 +163,7 @@ fn same_chunk_chain_reads_pre_round_state() {
         op: CollectiveOp::Allreduce { chunks: 1 },
         nodes: 3,
         payload: 64,
-        rounds: vec![
-            Round {
-                msgs: first.to_vec(),
-            },
-            Round {
-                msgs: vec![msg(2, 0, false), msg(2, 1, false)],
-            },
-        ],
+        rounds: vec![first.to_vec(), vec![msg(2, 0, false), msg(2, 1, false)]],
     };
     let (a, b) = (msg(0, 1, true), msg(1, 2, true));
     for s in [chain([a, b]), chain([b, a])] {
@@ -183,8 +176,8 @@ fn same_chunk_chain_reads_pre_round_state() {
     }
     // The same chain over two rounds does compute the allreduce.
     let mut s = chain([a, b]);
-    let second = s.rounds[0].msgs.pop().expect("two messages");
-    s.rounds.insert(1, Round { msgs: vec![second] });
+    let second = s.rounds[0].pop().expect("two messages");
+    s.rounds.insert(1, vec![second]);
     assert!(naive_proves(&s));
     assert_eq!(s.verify_semantics(), Ok(()));
 }

@@ -8,8 +8,10 @@
 //! `cargo test --release -q -p mpisim --test ring_allreduce_1024 -- --ignored --nocapture`
 //! to see the process's resident set (`VmRSS`) after each step — schedule
 //! built and proved, fabric built, cluster built, run — and its peak
-//! (`VmHWM`), where `/proc/self/status` exists. It prints them and bounds
-//! none.
+//! (`VmHWM`) after the proof and at the end, where `/proc/self/status`
+//! exists. There the peak must stay within 96 MiB, so that neither a
+//! per-message copy of the schedule nor a sort scratch in its proof comes
+//! back unseen (DESIGN.md §13.8 records the numbers).
 
 use std::time::{Duration, Instant};
 
@@ -22,15 +24,17 @@ use topology::{tiny2x2, BindingPolicy, Placement};
 const RANKS: usize = 1024;
 const PAYLOAD: usize = 256 << 10;
 const WALL_LIMIT: Duration = Duration::from_secs(60);
+const PEAK_LIMIT_KIB: u64 = 96 << 10;
 
-/// Print `field` (`VmRSS`, `VmHWM`) of this process after `step`, where
-/// `/proc/self/status` exists.
-fn print_status(field: &str, step: &str) {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+/// Print `field` (`VmRSS`, `VmHWM`) of this process after `step` and return
+/// it in KiB, where `/proc/self/status` exists.
+fn print_status(field: &str, step: &str) -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let prefix = format!("{field}:");
-    if let Some(kb) = status.lines().find_map(|l| l.strip_prefix(&prefix)) {
-        println!("1024-rank ring allreduce: {field} {} {step}", kb.trim());
-    }
+    let kb = status.lines().find_map(|l| l.strip_prefix(&prefix))?.trim();
+    println!("1024-rank ring allreduce: {field} {kb} {step}");
+    let kib = kb.strip_suffix(" kB").and_then(|v| v.parse().ok());
+    Some(kib.unwrap_or_else(|| panic!("{field} is not a count of kB: {kb}")))
 }
 
 #[test]
@@ -39,6 +43,7 @@ fn ring_allreduce_1024_ranks_completes_under_a_minute() {
     let sched = collective::cached(Algorithm::RingAllreduce, RANKS, PAYLOAD);
     assert_eq!(sched.total_messages(), 2_095_104);
     print_status("VmRSS", "after the schedule is built and proved");
+    print_status("VmHWM", "after the schedule is built and proved");
     let fabric = FabricPreset::Switch.spec(RANKS).build_for(RANKS);
     print_status("VmRSS", "after the fabric is built");
     let spec = tiny2x2();
@@ -63,8 +68,11 @@ fn ring_allreduce_1024_ranks_completes_under_a_minute() {
         wall.as_secs_f64(),
         WALL_LIMIT.as_secs()
     );
-    // Resident and peak RSS are printed, not bounded (DESIGN.md §13.8
-    // records them).
     print_status("VmRSS", "after the run");
-    print_status("VmHWM", "(peak RSS)");
+    if let Some(peak) = print_status("VmHWM", "(peak RSS)") {
+        assert!(
+            peak <= PEAK_LIMIT_KIB,
+            "peak RSS {peak} KiB, limit {PEAK_LIMIT_KIB} KiB"
+        );
+    }
 }

@@ -548,7 +548,7 @@ impl NetSim {
                 "rdv"
             },
             id.0 as u64,
-            Lane::Node(from_node as u8),
+            Lane::Node(from_node as u32),
         );
         // Step 1: software overhead — cycles on the communication core.
         let cycles = self.cfg.sw_overhead_cycles * 0.5;
@@ -583,7 +583,7 @@ impl NetSim {
         t.cts_sent = true;
         let to = t.to;
         // The CTS originates on the receiver's node.
-        let cts_lane = Lane::Node(to as u8);
+        let cts_lane = Lane::Node(to as u32);
         // Fault injection: the CTS may be lost on the wire. The sender's
         // retransmission timeout will eventually re-drive the handshake.
         if let Some(rng) = &mut self.drop_cts_rng {
@@ -684,7 +684,7 @@ impl NetSim {
                             engine.now() + cost,
                             "net",
                             "register",
-                            Lane::Node(from as u8),
+                            Lane::Node(from as u32),
                         );
                         engine.after(cost, self.step_tag(id, Step::Registration));
                     } else {
@@ -719,7 +719,7 @@ impl NetSim {
                         engine.now(),
                         "net.dma",
                         id.0 as u64,
-                        Lane::Node(from as u8),
+                        Lane::Node(from as u32),
                     );
                 }
                 let t = self.transfers.get(id).expect("live transfer");
@@ -765,7 +765,7 @@ impl NetSim {
                     "net.dma",
                     "dma",
                     id.0 as u64,
-                    Lane::Node(from as u8),
+                    Lane::Node(from as u32),
                 );
                 // DMA: the NIC pulls from sender memory and pushes into
                 // receiver memory; the weight reflects the NIC's
@@ -798,7 +798,7 @@ impl NetSim {
                     engine.now(),
                     "net.xfer",
                     id.0 as u64,
-                    Lane::Node(from as u8),
+                    Lane::Node(from as u32),
                 );
                 out = Some(NetEvent::Delivered { id, to });
             }
@@ -833,15 +833,15 @@ impl NetSim {
         t.retries += 1;
         let (from, retry) = (t.from, t.retry(self.rto_base));
         telemetry::counter_add("net.retrans", 1);
-        telemetry::instant(engine.now(), "net", "rto", Lane::Node(from as u8));
+        telemetry::instant(engine.now(), "net", "rto", Lane::Node(from as u32));
         if retry.retries > DEFAULT_MAX_RETRIES {
             self.transfers.retire(id);
-            telemetry::instant(engine.now(), "net", "xfer.failed", Lane::Node(from as u8));
+            telemetry::instant(engine.now(), "net", "xfer.failed", Lane::Node(from as u32));
             telemetry::async_end(
                 engine.now(),
                 "net.xfer",
                 id.0 as u64,
-                Lane::Node(from as u8),
+                Lane::Node(from as u32),
             );
             return Some(NetEvent::Failed { id, from, retry });
         }
@@ -863,11 +863,11 @@ impl NetSim {
         // Fault injection: the RTS may be lost on the wire.
         if let Some(rng) = &mut self.drop_rts_rng {
             if rng.next_f64() < self.faults.drop_rts {
-                telemetry::instant(engine.now(), "net", "rts.drop", Lane::Node(from as u8));
+                telemetry::instant(engine.now(), "net", "rts.drop", Lane::Node(from as u32));
                 return;
             }
         }
-        telemetry::instant(engine.now(), "net", "rts", Lane::Node(from as u8));
+        telemetry::instant(engine.now(), "net", "rts", Lane::Node(from as u32));
         // RTS crosses the wire.
         let lat = SimTime::from_secs_f64(self.cfg.wire_latency_s * self.lat_mult);
         engine.after(lat, self.step_tag(id, Step::RtsArrived));

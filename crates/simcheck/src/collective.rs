@@ -387,8 +387,13 @@ fn link_conservation(seed: u64) -> Result<(), String> {
         let crossings = s
             .rounds
             .iter()
-            .flat_map(|r| r.msgs.iter())
-            .filter(|m| c.net.fabric().route(m.src, m.dst).any(|h| h as usize == l))
+            .flatten()
+            .filter(|m| {
+                c.net
+                    .fabric()
+                    .route(m.src as usize, m.dst as usize)
+                    .any(|h| h as usize == l)
+            })
             .count();
         let slack = crossings as f64 * spec.network.link_bw * link.bw_scale * 1e-12 + 1e-9;
         if (got - want).abs() > slack {
@@ -453,9 +458,9 @@ fn fuzz_one(seed: u64) -> Result<usize, String> {
     //    proof (otherwise the checker is vacuous).
     let victim_round = (rng.next_u64() % s.rounds.len() as u64) as usize;
     let mut mutated = s.clone();
-    if !mutated.rounds[victim_round].msgs.is_empty() {
-        let victim = (rng.next_u64() % mutated.rounds[victim_round].msgs.len() as u64) as usize;
-        mutated.rounds[victim_round].msgs.remove(victim);
+    if !mutated.rounds[victim_round].is_empty() {
+        let victim = (rng.next_u64() % mutated.rounds[victim_round].len() as u64) as usize;
+        mutated.rounds[victim_round].remove(victim);
         if mutated.verify_semantics().is_ok() {
             return Err(format!(
                 "{}: semantics still hold after dropping a message from round {}",
@@ -483,12 +488,12 @@ fn fuzz_one(seed: u64) -> Result<usize, String> {
             .as_secs_f64();
         let mut solo_sum = 0.0f64;
         let mut solo_max = 0.0f64;
-        for (mi, m) in round.msgs.iter().enumerate() {
+        for (mi, m) in round.iter().enumerate() {
             let one = Schedule {
                 op: s.op,
                 nodes: s.nodes,
                 payload: s.payload,
-                rounds: vec![mpisim::collective::Round { msgs: vec![*m] }],
+                rounds: vec![vec![*m]],
             };
             let t = collective::run(&mut sequential, &one, 5000 + (ri * 64 + mi) as u32, 0x6000)
                 .map_err(|e| format!("{}: {}", label, e))?
@@ -496,7 +501,7 @@ fn fuzz_one(seed: u64) -> Result<usize, String> {
             solo_sum += t;
             solo_max = solo_max.max(t);
         }
-        if round.msgs.is_empty() {
+        if round.is_empty() {
             continue;
         }
         if t_conc < solo_max - SLACK_S || t_conc > solo_sum + SLACK_S {

@@ -15,11 +15,13 @@
 //!   latches the token.
 //!
 //! Like the telemetry recorder, the token travels **ambiently**: the
-//! supervisor [`install`]s it on the worker thread, and every
-//! [`crate::Engine`] constructed while it is installed adopts it without
-//! any driver cooperation. This matters because experiment drivers build
+//! supervisor runs the worker's code under [`scoped`], and every
+//! [`crate::Engine`] constructed inside adopts the token without any
+//! driver cooperation. This matters because experiment drivers build
 //! their engines (and whole clusters of them) many layers below the
-//! campaign loop. [`clear`] uninstalls; installation is per-thread.
+//! campaign loop. Installation is per-thread, and the scope restores the
+//! token it replaced when it ends, also on a panic, as
+//! [`crate::reference_paths::scoped`] does.
 //!
 //! Cancellation is *cooperative*: only code that checks the token stops.
 //! The engine checks once per delivered event (an atomic load) and
@@ -114,34 +116,26 @@ thread_local! {
     static TOKEN: RefCell<Option<CancelToken>> = const { RefCell::new(None) };
 }
 
-/// Install `token` as this thread's ambient cancellation token. Engines
-/// constructed afterwards (until [`clear`]) adopt it.
-pub fn install(token: CancelToken) {
-    TOKEN.with(|t| *t.borrow_mut() = Some(token));
-}
-
-/// Remove the ambient token. Engines already constructed keep theirs.
-pub fn clear() {
-    TOKEN.with(|t| *t.borrow_mut() = None);
-}
-
 /// The currently installed ambient token, if any.
 pub fn current() -> Option<CancelToken> {
     TOKEN.with(|t| t.borrow().clone())
 }
 
-/// Run `f` with `token` installed, restoring the previous ambient token
-/// afterwards (even though panics unwind past the restore only on the
-/// caller's thread, the campaign runner catches those before reuse).
-pub fn scoped<R>(token: CancelToken, f: impl FnOnce() -> R) -> R {
-    let prev = current();
-    install(token);
-    let out = f();
-    match prev {
-        Some(p) => install(p),
-        None => clear(),
+/// Restores the previous token when dropped, including during a panic.
+struct Restore(Option<CancelToken>);
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        // `try_with`: a drop must not panic, even during thread teardown.
+        let _ = TOKEN.try_with(|t| *t.borrow_mut() = self.0.take());
     }
-    out
+}
+
+/// Run `f` with `token` installed on this thread, then restore the previous
+/// ambient token — also when `f` panics.
+pub fn scoped<R>(token: CancelToken, f: impl FnOnce() -> R) -> R {
+    let _restore = Restore(TOKEN.with(|t| t.replace(Some(token))));
+    f()
 }
 
 #[cfg(test)]
@@ -180,25 +174,40 @@ mod tests {
     fn ambient_install_clear_roundtrip() {
         assert!(current().is_none());
         let t = CancelToken::new();
-        install(t.clone());
-        let got = current().expect("installed");
-        t.cancel();
-        assert!(got.is_cancelled(), "clones share state");
-        clear();
+        scoped(t.clone(), || {
+            let got = current().expect("installed");
+            t.cancel();
+            assert!(got.is_cancelled(), "clones share state");
+        });
         assert!(current().is_none());
     }
 
     #[test]
     fn scoped_restores_previous_token() {
         let outer = CancelToken::new();
-        install(outer.clone());
         let inner = CancelToken::new();
-        scoped(inner.clone(), || {
-            current().expect("inner installed").cancel();
+        scoped(outer.clone(), || {
+            scoped(inner.clone(), || {
+                current().expect("inner installed").cancel();
+            });
+            assert!(inner.is_cancelled());
+            assert!(!outer.is_cancelled());
+            assert!(!current().expect("outer token restored").is_cancelled());
         });
-        assert!(inner.is_cancelled());
-        assert!(!outer.is_cancelled());
-        assert!(current().is_some(), "outer token restored");
-        clear();
+        assert!(current().is_none());
+    }
+
+    #[test]
+    fn scoped_restores_previous_token_on_unwind() {
+        let outer = CancelToken::new();
+        scoped(outer.clone(), || {
+            let caught = std::panic::catch_unwind(|| {
+                scoped(CancelToken::new(), || panic!("injected panic"))
+            });
+            assert!(caught.is_err());
+            current().expect("outer token restored").cancel();
+        });
+        assert!(outer.is_cancelled(), "the restored token is the outer one");
+        assert!(current().is_none());
     }
 }

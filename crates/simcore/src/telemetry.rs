@@ -57,12 +57,13 @@ pub enum Lane {
     Campaign,
     /// The discrete-event engine itself.
     Engine,
-    /// A node's communication side.
-    Node(u8),
+    /// A node's communication side, by rank (ranks are `u32`, as in
+    /// mpisim's match key).
+    Node(u32),
     /// A specific core of a node (runtime workers, compute tasks).
     Core {
         /// Node index.
-        node: u8,
+        node: u32,
         /// Logical core index.
         core: u16,
     },

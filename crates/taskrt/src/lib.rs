@@ -365,7 +365,7 @@ impl Runtime {
                     cluster.engine.now(),
                     "task",
                     Lane::Core {
-                        node: node as u8,
+                        node: node as u32,
                         core: core.0 as u16,
                     },
                 );
@@ -439,7 +439,7 @@ impl Runtime {
                 "task",
                 &format!("task{}", task.0),
                 Lane::Core {
-                    node: node as u8,
+                    node: node as u32,
                     core: core.0 as u16,
                 },
             );
