@@ -36,13 +36,18 @@
 //! [`FluidNet::reallocate`] walks each dirty component once (BFS over the
 //! inverse index) and re-solves *only those components*; clean components
 //! keep their cached rates. A ping-pong on the NIC no longer re-solves the
-//! memory-controller component of an idle node, and vice versa.
+//! memory-controller component of an idle node, and vice versa. The walk
+//! gives the solve its canonical orders without sorting where it can: the
+//! resources ascending, read out of a bitset, and the flows by id, copied
+//! from a member list that holds every flow of the component where one
+//! does (a fabric, or a memory controller behind its cores and the NIC).
 //!
 //! The per-component solve ([`solve_region`]) runs progressive filling in
 //! one pass per fill level: the resources that saturate at one level
 //! freeze in the same round, and so do the capped flows that reach their
 //! caps at one level (the equal-cap STREAM cores of the paper's §4), each
-//! touched resource's weight is re-summed once per round, and the loop
+//! touched resource's weight is re-summed once per round and not at all
+//! after the round that freezes the last flow, and the loop
 //! reads the net's own member lists, paths, weights and caps through
 //! component-local positions written for each solve, copying no adjacency
 //! ([`solve_general`] gives the reason each shortcut is exact). The
@@ -279,14 +284,26 @@ pub struct FluidNet {
 /// re-solve allocates only when a component outgrows every earlier one.
 #[derive(Default)]
 struct Scratch {
-    /// Resources of the component being solved (ascending once walked).
+    /// Resources of the component being solved, ascending: read out of
+    /// `res_bits` once walked.
     comp_res: Vec<u32>,
+    /// One bit per resource the walk pops; the readout clears every word
+    /// it reads, so all words are zero between components.
+    res_bits: Vec<u64>,
     /// Slots of the component being solved (by ascending id once walked).
     comp_slots: Vec<u32>,
     /// Stack of the component walk.
     queue: Vec<u32>,
     fill: FillBuffers,
     sol: RegionSolution,
+    /// Debug builds' copies of the walked resources and slots, sorted to
+    /// re-check the bitset readout and the slot order.
+    #[cfg(debug_assertions)]
+    walked: (Vec<u32>, Vec<u32>),
+    /// Components whose slots were sorted by id (test-only engagement
+    /// count; the others copied a spanning member list).
+    #[cfg(test)]
+    slot_sorts: u32,
 }
 
 /// Snapshot of a finished or cancelled flow.
@@ -584,11 +601,17 @@ impl FluidNet {
         let mut seeds = std::mem::take(&mut self.dirty_list);
         let Scratch {
             comp_res,
+            res_bits,
             comp_slots,
             queue,
             fill,
             sol,
+            #[cfg(debug_assertions)]
+            walked,
+            #[cfg(test)]
+            slot_sorts,
         } = &mut self.scratch;
+        res_bits.resize(self.resources.len().div_ceil(64), 0);
         // Each dirty component is solved as soon as it is found. Finding
         // one reads only member lists, paths and visit marks, never rates
         // or allocations, so solving early cannot change what later seeds
@@ -600,11 +623,24 @@ impl FluidNet {
             }
             comp_res.clear();
             comp_slots.clear();
+            #[cfg(debug_assertions)]
+            walked.0.clear();
+            // The lowest and highest resource walked, and the longest
+            // member list among the walked resources.
+            let (mut lo, mut hi) = (seed, seed);
+            let mut hub: &[u32] = &[];
             self.res_mark[seed as usize] = epoch;
             queue.push(seed);
             while let Some(r) = queue.pop() {
-                comp_res.push(r);
-                for &s in &self.members[r as usize] {
+                res_bits[r as usize >> 6] |= 1 << (r & 63);
+                (lo, hi) = (lo.min(r), hi.max(r));
+                #[cfg(debug_assertions)]
+                walked.0.push(r);
+                let members = &self.members[r as usize];
+                if members.len() > hub.len() {
+                    hub = members;
+                }
+                for &s in members {
                     if self.slot_mark[s as usize] == epoch {
                         continue;
                     }
@@ -618,16 +654,46 @@ impl FluidNet {
                     }
                 }
             }
+            // Canonical orders (the walk's discovery order depends on the
+            // traversal). Resources: the set bits, ascending, each word
+            // cleared as it is read.
+            for (wi, word) in (lo >> 6..).zip(&mut res_bits[lo as usize >> 6..=hi as usize >> 6]) {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    comp_res.push((wi << 6) | bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
             if comp_slots.is_empty() {
                 // Dirty resource with no flows left: just clear its allocation.
                 let s = seed as usize;
                 self.res.set_allocated(s, 0.0, self.resources[s].capacity);
                 continue;
             }
-            // Canonical order (BFS discovery order is traversal-dependent).
-            comp_res.sort_unstable();
+            #[cfg(debug_assertions)]
+            walked.1.clone_from(comp_slots);
+            // Slots by id: a member list that holds as many flows as the
+            // component holds them all (each flow is listed once, and every
+            // member of a walked resource was walked), already by id.
             let ids = &self.arena.id;
-            comp_slots.sort_unstable_by_key(|&s| ids[s as usize]);
+            if hub.len() == comp_slots.len() {
+                comp_slots.clear();
+                comp_slots.extend_from_slice(hub);
+            } else {
+                comp_slots.sort_unstable_by_key(|&s| ids[s as usize]);
+                #[cfg(test)]
+                {
+                    *slot_sorts += 1;
+                }
+            }
+            #[cfg(debug_assertions)]
+            {
+                let (res, slots) = walked;
+                res.sort_unstable();
+                slots.sort_unstable_by_key(|&s| ids[s as usize]);
+                debug_assert_eq!(res, comp_res, "bitset readout");
+                debug_assert_eq!(slots, comp_slots, "slot order");
+            }
             stats.components += 1;
             stats.flows_visited += comp_slots.len() as u64;
             solve_region(
@@ -860,6 +926,11 @@ fn solve_region(
 ///   `frozen` and the weights, so re-summing each touched resource once
 ///   after the round's freezes gives the bits the plain loop's re-sum per
 ///   (frozen flow, path resource) pair gives.
+/// * **No bookkeeping after the last round.** A round only records the
+///   flows it freezes, in `newly_frozen`; the resources they cross are
+///   listed in `touched` and re-summed after the round, and only if flows
+///   are still unfrozen: nothing after the loop reads `w`, `touched` or
+///   `is_touched`.
 /// * **No copies.** The loop reads the net's own columns: `members[r]`
 ///   lists each flow crossing `r` once, by ascending id, which is the
 ///   plain loop's local member order, and weights, caps and paths are read
@@ -887,12 +958,15 @@ fn solve_general(
         w,
         zeros,
         cap_zeros,
+        newly_frozen,
         touched,
         is_touched,
         active_res,
         active_cap_flows,
         #[cfg(test)]
         rounds,
+        #[cfg(test)]
+        resums,
     } = fill;
     let RegionSolution {
         rate,
@@ -1016,19 +1090,13 @@ fn solve_general(
             let lr = lr as usize;
             headroom[lr] -= w[lr] * dl;
         }
-        // Freeze local flow `i` at rate `r`, listing each resource it
-        // crosses in `touched` once.
+        // Freeze local flow `i` at rate `r`.
+        newly_frozen.clear();
         let mut freeze = |i: usize, r: f64, frozen: &mut [bool]| {
             frozen[i] = true;
             rate[i] = r;
             unfrozen -= 1;
-            for &pr in &arena.path[slot(i as u32)] {
-                let lr = res_local[pr.index()] as usize;
-                if !is_touched[lr] {
-                    is_touched[lr] = true;
-                    touched.push(lr as u32);
-                }
-            }
+            newly_frozen.push(i as u32);
         };
         if cap_dlevel < best_dlevel {
             // Flows reach their caps: `cap_flow`, which is `cap_zeros[0]`
@@ -1064,11 +1132,28 @@ fn solve_general(
                 }
             }
         }
+        // Nothing after the loop reads `w`, `touched` or `is_touched`.
+        if unfrozen == 0 {
+            break;
+        }
         // Refresh the weight sums of every resource a newly frozen flow
         // crosses, once each.
+        for &i in newly_frozen.iter() {
+            for &pr in &arena.path[slot(i)] {
+                let lr = res_local[pr.index()] as usize;
+                if !is_touched[lr] {
+                    is_touched[lr] = true;
+                    touched.push(lr as u32);
+                }
+            }
+        }
         for &lr in touched.iter() {
             is_touched[lr as usize] = false;
             w[lr as usize] = resum(lr as usize, frozen);
+        }
+        #[cfg(test)]
+        {
+            *resums += touched.len() as u32;
         }
         touched.clear();
     }
@@ -1099,6 +1184,7 @@ struct FillBuffers {
     w: Vec<f64>,
     zeros: Vec<u32>,
     cap_zeros: Vec<u32>,
+    newly_frozen: Vec<u32>,
     touched: Vec<u32>,
     is_touched: Vec<bool>,
     active_res: Vec<u32>,
@@ -1106,6 +1192,9 @@ struct FillBuffers {
     /// Rounds of the fill loop, summed over every solve.
     #[cfg(test)]
     rounds: u32,
+    /// Round-end re-sums, summed over every solve.
+    #[cfg(test)]
+    resums: u32,
 }
 
 /// Write a solved component back: rates on the flows, allocation totals
@@ -1827,6 +1916,68 @@ mod tests {
         assert!((net.flow_rate(nic).unwrap() - 94.0).abs() < 1e-9);
         reference::reallocate(&mut net);
         assert_eq!(fast, snapshot(&net));
+    }
+
+    /// Which shortcuts a re-solve takes, through test-only counts. A hub
+    /// component, four flows that each cross their own NIC and one fabric
+    /// resource, copies the fabric's member list instead of sorting its
+    /// slots, and its one fill round freezes every flow and re-sums
+    /// nothing; it still copies after a cancel and a start put a later flow
+    /// into an earlier slot. A ring chain of 70 resources, which share the
+    /// hub's first bitset word and span the next, has no resource that
+    /// every flow crosses, so it sorts; its first round re-sums the three
+    /// resources its two frozen flows cross, and its last round none.
+    #[test]
+    fn hub_components_copy_their_member_list_and_chains_sort() {
+        let mut net = FluidNet::new();
+        let fabric = net.add_resource("fabric", 100.0);
+        let nics: Vec<ResourceId> = (0..4)
+            .map(|i| net.add_resource(format!("nic{i}"), 1000.0))
+            .collect();
+        let ring: Vec<ResourceId> = (0..70)
+            .map(|i| net.add_resource(format!("ring{i}"), 100.0))
+            .collect();
+        let hub_flows: Vec<FlowId> = nics
+            .iter()
+            .map(|&nic| net.start_flow(spec(vec![nic, fabric], 1e6)))
+            .collect();
+        for i in 0..ring.len() {
+            net.start_flow(spec(vec![ring[i], ring[(i + 1) % ring.len()]], 1e6));
+        }
+        let bitwise = |net: &mut FluidNet| {
+            let snapshot = |net: &FluidNet| {
+                let rates: Vec<_> = net
+                    .live_slots()
+                    .iter()
+                    .map(|&s| net.arena.rate[s as usize].to_bits())
+                    .collect();
+                let allocs: Vec<_> = net.res.allocated.iter().map(|a| a.to_bits()).collect();
+                (rates, allocs)
+            };
+            let fast = snapshot(net);
+            reference::reallocate(net);
+            assert_eq!(fast, snapshot(net));
+        };
+        let stats = net.reallocate();
+        assert_eq!(stats.components, 2);
+        let s = &net.scratch;
+        assert_eq!(s.slot_sorts, 1, "only the ring sorts its slots");
+        assert_eq!((s.fill.rounds, s.fill.resums), (1 + 2, 3));
+        assert!(s.res_bits.iter().all(|&word| word == 0), "bits left set");
+        bitwise(&mut net);
+
+        net.cancel_flow(hub_flows[0]).unwrap();
+        let late = net.start_flow(spec(vec![nics[0], fabric], 1e6));
+        assert_eq!(late.slot, hub_flows[0].slot, "the later flow takes slot 0");
+        let stats = net.reallocate();
+        assert_eq!(stats.components, 1);
+        let s = &net.scratch;
+        assert_eq!(s.comp_slots, [1, 2, 3, 0], "by id, not by slot");
+        assert_eq!(s.slot_sorts, 1, "the hub component copied its list");
+        assert_eq!((s.fill.rounds, s.fill.resums), (4, 3));
+        assert!(s.res_bits.iter().all(|&word| word == 0), "bits left set");
+        bitwise(&mut net);
+        assert_eq!(net.flow_rate(late), Some(25.0));
     }
 
     #[test]

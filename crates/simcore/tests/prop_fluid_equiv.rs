@@ -18,10 +18,13 @@
 //! surface as mismatches. It also runs the plain progressive-filling loop,
 //! one freeze per round, against the production loop's same-level and
 //! cap-tie cascades and once-per-round re-sums: tie-heavy and STREAM-shaped
-//! scripts, a ring chain and an underflow corner aim at those.
+//! scripts, a ring chain and an underflow corner aim at those. Scripts over
+//! 65-320 resources aim at the component walk's bitset readout, which
+//! spans several words there, and at its two slot orders, the member list
+//! of a resource every flow crosses and the sort by id.
 //!
-//! Case count honours `PROPTEST_CASES` (CI runs 512); the tie-heavy and
-//! STREAM-shaped properties run at least 1024.
+//! Case count honours `PROPTEST_CASES` (CI runs 512); the tie-heavy,
+//! STREAM-shaped and wide properties run at least 1024.
 
 use proptest::prelude::*;
 use simcore::fluid::reference;
@@ -187,6 +190,49 @@ fn stream_script() -> impl Strategy<Value = (Vec<f64>, Vec<Op>)> {
         })
 }
 
+/// A script over 65-320 resources, wider than one 64-bit word of the
+/// walk's resource bitset. Paths are drawn across the whole index range,
+/// so a component's resources sit in words that need not be adjacent and
+/// share words with other components. It opens with 1-3 hub components of
+/// 2-6 flows each, every flow crossing the hub and one other resource, and
+/// 1-2 chains without a hub, flow i crossing the chain's resources i and
+/// i + 1; then random mutations and further hub flows, whose cancels and
+/// starts put later flows into earlier slots.
+fn wide_script() -> impl Strategy<Value = (Vec<f64>, Vec<Op>)> {
+    (65usize..=320)
+        .prop_flat_map(|nres| (Just(nres), prop::collection::vec(0..nres, 1..=3)))
+        .prop_flat_map(|(nres, hubs)| {
+            let v = spread();
+            // The resource a hub flow crosses besides its hub.
+            let leg = (0..nres, v.weight.clone(), v.cap.clone());
+            let chain = (prop::collection::vec(0..nres, 4..=7), v.weight.clone());
+            let tail_hubs = hubs.clone();
+            let hub_flow = (0..hubs.len(), leg.clone())
+                .prop_map(move |(k, (r, w, cap))| Op::Start(vec![tail_hubs[k], r], w, cap));
+            (
+                prop::collection::vec(v.capacity.clone(), nres),
+                prop::collection::vec(prop::collection::vec(leg, 2..=6), hubs.len()),
+                prop::collection::vec(chain, 1..=2),
+                prop::collection::vec(prop_oneof![op(nres, &v).boxed(), hub_flow.boxed()], 8..40),
+            )
+                .prop_map(move |(capacities, legs, chains, steps)| {
+                    let mut ops = Vec::new();
+                    for (&h, legs) in hubs.iter().zip(legs) {
+                        ops.extend(
+                            legs.into_iter()
+                                .map(|(r, w, cap)| Op::Start(vec![h, r], w, cap)),
+                        );
+                    }
+                    for (rs, w) in chains {
+                        ops.extend(rs.windows(2).map(|pair| Op::Start(pair.to_vec(), w, None)));
+                    }
+                    ops.push(Op::Check);
+                    ops.extend(steps);
+                    (capacities, ops)
+                })
+        })
+}
+
 /// Bitwise snapshot of everything the solver outputs.
 fn snapshot(net: &FluidNet, flows: &[FlowId], rids: &[ResourceId]) -> (Vec<Option<u64>>, Vec<u64>) {
     let rates = flows
@@ -302,6 +348,19 @@ proptest! {
     /// equal caps at one level.
     #[test]
     fn incremental_matches_reference_bitwise_on_stream_shapes(case in stream_script()) {
+        let (capacities, ops) = case;
+        run_script(&capacities, &ops)?;
+    }
+}
+
+proptest! {
+    // At least 1024 cases, like the tie property.
+    #![proptest_config(ProptestConfig::with_cases(ProptestConfig::default().cases.max(1024)))]
+
+    /// The same on components spread over several bitset words, with and
+    /// without a resource that every flow of the component crosses.
+    #[test]
+    fn incremental_matches_reference_bitwise_across_bitset_words(case in wide_script()) {
         let (capacities, ops) = case;
         run_script(&capacities, &ops)?;
     }
