@@ -17,26 +17,33 @@
 //!    those coordinates by construction.
 //!
 //! The split candidates are built once per [`train`], before the boosting
-//! loop: a column-major copy of each feature, its quantile thresholds from
-//! one sort with equal thresholds collapsed to the first, and each
-//! threshold's right-branch row count, dropping any candidate that leaves
-//! a branch empty. A round then only accumulates right-branch residual
-//! sums, taking rows in index order and updating a block of thresholds at
-//! once in fixed-width accumulators with the branch-free
-//! `acc += if x >= t { r } else { 0.0 }`. Every shortcut is exact: each
-//! round picks the split a full per-round scan picks, bit for bit, so the
-//! model bytes do not change:
+//! loop: each feature's quantile thresholds from one sort with equal
+//! thresholds collapsed to the first, and each threshold's right-branch
+//! row count, dropping any candidate that leaves a branch empty. Each live
+//! candidate is a lane, in feature-then-threshold order, packed across
+//! features eight to a block, and one byte per (block, row) keeps the
+//! comparison outcomes: bit `k` is set when the row's value of lane `k`'s
+//! feature is `>=` its threshold. A round then only adds residuals through
+//! those bits. A static 256-entry table maps a byte to eight lane masks,
+//! and for each row in index order each lane adds
+//! `f64::from_bits(r.to_bits() & mask)`, two blocks per pass over the
+//! rows; the gains are read lane by lane, in the same order. Every
+//! shortcut is exact: each round picks the split a full per-round scan
+//! picks, bit for bit, so the model bytes do not change:
 //!
-//! * thresholds and row counts depend only on the features, which never
-//!   change during training;
+//! * thresholds, row counts and comparison bits depend only on the
+//!   features, which never change during training;
 //! * a later threshold equal (`==`) to an earlier one of the same feature
 //!   splits the rows the same way, so it has the same gain and can never
 //!   pass the strict `gain > best + 1e-12` test the earlier one met or
 //!   failed; a dropped candidate has an empty branch, which the scan skips;
-//! * a sum that starts at `+0.0` never becomes `-0.0`, and adding `+0.0`
-//!   to any other value leaves its bits unchanged, so the branch-free
-//!   accumulator adds the same terms in the same order as summing only the
-//!   rows at or above the threshold.
+//! * `r & 0` is `+0.0` and `r & !0` is `r`, the two values
+//!   `if x >= t { r } else { 0.0 }` gives; a sum that starts at `+0.0`
+//!   never becomes `-0.0`, and adding `+0.0` to any other value leaves its
+//!   bits unchanged, so each lane adds the same terms in the same order as
+//!   summing only the rows at or above its threshold. Packing lanes across
+//!   features changes no lane's sequence of adds, and padding lanes are
+//!   never read.
 //!
 //! The unit tests keep the full per-round scan as the reference and
 //! compare the two bit for bit on inputs aimed at each shortcut.
@@ -183,41 +190,61 @@ fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Vec<f64> {
     w
 }
 
-/// Thresholds one accumulator block updates per row. Eight `f64`
-/// accumulators stay in registers (four SSE2 vectors); 4 measured the
-/// same and 16 slower on `predict_check`.
+/// Lanes per block: a block keeps one byte per row, one bit per lane.
 const LANES: usize = 8;
 
-/// One feature's live split candidates.
-struct FeatureCuts {
+/// The lane masks of a block byte: entry `b` holds, for each lane `k`,
+/// all ones where bit `k` of `b` is set and zero where it is clear.
+static MASKS: [[u64; LANES]; 256] = lane_masks();
+
+const fn lane_masks() -> [[u64; LANES]; 256] {
+    let mut masks = [[0; LANES]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut k = 0;
+        while k < LANES {
+            if b >> k & 1 == 1 {
+                masks[b][k] = u64::MAX;
+            }
+            k += 1;
+        }
+        b += 1;
+    }
+    masks
+}
+
+/// One live split candidate.
+struct Cut {
     feature: u32,
     monotone: bool,
-    /// The feature's values in row order.
-    column: Vec<f64>,
-    /// Distinct quantile thresholds leaving both branches non-empty,
-    /// ascending.
-    thresholds: Vec<f64>,
-    /// Rows with `x >= threshold`, per threshold.
-    right_n: Vec<usize>,
+    threshold: f64,
+    /// Rows with `x >= threshold`.
+    right_n: usize,
 }
 
 /// The split candidates of one training set (see the module doc).
 struct Candidates {
     rows: usize,
-    features: Vec<FeatureCuts>,
+    /// Live candidates in feature-then-threshold order; cut `i` is lane
+    /// `i % LANES` of block `i / LANES`.
+    cuts: Vec<Cut>,
+    /// Block-major comparison bits, an even number of blocks: bit `k` of
+    /// `bits[block * rows + row]` is set when the row's value of lane
+    /// `k`'s feature is `>=` its threshold. Padding lanes stay clear.
+    bits: Vec<u8>,
 }
 
 impl Candidates {
     fn new(xs: &[Vec<f64>], params: &Params) -> Candidates {
         let rows = xs.len();
         let dim = xs.first().map_or(0, Vec::len);
-        let mut features = Vec::new();
+        let mut cuts = Vec::new();
+        let mut bits = Vec::new();
         for feature in 0..dim {
             let column: Vec<f64> = xs.iter().map(|x| x[feature]).collect();
             let mut vals = column.clone();
             vals.sort_by(f64::total_cmp);
-            let mut thresholds = Vec::new();
-            let mut right_n = Vec::new();
+            let first = cuts.len();
             let mut last = None;
             for c in 1..=params.cuts {
                 // Candidate thresholds at fixed interior quantiles of the
@@ -227,23 +254,27 @@ impl Candidates {
                     continue;
                 }
                 last = Some(threshold);
-                let right = column.iter().filter(|&&x| x >= threshold).count();
-                if right > 0 && right < rows {
-                    thresholds.push(threshold);
-                    right_n.push(right);
+                let right_n = column.iter().filter(|&&x| x >= threshold).count();
+                if right_n > 0 && right_n < rows {
+                    cuts.push(Cut {
+                        feature: feature as u32,
+                        monotone: params.monotone_up.contains(&feature),
+                        threshold,
+                        right_n,
+                    });
                 }
             }
-            if !thresholds.is_empty() {
-                features.push(FeatureCuts {
-                    feature: feature as u32,
-                    monotone: params.monotone_up.contains(&feature),
-                    column,
-                    thresholds,
-                    right_n,
-                });
+            // Room for the feature's lanes, in whole pairs of blocks.
+            bits.resize(cuts.len().div_ceil(2 * LANES) * 2 * rows, 0);
+            for (j, cut) in cuts[first..].iter().enumerate() {
+                let lane = first + j;
+                let block = &mut bits[lane / LANES * rows..][..rows];
+                for (b, &x) in block.iter_mut().zip(&column) {
+                    *b |= u8::from(x >= cut.threshold) << (lane % LANES);
+                }
             }
         }
-        Candidates { rows, features }
+        Candidates { rows, cuts, bits }
     }
 
     /// The best stump for one boosting round and its gain, or `None` when
@@ -251,52 +282,50 @@ impl Candidates {
     fn fit_stump(&self, residual: &[f64]) -> Option<(Stump, f64)> {
         let total: f64 = residual.iter().sum();
         let mut best: Option<(Stump, f64)> = None;
-        for f in &self.features {
-            let blocks = f.thresholds.chunks(LANES).zip(f.right_n.chunks(LANES));
-            for (block, counts) in blocks {
-                // Padding lanes compare against NaN, never match, and are
-                // never read.
-                let mut t = [f64::NAN; LANES];
-                t[..block.len()].copy_from_slice(block);
-                let mut acc = [0.0f64; LANES];
-                for (&x, &r) in f.column.iter().zip(residual) {
-                    for k in 0..LANES {
-                        acc[k] += if x >= t[k] { r } else { 0.0 };
-                    }
+        // Two blocks per pass over the rows: sixteen accumulators.
+        let pairs = self.bits.chunks_exact(2 * self.rows);
+        for (cuts, pair) in self.cuts.chunks(2 * LANES).zip(pairs) {
+            let (lo, hi) = pair.split_at(self.rows);
+            let mut acc = [0.0f64; 2 * LANES];
+            for ((&lo, &hi), &r) in lo.iter().zip(hi).zip(residual) {
+                let (lo, hi, r) = (&MASKS[lo as usize], &MASKS[hi as usize], r.to_bits());
+                for k in 0..LANES {
+                    acc[k] += f64::from_bits(r & lo[k]);
+                    acc[LANES + k] += f64::from_bits(r & hi[k]);
                 }
-                for ((&threshold, &right_n), &right_sum) in block.iter().zip(counts).zip(&acc) {
-                    let left_n = self.rows - right_n;
-                    let left_sum = total - right_sum;
-                    let left = left_sum / left_n as f64;
-                    let right = right_sum / right_n as f64;
-                    if f.monotone && right < left {
-                        // Pool the branches: the isotonic projection of a
-                        // two-piece violation is the common mean, i.e. no
-                        // split — worthless, so skip.
-                        continue;
-                    }
-                    // Squared-error reduction of the split.
-                    let gain = left * left_sum + right * right_sum;
-                    // Deterministic tie-breaks: strictly greater gain wins;
-                    // equal-gain candidates resolve to the earliest feature
-                    // and lowest threshold by iteration order.
-                    let better = match &best {
-                        None => gain > 1e-12,
-                        Some((_, g)) => gain > *g + 1e-12,
-                    };
-                    if better {
-                        // Shrinkage applies at prediction; store raw
-                        // branch means.
-                        best = Some((
-                            Stump {
-                                feature: f.feature,
-                                threshold,
-                                left,
-                                right,
-                            },
-                            gain,
-                        ));
-                    }
+            }
+            for (cut, &right_sum) in cuts.iter().zip(&acc) {
+                let left_n = self.rows - cut.right_n;
+                let left_sum = total - right_sum;
+                let left = left_sum / left_n as f64;
+                let right = right_sum / cut.right_n as f64;
+                if cut.monotone && right < left {
+                    // Pool the branches: the isotonic projection of a
+                    // two-piece violation is the common mean, i.e. no
+                    // split — worthless, so skip.
+                    continue;
+                }
+                // Squared-error reduction of the split.
+                let gain = left * left_sum + right * right_sum;
+                // Deterministic tie-breaks: strictly greater gain wins;
+                // equal-gain candidates resolve to the earliest feature and
+                // lowest threshold by lane order.
+                let better = match &best {
+                    None => gain > 1e-12,
+                    Some((_, best_gain)) => gain > *best_gain + 1e-12,
+                };
+                if better {
+                    // Shrinkage applies at prediction; store raw branch
+                    // means.
+                    best = Some((
+                        Stump {
+                            feature: cut.feature,
+                            threshold: cut.threshold,
+                            left,
+                            right,
+                        },
+                        gain,
+                    ));
                 }
             }
         }
@@ -442,7 +471,11 @@ impl Model {
                 right: d.f64()?,
             });
         }
-        if mean.len() != dim || scale.len() != dim || weights.len() != dim {
+        if mean.len() != dim
+            || scale.len() != dim
+            || weights.len() != dim
+            || stumps.iter().any(|s| s.feature as usize >= dim)
+        {
             return None;
         }
         d.finish(Model {
@@ -622,6 +655,22 @@ mod tests {
         assert!(Model::decode(&bytes).is_none());
     }
 
+    /// A stump on a feature the model does not have would make `predict`
+    /// index out of bounds, so `decode` rejects it.
+    #[test]
+    fn decode_rejects_a_stump_outside_the_features() {
+        let (xs, ys) = synthetic(60);
+        let m = train(&xs, &ys, &Params::default());
+        for feature in [m.dim as u32, 9999] {
+            let mut bad = m.clone();
+            bad.stumps[0].feature = feature;
+            assert!(Model::decode(&bad.encode()).is_none(), "feature {feature}");
+        }
+        let mut last = m.clone();
+        last.stumps[0].feature = m.dim as u32 - 1;
+        assert_eq!(Model::decode(&last.encode()), Some(last));
+    }
+
     #[test]
     fn monotone_constraint_holds_structurally() {
         // Single-bottleneck synthetic pairs: penalty grows with feature 0,
@@ -676,9 +725,11 @@ mod tests {
         let mut rng = TestRng::new(seed);
         let cuts = ORACLE_CUTS[rng.below(ORACLE_CUTS.len() as u64) as usize];
         // From one row to well past `cuts + 1`, so quantile positions
-        // collide or spread out and accumulator blocks end part-full.
+        // collide or spread out and features keep few or many lanes.
         let rows = 1 + rng.below((cuts + 2 + 3 * LANES) as u64) as usize;
-        let dim = 1 + rng.below(6) as usize;
+        // Up to twelve features, so blocks hold lanes of several features
+        // and the last block ends part-full, in an odd or even position.
+        let dim = 1 + rng.below(12) as usize;
         let mut cols: Vec<Vec<f64>> = Vec::with_capacity(dim);
         for j in 0..dim {
             let col: Vec<f64> = match rng.below(5) {
@@ -740,8 +791,10 @@ mod tests {
         (xs, residual, params)
     }
 
+    type SplitBits = Option<(u32, u64, u64, u64, u64)>;
+
     /// A split as bits: feature, threshold, left, right and gain.
-    fn split_bits(s: Option<(Stump, f64)>) -> Option<(u32, u64, u64, u64, u64)> {
+    fn split_bits(s: Option<(Stump, f64)>) -> SplitBits {
         s.map(|(s, gain)| {
             (
                 s.feature,
@@ -753,6 +806,85 @@ mod tests {
         })
     }
 
+    /// Up to `rounds` boosting rounds, each fitting the candidate kernel's
+    /// and the reference scan's split to the residuals and then taking the
+    /// kernel's: both picks as bits per round, ending after the first
+    /// round without a split.
+    fn kernel_and_reference_rounds(
+        xs: &[Vec<f64>],
+        mut residual: Vec<f64>,
+        params: &Params,
+        rounds: usize,
+    ) -> Vec<(SplitBits, SplitBits)> {
+        let candidates = Candidates::new(xs, params);
+        let mut picks = Vec::new();
+        for _ in 0..rounds {
+            let got = candidates.fit_stump(&residual);
+            let want = reference::fit_stump(xs, &residual, params);
+            picks.push((split_bits(got.clone()), split_bits(want)));
+            let Some((stump, _)) = got else { break };
+            for (x, r) in xs.iter().zip(&mut residual) {
+                let p = if x[stump.feature as usize] >= stump.threshold {
+                    stump.right
+                } else {
+                    stump.left
+                };
+                *r -= params.shrink * p;
+            }
+        }
+        picks
+    }
+
+    /// Hand-built columns whose 23 lanes fill three blocks, the last one
+    /// odd: feature 0's four lanes and feature 2's first four share block
+    /// 0, feature 1 (constant) has no live lane between them, and the
+    /// monotone feature 3's three lanes end the tail block after feature
+    /// 2's last four. The kernel matches the reference scan bit for bit
+    /// in each round, and the rounds split on features 0, 2 and 3.
+    #[test]
+    fn packed_blocks_across_features_match_the_reference() {
+        let rows = 40;
+        let level0 = |i: usize| (i % 5) as f64;
+        let level3 = |i: usize| (i * 7 % 4) as f64;
+        let xs: Vec<Vec<f64>> = (0..rows)
+            .map(|i| {
+                let spread = (i * 17 % rows) as f64 * 0.25 - 3.0;
+                vec![level0(i), 1.5, spread, level3(i)]
+            })
+            .collect();
+        // A rising step on feature 3 at 2, a falling one at 3 that its
+        // monotone constraint rejects, a step on feature 0 and a slope on
+        // feature 2, with small uneven terms so no sum is exact.
+        let residual: Vec<f64> = (0..rows)
+            .map(|i| {
+                let step = |x: f64, t: f64| f64::from(u8::from(x >= t));
+                step(level3(i), 2.0) - 0.8 * step(level3(i), 3.0) + 0.6 * step(level0(i), 3.0)
+                    - 0.05 * xs[i][2]
+                    + ((i * 37 % 11) as f64 - 5.0) * 0.01
+            })
+            .collect();
+        let params = Params {
+            shrink: 1.0,
+            monotone_up: vec![3],
+            ..Params::default()
+        };
+        let picks = kernel_and_reference_rounds(&xs, residual, &params, 12);
+        for (round, (got, want)) in picks.iter().enumerate() {
+            assert_eq!(got, want, "round {round}");
+        }
+        let mut features: Vec<u32> = picks.iter().flat_map(|p| p.0).map(|s| s.0).collect();
+        features.sort_unstable();
+        features.dedup();
+        assert_eq!(features, [0, 2, 3]);
+        // The layout the doc comment describes.
+        let candidates = Candidates::new(&xs, &params);
+        let lanes: Vec<u32> = candidates.cuts.iter().map(|c| c.feature).collect();
+        let want: Vec<u32> = [[0; 4].as_slice(), &[2; 16], &[3; 3]].concat();
+        assert_eq!(lanes, want);
+        assert!(candidates.cuts[20..].iter().all(|c| c.monotone));
+        assert_eq!(candidates.bits.len(), 4 * rows, "three blocks and a pad");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(ProptestConfig::default().cases.max(1024)))]
 
@@ -760,24 +892,10 @@ mod tests {
         /// bit, in each of several boosting rounds.
         #[test]
         fn candidate_kernel_matches_reference_scan(seed in any::<u64>()) {
-            let (xs, mut residual, params) = oracle_case(seed);
-            let candidates = Candidates::new(&xs, &params);
-            for round in 0..4 {
-                let got = candidates.fit_stump(&residual);
-                let (g, w) = (
-                    split_bits(got.clone()),
-                    split_bits(reference::fit_stump(&xs, &residual, &params)),
-                );
+            let (xs, residual, params) = oracle_case(seed);
+            let picks = kernel_and_reference_rounds(&xs, residual, &params, 4);
+            for (round, (g, w)) in picks.iter().enumerate() {
                 prop_assert_eq!(g, w, "round {} of seed {}: {:?} vs {:?}", round, seed, g, w);
-                let Some((stump, _)) = got else { break };
-                for (x, r) in xs.iter().zip(&mut residual) {
-                    let p = if x[stump.feature as usize] >= stump.threshold {
-                        stump.right
-                    } else {
-                        stump.left
-                    };
-                    *r -= params.shrink * p;
-                }
             }
         }
     }

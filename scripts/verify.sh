@@ -65,6 +65,13 @@ echo "==> predict smoke: rank placements for a held-out workload"
 cargo run --release -p bench --bin repro -- rank-placements --quick --jobs 2 \
   --preset bora --workload cg --cores 8 --metric bw --ground-truth
 
+echo "==> examples: each runs and passes its own assertions"
+# Every example asserts what it demonstrates at the end, so building them
+# (clippy --all-targets above) is not enough: run each one.
+for example in examples/*.rs; do
+  cargo run --release --example "$(basename "$example" .rs)"
+done
+
 echo "==> benchmark workloads: correct, and wall_s within 4x of the ledger"
 # One short run of each BENCHMARK.json workload, checked against the
 # committed ledger: a run fails if any rep failed, or if its wall_s median
