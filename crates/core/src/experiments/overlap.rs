@@ -20,7 +20,7 @@
 
 use freq::License;
 use kernels::single_phase;
-use mpisim::ClusterEvent;
+use mpisim::{Cluster, ClusterEvent, ReqId};
 use simcore::{JitterFamily, Series};
 use topology::{henri, NumaId};
 
@@ -63,16 +63,12 @@ fn measure(size: usize, ai: f64, cores: usize, seed: u64) -> OverlapPoint {
         for warm in 0..2 {
             let r = c.irecv(1, warm);
             c.isend(0, size, warm, 0x600);
-            while !c.test_recv(r) {
-                c.step().expect("progress");
-            }
+            wait_recv(&mut c, r);
         }
         let t0 = c.engine.now();
         let r = c.irecv(1, 99);
         c.isend(0, size, 99, 0x600);
-        while !c.test_recv(r) {
-            c.step().expect("progress");
-        }
+        wait_recv(&mut c, r);
         (c.engine.now() - t0).as_secs_f64()
     };
 
@@ -102,9 +98,7 @@ fn measure(size: usize, ai: f64, cores: usize, seed: u64) -> OverlapPoint {
         for warm in 0..2 {
             let r = c.irecv(1, warm);
             c.isend(0, size, warm, 0x600);
-            while !c.test_recv(r) {
-                c.step().expect("progress");
-            }
+            wait_recv(&mut c, r);
         }
         let avail = c.compute_cores();
         let t0 = c.engine.now();
@@ -125,6 +119,11 @@ fn measure(size: usize, ai: f64, cores: usize, seed: u64) -> OverlapPoint {
         (c.engine.now() - t0).as_secs_f64()
     };
     OverlapPoint(t_comm, t_comp, t_total)
+}
+
+/// Step `c` until receive `r` reports its completion.
+fn wait_recv(c: &mut Cluster, r: ReqId) {
+    while !matches!(c.step().expect("progress"), ClusterEvent::RecvComplete(x) if x == r) {}
 }
 
 /// Overlap ratio from the three durations.

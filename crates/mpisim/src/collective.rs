@@ -542,61 +542,33 @@ pub fn run_ordered(
         if n == 0 {
             continue;
         }
-        let mut reqs: Vec<(ReqId, ReqId)> = Vec::with_capacity(n);
         // Pre-post every receive of the round, then every send: rendezvous
-        // handshakes find their receive already matched.
+        // handshakes find their receive already matched, and no receive
+        // completes when posted.
+        let (mut r_base, mut s_base) = (None, None);
         for &mi in &order {
             let m = &round[mi];
             let r = cluster.irecv_from(m.dst as usize, m.src as usize, mtag);
-            reqs.push((r, ReqId(0)));
+            r_base.get_or_insert(r.0);
         }
-        for (k, &mi) in order.iter().enumerate() {
+        for &mi in &order {
             let m = &round[mi];
             let buffer = buffer_base + m.src as u64 * nodes + m.dst as u64;
             let s = cluster.isend_to(m.src as usize, m.dst as usize, size, mtag, buffer);
-            reqs[k].1 = s;
+            s_base.get_or_insert(s.0);
         }
-        // Barrier: the next round's sends depend on this round's data.
-        // Event-driven: requests are checked once up front (some complete
-        // instantly at posting time), then marked off as their completion
-        // events arrive — no O(round × events) rescans of the request list.
-        // Request ids allocate sequentially, so this round's occupy the
-        // dense ranges [r_base, r_base+n) and [s_base, s_base+n).
-        let r_base = reqs[0].0 .0;
-        let s_base = reqs[0].1 .0;
+        // Barrier: the next round's sends depend on this round's data. Each
+        // request reports once, by its completion event. Request ids
+        // allocate sequentially and nothing else is posted during the round,
+        // so its requests are those from its first receive's and first
+        // send's ids on, and it ends when all 2n of them have reported.
+        let (r_base, s_base) = (r_base.expect("n > 0"), s_base.expect("n > 0"));
         let mut open = 2 * n;
-        let mut done = vec![(false, false); n];
-        for (k, &(r, s)) in reqs.iter().enumerate() {
-            debug_assert_eq!(r.0, r_base + k as u32);
-            debug_assert_eq!(s.0, s_base + k as u32);
-            if cluster.test_recv(r) {
-                done[k].0 = true;
-                open -= 1;
-            }
-            if cluster.test_send(s) {
-                done[k].1 = true;
-                open -= 1;
-            }
-        }
         while open > 0 {
             match cluster.try_step()? {
-                Some(ClusterEvent::RecvComplete(ReqId(x))) => {
-                    if let Some(k) = x.checked_sub(r_base).map(|k| k as usize) {
-                        if k < n && !done[k].0 {
-                            done[k].0 = true;
-                            open -= 1;
-                        }
-                    }
-                }
-                Some(ClusterEvent::SendComplete(ReqId(x))) => {
-                    if let Some(k) = x.checked_sub(s_base).map(|k| k as usize) {
-                        if k < n && !done[k].1 {
-                            done[k].1 = true;
-                            open -= 1;
-                        }
-                    }
-                }
-                Some(ClusterEvent::SendFailed { req, retry }) => {
+                Some(ClusterEvent::RecvComplete(ReqId(r))) if r >= r_base => open -= 1,
+                Some(ClusterEvent::SendComplete(ReqId(s))) if s >= s_base => open -= 1,
+                Some(ClusterEvent::SendFailed { req, retry, .. }) => {
                     return Err(ClusterError::TransferFailed {
                         send: req,
                         retries: retry.retries,

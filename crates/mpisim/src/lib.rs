@@ -27,7 +27,7 @@ pub mod collective;
 pub mod pingpong;
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
 use freq::{Activity, FreqModel, Governor, UncorePolicy};
@@ -44,17 +44,11 @@ use topology::fabric::{Fabric, FabricSpec};
 use topology::{CoreId, MachineSpec, NumaId, Placement};
 
 /// A request handle for a non-blocking operation. A send's handle carries
-/// the number of its transfer in [`NetSim`].
+/// the number of its transfer in [`NetSim`]; a receive's is the token its
+/// matched transfer hands back. A request reports only by its completion
+/// event ([`ClusterEvent`]), once.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ReqId(u32);
-
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum ReqState {
-    Pending,
-    Complete,
-    /// The underlying transfer exhausted its retransmission budget.
-    Failed,
-}
 
 /// Why a simulation drive could not complete.
 #[derive(Clone, Debug)]
@@ -109,27 +103,6 @@ impl fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// What mpisim alone knows of a send. Its transfer of the same number in
-/// [`NetSim`] holds the endpoints, the size and the retries while it lives,
-/// and netsim's events name what the cluster needs of them.
-#[derive(Clone, Copy, Debug)]
-struct SendReq {
-    state: ReqState,
-    /// The receive request that matched this send ([`NO_REQ`] until one
-    /// does).
-    recv: u32,
-    /// The payload arrived before any receive matched it.
-    delivered: bool,
-}
-
-// A cluster keeps one `SendReq` per message for the whole run, so its width
-// is the collectives' per-message RSS; a 24 B form raised it (DESIGN.md
-// §13.8).
-const _: () = assert!(std::mem::size_of::<SendReq>() == 8);
-
-/// [`SendReq::recv`] sentinel: no receive has matched yet.
-const NO_REQ: u32 = u32::MAX;
-
 /// A match key, `(dst, src, mtag)`. Tags are always concrete (there is no
 /// `ANY_SOURCE` or `ANY_TAG`), so a receive matches only its own key.
 type Key = (u32, u32, u32);
@@ -165,7 +138,7 @@ impl MatchBin {
 /// cluster build, as the differential reference for the queues.
 ///
 /// The matcher holds no request state: what a match does to the requests
-/// (their states, which receive a send matched, an early delivery) is
+/// (the token netsim's transfer carries, an early delivery, a failure) is
 /// [`Cluster`]'s, shared by both forms.
 enum Matcher {
     Indexed {
@@ -232,13 +205,14 @@ impl Matcher {
 
     /// Receive `r` was posted on `key`: take the earliest transfer queued
     /// on `key` that has not `failed`, or queue `r`. The bins drop failed
-    /// transfers here, lazily, so a failure never scans unrelated bins; the
-    /// scan removed them when they failed.
+    /// transfers here, lazily, asking `failed` once for each transfer they
+    /// pop, so a failure never scans unrelated bins; the scan removed them
+    /// when they failed.
     fn post_recv(
         &mut self,
         key: Key,
         r: u32,
-        failed: impl Fn(TransferId) -> bool,
+        mut failed: impl FnMut(TransferId) -> bool,
     ) -> Option<TransferId> {
         match self {
             Matcher::Indexed { bins, spare } => {
@@ -283,11 +257,16 @@ impl Matcher {
         }
     }
 
-    /// Transfer `t` failed. The scan removes it from its queue now; the
-    /// bins skip it when a receive reaches it ([`Matcher::post_recv`]).
-    fn drop_failed(&mut self, t: TransferId) {
-        if let Matcher::Scan { unexpected, .. } = self {
-            unexpected.retain(|&(_, u)| u != t);
+    /// Transfer `t` failed while queued as unexpected. The scan removes it
+    /// from its queue now; the bins keep it until a receive reaches it
+    /// ([`Matcher::post_recv`]). Returns whether `t` stays queued.
+    fn drop_failed(&mut self, t: TransferId) -> bool {
+        match self {
+            Matcher::Indexed { .. } => true,
+            Matcher::Scan { unexpected, .. } => {
+                unexpected.retain(|&(_, u)| u != t);
+                false
+            }
         }
     }
 }
@@ -339,6 +318,9 @@ pub enum ClusterEvent {
     SendFailed {
         /// The failed send request.
         req: ReqId,
+        /// The receive request that matched it, which fails with it and
+        /// reports nothing else.
+        recv: Option<ReqId>,
         /// Its retry work, the final timeout included.
         retry: RetryStats,
     },
@@ -358,11 +340,12 @@ pub enum ClusterEvent {
 
 /// The complete simulated world: N identical nodes plus the routed fabric.
 ///
-/// A send's [`ReqId`] is its transfer's number in `net`, so the cluster
-/// keeps per message only what netsim does not know: a send's state, the
-/// receive that matched it and whether its payload arrived first (8 B),
-/// and a receive's state (1 B). Its `Matcher` only decides which queued
-/// partner a new send or receive takes.
+/// A send's [`ReqId`] is its transfer's number in `net`, and the transfer
+/// carries the receive that matched it, as a token its completion event
+/// hands back, so the cluster keeps no per-message record: only how many
+/// requests are open, the receives that completed when posted, and the
+/// unmatched transfers that landed or failed. Its `Matcher` only decides
+/// which queued partner a new send or receive takes.
 pub struct Cluster {
     /// The discrete-event engine.
     pub engine: Engine,
@@ -381,11 +364,21 @@ pub struct Cluster {
     pub comm_core: Vec<CoreId>,
     /// NUMA node holding communication buffers on each node.
     pub data_numa: Vec<NumaId>,
-    /// Send requests by [`ReqId`], which is also the transfer's number in
-    /// `net`: the only per-send record this layer keeps.
-    sends: Vec<SendReq>,
-    /// Receive request states by [`ReqId`]: the only per-receive record.
-    recvs: Vec<ReqState>,
+    /// Send requests neither complete nor failed.
+    open_sends: usize,
+    /// Receive requests neither complete nor failed.
+    open_recvs: usize,
+    /// The next receive's [`ReqId`].
+    next_recv: u32,
+    /// Receives that completed when posted, because their payload had
+    /// already landed; [`Cluster::try_step`] hands them out first.
+    done_at_post: VecDeque<ReqId>,
+    /// Unmatched transfers whose payload landed: the receive that matches
+    /// one completes when posted.
+    landed: HashSet<TransferId, IdBuildHasher>,
+    /// Unmatched transfers that failed, still queued in a match bin until
+    /// a receive on their key skips them.
+    failed: HashSet<TransferId, IdBuildHasher>,
     /// Tag-matching queues (indexed bins by default; see [`Matcher`]).
     matcher: Matcher,
     profile: Vec<SendRecord>,
@@ -441,8 +434,12 @@ impl Cluster {
             net,
             comm_core: vec![resolved.comm_core; nodes],
             data_numa: vec![resolved.data_numa; nodes],
-            sends: Vec::new(),
-            recvs: Vec::new(),
+            open_sends: 0,
+            open_recvs: 0,
+            next_recv: 0,
+            done_at_post: VecDeque::new(),
+            landed: HashSet::default(),
+            failed: HashSet::default(),
             matcher,
             profile: Vec::new(),
             profiling: false,
@@ -620,13 +617,7 @@ impl Cluster {
             )
         };
         // One number names the send here and its transfer in netsim, which
-        // holds what this layer does not: this is the only `start_send` call
-        // on the cluster's `NetSim`, so the two count up together.
-        assert_eq!(
-            transfer.0 as usize,
-            self.sends.len(),
-            "a send's request id is its transfer id"
-        );
+        // holds what this layer does not.
         let req = ReqId(transfer.0);
         if telemetry::is_active() {
             telemetry::async_begin(
@@ -637,17 +628,12 @@ impl Cluster {
                 Lane::Node(from as u32),
             );
         }
-        self.sends.push(SendReq {
-            state: ReqState::Pending,
-            recv: NO_REQ,
-            delivered: false,
-        });
+        self.open_sends += 1;
         if let Some(r) = self
             .matcher
             .post_send((to as u32, from as u32, mtag), transfer)
         {
-            self.sends[req.0 as usize].recv = r;
-            self.net.recv_ready(&mut self.engine, transfer);
+            self.net.recv_ready(&mut self.engine, transfer, r);
         }
         req
     }
@@ -666,75 +652,40 @@ impl Cluster {
     /// Non-blocking receive at rank `node` from rank `src` with tag `mtag`.
     pub fn irecv_from(&mut self, node: usize, src: usize, mtag: u32) -> ReqId {
         assert!(node != src, "self-receives never touch the fabric");
-        let req = ReqId(self.recvs.len() as u32);
-        telemetry::async_begin(
-            self.engine.now(),
-            "mpi.recv",
-            "recv",
-            req.0 as u64,
-            Lane::Node(node as u32),
-        );
-        let sends = &self.sends;
+        let req = ReqId(self.next_recv);
+        self.next_recv += 1;
+        let lane = Lane::Node(node as u32);
+        telemetry::async_begin(self.engine.now(), "mpi.recv", "recv", req.0 as u64, lane);
+        let failed = &mut self.failed;
         let matched = self
             .matcher
             .post_recv((node as u32, src as u32, mtag), req.0, |t| {
-                sends[t.0 as usize].state == ReqState::Failed
+                failed.remove(&t)
             });
-        let mut state = ReqState::Pending;
-        if let Some(transfer) = matched {
-            let s = &mut self.sends[transfer.0 as usize];
-            s.recv = req.0;
-            if s.delivered {
-                // The payload already arrived: the request is instantaneous.
-                state = ReqState::Complete;
-                telemetry::async_end(
-                    self.engine.now(),
-                    "mpi.recv",
-                    req.0 as u64,
-                    Lane::Node(node as u32),
-                );
-            } else {
-                self.net.recv_ready(&mut self.engine, transfer);
+        match matched {
+            Some(transfer) if self.landed.remove(&transfer) => {
+                // The payload already landed: the request completes now,
+                // and the next step reports it.
+                telemetry::async_end(self.engine.now(), "mpi.recv", req.0 as u64, lane);
+                self.done_at_post.push_back(req);
             }
+            Some(transfer) => {
+                self.open_recvs += 1;
+                self.net.recv_ready(&mut self.engine, transfer, req.0);
+            }
+            None => self.open_recvs += 1,
         }
-        self.recvs.push(state);
         req
-    }
-
-    /// True if the request has completed.
-    pub fn test_send(&self, req: ReqId) -> bool {
-        self.sends[req.0 as usize].state == ReqState::Complete
-    }
-
-    /// True if the request has completed.
-    pub fn test_recv(&self, req: ReqId) -> bool {
-        self.recvs[req.0 as usize] == ReqState::Complete
-    }
-
-    /// True if the send's transfer failed permanently (fault injection).
-    pub fn send_failed(&self, req: ReqId) -> bool {
-        self.sends[req.0 as usize].state == ReqState::Failed
-    }
-
-    /// True if the receive's matched transfer failed permanently.
-    pub fn recv_failed(&self, req: ReqId) -> bool {
-        self.recvs[req.0 as usize] == ReqState::Failed
     }
 
     /// Number of send requests still pending.
     pub fn pending_sends(&self) -> usize {
-        self.sends
-            .iter()
-            .filter(|s| s.state == ReqState::Pending)
-            .count()
+        self.open_sends
     }
 
     /// Number of receive requests still pending.
     pub fn pending_recvs(&self) -> usize {
-        self.recvs
-            .iter()
-            .filter(|&&r| r == ReqState::Pending)
-            .count()
+        self.open_recvs
     }
 
     /// Advance the simulation by one event. Returns `None` when the engine
@@ -749,7 +700,12 @@ impl Cluster {
 
     /// Advance the simulation by one event. `Ok(None)` means the engine ran
     /// dry; [`ClusterError::Wedged`] carries the engine's stall diagnostic.
+    /// A receive that completed when posted is reported first, before the
+    /// engine moves.
     pub fn try_step(&mut self) -> Result<Option<ClusterEvent>, ClusterError> {
+        if let Some(req) = self.done_at_post.pop_front() {
+            return Ok(Some(ClusterEvent::RecvComplete(req)));
+        }
         loop {
             let Some(ev) = self.engine.try_next().map_err(ClusterError::Wedged)? else {
                 return Ok(None);
@@ -806,7 +762,7 @@ impl Cluster {
                 sender_elapsed,
                 retry,
             } => {
-                self.sends[id.0 as usize].state = ReqState::Complete;
+                self.open_sends -= 1;
                 telemetry::async_end(now, "mpi.send", id.0 as u64, Lane::Node(from as u32));
                 if self.profiling {
                     self.profile.push(SendRecord {
@@ -818,32 +774,39 @@ impl Cluster {
                 }
                 Some(ClusterEvent::SendComplete(ReqId(id.0)))
             }
-            NetEvent::Delivered { id, to } => {
-                let s = &mut self.sends[id.0 as usize];
-                if s.recv == NO_REQ {
+            NetEvent::Delivered { id, to, recv } => {
+                let Some(r) = recv else {
                     // Arrived before any receive was posted.
-                    s.delivered = true;
+                    self.landed.insert(id);
                     return None;
-                }
-                let r = s.recv;
-                self.recvs[r as usize] = ReqState::Complete;
+                };
+                self.open_recvs -= 1;
                 telemetry::async_end(now, "mpi.recv", r as u64, Lane::Node(to as u32));
                 Some(ClusterEvent::RecvComplete(ReqId(r)))
             }
-            NetEvent::Failed { id, from, retry } => {
-                let s = &mut self.sends[id.0 as usize];
-                s.state = ReqState::Failed;
+            NetEvent::Failed {
+                id,
+                from,
+                retry,
+                recv,
+            } => {
+                self.open_sends -= 1;
                 let lane = Lane::Node(from as u32);
                 telemetry::instant(now, "mpi", "send.failed", lane);
                 telemetry::async_end(now, "mpi.send", id.0 as u64, lane);
-                // The matched receive will never complete either, and a
-                // queued unexpected transfer must never match.
-                if s.recv != NO_REQ {
-                    self.recvs[s.recv as usize] = ReqState::Failed;
+                match recv {
+                    // The matched receive will never complete either.
+                    Some(_) => self.open_recvs -= 1,
+                    // A queued unexpected transfer must never match.
+                    None => {
+                        if self.matcher.drop_failed(id) {
+                            self.failed.insert(id);
+                        }
+                    }
                 }
-                self.matcher.drop_failed(id);
                 Some(ClusterEvent::SendFailed {
                     req: ReqId(id.0),
+                    recv: recv.map(ReqId),
                     retry,
                 })
             }
@@ -855,6 +818,10 @@ impl Cluster {
     pub fn step_until(&mut self, deadline: SimTime) -> Option<ClusterEvent> {
         const SENTINEL: u64 = 0x00FF_FFFF_FFFF_FFFF;
         let sentinel_tag = simcore::tag(tags::ns::EXPERIMENT, SENTINEL);
+        if !self.done_at_post.is_empty() {
+            // Reported without moving the engine.
+            return self.step();
+        }
         if self.engine.now() >= deadline {
             return None;
         }
@@ -889,10 +856,35 @@ mod tests {
         )
     }
 
+    /// Step until receive `r` reports its completion.
     fn drive_until_recv(c: &mut Cluster, r: ReqId) {
-        while !c.test_recv(r) {
-            c.step().expect("progress");
+        while !matches!(c.step().expect("progress"), ClusterEvent::RecvComplete(x) if x == r) {}
+    }
+
+    /// A request's report, as a cluster event gives it.
+    #[derive(Debug, PartialEq)]
+    enum Done {
+        Send(ReqId),
+        Recv(ReqId),
+        Failed {
+            req: ReqId,
+            recv: Option<ReqId>,
+            retry: RetryStats,
+        },
+    }
+
+    /// Run `c` dry; returns every request report, in order.
+    fn drain(c: &mut Cluster) -> Vec<Done> {
+        let mut done = Vec::new();
+        while let Some(ev) = c.step() {
+            done.push(match ev {
+                ClusterEvent::SendComplete(s) => Done::Send(s),
+                ClusterEvent::RecvComplete(r) => Done::Recv(r),
+                ClusterEvent::SendFailed { req, recv, retry } => Done::Failed { req, recv, retry },
+                _ => continue,
+            });
         }
+        done
     }
 
     #[test]
@@ -900,8 +892,9 @@ mod tests {
         let mut c = cluster();
         let r = c.irecv(1, 7);
         let s = c.isend(0, 1024, 7, 1);
-        drive_until_recv(&mut c, r);
-        assert!(c.test_send(s));
+        assert_eq!((c.pending_sends(), c.pending_recvs()), (1, 1));
+        assert_eq!(drain(&mut c), [Done::Send(s), Done::Recv(r)]);
+        assert_eq!((c.pending_sends(), c.pending_recvs()), (0, 0));
         assert!(c.engine.now() > SimTime::ZERO);
     }
 
@@ -910,22 +903,56 @@ mod tests {
         let mut c = cluster();
         let s = c.isend(0, 64, 9, 1);
         // Drain until the network goes quiet (eager: delivered without recv).
-        while c.step().is_some() {}
+        assert_eq!(drain(&mut c), [Done::Send(s)]);
         let r = c.irecv(1, 9);
         // Eager message already arrived: receive completes immediately.
-        assert!(c.test_recv(r));
-        assert!(c.test_send(s));
+        assert_eq!(c.pending_recvs(), 0);
+        assert_eq!(drain(&mut c), [Done::Recv(r)]);
+    }
+
+    /// A receive posted after its eager payload landed completes when
+    /// posted, under both matchers: the next step reports it as exactly one
+    /// `RecvComplete` without moving the engine, and so does `step_until`,
+    /// before it arms its deadline.
+    #[test]
+    fn recv_posted_after_its_payload_landed_completes_at_the_next_step() {
+        for scan in [false, true] {
+            let paths = ReferencePaths {
+                matcher: scan,
+                ..ReferencePaths::default()
+            };
+            let mut c = simcore::reference_paths::scoped(paths, cluster);
+            let sends = [c.isend(0, 64, 9, 1), c.isend(0, 64, 9, 2)];
+            assert_eq!(drain(&mut c), sends.map(Done::Send), "scan {scan}");
+            let now = c.engine.now();
+            let r = c.irecv(1, 9);
+            assert_eq!(c.pending_recvs(), 0, "scan {scan}");
+            assert!(
+                matches!(c.step(), Some(ClusterEvent::RecvComplete(x)) if x == r),
+                "scan {scan}"
+            );
+            assert_eq!(c.engine.now(), now, "scan {scan}");
+            assert!(c.step().is_none(), "scan {scan}: reported once");
+            let r = c.irecv(1, 9);
+            let deadline = now + SimTime::from_micros(1);
+            assert!(
+                matches!(c.step_until(deadline), Some(ClusterEvent::RecvComplete(x)) if x == r),
+                "scan {scan}"
+            );
+            assert_eq!(c.engine.now(), now, "scan {scan}");
+            assert!(c.step_until(deadline).is_none(), "scan {scan}");
+            assert_eq!(c.engine.now(), deadline, "scan {scan}");
+        }
     }
 
     #[test]
     fn tag_matching_is_selective() {
         let mut c = cluster();
-        let r_b = c.irecv(1, 2);
+        let _r_b = c.irecv(1, 2);
         let r_a = c.irecv(1, 1);
-        let _s = c.isend(0, 128, 1, 1);
-        drive_until_recv(&mut c, r_a);
-        // Tag 2 must still be pending.
-        assert!(!c.test_recv(r_b));
+        let s = c.isend(0, 128, 1, 1);
+        assert_eq!(drain(&mut c), [Done::Send(s), Done::Recv(r_a)]);
+        assert_eq!(c.pending_recvs(), 1, "tag 2 must still be pending");
     }
 
     #[test]
@@ -933,11 +960,14 @@ mod tests {
         let mut c = cluster();
         let r1 = c.irecv(1, 5);
         let r2 = c.irecv(1, 5);
-        c.isend(0, 64, 5, 1);
-        drive_until_recv(&mut c, r1);
-        assert!(!c.test_recv(r2), "second recv must wait for a second send");
-        c.isend(0, 64, 5, 2);
-        drive_until_recv(&mut c, r2);
+        let s1 = c.isend(0, 64, 5, 1);
+        assert_eq!(
+            drain(&mut c),
+            [Done::Send(s1), Done::Recv(r1)],
+            "second recv must wait for a second send"
+        );
+        let s2 = c.isend(0, 64, 5, 2);
+        assert_eq!(drain(&mut c), [Done::Send(s2), Done::Recv(r2)]);
     }
 
     /// Match bins the indexed matcher still holds.
@@ -981,10 +1011,11 @@ mod tests {
                     if !force_scan {
                         assert_eq!(live_bins(&c), 1000, "one bin per unexpected message");
                     }
-                    for t in (0..1000u32).rev() {
-                        let r = c.irecv(1, t);
-                        assert!(c.test_recv(r), "eager payload already arrived");
-                    }
+                    let recvs: Vec<Done> = (0..1000u32)
+                        .rev()
+                        .map(|t| Done::Recv(c.irecv(1, t)))
+                        .collect();
+                    assert_eq!(drain(&mut c), recvs, "eager payload already arrived");
                     assert_eq!(live_bins(&c), 0, "every bin emptied by its match is freed");
                     let j = telemetry::take().expect("recorder installed");
                     (
@@ -1019,11 +1050,16 @@ mod tests {
         }
         assert_eq!(live_bins(&c), 1, "tag 0 still holds the second receive");
         assert_eq!(spare_bins(&c), 99, "each emptied bin is parked");
-        for &r in &first {
-            drive_until_recv(&mut c, r);
-        }
-        assert!(
-            !c.test_recv(second),
+        let mut done: Vec<ReqId> = drain(&mut c)
+            .into_iter()
+            .filter_map(|d| match d {
+                Done::Recv(r) => Some(r),
+                _ => None,
+            })
+            .collect();
+        done.sort_by_key(|r| r.0);
+        assert_eq!(
+            done, first,
             "FIFO: the first send matched the first receive"
         );
         c.isend(0, 64, 0, 2);
@@ -1038,10 +1074,11 @@ mod tests {
     }
 
     /// Under certain RTS loss, an eager send completes untouched while a
-    /// rendezvous send with its receive posted fails, and every event and
-    /// query about the failed send reads that send's own transfer. Both
-    /// matchers share this bookkeeping, so the matcher differential cannot
-    /// see it.
+    /// rendezvous send with its receive posted fails, and every event about
+    /// the failed send reads that send's own transfer: its `SendFailed`
+    /// names it and the receive that fails with it, and neither stays
+    /// pending. Both matchers share this bookkeeping, so the matcher
+    /// differential cannot see it.
     #[test]
     fn failed_send_reports_its_own_transfer_under_both_matchers() {
         use netsim::{CTRL_MSG_BYTES, DEFAULT_MAX_RETRIES};
@@ -1067,35 +1104,34 @@ mod tests {
             let eager = c.isend_to(0, 1, 64, 4, 1);
             let rdv_recv = c.irecv_from(3, 2, 4);
             let rdv = c.isend_to(2, 3, 4 << 20, 4, 2);
-            let (mut completed, mut failed) = (Vec::new(), Vec::new());
-            while let Some(ev) = c.step() {
-                match ev {
-                    ClusterEvent::SendComplete(s) => completed.push(s),
-                    ClusterEvent::SendFailed { req, retry } => failed.push((req, retry)),
-                    _ => {}
-                }
-            }
-            assert_eq!(completed, [eager], "scan {scan}");
-            assert!(c.test_recv(eager_recv));
+            let mut done = drain(&mut c);
+            let Some(Done::Failed { req, recv, retry }) = done.pop() else {
+                panic!("scan {scan}: {done:?}")
+            };
+            assert_eq!(
+                done,
+                [Done::Send(eager), Done::Recv(eager_recv)],
+                "scan {scan}"
+            );
+            assert_eq!((req, recv), (rdv, Some(rdv_recv)), "scan {scan}");
+            assert_eq!(
+                (c.pending_sends(), c.pending_recvs()),
+                (0, 0),
+                "scan {scan}"
+            );
             let profile = c.send_profile();
             assert_eq!(profile.len(), 1, "scan {scan}");
             assert_eq!(
                 (profile[0].size, profile[0].retry),
                 (64, RetryStats::default())
             );
-            // No RTS gets through, so no CTS is sent: each retry but the
-            // final give-up re-sends the RTS alone.
-            let [(req, retry)] = failed[..] else {
-                panic!("scan {scan}: failures {failed:?}")
-            };
-            assert_eq!(req, rdv, "scan {scan}");
-            assert_eq!(retry.retries, DEFAULT_MAX_RETRIES + 1);
+            // No RTS gets through, so no CTS is sent: each retry re-sends
+            // the RTS alone, and the final give-up re-sends nothing.
+            assert_eq!(retry.retries, DEFAULT_MAX_RETRIES);
             assert_eq!(
                 retry.retrans_bytes,
                 DEFAULT_MAX_RETRIES as u64 * CTRL_MSG_BYTES
             );
-            assert!(c.send_failed(rdv) && c.recv_failed(rdv_recv));
-            assert!(!c.send_failed(eager) && !c.recv_failed(eager_recv));
         }
     }
 
@@ -1171,8 +1207,7 @@ mod tests {
         let size = 4 << 20;
         let r = c.irecv(1, 3);
         let s = c.isend(0, size, 3, 11);
-        drive_until_recv(&mut c, r);
-        assert!(c.test_send(s));
+        assert_eq!(drain(&mut c), [Done::Send(s), Done::Recv(r)]);
         let prof = c.send_profile();
         assert_eq!(prof.len(), 1);
         assert_eq!(prof[0].size, size);
@@ -1199,13 +1234,16 @@ mod tests {
         );
         let r = c.irecv(1, 1);
         let s = c.isend(0, 32 << 20, 1, 5);
-        let mut job_done = false;
-        let mut recv_done = false;
+        let (mut job_done, mut send_done, mut recv_done) = (false, false, false);
         while !(job_done && recv_done) {
             match c.step().expect("progress") {
                 ClusterEvent::JobDone { job: j, .. } => {
                     assert_eq!(j, job);
                     job_done = true;
+                }
+                ClusterEvent::SendComplete(ss) => {
+                    assert_eq!(ss, s);
+                    send_done = true;
                 }
                 ClusterEvent::RecvComplete(rr) => {
                     assert_eq!(rr, r);
@@ -1214,7 +1252,7 @@ mod tests {
                 _ => {}
             }
         }
-        assert!(c.test_send(s));
+        assert!(send_done);
     }
 
     /// A straggler's cycle resource runs at its factor of the core's

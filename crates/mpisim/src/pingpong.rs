@@ -144,10 +144,12 @@ fn wait_recv(
     send: crate::ReqId,
     background: &mut impl FnMut(&mut Cluster, ClusterEvent),
 ) -> Result<(), ClusterError> {
-    while !cluster.test_recv(req) {
+    loop {
         match cluster.try_step()? {
-            Some(ClusterEvent::RecvComplete(r)) if r == req => break,
-            Some(ClusterEvent::SendFailed { req: failed, retry }) if failed == send => {
+            Some(ClusterEvent::RecvComplete(r)) if r == req => return Ok(()),
+            Some(ClusterEvent::SendFailed {
+                req: failed, retry, ..
+            }) if failed == send => {
                 return Err(ClusterError::TransferFailed {
                     send,
                     retries: retry.retries,
@@ -162,7 +164,6 @@ fn wait_recv(
             }
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]

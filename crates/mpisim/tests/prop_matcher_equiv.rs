@@ -15,11 +15,13 @@
 //! simulated-time horizon (the engine's time budget). After each phase,
 //! every send that failed in it gets a same-key receive and a same-key
 //! eager resend, in an order the script picks, so the lazy skip of failed
-//! transfers runs. The event streams (kind, request, simulated time, and
-//! the retry work a failure reports), the profiler's records (the retry
-//! work of each completed send), every request's final state and how each
-//! drain ended must be identical. Case count honours `PROPTEST_CASES` (CI
-//! runs 512; the nightly long fuzz 4096).
+//! transfers runs. A request reports only by its event, so the event
+//! streams (kind, request, the receive a failure takes with it, simulated
+//! time, and the retry work a failure reports; a receive posted after its
+//! payload landed reports at the next step), the profiler's records (the
+//! retry work of each completed send), the requests left pending and how
+//! each drain ended must be identical. Case count honours `PROPTEST_CASES`
+//! (CI runs 512; the nightly long fuzz 4096).
 
 use freq::{Governor, UncorePolicy};
 use mpisim::{Cluster, ClusterError, ClusterEvent, ReqId, SendRecord};
@@ -150,9 +152,15 @@ enum End {
     Error(String),
 }
 
-/// (kind, request, simulated time, retry work of a failure) of one cluster
-/// event.
-type Record = (&'static str, Option<ReqId>, SimTime, RetryStats);
+/// (kind, request, the receive a failure takes with it, simulated time,
+/// retry work of a failure) of one cluster event.
+type Record = (
+    &'static str,
+    Option<ReqId>,
+    Option<ReqId>,
+    SimTime,
+    RetryStats,
+);
 
 /// Everything the comparison looks at.
 #[derive(Debug, PartialEq)]
@@ -162,10 +170,8 @@ struct Run {
     ends: Vec<End>,
     /// The profiler's record of each completed send, retry work included.
     profile: Vec<SendRecord>,
-    /// Per send: (complete, failed).
-    sends: Vec<(bool, bool)>,
-    /// Per receive: (complete, failed).
-    recvs: Vec<(bool, bool)>,
+    /// Send and receive requests left pending.
+    pending: (usize, usize),
     end_time: SimTime,
 }
 
@@ -178,14 +184,15 @@ fn drain(c: &mut Cluster, horizon: SimTime, events: &mut Vec<Record>) -> End {
             Err(ClusterError::Wedged(EngineError::BudgetExceeded { .. })) => return End::Horizon,
             Err(e) => return End::Error(e.to_string()),
             Ok(Some(ev)) => match ev {
-                ClusterEvent::SendComplete(r) => ("send", Some(r), RetryStats::default()),
-                ClusterEvent::RecvComplete(r) => ("recv", Some(r), RetryStats::default()),
-                ClusterEvent::SendFailed { req, retry } => ("failed", Some(req), retry),
-                ClusterEvent::JobDone { .. } => ("job", None, RetryStats::default()),
-                ClusterEvent::Other(_) => ("other", None, RetryStats::default()),
+                ClusterEvent::SendComplete(r) => ("send", Some(r), None, RetryStats::default()),
+                ClusterEvent::RecvComplete(r) => ("recv", Some(r), None, RetryStats::default()),
+                ClusterEvent::SendFailed { req, recv, retry } => ("failed", Some(req), recv, retry),
+                ClusterEvent::JobDone { .. } => ("job", None, None, RetryStats::default()),
+                ClusterEvent::Other(_) => ("other", None, None, RetryStats::default()),
             },
         };
-        events.push((record.0, record.1, c.engine.now(), record.2));
+        let (kind, req, recv, retry) = record;
+        events.push((kind, req, recv, c.engine.now(), retry));
     }
 }
 
@@ -204,7 +211,6 @@ fn run(script: &Script) -> Run {
     c.enable_profiling();
     let eager = henri().network.eager_threshold;
     let mut sends: Vec<(ReqId, (usize, usize, u32))> = Vec::new();
-    let mut recvs = Vec::new();
     let mut events = Vec::new();
     let mut ends = Vec::new();
     let mut horizon = SimTime::ZERO;
@@ -220,7 +226,9 @@ fn run(script: &Script) -> Run {
                     let buffer = (sends.len() % 4) as u64;
                     sends.push((c.isend_to(from, to, size, tag, buffer), (from, to, tag)));
                 }
-                Op::Recv { node, src, tag } => recvs.push(c.irecv_from(node, src, tag)),
+                Op::Recv { node, src, tag } => {
+                    c.irecv_from(node, src, tag);
+                }
             }
         }
         horizon = c.engine.now() + SimTime::from_micros(phase.advance_us);
@@ -243,9 +251,9 @@ fn run(script: &Script) -> Run {
             let resend = |c: &mut Cluster| c.isend_to(from, to, eager / 2, tag, 99);
             if phase.resend_first {
                 sends.push((resend(&mut c), (from, to, tag)));
-                recvs.push(recv(&mut c));
+                recv(&mut c);
             } else {
-                recvs.push(recv(&mut c));
+                recv(&mut c);
                 sends.push((resend(&mut c), (from, to, tag)));
             }
         }
@@ -259,14 +267,7 @@ fn run(script: &Script) -> Run {
         events,
         ends,
         profile: c.send_profile().to_vec(),
-        sends: sends
-            .iter()
-            .map(|&(s, _)| (c.test_send(s), c.send_failed(s)))
-            .collect(),
-        recvs: recvs
-            .iter()
-            .map(|&r| (c.test_recv(r), c.recv_failed(r)))
-            .collect(),
+        pending: (c.pending_sends(), c.pending_recvs()),
         end_time: c.engine.now(),
     }
 }

@@ -3,9 +3,14 @@
 
 use freq::{Governor, UncorePolicy};
 use mpisim::pingpong::{self, PingPongConfig};
-use mpisim::Cluster;
+use mpisim::{Cluster, ClusterEvent, ReqId};
 use proptest::prelude::*;
 use topology::{henri, BindingPolicy, Placement};
+
+/// Step `c` until receive `r` reports its completion.
+fn wait_recv(c: &mut Cluster, r: ReqId) {
+    while !matches!(c.step().expect("progress"), ClusterEvent::RecvComplete(x) if x == r) {}
+}
 
 fn cluster() -> Cluster {
     Cluster::new(
@@ -53,14 +58,22 @@ proptest! {
             recvs.push(c.irecv(1, r_i));
             r_i += 1;
         }
-        // Drain.
-        while c.step().is_some() {}
-        for &s in &sends {
-            prop_assert!(c.test_send(s));
+        // Drain: every request reports its completion exactly once.
+        let (mut sent, mut received) = (Vec::new(), Vec::new());
+        while let Some(ev) = c.step() {
+            match ev {
+                ClusterEvent::SendComplete(s) => sent.push(s),
+                ClusterEvent::RecvComplete(r) => received.push(r),
+                _ => {}
+            }
         }
-        for &r in &recvs {
-            prop_assert!(c.test_recv(r));
+        for (done, posted) in [(sent, sends), (received, recvs)] {
+            prop_assert_eq!(done.len(), posted.len());
+            for p in &posted {
+                prop_assert!(done.contains(p), "{:?} never completed", p);
+            }
         }
+        prop_assert_eq!((c.pending_sends(), c.pending_recvs()), (0, 0));
     }
 
     /// One-way delivery time is monotone non-decreasing in message size.
@@ -70,9 +83,7 @@ proptest! {
             let mut c = cluster();
             let r = c.irecv(1, 1);
             c.isend(0, size, 1, 42);
-            while !c.test_recv(r) {
-                c.step().expect("progress");
-            }
+            wait_recv(&mut c, r);
             c.engine.now()
         };
         let small = t_for(1 << exp);
@@ -91,9 +102,7 @@ proptest! {
         let r = c2.irecv(1, 1);
         let t0 = c2.engine.now();
         c2.isend(0, 4, 1, 42);
-        while !c2.test_recv(r) {
-            c2.step().expect("progress");
-        }
+        wait_recv(&mut c2, r);
         let one_way = (c2.engine.now() - t0).as_micros_f64();
         prop_assert!((rtt_half - one_way).abs() / one_way < 0.1,
             "half rtt {} vs one-way {}", rtt_half, one_way);
@@ -108,9 +117,7 @@ proptest! {
         let size = size_mb << 20;
         let r = c.irecv(1, 1);
         c.isend(0, size, 1, 42);
-        while !c.test_recv(r) {
-            c.step().expect("progress");
-        }
+        wait_recv(&mut c, r);
         for rec in c.send_profile() {
             prop_assert!(rec.bandwidth() <= henri().network.link_bw * 1.01);
         }

@@ -61,7 +61,7 @@ const DMA_UNCORE_SPAN: f64 = 0.04;
 const IDLE_PENALTY_FADE_CORES: f64 = 4.0;
 
 /// Identifies an in-flight transfer.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TransferId(pub u32);
 
 /// Per-node context netsim needs when driving a transfer.
@@ -75,9 +75,10 @@ pub struct NodeRef<'a> {
 }
 
 /// Events surfaced to the message-passing layer. Each names what the layer
-/// needs of its transfer (the endpoint whose request it settles, the size
-/// and retry work for the profiler), read from the live transfer, so the
-/// layer need keep no copy of them.
+/// needs of its transfer (the endpoint whose request it settles, the
+/// receive token [`NetSim::recv_ready`] gave it, the size and retry work for
+/// the profiler), read from the live transfer, so the layer need keep no
+/// copy of them.
 #[derive(Clone, Debug)]
 pub enum NetEvent {
     /// The sender finished pushing the payload (eager copy done or DMA
@@ -102,6 +103,9 @@ pub enum NetEvent {
         id: TransferId,
         /// Receiving node.
         to: usize,
+        /// The token of the receive that matched the transfer, or `None`
+        /// if the payload landed before any did.
+        recv: Option<u32>,
     },
     /// The rendezvous handshake exhausted its retransmission budget (only
     /// possible under an injected [`FaultPlan`]); the transfer is abandoned.
@@ -112,6 +116,8 @@ pub enum NetEvent {
         from: usize,
         /// The handshake's retry work, the final timeout included.
         retry: RetryStats,
+        /// The token of the receive that matched the transfer, if one did.
+        recv: Option<u32>,
     },
 }
 
@@ -119,7 +125,8 @@ pub enum NetEvent {
 /// or [`NetEvent::Failed`] reports it; nothing keeps it after that.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RetryStats {
-    /// Handshake retransmissions triggered by timeouts.
+    /// Handshake retransmissions triggered by timeouts: a timeout that
+    /// gives up re-sends nothing and is not one.
     pub retries: u32,
     /// Control-message bytes re-sent across the wire.
     pub retrans_bytes: u64,
@@ -172,8 +179,8 @@ impl Step {
 }
 
 struct Transfer {
-    from: usize,
-    to: usize,
+    from: u32,
+    to: u32,
     size: usize,
     data_numa: NumaId,
     dest_numa: NumaId,
@@ -184,7 +191,9 @@ struct Transfer {
     retries: u32,
     /// RTS and CTS messages sent again after the first of each.
     resends: u32,
-    recv_ready: bool,
+    /// The token of the receive that matched this transfer, once one has
+    /// ([`NetSim::recv_ready`]).
+    recv: Option<u32>,
     awaiting_recv: bool,
     /// The sender has issued at least one RTS.
     rts_sent: bool,
@@ -245,12 +254,14 @@ impl Transfers {
     }
 
     /// Retire live transfer `id`, then drop the retired slots at the front.
-    fn retire(&mut self, id: TransferId) {
-        self.slots[(id.0 - self.first) as usize] = None;
+    /// Returns the transfer.
+    fn retire(&mut self, id: TransferId) -> Transfer {
+        let t = self.slots[(id.0 - self.first) as usize].take();
         while let Some(None) = self.slots.front() {
             self.slots.pop_front();
             self.first += 1;
         }
+        t.expect("live transfer")
     }
 }
 
@@ -368,10 +379,10 @@ impl NetSim {
         let mut path = std::mem::take(&mut self.path_buf);
         path.clear();
         sender.mem.path_into(read_by, t.data_numa, &mut path);
-        path.push(self.nic_tx[t.from]);
-        let hops = self.fabric.route(t.from, t.to);
+        path.push(self.nic_tx[t.from as usize]);
+        let hops = self.fabric.route(t.from as usize, t.to as usize);
         path.extend(hops.map(|l| self.links[l as usize]));
-        path.push(self.nic_rx[t.to]);
+        path.push(self.nic_rx[t.to as usize]);
         receiver
             .mem
             .path_into(Requester::Nic, t.dest_numa, &mut path);
@@ -523,8 +534,8 @@ impl NetSim {
         debug_assert!(from_node != to_node, "self-sends never touch the fabric");
         debug_assert!(from_node < self.nodes() && to_node < self.nodes());
         let id = self.transfers.push(Transfer {
-            from: from_node,
-            to: to_node,
+            from: from_node as u32,
+            to: to_node as u32,
             size,
             data_numa,
             dest_numa,
@@ -532,7 +543,7 @@ impl NetSim {
             started: engine.now(),
             retries: 0,
             resends: 0,
-            recv_ready: false,
+            recv: None,
             awaiting_recv: false,
             rts_sent: false,
             rts_arrived: false,
@@ -562,15 +573,17 @@ impl NetSim {
         id
     }
 
-    /// The receiver posted a matching receive: rendezvous transfers waiting
-    /// for the CTS may proceed.
-    pub fn recv_ready(&mut self, engine: &mut Engine, id: TransferId) {
+    /// The receiver posted a receive that matched transfer `id`: a
+    /// rendezvous transfer waiting for the CTS may proceed. `recv` is an
+    /// opaque token that the transfer's [`NetEvent::Delivered`] or
+    /// [`NetEvent::Failed`] hands back.
+    pub fn recv_ready(&mut self, engine: &mut Engine, id: TransferId, recv: u32) {
         // Eager transfers may already have completed and retired; posting
         // the receive afterwards is then a no-op.
         let Some(t) = self.transfers.get(id) else {
             return;
         };
-        t.recv_ready = true;
+        t.recv = Some(recv);
         if t.awaiting_recv {
             t.awaiting_recv = false;
             self.send_cts(engine, id);
@@ -581,9 +594,8 @@ impl NetSim {
         let t = self.transfers.get(id).expect("live transfer");
         t.resends += u32::from(t.cts_sent);
         t.cts_sent = true;
-        let to = t.to;
         // The CTS originates on the receiver's node.
-        let cts_lane = Lane::Node(to as u32);
+        let cts_lane = Lane::Node(t.to);
         // Fault injection: the CTS may be lost on the wire. The sender's
         // retransmission timeout will eventually re-drive the handshake.
         if let Some(rng) = &mut self.drop_cts_rng {
@@ -648,7 +660,7 @@ impl NetSim {
 
         let (from, to, size, buffer) = {
             let t = self.transfers.get(id).expect("live transfer");
-            (t.from, t.to, t.size, t.buffer)
+            (t.from as usize, t.to as usize, t.size, t.buffer)
         };
         let sender = nodes(from);
         let receiver = nodes(to);
@@ -743,7 +755,7 @@ impl NetSim {
             Step::RtsArrived => {
                 let t = self.transfers.get(id).expect("live transfer");
                 t.rts_arrived = true;
-                if t.recv_ready {
+                if t.recv.is_some() {
                     // Also re-sends the CTS on a duplicate RTS (the previous
                     // CTS was dropped); `dma_started` dedups the sender side.
                     self.send_cts(engine, id);
@@ -793,14 +805,14 @@ impl NetSim {
                 engine.after(d, self.step_tag(id, Step::RecvCtrl));
             }
             Step::RecvCtrl => {
-                self.transfers.retire(id);
+                let recv = self.transfers.retire(id).recv;
                 telemetry::async_end(
                     engine.now(),
                     "net.xfer",
                     id.0 as u64,
                     Lane::Node(from as u32),
                 );
-                out = Some(NetEvent::Delivered { id, to });
+                out = Some(NetEvent::Delivered { id, to, recv });
             }
             Step::LinkFaultStart
             | Step::LinkFaultEnd
@@ -829,22 +841,28 @@ impl NetSim {
             engine.after(rto, self.step_tag(id, Step::RtsTimeout));
             return None;
         }
-        // Either the RTS or the CTS was lost: retransmit with backoff.
-        t.retries += 1;
-        let (from, retry) = (t.from, t.retry(self.rto_base));
-        telemetry::counter_add("net.retrans", 1);
-        telemetry::instant(engine.now(), "net", "rto", Lane::Node(from as u32));
-        if retry.retries > DEFAULT_MAX_RETRIES {
-            self.transfers.retire(id);
-            telemetry::instant(engine.now(), "net", "xfer.failed", Lane::Node(from as u32));
-            telemetry::async_end(
-                engine.now(),
-                "net.xfer",
-                id.0 as u64,
-                Lane::Node(from as u32),
-            );
-            return Some(NetEvent::Failed { id, from, retry });
+        // Either the RTS or the CTS was lost.
+        let lane = Lane::Node(t.from);
+        telemetry::instant(engine.now(), "net", "rto", lane);
+        if t.retries == DEFAULT_MAX_RETRIES {
+            // Give up. This timeout re-sends nothing, so it is no retry,
+            // but the sender did wait it out.
+            let t = self.transfers.retire(id);
+            let mut retry = t.retry(self.rto_base);
+            retry.retry_wait += t.rto(self.rto_base);
+            telemetry::instant(engine.now(), "net", "xfer.failed", lane);
+            telemetry::async_end(engine.now(), "net.xfer", id.0 as u64, lane);
+            let (from, recv) = (t.from as usize, t.recv);
+            return Some(NetEvent::Failed {
+                id,
+                from,
+                retry,
+                recv,
+            });
         }
+        // Retransmit with backoff.
+        t.retries += 1;
+        telemetry::counter_add("net.retrans", 1);
         self.send_rts(engine, id);
         None
     }
@@ -853,7 +871,7 @@ impl NetSim {
         let t = self.transfers.get(id).expect("live transfer");
         t.resends += u32::from(t.rts_sent);
         t.rts_sent = true;
-        let (rto, from) = (t.rto(self.rto_base), t.from);
+        let (rto, lane) = (t.rto(self.rto_base), Lane::Node(t.from));
         // With drops armed, guard every handshake with a retransmission
         // timeout. Healthy runs skip the timer entirely so their event
         // streams are untouched by fault support.
@@ -863,11 +881,11 @@ impl NetSim {
         // Fault injection: the RTS may be lost on the wire.
         if let Some(rng) = &mut self.drop_rts_rng {
             if rng.next_f64() < self.faults.drop_rts {
-                telemetry::instant(engine.now(), "net", "rts.drop", Lane::Node(from as u32));
+                telemetry::instant(engine.now(), "net", "rts.drop", lane);
                 return;
             }
         }
-        telemetry::instant(engine.now(), "net", "rts", Lane::Node(from as u32));
+        telemetry::instant(engine.now(), "net", "rts", lane);
         // RTS crosses the wire.
         let lat = SimTime::from_secs_f64(self.cfg.wire_latency_s * self.lat_mult);
         engine.after(lat, self.step_tag(id, Step::RtsArrived));
@@ -960,18 +978,20 @@ mod tests {
     }
 
     /// Drive one message through; returns (delivery latency, sender elapsed).
+    /// The delivery hands back the receive token the transfer was given.
     fn one_way(w: &mut World, size: usize, buffer: u64) -> (SimTime, SimTime) {
         let start = w.engine.now();
         let id = send(w, 0, size, buffer);
-        w.net.recv_ready(&mut w.engine, id);
+        w.net.recv_ready(&mut w.engine, id, !id.0);
         let mut send_el = None;
         loop {
             match step(w).expect("progress") {
                 Some(NetEvent::SendComplete { sender_elapsed, .. }) => {
                     send_el = Some(sender_elapsed)
                 }
-                Some(NetEvent::Delivered { .. }) => {
-                    return (w.engine.now() - start, send_el.unwrap())
+                Some(NetEvent::Delivered { recv, .. }) => {
+                    assert_eq!(recv, Some(!id.0), "the receive token");
+                    return (w.engine.now() - start, send_el.unwrap());
                 }
                 Some(NetEvent::Failed { .. }) => panic!("healthy fabric cannot fail"),
                 None => {}
@@ -1159,12 +1179,15 @@ mod tests {
     /// `Failed` event reported.
     fn one_way_faulted(w: &mut World, size: usize, buffer: u64) -> (bool, RetryStats) {
         let id = send(w, 0, size, buffer);
-        w.net.recv_ready(&mut w.engine, id);
+        w.net.recv_ready(&mut w.engine, id, !id.0);
         let mut retry = None;
         while let Some(out) = step(w) {
             match out {
                 Some(NetEvent::Delivered { .. }) => return (true, retry.expect("completed")),
-                Some(NetEvent::Failed { retry: r, .. }) => return (false, r),
+                Some(NetEvent::Failed { retry: r, recv, .. }) => {
+                    assert_eq!(recv, Some(!id.0), "the receive token");
+                    return (false, r);
+                }
                 Some(NetEvent::SendComplete { retry: r, .. }) => retry = Some(r),
                 None => {}
             }
@@ -1202,18 +1225,24 @@ mod tests {
         let mut w = world();
         let plan = FaultPlan::new(7).with_rts_drop(1.0);
         w.net.apply_faults(&mut w.engine, &plan).unwrap();
+        telemetry::install();
         let (delivered, rs) = one_way_faulted(&mut w, 4 << 20, 1);
+        let journal = telemetry::take().expect("journal");
         assert!(!delivered, "nothing can get through at p=1");
         assert_eq!(
-            rs.retries,
-            DEFAULT_MAX_RETRIES + 1,
-            "every retry plus the final give-up timeout"
+            rs.retries, DEFAULT_MAX_RETRIES,
+            "every re-send, and not the give-up timeout"
+        );
+        assert_eq!(
+            journal.counters.get("net.retrans"),
+            Some(&(DEFAULT_MAX_RETRIES as u64))
         );
         // No RTS arrives, so no CTS is ever sent: only the RTS is re-sent.
         assert_eq!(
             rs.retrans_bytes,
             DEFAULT_MAX_RETRIES as u64 * CTRL_MSG_BYTES
         );
+        // The sender waits out the give-up timeout too.
         assert_eq!(rs.retry_wait, waited(&w, DEFAULT_MAX_RETRIES + 1));
     }
 
@@ -1362,7 +1391,7 @@ mod tests {
                 buffer,
             )
         };
-        w.net.recv_ready(&mut w.engine, id);
+        w.net.recv_ready(&mut w.engine, id, 7);
         let mut delivered = false;
         while !delivered {
             let ev = w.engine.next().expect("progress");
@@ -1384,8 +1413,8 @@ mod tests {
                             size: bytes,
                             ..
                         } => assert_eq!((t, from, bytes), (id, src, size)),
-                        NetEvent::Delivered { id: t, to } => {
-                            assert_eq!((t, to), (id, dst));
+                        NetEvent::Delivered { id: t, to, recv } => {
+                            assert_eq!((t, to, recv), (id, dst, Some(7)));
                             delivered = true;
                         }
                         NetEvent::Failed { .. } => panic!("healthy fabric cannot fail"),
@@ -1492,7 +1521,7 @@ mod tests {
         let mut w = world();
         let id = send(&mut w, 0, 1 << 20, 77);
         assert!(drain(&mut w).is_empty(), "must wait for the receive");
-        w.net.recv_ready(&mut w.engine, id);
+        w.net.recv_ready(&mut w.engine, id, 0);
         assert_eq!(drain(&mut w), [id]);
     }
 
@@ -1514,7 +1543,7 @@ mod tests {
         assert!(fast.iter().all(|&id| w.net.transfers.get(id).is_none()));
         assert!(w.net.transfers.get(slow).is_some());
         assert_eq!(window(&w), (0, 3));
-        w.net.recv_ready(&mut w.engine, slow);
+        w.net.recv_ready(&mut w.engine, slow, 0);
         assert_eq!(drain(&mut w), [slow]);
         assert_eq!(window(&w), (3, 0));
         assert_eq!(send(&mut w, 0, 64, 4), TransferId(3));
@@ -1530,12 +1559,12 @@ mod tests {
         assert_eq!(drain(&mut w), [eager]);
         let rdv = send(&mut w, 0, 1 << 20, 2);
         assert_eq!(window(&w), (rdv.0, 1), "the eager id is below the window");
-        w.net.recv_ready(&mut w.engine, eager);
+        w.net.recv_ready(&mut w.engine, eager, 0);
         assert!(
             drain(&mut w).is_empty(),
             "the rendezvous waits for its own receive"
         );
-        w.net.recv_ready(&mut w.engine, rdv);
+        w.net.recv_ready(&mut w.engine, rdv, 1);
         assert_eq!(drain(&mut w), [rdv]);
     }
 
@@ -1551,11 +1580,11 @@ mod tests {
         w.net.apply_faults(&mut w.engine, &plan).unwrap();
         w.net.rto_base = SimTime::from_millis(1);
         let done = send(&mut w, 0, 128 << 10, 1);
-        w.net.recv_ready(&mut w.engine, done);
+        w.net.recv_ready(&mut w.engine, done, 0);
         while !matches!(step(&mut w), Some(Some(NetEvent::Delivered { .. }))) {}
         // Registering 16 MiB takes 1.7 ms, across the stale timeout.
         let live = send(&mut w, 0, 16 << 20, 2);
-        w.net.recv_ready(&mut w.engine, live);
+        w.net.recv_ready(&mut w.engine, live, 1);
         let rto = w.net.rto_base;
         let mut stale_fired = false;
         loop {
@@ -1594,7 +1623,7 @@ mod tests {
             for _ in 0..20 {
                 for from in [0, 1] {
                     let id = send(&mut w, from, size, from as u64);
-                    w.net.recv_ready(&mut w.engine, id);
+                    w.net.recv_ready(&mut w.engine, id, 0);
                     loop {
                         let out = step(&mut w).expect("progress");
                         assert!(window(&w).1 <= 2, "{:?}", window(&w));

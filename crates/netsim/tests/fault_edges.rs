@@ -61,7 +61,7 @@ fn one_way(w: &mut World, size: usize, buffer: u64) -> SimTime {
         w.net
             .start_send(&mut w.engine, 0, 1, &n0, size, NumaId(0), NumaId(0), buffer)
     };
-    w.net.recv_ready(&mut w.engine, id);
+    w.net.recv_ready(&mut w.engine, id, 0);
     loop {
         let ev = w.engine.next().expect("progress");
         if w.net.owns(ev.tag()) {

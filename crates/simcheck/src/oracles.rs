@@ -233,7 +233,7 @@ fn one_way(w: &mut World, size: usize, buffer: u64) -> f64 {
         w.net
             .start_send(&mut w.engine, 0, 1, &n0, size, nic, nic, buffer)
     };
-    w.net.recv_ready(&mut w.engine, id);
+    w.net.recv_ready(&mut w.engine, id, 0);
     loop {
         let ev = w.engine.next().expect("transfer makes progress");
         if !w.net.owns(ev.tag()) {

@@ -19,7 +19,7 @@
 use freq::License;
 use kernels::gemm;
 use memsim::exec::Phase;
-use mpisim::{Cluster, SendRecord};
+use mpisim::{Cluster, ClusterEvent, SendRecord};
 use simcore::SimTime;
 use topology::CoreId;
 
@@ -187,9 +187,12 @@ pub fn run(cluster: &mut Cluster, rt: &mut Runtime, cfg: UseCaseConfig) -> UseCa
         cluster.isend(1, cfg.message_size(), mtag, 0x7001);
 
         // Iteration barrier: all tasks done, both messages delivered.
-        let mut done = 0usize;
-        while done < expected || !cluster.test_recv(r0) || !cluster.test_recv(r1) {
+        let (mut done, mut recvs) = (0usize, 2);
+        while done < expected || recvs > 0 {
             let ev = cluster.step().expect("use-case stalled");
+            if matches!(ev, ClusterEvent::RecvComplete(r) if r == r0 || r == r1) {
+                recvs -= 1;
+            }
             if let RtRouted::TaskDone(t) = rt.handle(cluster, ev) {
                 stall_sum += t.stats.stall_fraction();
                 tasks_done += 1;

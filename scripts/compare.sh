@@ -6,9 +6,14 @@
 #   scripts/compare.sh <rev> <workloads> [pairs] [seconds]
 #
 # <workloads> is one BENCHMARK.json workload name, a comma-separated list of
-# them, or `all`. Builds the benchmark package once per side: at <rev>,
-# exported with `git archive` into a temporary directory, and in the
-# working tree, both with the command BENCHMARK.json gives. Then, workload
+# them, or `all`. Builds the benchmark package once per side, both with the
+# command BENCHMARK.json gives: at <rev>, exported with `git archive`, and
+# in the working tree, exported too (tracked and untracked files, not
+# ignored ones). Both exports are built at one path, one after the other,
+# each into its own target directory: a binary embeds its sources' path,
+# and crates built from two paths hash, name and lay out their code
+# differently, so two builds of one commit from two paths differ in size
+# and can differ in speed. Then, workload
 # by workload, runs `pairs` (default 10) pairs of `--trace 0` runs of
 # `seconds` (default 20) each. Both runs of a pair share a fresh seed, and
 # the side that runs first alternates from pair to pair. Only the last
@@ -64,20 +69,30 @@ commit="$(git rev-parse --verify --quiet "$rev^{commit}")" || {
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
-mkdir "$work/base"
-git archive "$commit" | tar -xf - -C "$work/base"
 
-# The build half of BENCHMARK.json's command, run on each side's manifest.
+# The build half of BENCHMARK.json's command, run on the export in
+# $work/src, into the target directory $work/<side>-target.
 build() {
-  cargo build --release --quiet --offline --manifest-path "$1/benchmark/Cargo.toml" \
-    --target-dir "$1/benchmark/target"
+  cargo build --release --quiet --offline --manifest-path "$work/src/benchmark/Cargo.toml" \
+    --target-dir "$work/$1-target"
 }
 echo "==> building the benchmark at $rev (${commit:0:12})" >&2
-build "$work/base"
+mkdir "$work/src"
+git archive "$commit" | tar -xf - -C "$work/src"
+build base
+rm -rf "$work/src"
+mkdir "$work/src"
 echo "==> building the benchmark in the working tree" >&2
-build .
-base_bin="$work/base/benchmark/target/release/benchmark"
-change_bin="benchmark/target/release/benchmark"
+# Every file git would add, less those deleted from the working tree.
+git ls-files -z --cached --others --exclude-standard |
+  while IFS= read -r -d '' f; do
+    if [ -e "$f" ] || [ -L "$f" ]; then printf '%s\0' "$f"; fi
+  done |
+  tar --null -T - -cf - | tar -xf - -C "$work/src"
+build tree
+base_bin="$work/base-target/release/benchmark"
+change_bin="$work/tree-target/release/benchmark"
+echo "==> binary sizes: base $(wc -c <"$base_bin") B, change $(wc -c <"$change_bin") B" >&2
 
 # One run; appends its result line, prefixed by the workload, the side's
 # name and the seed, to $work/results. The benchmark's progress on stderr

@@ -101,10 +101,10 @@ print(f"{w}: wall_s {wall:.3f} s = {wall / median:.2f}x the ledger median")
 EOF
 done
 
-echo "==> 1024-rank ring allreduce: recorded completion time, under a minute, peak RSS within 96 MiB"
+echo "==> 1024-rank ring allreduce: recorded completion time, under a minute, peak RSS within 82 MiB"
 # --nocapture shows the VmRSS after each step and the peak (VmHWM) after the
 # proof and at the end, which the gate prints; where /proc/self/status
-# exists, the gate fails a peak over 96 MiB.
+# exists, the gate fails a peak over 82 MiB.
 cargo test --release -q -p mpisim --test ring_allreduce_1024 -- --ignored --nocapture
 
 echo "==> OK: build, tests, lints and repro smoke all green"

@@ -5,10 +5,15 @@
 use freq::{Governor, UncorePolicy};
 use kernels::{roofline, stream, tunable};
 use mpisim::pingpong::{self, PingPongConfig};
-use mpisim::Cluster;
+use mpisim::{Cluster, ClusterEvent, ReqId};
 use topology::{henri, BindingPolicy, CoreId, NumaId, Placement};
 
 use interference::protocol::{self, ProtocolConfig};
+
+/// Step `c` until receive `r` reports its completion.
+fn wait_recv(c: &mut Cluster, r: ReqId) {
+    while !matches!(c.step().expect("progress"), ClusterEvent::RecvComplete(x) if x == r) {}
+}
 
 fn near_near() -> Placement {
     Placement {
@@ -109,14 +114,10 @@ fn fabric_is_symmetric() {
     for i in 0..reps {
         let r = c.irecv(0, 100 + i);
         c.isend(1, 4, 100 + i, 0x9000);
-        while !c.test_recv(r) {
-            c.step().expect("progress");
-        }
+        wait_recv(&mut c, r);
         let r = c.irecv(1, 200 + i);
         c.isend(0, 4, 200 + i, 0x9001);
-        while !c.test_recv(r) {
-            c.step().expect("progress");
-        }
+        wait_recv(&mut c, r);
     }
     let rev = (c.engine.now() - t0).as_micros_f64() / (reps as f64 * 2.0);
     assert!(
