@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! repro [--quick] [--jobs N] [--csv DIR] [--json FILE] [--timings FILE]
-//!       [--trace FILE] [--fuzz-budget N]
-//!       [--store DIR [--resume]] [--timeout SECS] [--allow-partial]
+//!       [--trace FILE] [--fuzz-budget N] [--timeout SECS] [--allow-partial]
 //!       [--list | --all | --fig N | --table 1 | --ext | --validate
 //!        | --predict-check | --only NAME[,NAME]]
 //! ```
@@ -37,14 +36,6 @@
 //! `chrome://tracing` or <https://ui.perfetto.dev>. The journal is keyed to
 //! sim-time only, so the file is byte-identical at any `--jobs` level.
 //!
-//! `--store DIR` persists every completed sweep point to a crash-consistent
-//! on-disk result store as it finishes; `--resume` restores previously
-//! persisted points instead of recomputing them, so a campaign killed
-//! mid-flight picks up where it left off — with exports byte-identical to
-//! an uninterrupted run (point seeds derive from the plan, never from
-//! execution order or wall time). Corrupt or torn entries are detected by
-//! checksum, quarantined, and recomputed — never served.
-//!
 //! `--timeout SECS` arms a per-point wall-clock deadline: a wedged point is
 //! cooperatively cancelled at the next simulation event and recorded as
 //! `TimedOut` instead of hanging the campaign. A campaign that completes
@@ -72,7 +63,16 @@
 //! queried workload family on the queried machine — the query is genuinely
 //! unseen), train the advisor, and predict from the query's *alone* steps
 //! only; the together step never executes unless `--ground-truth` asks for
-//! the reference measurement.
+//! the reference measurement. `rank-placements` ranks every placement, so
+//! `--placement` is a usage error there.
+//!
+//! `--store DIR` caches the harvest in a crash-consistent on-disk result
+//! store: every harvested pair is persisted as it finishes, and `--resume`
+//! restores the persisted pairs instead of re-measuring them, so a later
+//! query, or a query killed mid-harvest and run again, skips that work.
+//! The output is the same either way (point seeds derive from the plan,
+//! never from execution order or wall time). Corrupt or torn entries are
+//! detected by checksum, quarantined, and re-measured — never served.
 //!
 //! Exit codes: 0 success, 1 failed qualitative checks, 2 usage error,
 //! 3 partial campaign without `--allow-partial`.
@@ -84,13 +84,12 @@ use interference::campaign::{
     CampaignOptions, CampaignReport, Experiment, ExperimentRun, StoreCtx,
 };
 use interference::experiments::{self, Fidelity};
-use interference::store::{ResultStore, StoreStats};
+use interference::store::ResultStore;
 
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--quick] [--jobs N] [--csv DIR] [--json FILE] [--timings FILE]\n\
-         \x20            [--trace FILE] [--fuzz-budget N]\n\
-         \x20            [--store DIR [--resume]] [--timeout SECS] [--allow-partial]\n\
+         \x20            [--trace FILE] [--fuzz-budget N] [--timeout SECS] [--allow-partial]\n\
          \x20            [--list | --all | --fig N | --table 1 | --ext | --validate\n\
          \x20             | --predict-check | --only NAME[,NAME]]\n\
          \x20      repro predict         --preset NAME --workload FAM --cores N\n\
@@ -125,8 +124,6 @@ fn main() {
     let mut json_path: Option<String> = None;
     let mut timings_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
-    let mut store_dir: Option<String> = None;
-    let mut resume = false;
     let mut timeout: Option<Duration> = None;
     let mut allow_partial = false;
     let mut fuzz_budget: Option<usize> = None;
@@ -163,11 +160,6 @@ fn main() {
                 i += 1;
                 trace_path = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
             }
-            "--store" => {
-                i += 1;
-                store_dir = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--resume" => resume = true,
             "--timeout" => {
                 i += 1;
                 let secs: f64 = args
@@ -222,21 +214,10 @@ fn main() {
         print_list();
         return;
     }
-    if resume && store_dir.is_none() {
-        eprintln!("--resume requires --store DIR");
-        usage();
-    }
     if fuzz_budget.is_some() && select.as_deref() != Some("validate") {
         eprintln!("--fuzz-budget requires --validate");
         usage();
     }
-
-    let store = store_dir.as_ref().map(|dir| {
-        ResultStore::open(dir).unwrap_or_else(|e| {
-            eprintln!("error: cannot open result store {}: {}", dir, e);
-            std::process::exit(1);
-        })
-    });
 
     let validate = experiments::validation::Validate { fuzz_budget };
     let exps = selected_experiments(select.as_deref(), &only, &validate);
@@ -244,8 +225,7 @@ fn main() {
         .with_telemetry(trace_path.is_some())
         .with_timeout(timeout);
     let t0 = Instant::now();
-    let ctx = store.as_ref().map(|s| StoreCtx { store: s, resume });
-    let (runs, report) = interference::campaign::run_set_with_store(&exps, &opts, ctx);
+    let (runs, report) = interference::campaign::run_set_with_report(&exps, &opts);
     let wall = t0.elapsed();
 
     if let Some(path) = &trace_path {
@@ -285,26 +265,11 @@ fn main() {
         println!("(json written to {})", path);
     }
 
-    let store_stats = store.as_ref().map(|s| s.stats());
-    print_timings(
-        &runs,
-        &report,
-        store_stats.as_ref(),
-        jobs,
-        wall.as_secs_f64(),
-    );
+    print_timings(&runs, &report, jobs, wall.as_secs_f64());
     if let Some(path) = &timings_path {
         export(
             path,
-            timings_json(
-                &runs,
-                &report,
-                store_stats.as_ref(),
-                fidelity,
-                jobs,
-                wall.as_secs_f64(),
-            )
-            .as_bytes(),
+            timings_json(&runs, &report, fidelity, jobs, wall.as_secs_f64()).as_bytes(),
             "timings",
         );
         println!("(timings written to {})", path);
@@ -479,6 +444,12 @@ fn predict_cli(args: &[String], single_placement: bool) {
         eprintln!(
             "repro predict requires --placement I (0..{})",
             topology::Placement::all_combinations().len()
+        );
+        usage();
+    }
+    if !single_placement && placement_given {
+        eprintln!(
+            "repro rank-placements ranks every placement; --placement I is for repro predict"
         );
         usage();
     }
@@ -659,15 +630,8 @@ fn print_list() {
 }
 
 /// Campaign timing summary: per-experiment busy time and throughput, plus
-/// a telemetry section (cache statistics; journal size when recording) and
-/// a durability section when a result store is bound.
-fn print_timings(
-    runs: &[ExperimentRun],
-    report: &CampaignReport,
-    store: Option<&StoreStats>,
-    jobs: usize,
-    wall_s: f64,
-) {
+/// a telemetry section (cache statistics; journal size when recording).
+fn print_timings(runs: &[ExperimentRun], report: &CampaignReport, jobs: usize, wall_s: f64) {
     println!("== campaign timings ({} job(s)) ==", jobs);
     for r in runs {
         let mut flags = String::new();
@@ -676,9 +640,6 @@ fn print_timings(
         }
         if r.timed_out_points > 0 {
             flags.push_str(&format!(" ({} TIMED OUT)", r.timed_out_points));
-        }
-        if r.restored_points > 0 {
-            flags.push_str(&format!(" ({} restored)", r.restored_points));
         }
         println!(
             "   {:<18} {:>3} point(s){} {:>8.2} s busy  {:>6.2} points/s{}",
@@ -725,16 +686,6 @@ fn print_timings(
         None => println!("   journal: disabled (enable with --trace FILE)"),
     }
     print_collective_path(report.journal.as_ref());
-    if let Some(s) = store {
-        println!("== result store ==");
-        println!(
-            "   {} persisted, {} restored (hit), {} miss(es), {} quarantined",
-            s.persisted, s.hits, s.misses, s.quarantined
-        );
-        if s.quarantined > 0 {
-            println!("   (quarantined entries were corrupt; recomputed, never served)");
-        }
-    }
     println!();
 }
 
@@ -820,7 +771,6 @@ fn print_collective_path(j: Option<&simcore::Journal>) {
 fn timings_json(
     runs: &[ExperimentRun],
     report: &CampaignReport,
-    store: Option<&StoreStats>,
     fidelity: Fidelity,
     jobs: usize,
     wall_s: f64,
@@ -838,23 +788,16 @@ fn timings_json(
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"name\":\"{}\",\"points\":{},\"failed_points\":{},\"timed_out_points\":{},\"restored_points\":{},\"busy_s\":{:.3},\"sim_s\":{:.6}}}",
+            "{{\"name\":\"{}\",\"points\":{},\"failed_points\":{},\"timed_out_points\":{},\"busy_s\":{:.3},\"sim_s\":{:.6}}}",
             r.name,
             r.points,
             r.failed_points,
             r.timed_out_points,
-            r.restored_points,
             r.busy.as_secs_f64(),
             r.sim.as_secs_f64()
         ));
     }
     out.push(']');
-    if let Some(s) = store {
-        out.push_str(&format!(
-            ",\"store\":{{\"persisted\":{},\"hits\":{},\"misses\":{},\"quarantined\":{}}}",
-            s.persisted, s.hits, s.misses, s.quarantined
-        ));
-    }
     out.push_str(",\"telemetry\":{");
     out.push_str(&format!(
         "\"enabled\":{},\"baseline_calls\":{},\"baseline_computed\":{}",

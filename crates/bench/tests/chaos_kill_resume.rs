@@ -1,7 +1,8 @@
-//! Chaos integration test: SIGKILL a real `repro` campaign mid-flight,
-//! resume it from the result store, and demand exports byte-identical to
-//! an uninterrupted run — then damage the store and demand the corruption
-//! is detected and recomputed, never served.
+//! Chaos integration test: SIGKILL a real `repro rank-placements` query
+//! mid-harvest, resume it from the result store that caches the harvest,
+//! and demand the same ranked placements as an uninterrupted run — then
+//! damage the store and demand the corruption is detected and re-measured,
+//! never served.
 //!
 //! This drives the actual binary (`CARGO_BIN_EXE_repro`) as a subprocess:
 //! the kill is a real SIGKILL (no unwinding, no destructors, no atexit),
@@ -17,16 +18,55 @@ fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
 }
 
-/// Count persisted point entries in a store directory (0 while it does
-/// not exist yet).
-fn res_entries(dir: &Path) -> Vec<std::path::PathBuf> {
+/// A Quick query for a workload family the advisor never trained on.
+const QUERY: [&str; 10] = [
+    "rank-placements",
+    "--quick",
+    "--preset",
+    "bora",
+    "--workload",
+    "cg",
+    "--cores",
+    "8",
+    "--metric",
+    "bw",
+];
+
+/// Paths in a store directory with the given extension (none while the
+/// directory does not exist yet).
+fn entries(dir: &Path, ext: &str) -> Vec<std::path::PathBuf> {
     std::fs::read_dir(dir)
         .map(|rd| {
             rd.filter_map(|e| e.ok().map(|e| e.path()))
-                .filter(|p| p.extension().is_some_and(|x| x == "res"))
+                .filter(|p| p.extension().is_some_and(|x| x == ext))
                 .collect()
         })
         .unwrap_or_default()
+}
+
+/// Run the query to completion and return its stdout; `extra` follows the
+/// query's own flags.
+fn query(extra: &[&str]) -> String {
+    let out = repro()
+        .args(QUERY)
+        .args(extra)
+        .output()
+        .expect("spawn repro");
+    assert!(
+        out.status.success(),
+        "{extra:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// The ranking a query printed: its header and one line per candidate.
+/// The lines above them report wall times, which differ between runs.
+fn ranked_lines(stdout: &str) -> Vec<&str> {
+    stdout
+        .lines()
+        .filter(|l| l.starts_with("rank-placements:") || l.starts_with("   #"))
+        .collect()
 }
 
 #[test]
@@ -34,32 +74,19 @@ fn sigkill_mid_campaign_then_resume_is_byte_identical() {
     let base = std::env::temp_dir().join(format!("repro-chaos-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).expect("create chaos dir");
-    let path = |name: &str| base.join(name).to_str().unwrap().to_string();
-
-    // Reference: an uninterrupted run, no store involved.
-    let clean_json = path("clean.json");
-    let status = repro()
-        .args(["--quick", "--only", "fig4", "--json", &clean_json])
-        .stdout(Stdio::null())
-        .status()
-        .expect("spawn clean run");
-    assert!(status.success(), "clean run failed: {}", status);
-    let clean = std::fs::read(&clean_json).expect("clean export exists");
-
-    // Victim: same campaign, slowed to ~250 ms per point so the kill
-    // lands mid-flight, persisting to a store.
     let store = base.join("store");
-    let killed_json = path("killed.json");
+    let store_arg = store.to_str().unwrap();
+
+    // Reference: an uninterrupted query, no store involved.
+    let clean_out = query(&[]);
+    let clean = ranked_lines(&clean_out);
+    assert_eq!(clean.len(), 5, "a header and four placements:\n{clean_out}");
+
+    // Victim: the same query caching its harvest, slowed to 250 ms per
+    // point so the kill lands mid-harvest.
     let mut child = repro()
-        .args([
-            "--quick",
-            "--only",
-            "fig4",
-            "--store",
-            &path("store"),
-            "--json",
-            &killed_json,
-        ])
+        .args(QUERY)
+        .args(["--store", store_arg])
         .env("REPRO_POINT_DELAY_MS", "250")
         .stdout(Stdio::null())
         .stderr(Stdio::null())
@@ -67,13 +94,13 @@ fn sigkill_mid_campaign_then_resume_is_byte_identical() {
         .expect("spawn victim run");
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        let n = res_entries(&store).len();
+        let n = entries(&store, "res").len();
         if n >= 2 {
             break;
         }
         if let Ok(Some(status)) = child.try_wait() {
             panic!(
-                "campaign finished before the kill ({}; {} entries)",
+                "harvest finished before the kill ({}; {} entries)",
                 status, n
             );
         }
@@ -82,76 +109,40 @@ fn sigkill_mid_campaign_then_resume_is_byte_identical() {
     }
     child.kill().expect("SIGKILL");
     let _ = child.wait();
-    let persisted = res_entries(&store).len();
+    let persisted = entries(&store, "res").len();
     assert!(persisted >= 2, "kill landed after some points persisted");
-    assert!(
-        !Path::new(&killed_json).exists(),
-        "an interrupted run must not leave a (truncated) export behind"
-    );
 
-    // Resume: completed points restore from the store, the rest recompute;
-    // the export must be byte-identical to the uninterrupted run.
-    let resumed_json = path("resumed.json");
-    let out = repro()
-        .args([
-            "--quick",
-            "--only",
-            "fig4",
-            "--store",
-            &path("store"),
-            "--resume",
-            "--json",
-            &resumed_json,
-        ])
-        .output()
-        .expect("spawn resume run");
+    // Resume: persisted pairs restore from the store, the rest are
+    // measured; the ranking must be the uninterrupted run's.
+    let resumed = query(&["--store", store_arg, "--resume"]);
     assert!(
-        out.status.success(),
-        "resume failed: {}",
-        String::from_utf8_lossy(&out.stderr)
+        resumed.contains(&format!("({} restored from store)", persisted)),
+        "resume did not restore the {} persisted points:\n{}",
+        persisted,
+        resumed
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("restored (hit)"),
-        "resume did not report restored points:\n{}",
-        stdout
-    );
-    let resumed = std::fs::read(&resumed_json).expect("resumed export exists");
-    assert_eq!(clean, resumed, "resumed export differs from the clean run");
+    assert_eq!(ranked_lines(&resumed), clean, "resumed ranking differs");
 
-    // Corrupt a surviving entry: the next resume must detect it
-    // (quarantine), recompute, and still export identical bytes.
-    let victims = res_entries(&store);
-    corrupt_file(&victims[0], Fault::BitFlip { offset: 33, bit: 5 });
-    let rerun_json = path("rerun.json");
-    let out = repro()
-        .args([
-            "--quick",
-            "--only",
-            "fig4",
-            "--store",
-            &path("store"),
-            "--resume",
-            "--json",
-            &rerun_json,
-        ])
-        .output()
-        .expect("spawn corrupted-resume run");
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    // Corrupt one entry: the next resume must detect it (quarantine),
+    // re-measure it, and still rank identically.
+    let live = entries(&store, "res");
+    corrupt_file(&live[0], Fault::BitFlip { offset: 33, bit: 5 });
+    let rerun = query(&["--store", store_arg, "--resume"]);
     assert!(
-        stdout.contains("1 quarantined"),
-        "corruption was not quarantined:\n{}",
-        stdout
+        rerun.contains(&format!("({} restored from store)", live.len() - 1)),
+        "the corrupt entry was served:\n{}",
+        rerun
     );
-    let rerun = std::fs::read(&rerun_json).expect("rerun export exists");
-    assert_eq!(clean, rerun, "export diverged after store corruption");
-    let quarantined = std::fs::read_dir(&store)
-        .expect("read store")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "quarantined"))
-        .count();
-    assert_eq!(quarantined, 1, "damaged entry kept for post-mortem");
+    assert_eq!(
+        ranked_lines(&rerun),
+        clean,
+        "ranking diverged after store corruption"
+    );
+    assert_eq!(
+        entries(&store, "quarantined").len(),
+        1,
+        "damaged entry kept for post-mortem"
+    );
 
     let _ = std::fs::remove_dir_all(&base);
 }

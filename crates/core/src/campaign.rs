@@ -22,9 +22,10 @@
 //!
 //! **Entry points.** This module is the only way to run an experiment:
 //! [`run_experiment`] for one, [`run_set`] for a campaign of several,
-//! [`run_set_with_report`] and [`run_set_with_store`] for the campaign
-//! report and the result store, and [`run_outcomes_with_store`] for the raw
-//! point outcomes without figure assembly.
+//! [`run_set_with_report`] for the campaign report too, and
+//! [`run_outcomes_with_store`] for the raw point outcomes without figure
+//! assembly, optionally cached in a result store (the predictor's harvest
+//! is the one experiment that is).
 //!
 //! **Baseline memoization.** The protocol's "alone" steps do not depend on
 //! most sweep variables (communication alone is the same measurement at
@@ -102,10 +103,12 @@ pub trait Experiment: Sync {
     fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String>;
     /// Fold the executed points (in plan order) into figures.
     fn finalize(&self, fidelity: Fidelity, points: &[PointOutcome]) -> Vec<FigureData>;
-    /// Serialize a point value for the durable result store (exact bits —
-    /// see [`crate::codec`]). Default `None`: the experiment's points are
-    /// recomputed on resume instead of restored. Implementations must
-    /// round-trip through [`Experiment::decode_value`] bit-identically.
+    /// Serialize a point value for the result store of
+    /// [`run_outcomes_with_store`] (exact bits — see [`crate::codec`]).
+    /// Default `None`: the point is recomputed on resume instead of
+    /// restored. Only the predictor's harvest implements it (and the
+    /// accuracy campaign, which delegates to the harvest); implementations
+    /// must round-trip through [`Experiment::decode_value`] bit-identically.
     fn encode_value(&self, _value: &PointValue) -> Option<Vec<u8>> {
         None
     }
@@ -386,7 +389,7 @@ impl CampaignOptions {
     }
 }
 
-/// Binding of a campaign to a durable [`ResultStore`].
+/// Binding of [`run_outcomes_with_store`] to a durable [`ResultStore`].
 #[derive(Clone, Copy)]
 pub struct StoreCtx<'a> {
     /// The store completed points are persisted to.
@@ -490,8 +493,6 @@ pub struct ExperimentRun {
     pub failed_points: usize,
     /// Points cooperatively cancelled at their wall-clock deadline.
     pub timed_out_points: usize,
-    /// Points restored from the result store instead of executed.
-    pub restored_points: usize,
     /// Error text when `finalize` panicked (it runs guarded so one broken
     /// experiment cannot take down the rest of the campaign).
     pub finalize_error: Option<String>,
@@ -522,9 +523,11 @@ impl ExperimentRun {
 }
 
 /// Chaos-harness hook: an artificial pre-point delay (milliseconds) read
-/// from `REPRO_POINT_DELAY_MS`. The kill-and-resume integration test uses
-/// it to stretch a campaign enough to SIGKILL it mid-flight; unset (the
-/// normal case) it costs one cached `Option` check per point.
+/// from `REPRO_POINT_DELAY_MS`, paid by executed points only (a restored
+/// one returns before it). The kill-and-resume integration test uses it to
+/// stretch a `repro rank-placements --store` harvest enough to SIGKILL it
+/// mid-flight; unset (the normal case) it costs one cached `Option` check
+/// per point.
 fn chaos_point_delay() -> Option<Duration> {
     static DELAY: OnceLock<Option<Duration>> = OnceLock::new();
     *DELAY.get_or_init(|| {
@@ -678,20 +681,6 @@ pub fn run_set_with_report(
     exps: &[&dyn Experiment],
     opts: &CampaignOptions,
 ) -> (Vec<ExperimentRun>, CampaignReport) {
-    run_set_with_store(exps, opts, None)
-}
-
-/// [`run_set_with_report`] bound to a durable [`ResultStore`]: every
-/// completed point is persisted as it finishes, and with
-/// [`StoreCtx::resume`] set, previously persisted points are restored
-/// instead of recomputed. Determinism makes the two paths
-/// indistinguishable in the final figures — a resumed campaign's exports
-/// are byte-identical to an uninterrupted run's.
-pub fn run_set_with_store(
-    exps: &[&dyn Experiment],
-    opts: &CampaignOptions,
-    store: Option<StoreCtx<'_>>,
-) -> (Vec<ExperimentRun>, CampaignReport) {
     let cache = BaselineCache::new();
     let plans: Vec<Vec<SweepPoint>> = exps.iter().map(|e| e.plan(opts.fidelity)).collect();
     let tasks: Vec<(usize, usize)> = plans
@@ -702,7 +691,7 @@ pub fn run_set_with_store(
     // Outcomes in task order: each experiment's points, in plan order.
     let mut outcomes = pool(opts.jobs, tasks.len(), |t| {
         let (ei, pi) = tasks[t];
-        execute_point(exps[ei], &plans[ei][pi], opts, &cache, store.as_ref())
+        execute_point(exps[ei], &plans[ei][pi], opts, &cache, None)
     })
     .into_iter();
 
@@ -760,7 +749,6 @@ pub fn run_set_with_store(
                 .iter()
                 .filter(|o| matches!(o.status, RunStatus::TimedOut { .. }))
                 .count();
-            let restored = outcomes.iter().filter(|o| o.restored).count();
             let t0 = Instant::now();
             // Guarded: most finalizers call `expect_value` and panic on a
             // lost point; one partial experiment must not take down the
@@ -776,7 +764,6 @@ pub fn run_set_with_store(
                 points: outcomes.len(),
                 failed_points: failed,
                 timed_out_points: timed_out,
-                restored_points: restored,
                 finalize_error,
                 busy: point_time + t0.elapsed(),
                 sim: offset.saturating_sub(exp_start),
@@ -815,11 +802,12 @@ pub fn run_set_with_store(
 /// Execute one experiment's sweep points on `opts.jobs` worker threads and
 /// return the raw outcomes in plan order, without the figure assembly —
 /// for callers that consume point *values* rather than figures (the
-/// prediction subsystem harvests training pairs this way). Honours the
-/// result store exactly like [`run_set_with_store`]: completed points are
-/// persisted as they finish and, with [`StoreCtx::resume`], restored
-/// instead of recomputed. Outcome order depends only on the plan, never on
-/// worker scheduling.
+/// prediction subsystem harvests training pairs this way). With a
+/// [`StoreCtx`] bound, every completed point whose experiment has a value
+/// codec is persisted as it finishes and, with [`StoreCtx::resume`],
+/// restored instead of recomputed; determinism makes a restored value
+/// bit-equal to a recomputed one. Outcome order depends only on the plan,
+/// never on worker scheduling.
 pub fn run_outcomes_with_store(
     exp: &dyn Experiment,
     opts: &CampaignOptions,
@@ -987,7 +975,7 @@ mod tests {
         fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
             let v = value.downcast_ref::<usize>()?;
             let mut e = Enc::new();
-            e.usize(*v);
+            e.u64(*v as u64);
             Some(e.into_bytes())
         }
         fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
@@ -1093,48 +1081,43 @@ mod tests {
         assert_eq!((seed_a, label_a), (seed_b, label_b));
         assert_eq!(seed_a, runner::retry_seed(point_seed("wedger", 0), 0));
         // And the campaign marks the experiment partial.
-        let run = run_set_with_store(
-            &[&Wedger {
-                wedge_on_retry: true,
-            }],
-            &opts,
-            None,
-        )
-        .0
-        .pop()
-        .unwrap();
+        let wedger = Wedger {
+            wedge_on_retry: true,
+        };
+        let run = run_experiment(&wedger, &opts);
         assert_eq!(run.timed_out_points, 1);
         assert!(run.is_partial());
+    }
+
+    /// Outcomes of one pass that were restored from the store.
+    fn restored(outcomes: &[PointOutcome]) -> usize {
+        outcomes.iter().filter(|o| o.restored).count()
     }
 
     #[test]
     fn store_roundtrip_restores_points_and_outcome_metadata() {
         let store = test_store("roundtrip");
         let opts = CampaignOptions::serial(Fidelity::Quick);
-        // First run computes and persists all 4 points (incl. the
-        // recovered one).
+        let fresh = StoreCtx {
+            store: &store,
+            resume: false,
+        };
+        // Without resume, every pass computes and persists all 4 points
+        // (incl. the recovered one) and restores none.
+        for _ in 0..2 {
+            let outcomes = run_outcomes_with_store(&DurableDoubler, &opts, Some(fresh));
+            assert_eq!(restored(&outcomes), 0);
+        }
+        assert_eq!(store.stats().persisted, 8);
+        assert_eq!(store.stats().hits, 0);
+        // With resume, every point restores: no recompute, same statuses.
         let ctx = StoreCtx {
             store: &store,
             resume: true,
         };
-        let (runs, _) = run_set_with_store(&[&DurableDoubler], &opts, Some(ctx));
-        assert_eq!(runs[0].restored_points, 0);
-        assert_eq!(store.stats().persisted, 4);
-        // Second run restores every point: no recompute, same statuses.
-        let (runs2, _) = run_set_with_store(&[&DurableDoubler], &opts, Some(ctx));
-        assert_eq!(runs2[0].restored_points, 4);
-        assert_eq!(runs2[0].failed_points, 0);
-        // The recovered point's status survives the roundtrip (it would
-        // re-panic if actually re-executed with the first-attempt seed,
-        // so Recovered proves restoration).
-        let outcomes = {
-            let cache = BaselineCache::new();
-            DurableDoubler
-                .plan(opts.fidelity)
-                .iter()
-                .map(|p| execute_point(&DurableDoubler, p, &opts, &cache, Some(&ctx)))
-                .collect::<Vec<_>>()
-        };
+        let outcomes = run_outcomes_with_store(&DurableDoubler, &opts, Some(ctx));
+        assert_eq!(restored(&outcomes), 4);
+        // The recovered point's status and seeds survive the roundtrip.
         match &outcomes[1].status {
             RunStatus::Recovered { failed_seed, error } => {
                 assert_eq!(*failed_seed, point_seed("durable_doubler", 1));
@@ -1142,8 +1125,14 @@ mod tests {
             }
             s => panic!("expected restored Recovered, got {:?}", s),
         }
+        assert_eq!(
+            outcomes[1].seed,
+            runner::retry_seed(point_seed("durable_doubler", 1), 1)
+        );
         assert!(outcomes[1].restored);
         assert_eq!(outcomes[1].wall, Duration::ZERO);
+        assert_eq!(*expect_value::<usize>(&outcomes, 3), 6);
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]
@@ -1154,7 +1143,7 @@ mod tests {
             store: &store,
             resume: true,
         };
-        run_set_with_store(&[&DurableDoubler], &opts, Some(ctx));
+        run_outcomes_with_store(&DurableDoubler, &opts, Some(ctx));
         // Flip a bit in one entry's payload region.
         let key = point_key("durable_doubler", Fidelity::Quick, 2);
         crate::store::chaos::corrupt_entry(
@@ -1162,14 +1151,16 @@ mod tests {
             &key,
             crate::store::chaos::Fault::BitFlip { offset: 40, bit: 4 },
         );
-        let (runs, _) = run_set_with_store(&[&DurableDoubler], &opts, Some(ctx));
+        let outcomes = run_outcomes_with_store(&DurableDoubler, &opts, Some(ctx));
         // 3 restored, 1 quarantined + recomputed; nothing failed.
-        assert_eq!(runs[0].restored_points, 3);
-        assert_eq!(runs[0].failed_points, 0);
+        assert_eq!(restored(&outcomes), 3);
+        assert!(!outcomes[2].restored);
+        assert!(outcomes.iter().all(|o| o.value.is_some()));
         assert_eq!(store.stats().quarantined, 1);
         // The recomputed entry is durable again.
-        let (runs2, _) = run_set_with_store(&[&DurableDoubler], &opts, Some(ctx));
-        assert_eq!(runs2[0].restored_points, 4);
+        let outcomes = run_outcomes_with_store(&DurableDoubler, &opts, Some(ctx));
+        assert_eq!(restored(&outcomes), 4);
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]
@@ -1180,13 +1171,14 @@ mod tests {
             store: &store,
             resume: true,
         };
-        let (runs, _) = run_set_with_store(&[&Doubler], &opts, Some(ctx));
-        assert_eq!(runs[0].points, 6);
+        let outcomes = run_outcomes_with_store(&Doubler, &opts, Some(ctx));
+        assert_eq!(outcomes.len(), 6);
         // Doubler has no codec: nothing persisted, nothing restored.
         assert_eq!(store.stats().persisted, 0);
-        let (runs2, _) = run_set_with_store(&[&Doubler], &opts, Some(ctx));
-        assert_eq!(runs2[0].restored_points, 0);
-        assert_eq!(runs2[0].points, 6);
+        let outcomes = run_outcomes_with_store(&Doubler, &opts, Some(ctx));
+        assert_eq!(restored(&outcomes), 0);
+        assert_eq!(outcomes.len(), 6);
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]
@@ -1322,10 +1314,7 @@ mod tests {
         // campaign one transient timeout would poison the whole key.
         let opts =
             CampaignOptions::serial(Fidelity::Quick).with_timeout(Some(Duration::from_millis(20)));
-        let run = run_set_with_store(&[&SharedWedgedBaseline], &opts, None)
-            .0
-            .pop()
-            .unwrap();
+        let run = run_experiment(&SharedWedgedBaseline, &opts);
         assert_eq!(run.points, 3);
         assert_eq!(run.timed_out_points, 3, "every point timed out on its own");
         assert_eq!(run.failed_points, 0, "no point inherited a cached error");

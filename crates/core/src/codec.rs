@@ -1,9 +1,11 @@
 //! Exact binary (de)serialization of point values for the result store.
 //!
-//! Experiments persist their per-point measurements through
+//! The predictor's harvest persists its training pairs through
 //! [`crate::campaign::Experiment::encode_value`] /
-//! [`crate::campaign::Experiment::decode_value`], implemented with this
-//! little writer/reader pair. The format is deliberately dumb: fixed-width
+//! [`crate::campaign::Experiment::decode_value`] with this little
+//! writer/reader pair; the campaign engine writes each stored value's
+//! outcome header, and the predictor its model files, with it too. The
+//! format is deliberately dumb: fixed-width
 //! little-endian fields appended in declaration order, floats as raw IEEE
 //! bits ([`f64::to_bits`]) so a restored value is **bit-identical** to the
 //! computed one — the property the resume byte-identity guarantee rests
@@ -29,11 +31,6 @@ impl Enc {
         self
     }
 
-    /// Append a `bool` (one byte, 0/1).
-    pub fn bool(&mut self, v: bool) -> &mut Enc {
-        self.u8(v as u8)
-    }
-
     /// Append a `u32`.
     pub fn u32(&mut self, v: u32) -> &mut Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -46,11 +43,6 @@ impl Enc {
         self
     }
 
-    /// Append a `usize` (as `u64`).
-    pub fn usize(&mut self, v: usize) -> &mut Enc {
-        self.u64(v as u64)
-    }
-
     /// Append an `f64` as its exact IEEE-754 bit pattern.
     pub fn f64(&mut self, v: f64) -> &mut Enc {
         self.u64(v.to_bits())
@@ -61,14 +53,6 @@ impl Enc {
         self.u64(v.len() as u64);
         self.buf.extend_from_slice(v.as_bytes());
         self
-    }
-
-    /// Append a length-prefixed `Option<String>`.
-    pub fn opt_str(&mut self, v: &Option<String>) -> &mut Enc {
-        match v {
-            Some(s) => self.bool(true).str(s),
-            None => self.bool(false),
-        }
     }
 
     /// Append a length-prefixed `f64` slice (exact bits).
@@ -111,15 +95,6 @@ impl<'a> Dec<'a> {
         Some(self.take(1)?[0])
     }
 
-    /// Read a `bool`; bytes other than 0/1 are malformed.
-    pub fn bool(&mut self) -> Option<bool> {
-        match self.u8()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-
     /// Read a `u32`.
     pub fn u32(&mut self) -> Option<u32> {
         Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
@@ -144,15 +119,6 @@ impl<'a> Dec<'a> {
     pub fn str(&mut self) -> Option<String> {
         let n = self.usize()?;
         String::from_utf8(self.take(n)?.to_vec()).ok()
-    }
-
-    /// Read a length-prefixed `Option<String>`.
-    pub fn opt_str(&mut self) -> Option<Option<String>> {
-        if self.bool()? {
-            Some(Some(self.str()?))
-        } else {
-            Some(None)
-        }
     }
 
     /// Read a length-prefixed `f64` vector (exact bits).
@@ -196,32 +162,28 @@ mod tests {
     fn roundtrip_all_field_kinds() {
         let mut e = Enc::new();
         e.u8(7)
-            .bool(true)
             .u32(0xDEAD_BEEF)
             .u64(u64::MAX)
-            .usize(42)
+            .u64(42)
             .f64(-0.0)
             .f64(f64::NAN)
             .str("héllo")
-            .opt_str(&Some("err".into()))
-            .opt_str(&None)
             .f64s(&[1.5, f64::INFINITY, 1e-300]);
-        let bytes = e.into_bytes();
+        let mut bytes = e.into_bytes();
+        bytes.extend_from_slice(b"tail");
         let mut d = Dec::new(&bytes);
         assert_eq!(d.u8(), Some(7));
-        assert_eq!(d.bool(), Some(true));
         assert_eq!(d.u32(), Some(0xDEAD_BEEF));
         assert_eq!(d.u64(), Some(u64::MAX));
         assert_eq!(d.usize(), Some(42));
         assert_eq!(d.f64().map(f64::to_bits), Some((-0.0f64).to_bits()));
         assert_eq!(d.f64().map(f64::to_bits), Some(f64::NAN.to_bits()));
         assert_eq!(d.str(), Some("héllo".to_string()));
-        assert_eq!(d.opt_str(), Some(Some("err".to_string())));
-        assert_eq!(d.opt_str(), Some(None));
         let vs = d.f64s().unwrap();
         assert_eq!(vs.len(), 3);
         assert_eq!(vs[0], 1.5);
         assert!(vs[1].is_infinite());
+        assert_eq!(d.rest(), b"tail");
         assert_eq!(d.finish(()), Some(()));
     }
 
@@ -256,10 +218,5 @@ mod tests {
         let mut d = Dec::new(&bytes);
         assert_eq!(d.u8(), Some(1));
         assert_eq!(d.str(), None);
-    }
-
-    #[test]
-    fn bad_bool_byte_is_malformed() {
-        assert_eq!(Dec::new(&[2]).bool(), None);
     }
 }

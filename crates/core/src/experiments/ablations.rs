@@ -21,7 +21,6 @@ use topology::{henri, MachineSpec, Placement};
 use crate::campaign::{
     self, expect_value, point_seed, Experiment, PointCtx, PointValue, SweepPoint,
 };
-use crate::codec::{Dec, Enc};
 use crate::experiments::Fidelity;
 use crate::protocol::{self, ProtocolConfig};
 use crate::report::{Check, FigureData};
@@ -177,33 +176,6 @@ impl Experiment for Ablations {
                 )?)))
             }
             _ => Ok(Box::new(registration_effect(&base))),
-        }
-    }
-
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let mut e = Enc::new();
-        if let Some(p) = value.downcast_ref::<Scalar>() {
-            e.u8(0).f64(p.0);
-        } else if let Some(p) = value.downcast_ref::<Registration>() {
-            e.u8(1).f64(p.0).f64(p.1);
-        } else {
-            return None;
-        }
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        match d.u8()? {
-            0 => {
-                let p = Scalar(d.f64()?);
-                d.finish(Box::new(p) as PointValue)
-            }
-            1 => {
-                let p = Registration(d.f64()?, d.f64()?);
-                d.finish(Box::new(p) as PointValue)
-            }
-            _ => None,
         }
     }
 

@@ -13,7 +13,7 @@
 //! The world is pinned and jitter-free (userspace governor at base
 //! frequency, uncore fixed at its maximum) so a point's value is a pure
 //! function of its configuration: the campaign JSON is byte-identical at
-//! any `--jobs` level and across store resumes, which
+//! any `--jobs` level and on either matcher, which
 //! `tests/collective_equiv.rs` asserts. The STREAM-alone baseline is
 //! memoized per (scale, core count) in the campaign's [`BaselineCache`]
 //! and shared by every fabric preset and algorithm.
@@ -33,7 +33,6 @@ use topology::{henri, tiny2x2, BindingPolicy, MachineSpec, Placement};
 
 use super::Fidelity;
 use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
 use crate::report::{Check, FigureData};
 
 /// Simulated-time window of the STREAM-alone baseline measurement (400 µs
@@ -320,23 +319,6 @@ impl Experiment for CollectiveContention {
         let cfgs = configs(ctx.fidelity);
         let cfg = &cfgs[point.index];
         Ok(Box::new(measure(ctx, cfg)?))
-    }
-
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let p = value.downcast_ref::<CollPoint>()?;
-        let mut e = Enc::new();
-        e.f64(p.coll_us).f64(p.stream_bw).f64(p.stream_alone_bw);
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        let p = CollPoint {
-            coll_us: d.f64()?,
-            stream_bw: d.f64()?,
-            stream_alone_bw: d.f64()?,
-        };
-        d.finish(Box::new(p) as PointValue)
     }
 
     fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {

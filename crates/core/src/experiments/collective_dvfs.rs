@@ -26,7 +26,6 @@ use topology::{henri, BindingPolicy, Placement};
 
 use super::Fidelity;
 use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
 use crate::report::{Check, FigureData};
 
 /// Rank count (matches the simcheck collective oracles).
@@ -107,19 +106,6 @@ impl Experiment for CollectiveDvfs {
         let alg = point.index / freqs.len();
         let f = freqs[point.index % freqs.len()];
         Ok(Box::new(DvfsPoint(measure(f, alg)?)))
-    }
-
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let p = value.downcast_ref::<DvfsPoint>()?;
-        let mut e = Enc::new();
-        e.f64(p.0);
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        let p = DvfsPoint(d.f64()?);
-        d.finish(Box::new(p) as PointValue)
     }
 
     fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {

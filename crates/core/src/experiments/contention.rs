@@ -20,7 +20,6 @@ use mpisim::pingpong::PingPongConfig;
 use topology::{BindingPolicy, MachineSpec, Placement};
 
 use crate::campaign::PointCtx;
-use crate::codec::{Dec, Enc};
 use crate::experiments::Fidelity;
 use crate::protocol::{self, ProtocolConfig, RepMetrics, StepMask, StepResults};
 
@@ -87,30 +86,6 @@ pub struct ContentionPoint {
     pub stream_alone: Vec<f64>,
     /// STREAM per-core bandwidth beside the ping-pong.
     pub stream_together: Vec<f64>,
-}
-
-impl ContentionPoint {
-    /// Exact-bits serialization for the result store (see [`crate::codec`]).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.f64s(&self.comm_alone)
-            .f64s(&self.comm_together)
-            .f64s(&self.stream_alone)
-            .f64s(&self.stream_together);
-        e.into_bytes()
-    }
-
-    /// Inverse of [`ContentionPoint::encode`]; `None` on any malformation.
-    pub fn decode(bytes: &[u8]) -> Option<ContentionPoint> {
-        let mut d = Dec::new(bytes);
-        let p = ContentionPoint {
-            comm_alone: d.f64s()?,
-            comm_together: d.f64s()?,
-            stream_alone: d.f64s()?,
-            stream_together: d.f64s()?,
-        };
-        d.finish(p)
-    }
 }
 
 /// The STREAM NUMA node implied by a placement's data policy.

@@ -16,7 +16,6 @@ use simcore::Series;
 use topology::{MachineSpec, Placement, Preset};
 
 use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
 use crate::experiments::Fidelity;
 use crate::protocol::{self, ProtocolConfig};
 use crate::report::{Check, FigureData};
@@ -124,33 +123,6 @@ impl Experiment for CrossMachine {
             let billy = Preset::Billy.spec();
             let p = intensity_ratio(&billy, ai, ctx.fidelity, ctx.seed)?;
             Ok(Box::new(p))
-        }
-    }
-
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let mut e = Enc::new();
-        if let Some(p) = value.downcast_ref::<MachinePoint>() {
-            e.u8(0).f64(p.0).f64(p.1).f64(p.2);
-        } else if let Some(p) = value.downcast_ref::<RatioPoint>() {
-            e.u8(1).f64(p.0);
-        } else {
-            return None;
-        }
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        match d.u8()? {
-            0 => {
-                let p = MachinePoint(d.f64()?, d.f64()?, d.f64()?);
-                d.finish(Box::new(p) as PointValue)
-            }
-            1 => {
-                let p = RatioPoint(d.f64()?);
-                d.finish(Box::new(p) as PointValue)
-            }
-            _ => None,
         }
     }
 

@@ -21,7 +21,6 @@ use topology::henri;
 
 use super::Fidelity;
 use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
 use crate::protocol::{build_cluster, retry_totals, ProtocolConfig, RepMetrics};
 use crate::report::{Check, FigureData, RunOutcome};
 use crate::runner::{self, RunStatus};
@@ -138,15 +137,6 @@ struct DemoOut {
     runs: Vec<RunOutcome>,
 }
 
-/// Map a persisted status label back to the `&'static str` the runner
-/// hands out (see [`RunStatus::label`]); unknown labels mean a stale or
-/// corrupt entry.
-fn intern_status(s: &str) -> Option<&'static str> {
-    ["ok", "recovered", "failed", "timeout"]
-        .into_iter()
-        .find(|l| *l == s)
-}
-
 /// Registry driver for the faulted ping-pong (3 drop-probability sweep
 /// points plus the crash/black-out demo point).
 pub struct FaultedPingpong;
@@ -224,80 +214,6 @@ impl Experiment for FaultedPingpong {
                 partial: demo.iter().any(|r| r.lat_us.is_none()),
                 runs: demo.into_iter().map(|r| r.run).collect(),
             }))
-        }
-    }
-
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let mut e = Enc::new();
-        if let Some(p) = value.downcast_ref::<SweepOut>() {
-            e.u8(0).f64s(&p.lats).f64s(&p.rets).usize(p.failures);
-        } else if let Some(p) = value.downcast_ref::<DemoOut>() {
-            e.u8(1)
-                .f64s(&p.lats)
-                .bool(p.recovered)
-                .str(p.crash_status)
-                .u32(p.crash_attempts)
-                .bool(p.blackout_failed)
-                .bool(p.partial)
-                .usize(p.runs.len());
-            for r in &p.runs {
-                e.u32(r.rep)
-                    .u64(r.seed)
-                    .str(r.status)
-                    .opt_str(&r.error)
-                    .u64(r.retries)
-                    .u64(r.retrans_bytes)
-                    .f64(r.retry_wait_s);
-            }
-        } else {
-            return None;
-        }
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        match d.u8()? {
-            0 => {
-                let p = SweepOut {
-                    lats: d.f64s()?,
-                    rets: d.f64s()?,
-                    failures: d.usize()?,
-                };
-                d.finish(Box::new(p) as PointValue)
-            }
-            1 => {
-                let lats = d.f64s()?;
-                let recovered = d.bool()?;
-                let crash_status = intern_status(&d.str()?)?;
-                let crash_attempts = d.u32()?;
-                let blackout_failed = d.bool()?;
-                let partial = d.bool()?;
-                let n = d.usize()?;
-                let mut runs = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    runs.push(RunOutcome {
-                        rep: d.u32()?,
-                        seed: d.u64()?,
-                        status: intern_status(&d.str()?)?,
-                        error: d.opt_str()?,
-                        retries: d.u64()?,
-                        retrans_bytes: d.u64()?,
-                        retry_wait_s: d.f64()?,
-                    });
-                }
-                let p = DemoOut {
-                    lats,
-                    recovered,
-                    crash_status,
-                    crash_attempts,
-                    blackout_failed,
-                    partial,
-                    runs,
-                };
-                d.finish(Box::new(p) as PointValue)
-            }
-            _ => None,
         }
     }
 

@@ -14,7 +14,6 @@ use taskrt::{Runtime, RuntimeConfig};
 use topology::{henri, Placement};
 
 use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
 use crate::experiments::Fidelity;
 use crate::paper;
 use crate::report::{Check, FigureData};
@@ -87,22 +86,6 @@ impl Experiment for Fig10 {
             send_bw: res.mean_send_bw,
             stall_fraction: res.stall_fraction,
         }))
-    }
-
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let p = value.downcast_ref::<UseCasePoint>()?;
-        let mut e = Enc::new();
-        e.f64(p.send_bw).f64(p.stall_fraction);
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        let p = UseCasePoint {
-            send_bw: d.f64()?,
-            stall_fraction: d.f64()?,
-        };
-        d.finish(Box::new(p) as PointValue)
     }
 
     fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {

@@ -11,7 +11,6 @@ use simcore::{JitterFamily, Series};
 use topology::{henri, BindingPolicy, Placement};
 
 use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
 use crate::experiments::{size_sweep, Fidelity};
 use crate::paper;
 use crate::protocol::build_cluster;
@@ -118,22 +117,6 @@ impl Experiment for Fig1 {
             bws.push(res.median_bandwidth());
         }
         Ok(Box::new(Fig1Point { lats, bws }))
-    }
-
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let p = value.downcast_ref::<Fig1Point>()?;
-        let mut e = Enc::new();
-        e.f64s(&p.lats).f64s(&p.bws);
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        let p = Fig1Point {
-            lats: d.f64s()?,
-            bws: d.f64s()?,
-        };
-        d.finish(Box::new(p) as PointValue)
     }
 
     fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {

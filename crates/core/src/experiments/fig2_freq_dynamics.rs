@@ -15,7 +15,6 @@ use simcore::{Series, Summary};
 use topology::{henri, BindingPolicy, CoreId, Placement};
 
 use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
 use crate::experiments::Fidelity;
 use crate::paper;
 use crate::protocol::{self, ProtocolConfig};
@@ -108,37 +107,6 @@ impl Experiment for Fig2 {
             f_c_comm,
             f_c_idle,
         }))
-    }
-
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let p = value.downcast_ref::<Fig2Point>()?;
-        let mut e = Enc::new();
-        e.f64s(&p.lat_alone)
-            .f64s(&p.lat_together)
-            .f64s(&p.flops_alone)
-            .f64s(&p.flops_together)
-            .f64(p.f_ab_comm)
-            .f64(p.f_b_compute)
-            .f64(p.f_c_compute)
-            .f64(p.f_c_comm)
-            .f64(p.f_c_idle);
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        let p = Fig2Point {
-            lat_alone: d.f64s()?,
-            lat_together: d.f64s()?,
-            flops_alone: d.f64s()?,
-            flops_together: d.f64s()?,
-            f_ab_comm: d.f64()?,
-            f_b_compute: d.f64()?,
-            f_c_compute: d.f64()?,
-            f_c_comm: d.f64()?,
-            f_c_idle: d.f64()?,
-        };
-        d.finish(Box::new(p) as PointValue)
     }
 
     fn finalize(&self, _fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {

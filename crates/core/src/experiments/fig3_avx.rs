@@ -14,7 +14,6 @@ use simcore::{Series, Summary};
 use topology::{henri, BindingPolicy, CoreId, Placement};
 
 use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
 use crate::experiments::Fidelity;
 use crate::paper;
 use crate::protocol::{self, ProtocolConfig};
@@ -127,40 +126,6 @@ impl Experiment for Fig3 {
             lat_alone: r.lat_alone(),
             lat_together: r.lat_together(),
         }))
-    }
-
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let mut e = Enc::new();
-        if let Some(p) = value.downcast_ref::<SweepOut>() {
-            e.u8(0)
-                .f64s(&p.times)
-                .f64s(&p.lat_alone)
-                .f64s(&p.lat_together);
-        } else if let Some(p) = value.downcast_ref::<SnapshotOut>() {
-            e.u8(1).f64(p.0).f64(p.1);
-        } else {
-            return None;
-        }
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        match d.u8()? {
-            0 => {
-                let p = SweepOut {
-                    times: d.f64s()?,
-                    lat_alone: d.f64s()?,
-                    lat_together: d.f64s()?,
-                };
-                d.finish(Box::new(p) as PointValue)
-            }
-            1 => {
-                let p = SnapshotOut(d.f64()?, d.f64()?);
-                d.finish(Box::new(p) as PointValue)
-            }
-            _ => None,
-        }
     }
 
     fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {

@@ -75,14 +75,6 @@ impl Experiment for Fig5 {
         Ok(Box::new(p))
     }
 
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        Some(value.downcast_ref::<ContentionPoint>()?.encode())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        Some(Box::new(ContentionPoint::decode(bytes)?))
-    }
-
     fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {
         let cores = cores(fidelity);
         let combos = Placement::all_combinations();

@@ -13,7 +13,6 @@ use topology::{henri, Placement};
 
 use super::contention::STREAM_ELEMS;
 use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
 use crate::experiments::{size_sweep, Fidelity};
 use crate::paper;
 use crate::protocol::{self, ProtocolConfig};
@@ -99,22 +98,6 @@ impl Experiment for Fig6 {
             comm_ratios,
             stream_ratios,
         }))
-    }
-
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let p = value.downcast_ref::<Fig6Point>()?;
-        let mut e = Enc::new();
-        e.f64s(&p.comm_ratios).f64s(&p.stream_ratios);
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        let p = Fig6Point {
-            comm_ratios: d.f64s()?,
-            stream_ratios: d.f64s()?,
-        };
-        d.finish(Box::new(p) as PointValue)
     }
 
     fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {

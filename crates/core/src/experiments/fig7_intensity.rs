@@ -17,7 +17,6 @@ use simcore::Series;
 use topology::{henri, Placement};
 
 use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
 use crate::experiments::Fidelity;
 use crate::paper;
 use crate::protocol::{self, ProtocolConfig, StepMask, StepResults};
@@ -175,45 +174,6 @@ impl Experiment for Fig7 {
                 t_alone,
                 t_together,
             }))
-        }
-    }
-
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let mut e = Enc::new();
-        if let Some(p) = value.downcast_ref::<LatOut>() {
-            e.u8(0).f64s(&p.alone).f64s(&p.together);
-        } else if let Some(p) = value.downcast_ref::<BwOut>() {
-            e.u8(1)
-                .f64s(&p.alone)
-                .f64s(&p.together)
-                .f64s(&p.t_alone)
-                .f64s(&p.t_together);
-        } else {
-            return None;
-        }
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        match d.u8()? {
-            0 => {
-                let p = LatOut {
-                    alone: d.f64s()?,
-                    together: d.f64s()?,
-                };
-                d.finish(Box::new(p) as PointValue)
-            }
-            1 => {
-                let p = BwOut {
-                    alone: d.f64s()?,
-                    together: d.f64s()?,
-                    t_alone: d.f64s()?,
-                    t_together: d.f64s()?,
-                };
-                d.finish(Box::new(p) as PointValue)
-            }
-            _ => None,
         }
     }
 

@@ -13,7 +13,6 @@ use taskrt::{pingpong as rt_pingpong, Runtime, RuntimeConfig};
 use topology::{BindingPolicy, Placement, Preset};
 
 use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
 use crate::experiments::Fidelity;
 use crate::paper;
 use crate::protocol::{build_cluster, ProtocolConfig};
@@ -131,22 +130,6 @@ impl Experiment for Fig8 {
             };
             Ok(Box::new(measure(&m, placement, Fidelity::Quick, ctx.seed)))
         }
-    }
-
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let p = value.downcast_ref::<Fig8Point>()?;
-        let mut e = Enc::new();
-        e.f64s(&p.rt_lat).f64s(&p.plain_lat);
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        let p = Fig8Point {
-            rt_lat: d.f64s()?,
-            plain_lat: d.f64s()?,
-        };
-        d.finish(Box::new(p) as PointValue)
     }
 
     fn finalize(&self, _fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {

@@ -12,7 +12,6 @@ use taskrt::{pingpong as rt_pingpong, Runtime, RuntimeConfig};
 use topology::{henri, BindingPolicy, Placement};
 
 use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
 use crate::experiments::Fidelity;
 use crate::protocol::{build_cluster, ProtocolConfig};
 use crate::report::{Check, FigureData};
@@ -103,19 +102,6 @@ impl Experiment for Fig9 {
             lats.push(res.median_latency_us());
         }
         Ok(Box::new(Fig9Point { lats }))
-    }
-
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let p = value.downcast_ref::<Fig9Point>()?;
-        let mut e = Enc::new();
-        e.f64s(&p.lats);
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        let p = Fig9Point { lats: d.f64s()? };
-        d.finish(Box::new(p) as PointValue)
     }
 
     fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {

@@ -19,9 +19,10 @@
 //! communication side is placement/metric-specific but core-count- and
 //! family-independent, the computation side is metric-independent, so a
 //! full grid shares most of its simulation work. Pairs serialize with
-//! exact-bits codecs ([`crate::codec`]), making harvest campaigns
-//! resumable through the content-addressed result store and byte-stable at
-//! any worker count.
+//! exact-bits codecs ([`crate::codec`]), so the harvest is the one
+//! experiment the content-addressed result store caches
+//! (`repro predict`/`rank-placements --store`); it is byte-stable at any
+//! worker count.
 
 use kernels::{gemm, stream, tunable, vecops, Workload};
 use simcore::telemetry::{self, Journal};
@@ -679,47 +680,53 @@ pub fn measure_pair(spec: &PairSpec, ctx: &PointCtx<'_>) -> Result<TrainingPair,
         ctx.baselines.get_or_compute_result(&comp_key, |seed| {
             measure_compute_alone(&comp_spec, fidelity, seed)
         })?;
-    let cfg = base_config(spec, fidelity, ctx.seed);
+    measure_together(spec, fidelity, ctx.seed, &comm, &comp)
+}
+
+/// The together step on `seed`, then the pair it makes with the alone
+/// steps: features from the alone steps, penalties from all three.
+fn measure_together(
+    spec: &PairSpec,
+    fidelity: Fidelity,
+    seed: u64,
+    comm: &CommAlone,
+    comp: &ComputeAlone,
+) -> Result<TrainingPair, String> {
+    let cfg = base_config(spec, fidelity, seed);
     let together =
         protocol::try_run_masked(&cfg, &simcore::FaultPlan::new(cfg.seed), StepMask::TOGETHER)
             .map_err(|e| e.to_string())?;
-    let features = assemble_features(spec, &comm, &comp);
-    let (comm_penalty, compute_penalty) = penalties(spec, &comm, &comp, &together);
+    let (comm_penalty, compute_penalty) = penalties(spec, comm, comp, &together);
     Ok(TrainingPair {
         spec: *spec,
-        features,
+        features: assemble_features(spec, comm, comp),
         comm_penalty,
         compute_penalty,
     })
 }
 
+/// The two alone steps of a pair measured outside a campaign, each on a
+/// seed derived from the spec's content seed.
+fn alone_direct(spec: &PairSpec, fidelity: Fidelity) -> Result<(CommAlone, ComputeAlone), String> {
+    let seed = spec.content_seed();
+    Ok((
+        measure_comm_alone(spec, fidelity, seed ^ 0xC0111)?,
+        measure_compute_alone(spec, fidelity, seed ^ 0xC0217)?,
+    ))
+}
+
 /// Measure one pair outside a campaign (the advisor's ground-truth path),
 /// on the spec's content seed.
 pub fn measure_pair_direct(spec: &PairSpec, fidelity: Fidelity) -> Result<TrainingPair, String> {
-    let seed = spec.content_seed();
-    let comm = measure_comm_alone(spec, fidelity, seed ^ 0xC0111)?;
-    let comp = measure_compute_alone(spec, fidelity, seed ^ 0xC0217)?;
-    let cfg = base_config(spec, fidelity, seed);
-    let together =
-        protocol::try_run_masked(&cfg, &simcore::FaultPlan::new(cfg.seed), StepMask::TOGETHER)
-            .map_err(|e| e.to_string())?;
-    let features = assemble_features(spec, &comm, &comp);
-    let (comm_penalty, compute_penalty) = penalties(spec, &comm, &comp, &together);
-    Ok(TrainingPair {
-        spec: *spec,
-        features,
-        comm_penalty,
-        compute_penalty,
-    })
+    let (comm, comp) = alone_direct(spec, fidelity)?;
+    measure_together(spec, fidelity, spec.content_seed(), &comm, &comp)
 }
 
 /// Compute the feature vector of a pair **without ever running the
 /// together step** — the prediction path: only the two alone steps
 /// execute.
 pub fn alone_features(spec: &PairSpec, fidelity: Fidelity) -> Result<Vec<f64>, String> {
-    let seed = spec.content_seed();
-    let comm = measure_comm_alone(spec, fidelity, seed ^ 0xC0111)?;
-    let comp = measure_compute_alone(spec, fidelity, seed ^ 0xC0217)?;
+    let (comm, comp) = alone_direct(spec, fidelity)?;
     Ok(assemble_features(spec, &comm, &comp))
 }
 

@@ -25,7 +25,6 @@ use simcore::{JitterFamily, Series};
 use topology::{henri, NumaId};
 
 use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
 use crate::experiments::Fidelity;
 use crate::protocol::{build_cluster, ProtocolConfig};
 use crate::report::{Check, FigureData};
@@ -168,19 +167,6 @@ impl Experiment for Overlap {
         let (_, ai) = PROFILES[point.index / sizes.len()];
         let size = sizes[point.index % sizes.len()];
         Ok(Box::new(measure(size, ai, CORES, ctx.seed)))
-    }
-
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let p = value.downcast_ref::<OverlapPoint>()?;
-        let mut e = Enc::new();
-        e.f64(p.0).f64(p.1).f64(p.2);
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        let p = OverlapPoint(d.f64()?, d.f64()?, d.f64()?);
-        d.finish(Box::new(p) as PointValue)
     }
 
     fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {

@@ -106,14 +106,6 @@ impl Experiment for Table1 {
         Ok(Box::new(p))
     }
 
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        Some(value.downcast_ref::<ContentionPoint>()?.encode())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        Some(Box::new(ContentionPoint::decode(bytes)?))
-    }
-
     fn finalize(&self, fidelity: Fidelity, points: &[PointOutcome]) -> Vec<FigureData> {
         let rows = rows_from(fidelity, points);
         // Encode the table as series: x = row index.

@@ -18,9 +18,9 @@
 //! * [`runner`] — the retry policy the engine applies to every point (and
 //!   the faulted ping-pong to every repetition): guarded attempts, one
 //!   retry on a derived seed, a structured [`RunStatus`];
-//! * [`store`] — the content-addressed on-disk result store behind
-//!   `repro --store/--resume`: atomic writes, checksummed entries,
-//!   corruption quarantine;
+//! * [`store`] — the content-addressed on-disk result store that caches
+//!   the predictor's harvest (`repro predict`/`rank-placements --store`):
+//!   atomic writes, checksummed entries, corruption quarantine;
 //! * [`report`] — ASCII rendering and CSV export of figure data;
 //! * [`paper`] — the reference values extracted from the paper's text.
 //!

@@ -1,12 +1,12 @@
 //! Content-addressed on-disk result store.
 //!
-//! Campaigns are exactly the runs that die to OOM-kills and preemption:
-//! long, repeated, unattended. The store makes their work durable — each
-//! completed sweep point is persisted as one self-verifying entry, and a
-//! restarted campaign (`repro --store DIR --resume`) skips the points it
-//! finds instead of recomputing them. Byte-identical determinism (the
-//! golden-trace guarantee) is what makes this safe: a restored value is
-//! bit-for-bit the value a fresh run would have produced.
+//! It caches the predictor's harvest, the one piece of work every
+//! `repro predict` and `rank-placements` query repeats: each harvested
+//! pair is persisted as one self-verifying entry, and a later or restarted
+//! query (`--store DIR --resume`) skips the pairs it finds instead of
+//! measuring them again. Byte-identical determinism (the golden-trace
+//! guarantee) is what makes this safe: a restored value is bit-for-bit the
+//! value a fresh run would have produced.
 //!
 //! **Entry format** (version [`ENTRY_VERSION`]):
 //!

@@ -11,7 +11,10 @@
 //! (`VmHWM`) after the proof and at the end, where `/proc/self/status`
 //! exists. There the peak must stay within 82 MiB, about 1.4 times the
 //! 58.7 MiB the proof peaks at, so that neither a per-message copy of the
-//! schedule nor a sort scratch in its proof comes back unseen (DESIGN.md
+//! schedule nor a sort scratch in its proof comes back unseen; and the
+//! resident set after the run within 48 MiB, about 1.2 times the 39.2 MiB
+//! it reads there, so that a per-message table kept through the run (18 MiB
+//! of request tables once) does not hide under the proof's peak (DESIGN.md
 //! §13.8 records the numbers).
 
 use std::time::{Duration, Instant};
@@ -26,6 +29,7 @@ const RANKS: usize = 1024;
 const PAYLOAD: usize = 256 << 10;
 const WALL_LIMIT: Duration = Duration::from_secs(60);
 const PEAK_LIMIT_KIB: u64 = 82 << 10;
+const RUN_RSS_LIMIT_KIB: u64 = 48 << 10;
 
 /// Print `field` (`VmRSS`, `VmHWM`) of this process after `step` and return
 /// it in KiB, where `/proc/self/status` exists.
@@ -69,7 +73,12 @@ fn ring_allreduce_1024_ranks_completes_under_a_minute() {
         wall.as_secs_f64(),
         WALL_LIMIT.as_secs()
     );
-    print_status("VmRSS", "after the run");
+    if let Some(rss) = print_status("VmRSS", "after the run") {
+        assert!(
+            rss <= RUN_RSS_LIMIT_KIB,
+            "RSS after the run {rss} KiB, limit {RUN_RSS_LIMIT_KIB} KiB"
+        );
+    }
     if let Some(peak) = print_status("VmHWM", "(peak RSS)") {
         assert!(
             peak <= PEAK_LIMIT_KIB,

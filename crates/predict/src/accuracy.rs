@@ -2,8 +2,8 @@
 //! `repro --predict-check`).
 //!
 //! Plans and runs the full harvest grid (delegating to
-//! `interference::experiments::harvest`, so the result store and resume
-//! work unchanged), then in `finalize`:
+//! `interference::experiments::harvest`, value codec included), then in
+//! `finalize`:
 //!
 //! * k-fold cross-validates the combined co-location penalty over three
 //!   shuffle seeds, reporting per-preset median/mean absolute relative

@@ -37,17 +37,6 @@ echo "==> repro: every paper experiment at Full fidelity"
 # bora cross-machine check still fails at Full (24/25).
 cargo run --release -p bench --bin repro -- --all --jobs 2
 
-echo "==> repro smoke: store + resume round-trip is byte-identical"
-# First run persists every point; second run must restore them all and
-# export the same bytes (crash-consistency, DESIGN.md §12).
-store_dir="$(mktemp -d)"
-trap 'rm -rf "$store_dir"' EXIT
-cargo run --release -p bench --bin repro -- --quick --only fig4 \
-  --store "$store_dir/store" --json "$store_dir/a.json"
-cargo run --release -p bench --bin repro -- --quick --only fig4 \
-  --store "$store_dir/store" --resume --json "$store_dir/b.json"
-cmp "$store_dir/a.json" "$store_dir/b.json"
-
 echo "==> model validation: oracles, metamorphic invariants, differential fuzz"
 # Exits non-zero if any oracle check fails (repro gates on failed checks).
 cargo run --release -p bench --bin repro -- --quick --validate --fuzz-budget 60 --jobs 2
@@ -64,6 +53,20 @@ echo "==> predict smoke: rank placements for a held-out workload"
 # placements, and print ground truth + regret next to the prediction.
 cargo run --release -p bench --bin repro -- rank-placements --quick --jobs 2 \
   --preset bora --workload cg --cores 8 --metric bw --ground-truth
+
+echo "==> predict smoke: the harvest cache's store + resume round-trip ranks identically"
+# The first run persists every harvest point; the second must restore them
+# all and print the same ranking (crash consistency, DESIGN.md §12).
+store_dir="$(mktemp -d)"
+trap 'rm -rf "$store_dir"' EXIT
+query=(rank-placements --quick --jobs 2 --preset bora --workload cg --cores 8 --metric bw)
+cargo run --release -p bench --bin repro -- "${query[@]}" \
+  --store "$store_dir/store" | tee "$store_dir/a.txt"
+cargo run --release -p bench --bin repro -- "${query[@]}" \
+  --store "$store_dir/store" --resume | tee "$store_dir/b.txt"
+ranked() { grep -E '^(rank-placements:|   #)' "$1"; }
+cmp <(ranked "$store_dir/a.txt") <(ranked "$store_dir/b.txt")
+grep -qE '^   harvest .*, ([0-9]+) point\(s\) \(\1 restored from store\)$' "$store_dir/b.txt"
 
 echo "==> examples: each runs and passes its own assertions"
 # Every example asserts what it demonstrates at the end, so building them
@@ -101,10 +104,11 @@ print(f"{w}: wall_s {wall:.3f} s = {wall / median:.2f}x the ledger median")
 EOF
 done
 
-echo "==> 1024-rank ring allreduce: recorded completion time, under a minute, peak RSS within 82 MiB"
+echo "==> 1024-rank ring allreduce: recorded completion time, under a minute, peak RSS within 82 MiB, RSS after the run within 48 MiB"
 # --nocapture shows the VmRSS after each step and the peak (VmHWM) after the
 # proof and at the end, which the gate prints; where /proc/self/status
-# exists, the gate fails a peak over 82 MiB.
+# exists, the gate fails a peak over 82 MiB or a VmRSS after the run over
+# 48 MiB.
 cargo test --release -q -p mpisim --test ring_allreduce_1024 -- --ignored --nocapture
 
 echo "==> OK: build, tests, lints and repro smoke all green"

@@ -6,9 +6,8 @@
 //! campaign engine). These tests pin the stack's determinism guarantee at
 //! full-campaign scale: the rendered figure JSON must be byte-identical
 //!
-//! * on mpisim's linear-scan matcher instead of the indexed bins,
-//! * at any worker count (`--jobs 1` vs `--jobs 4`), and
-//! * across a crash-and-resume through the result store.
+//! * on mpisim's linear-scan matcher instead of the indexed bins, and
+//! * at any worker count (`--jobs 1` vs `--jobs 4`).
 //!
 //! Reference paths are picked with `simcore::ReferencePaths`, installed on
 //! the calling thread for one campaign and carried into its workers.
@@ -19,10 +18,9 @@
 
 mod support;
 
-use interference::campaign::{self, CampaignOptions, StoreCtx};
+use interference::campaign::{self, CampaignOptions};
 use interference::experiments::{self, Fidelity};
 use interference::results::figures_to_json;
-use interference::store::ResultStore;
 use simcore::reference_paths::{self, ReferencePaths};
 use support::assert_identical;
 
@@ -51,52 +49,6 @@ fn collective_campaign_json_identical_across_jobs() {
     let serial = campaign_json(1);
     let parallel = campaign_json(4);
     assert_identical(&serial, &parallel, "parallel collective campaign diverged");
-}
-
-/// Persist, lose the in-flight tail, resume at a different worker count:
-/// restored + recomputed points must finalize to the clean run's bytes.
-#[test]
-fn collective_campaign_resumes_byte_identical() {
-    let exps = collective_experiments();
-    let clean = campaign_json(1);
-
-    let dir = std::env::temp_dir().join(format!("ifstore-collective-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = ResultStore::open(&dir).expect("open temp store");
-    let ctx = StoreCtx {
-        store: &store,
-        resume: true,
-    };
-    let (runs, _) =
-        campaign::run_set_with_store(&exps, &CampaignOptions::serial(Fidelity::Quick), Some(ctx));
-    let total_points: usize = runs.iter().map(|r| r.points).sum();
-    assert_eq!(store.stats().persisted as usize, total_points);
-
-    // A crash loses the tail: drop the last third of the entries.
-    let mut entries: Vec<_> = std::fs::read_dir(store.dir())
-        .expect("read store dir")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "res"))
-        .collect();
-    entries.sort();
-    let lost = entries.len() / 3;
-    assert!(lost > 0, "campaign too small to lose a tail");
-    for p in entries.iter().rev().take(lost) {
-        std::fs::remove_file(p).expect("drop entry");
-    }
-
-    let (runs2, _) =
-        campaign::run_set_with_store(&exps, &CampaignOptions::new(Fidelity::Quick, 4), Some(ctx));
-    let restored: usize = runs2.iter().map(|r| r.restored_points).sum();
-    assert_eq!(restored, total_points - lost);
-    let resumed = figures_to_json(
-        &runs2
-            .iter()
-            .flat_map(|r| r.figures.clone())
-            .collect::<Vec<_>>(),
-    );
-    assert_identical(&clean, &resumed, "resumed collective campaign diverged");
-    let _ = std::fs::remove_dir_all(store.dir());
 }
 
 /// Runs `f` with the collective layer's reference twin installed: linear-scan

@@ -1,13 +1,15 @@
 //! Tier-2 chaos: injected result-store corruption must always be detected
 //! and recomputed — a corrupt entry is never served, under any fault
-//! shape, and a resumed campaign over a damaged store still renders
+//! shape, and a harvest resumed over a damaged store still renders
 //! byte-identical figures.
 
-use interference::campaign::{self, CampaignOptions, StoreCtx};
-use interference::experiments::{self, Fidelity};
+use interference::campaign::{self, CampaignOptions, Experiment, PointOutcome, StoreCtx};
+use interference::experiments::harvest::{Family, Harvest, PairSpec};
+use interference::experiments::Fidelity;
 use interference::results::figures_to_json;
 use interference::store::chaos::{corrupt_file, Fault};
 use interference::store::{Lookup, ResultStore};
+use topology::presets::Preset;
 
 fn temp_store(tag: &str) -> ResultStore {
     let dir = std::env::temp_dir().join(format!("ifchaos-{}-{}", tag, std::process::id()));
@@ -15,7 +17,7 @@ fn temp_store(tag: &str) -> ResultStore {
     ResultStore::open(dir).expect("open temp store")
 }
 
-/// The fault matrix applied in the campaign-level test below: every chaos
+/// The fault matrix applied in the harvest-level test below: every chaos
 /// shape the injector knows, at several offsets.
 fn fault_matrix() -> Vec<Fault> {
     vec![
@@ -65,27 +67,30 @@ fn every_fault_shape_is_detected_and_recomputable() {
     let _ = std::fs::remove_dir_all(store.dir());
 }
 
-/// Campaign level: persist a campaign, hit every entry with a fault from
-/// the matrix, resume — all damage is detected (nothing restored from a
-/// corrupt entry), everything recomputes, and the figures are
+/// Harvest level: persist a slice of the harvest, hit every entry with a
+/// fault from the matrix, resume — all damage is detected (nothing restored
+/// from a corrupt entry), everything recomputes, and the figures are
 /// byte-identical to a clean run.
 #[test]
 fn fully_corrupted_store_recomputes_to_identical_figures() {
-    let exp = experiments::find("fig4").expect("registered");
+    let exp = Harvest {
+        filter: Some(|s: &PairSpec| s.preset == Preset::Henri && s.family == Family::Stream),
+    };
     let opts = CampaignOptions::serial(Fidelity::Quick);
-    let clean = figures_to_json(
-        &campaign::run_set(&[exp], &opts)
-            .iter()
-            .flat_map(|r| r.figures.clone())
-            .collect::<Vec<_>>(),
-    );
+    let figures = |outcomes: &[PointOutcome]| {
+        let figures = exp.finalize(Fidelity::Quick, outcomes);
+        assert!(figures.iter().all(|f| f.checks.iter().all(|c| c.pass)));
+        figures_to_json(&figures)
+    };
+    let restored = |outcomes: &[PointOutcome]| outcomes.iter().filter(|o| o.restored).count();
+    let clean = figures(&campaign::run_outcomes_with_store(&exp, &opts, None));
 
     let store = temp_store("campaign");
     let ctx = StoreCtx {
         store: &store,
         resume: true,
     };
-    campaign::run_set_with_store(&[exp], &opts, Some(ctx));
+    campaign::run_outcomes_with_store(&exp, &opts, Some(ctx));
     let entries: Vec<_> = std::fs::read_dir(store.dir())
         .expect("read store dir")
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -97,20 +102,18 @@ fn fully_corrupted_store_recomputes_to_identical_figures() {
         corrupt_file(p, faults[i % faults.len()]);
     }
 
-    let (runs, _) = campaign::run_set_with_store(&[exp], &opts, Some(ctx));
-    assert_eq!(runs[0].restored_points, 0, "no corrupt entry was served");
-    assert_eq!(runs[0].failed_points, 0);
-    let resumed = figures_to_json(
-        &runs
-            .iter()
-            .flat_map(|r| r.figures.clone())
-            .collect::<Vec<_>>(),
+    let outcomes = campaign::run_outcomes_with_store(&exp, &opts, Some(ctx));
+    assert_eq!(restored(&outcomes), 0, "no corrupt entry was served");
+    assert!(outcomes.iter().all(|o| o.value.is_some()));
+    assert_eq!(
+        clean,
+        figures(&outcomes),
+        "figures diverged after store corruption"
     );
-    assert_eq!(clean, resumed, "figures diverged after store corruption");
 
     // The recomputed entries are durable again: a further resume restores.
-    let (runs2, _) = campaign::run_set_with_store(&[exp], &opts, Some(ctx));
-    assert_eq!(runs2[0].restored_points, runs2[0].points);
+    let outcomes = campaign::run_outcomes_with_store(&exp, &opts, Some(ctx));
+    assert_eq!(restored(&outcomes), outcomes.len());
     let _ = std::fs::remove_dir_all(store.dir());
 }
 

@@ -1,12 +1,15 @@
-//! Tier-2: durability of campaign results. Every registry experiment's
-//! value codec must roundtrip exactly (bit-for-bit — resume byte-identity
-//! rests on it), and a store-backed resumed campaign must render figures
-//! byte-identical to an uninterrupted run at any worker count.
+//! Tier-2: durability of the harvest cache (`repro predict` /
+//! `rank-placements --store`). The harvest's value codec must roundtrip
+//! exactly (bit-for-bit — resume byte-identity rests on it), and a
+//! store-backed harvest resumed after losing entries must produce the same
+//! pairs as an uninterrupted run at any worker count.
 
-use interference::campaign::{self, CampaignOptions, StoreCtx};
-use interference::experiments::{self, Fidelity};
-use interference::results::figures_to_json;
+use interference::campaign::{self, CampaignOptions, Experiment, PointOutcome, StoreCtx};
+use interference::experiments::harvest::{self, Harvest, PairSpec};
+use interference::experiments::Fidelity;
 use interference::store::ResultStore;
+use predict::accuracy::ACCURACY_EXPERIMENT;
+use topology::presets::Preset;
 
 /// A fresh store under a unique temp dir (tests run concurrently).
 fn temp_store(tag: &str) -> ResultStore {
@@ -15,90 +18,81 @@ fn temp_store(tag: &str) -> ResultStore {
     ResultStore::open(dir).expect("open temp store")
 }
 
-/// Every registered experiment must be durable: each computed point value
-/// encodes, decodes, and re-encodes to identical bytes. A lossy codec
-/// would silently break resume byte-identity, so this is an exact check
-/// over the real Quick sweep values of all 17 registry experiments.
-#[test]
-fn every_registry_experiment_value_roundtrips_exactly() {
-    for exp in experiments::all_experiments() {
-        let opts = CampaignOptions::serial(Fidelity::Quick);
-        let outcomes = campaign::run_outcomes_with_store(exp, &opts, None);
-        let mut encoded = 0usize;
-        for o in &outcomes {
-            let Some(value) = &o.value else { continue };
-            let bytes = exp
-                .encode_value(value)
-                .unwrap_or_else(|| panic!("{}: point {} value not encodable", exp.name(), o.index));
-            let decoded = exp
-                .decode_value(&bytes)
-                .unwrap_or_else(|| panic!("{}: point {} bytes not decodable", exp.name(), o.index));
-            let bytes2 = exp
-                .decode_value(&bytes)
-                .and_then(|v| exp.encode_value(&v))
-                .unwrap_or_else(|| panic!("{}: point {} re-encode failed", exp.name(), o.index));
-            assert_eq!(
-                bytes,
-                bytes2,
-                "{}: point {} codec is not bit-exact",
-                exp.name(),
-                o.index
-            );
-            // The decoded value must itself be encodable (same payload).
-            assert_eq!(exp.encode_value(&decoded).unwrap(), bytes);
-            encoded += 1;
-        }
-        assert!(
-            encoded > 0,
-            "{}: no point value was durable — resume would recompute everything",
-            exp.name()
-        );
-        // Truncated payloads must decode to None, never panic or misparse.
-        if let Some(o) = outcomes.iter().find(|o| o.value.is_some()) {
-            let bytes = exp.encode_value(o.value.as_ref().unwrap()).unwrap();
-            for cut in [0, 1, bytes.len() / 2, bytes.len().saturating_sub(1)] {
-                if cut < bytes.len() {
-                    assert!(
-                        exp.decode_value(&bytes[..cut]).is_none(),
-                        "{}: truncated payload ({} of {} bytes) decoded",
-                        exp.name(),
-                        cut,
-                        bytes.len()
-                    );
-                }
-            }
-        }
+/// One preset's slice of the Quick harvest grid: 80 real pairs.
+fn henri_only() -> Harvest {
+    Harvest {
+        filter: Some(|s: &PairSpec| s.preset == Preset::Henri),
     }
 }
 
-/// Interrupt-and-resume, in process: persist a full campaign, delete some
-/// entries (the points a crash would have lost), then resume at a
-/// different worker count — the rendered figures must be byte-identical
-/// to an uninterrupted run, with the surviving entries restored.
+/// Every harvested pair, encoded, in plan order.
+fn encoded_pairs(outcomes: &[PointOutcome]) -> Vec<Vec<u8>> {
+    harvest::collect_pairs(outcomes)
+        .iter()
+        .map(|p| p.encode())
+        .collect()
+}
+
+/// Each harvested value encodes, decodes and re-encodes to identical
+/// bytes, and the accuracy campaign encodes it the same way. A lossy codec
+/// would silently break resume byte-identity, so this is an exact check
+/// over real Quick harvest values. Every truncation and a trailing byte
+/// decode to `None`, never panic or misparse.
+#[test]
+fn harvest_values_roundtrip_exactly() {
+    let exp = henri_only();
+    let outcomes =
+        campaign::run_outcomes_with_store(&exp, &CampaignOptions::serial(Fidelity::Quick), None);
+    assert_eq!(outcomes.len(), 80);
+    for o in &outcomes {
+        let value = o.value.as_ref().expect("every harvest point completes");
+        let bytes = exp
+            .encode_value(value)
+            .unwrap_or_else(|| panic!("point {} value not encodable", o.index));
+        assert_eq!(ACCURACY_EXPERIMENT.encode_value(value), Some(bytes.clone()));
+        let decoded = exp
+            .decode_value(&bytes)
+            .unwrap_or_else(|| panic!("point {} bytes not decodable", o.index));
+        assert_eq!(
+            exp.encode_value(&decoded),
+            Some(bytes.clone()),
+            "point {} codec is not bit-exact",
+            o.index
+        );
+        for cut in 0..bytes.len() {
+            assert!(
+                exp.decode_value(&bytes[..cut]).is_none(),
+                "point {}: truncated payload ({} of {} bytes) decoded",
+                o.index,
+                cut,
+                bytes.len()
+            );
+        }
+        let mut tail = bytes;
+        tail.push(0);
+        assert!(exp.decode_value(&tail).is_none(), "point {}", o.index);
+    }
+}
+
+/// Interrupt-and-resume, in process: persist a harvest, delete a third of
+/// its entries (the points a crash would have lost), then resume at a
+/// different worker count — the pairs must be byte-identical to an
+/// uninterrupted run, with the surviving entries restored.
 #[test]
 fn resumed_campaign_is_byte_identical_across_jobs() {
-    let exps: Vec<_> = ["fig4", "fig9"]
-        .iter()
-        .map(|n| experiments::find(n).expect("registered"))
-        .collect();
-    let clean = figures_to_json(
-        &campaign::run_set(&exps, &CampaignOptions::serial(Fidelity::Quick))
-            .iter()
-            .flat_map(|r| r.figures.clone())
-            .collect::<Vec<_>>(),
-    );
+    let exp = henri_only();
+    let serial = CampaignOptions::serial(Fidelity::Quick);
+    let clean = encoded_pairs(&campaign::run_outcomes_with_store(&exp, &serial, None));
 
     let store = temp_store("resume-jobs");
     let ctx = StoreCtx {
         store: &store,
         resume: true,
     };
-    let opts = CampaignOptions::serial(Fidelity::Quick);
-    let (runs, _) = campaign::run_set_with_store(&exps, &opts, Some(ctx));
-    let total_points: usize = runs.iter().map(|r| r.points).sum();
-    assert_eq!(store.stats().persisted as usize, total_points);
+    let first = campaign::run_outcomes_with_store(&exp, &serial, Some(ctx));
+    assert_eq!(store.stats().persisted as usize, first.len());
 
-    // A crash loses the in-flight tail: drop the last few entries.
+    // A crash loses the in-flight tail: drop a third of the entries.
     let mut entries: Vec<_> = std::fs::read_dir(store.dir())
         .expect("read store dir")
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -106,22 +100,24 @@ fn resumed_campaign_is_byte_identical_across_jobs() {
         .collect();
     entries.sort();
     let lost = entries.len() / 3;
+    assert!(lost > 0, "harvest too small to lose a tail");
     for p in entries.iter().take(lost) {
         std::fs::remove_file(p).expect("drop entry");
     }
 
-    // Resume in parallel: restored + recomputed points must finalize to
-    // the same bytes as the clean serial run.
-    let popts = CampaignOptions::new(Fidelity::Quick, 4);
-    let (runs2, _) = campaign::run_set_with_store(&exps, &popts, Some(ctx));
-    let restored: usize = runs2.iter().map(|r| r.restored_points).sum();
-    assert_eq!(restored, total_points - lost);
-    let resumed = figures_to_json(
-        &runs2
-            .iter()
-            .flat_map(|r| r.figures.clone())
-            .collect::<Vec<_>>(),
+    // Resume in parallel: restored + recomputed points must give the same
+    // pairs as the clean serial run.
+    let resumed = campaign::run_outcomes_with_store(
+        &exp,
+        &CampaignOptions::new(Fidelity::Quick, 4),
+        Some(ctx),
     );
-    assert_eq!(clean, resumed, "resumed figures differ from a clean run");
+    let restored = resumed.iter().filter(|o| o.restored).count();
+    assert_eq!(restored, first.len() - lost);
+    assert_eq!(
+        encoded_pairs(&resumed),
+        clean,
+        "resumed harvest differs from a clean run"
+    );
     let _ = std::fs::remove_dir_all(store.dir());
 }
